@@ -5,10 +5,8 @@ from .interpreter import (
     Fault,
     FaultSignal,
     LocalContext,
-    assign_path,
     eval_expr,
     exec_statements,
-    read_path,
 )
 from .system import (
     BindError,
@@ -19,7 +17,7 @@ from .system import (
     SystemReport,
     start,
 )
-from .transport import TransportError, http_invoke_ow, http_invoke_rr
+from .transport import TransportError, http_invoke_rr
 
 __all__ = [
     "BindError",
@@ -33,11 +31,8 @@ __all__ = [
     "ServiceReport",
     "SystemReport",
     "TransportError",
-    "assign_path",
     "eval_expr",
     "exec_statements",
-    "http_invoke_ow",
     "http_invoke_rr",
-    "read_path",
     "start",
 ]

@@ -8,7 +8,10 @@ index past the end of a sequence extends it with empty nodes.
 Assignment semantics: a childless right-hand side sets the target
 node's root and preserves its children; a tree-valued right-hand side
 replaces the target subtree. Message bindings (receives, response
-targets, branch request variables) always replace.
+targets, branch request variables) always replace. Assignment stores
+the tree it is given without copying it: expression values are fresh
+(a path read returns a copy), and so is every message, which the
+runtime copies once as it crosses a port.
 """
 
 from __future__ import annotations
@@ -144,7 +147,7 @@ def assign_path(
 ) -> None:
     seq, index = _slot_for(scope, path, ctx)
     if replace or value.children:
-        seq[index] = value.copy()
+        seq[index] = value
     else:
         seq[index].root = value.root
 

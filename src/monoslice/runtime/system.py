@@ -1,17 +1,22 @@
-"""Service execution: instances, threading, local and socket endpoints.
+"""Service execution: instances, their worker pools, and the one call path.
 
 start() runs any subset of a checked program's services in one process.
 Input ports with local:// locations register in an in-process registry;
-socket:// ports get an HTTP server. The two transports are
-observationally equivalent: message trees are deep-copied at every
-boundary so in-process execution cannot share state that serialization
-would have severed.
+socket:// ports get an HTTP server. Every outbound call goes through
+RunningSystem.call, the only place that picks a transport, and every
+inbound call, local or HTTP, goes through _Endpoint.offer, which checks
+the operation and the call kind before anything runs. The two
+transports are observationally equivalent: each message is copied once
+at each boundary, into its JSON image, so in-process execution cannot
+share state that serialization would have severed.
 
-Execution modes: concurrent runs each activation in a fresh scope on
-its own bounded daemon thread; sequential serializes activations in one
-persistent scope (so a service can keep state across requests); single
-serves exactly one activation and then stops. A service whose main is a
-statement sequence is executable: it runs once to completion after
+Each service runs its activations on a pool of long-lived daemon
+workers that grows only when no worker is idle: at most 32 for
+concurrent, where each activation gets a fresh scope, and one for
+sequential, which keeps one scope across activations (so a service can
+keep state across requests), and for single, which serves exactly one
+activation and then stops. A service whose main is a statement sequence
+is executable: it runs once to completion on its own thread after
 startup.
 """
 
@@ -20,6 +25,7 @@ from __future__ import annotations
 import logging
 import queue
 import threading
+import time
 from dataclasses import dataclass, field
 
 from ..ast import (
@@ -46,9 +52,7 @@ from .interpreter import (
     assign_path,
     exec_statements,
     fault,
-    read_path,
 )
-from . import transport
 from .transport import HttpPortServer, TransportError, http_invoke_ow, http_invoke_rr
 
 log = logging.getLogger("monoslice.runtime")
@@ -93,6 +97,37 @@ class _Endpoint:
 
     instance: "ServiceInstance"
     ops: dict[str, OpInfo]
+    location: Location
+
+    def offer(
+        self, operation: str, tree: ValueTree, kind: str | None, timeout: float
+    ) -> ValueTree | Fault | None:
+        """Take one inbound call, whichever transport carried it.
+
+        kind is "rr" or "ow", or None for the operation's declared kind
+        (an HTTP post that does not say). A request-response call returns
+        the reply tree or the fault, and a one-way call returns None once
+        the message is accepted. A call of the wrong kind is refused
+        before any handler runs: UnknownOperation for request-response,
+        TransportError for one-way. Raises TransportError when the
+        service has stopped.
+        """
+        if self.instance.stopped:
+            raise TransportError(f"service {self.instance.name} has stopped")
+        info = self.ops.get(operation)
+        if kind is None and info is not None:
+            kind = info.kind
+        if info is None or info.kind != kind:
+            if kind == "ow":
+                raise TransportError(f"no one-way operation '{operation}' at {self.location}")
+            return Fault(
+                "UnknownOperation",
+                ValueTree(f"no request-response operation '{operation}' at {self.location}"),
+            )
+        if kind == "rr":
+            return self.instance.offer_rr(info, tree, timeout)
+        self.instance.offer_ow(info, tree)
+        return None
 
 
 def _violation_fault(violations) -> Fault:
@@ -122,8 +157,11 @@ class _ActivationContext(ExecutionContext):
         self.output_ports = instance.output_port_names
 
     def solicit(self, port: str, operation: str, request: ValueTree) -> ValueTree:
+        system = self.instance.system
         try:
-            result = self.instance.solicit_out(port, operation, request)
+            result = system.call(
+                self.instance.binding(port), operation, request, "rr", system.invoke_timeout
+            )
         except TransportError as exc:
             raise fault("TransportError", str(exc)) from exc
         if isinstance(result, Fault):
@@ -131,8 +169,11 @@ class _ActivationContext(ExecutionContext):
         return result
 
     def send_oneway(self, port: str, operation: str, message: ValueTree) -> None:
+        system = self.instance.system
         try:
-            self.instance.send_oneway_out(port, operation, message)
+            system.call(
+                self.instance.binding(port), operation, message, "ow", system.invoke_timeout
+            )
         except TransportError as exc:
             raise fault("TransportError", str(exc)) from exc
 
@@ -169,16 +210,17 @@ class ServiceInstance:
         self._receive_queues: dict[str, "queue.SimpleQueue[ValueTree]"] = {}
         self._receive_lock = threading.Lock()
         self._stopped = threading.Event()
-        self._threads: list[threading.Thread] = []
+        self._max_workers = _POOL_WORKERS if self.mode.value == "concurrent" else 1
+        self._workers: list[threading.Thread] = []
+        self._idle = 0  # workers waiting for work that no submitted work has claimed
+        self._pool_lock = threading.Lock()
         self._executable_thread: threading.Thread | None = None
-        self._handler_slots = threading.BoundedSemaphore(_POOL_WORKERS)
 
         self._stats_lock = threading.Lock()
         self.served = 0
         self.fault_names: list[str] = []
         self.in_flight = 0
         self.exit_fault: Fault | None = None
-        self.executable_done = False
 
     # -- lifecycle -----------------------------------------------------
 
@@ -196,20 +238,6 @@ class ServiceInstance:
             scope.children[self.decl.config.name] = [self.config_tree.copy()]
         return scope
 
-    def start_workers(self) -> None:
-        if self.is_executable:
-            return
-        if self.mode.value == "concurrent":
-            thread = threading.Thread(
-                target=self._feed_handlers, name=f"{self.name}-feeder", daemon=True
-            )
-        else:
-            thread = threading.Thread(
-                target=self._run_serialized, name=f"{self.name}-worker", daemon=True
-            )
-        self._threads.append(thread)
-        thread.start()
-
     def start_executable(self) -> None:
         if not self.is_executable:
             return
@@ -219,63 +247,47 @@ class ServiceInstance:
 
     def request_stop(self) -> None:
         self._stopped.set()
-        self._queue.put(None)
+        # one end marker for every worker the pool may hold, even one still starting
+        for _ in range(self._max_workers):
+            self._queue.put(None)
 
-    def join(self, timeout: float) -> int:
-        """Join worker threads; returns the number of still-running activations."""
-        for thread in self._threads:
-            thread.join(timeout)
+    def join(self, deadline: float) -> int:
+        """Join the threads until the monotonic deadline; returns the still-running activations."""
+        threads = list(self._workers)
         if self._executable_thread is not None:
-            self._executable_thread.join(timeout)
+            threads.append(self._executable_thread)
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
         with self._stats_lock:
             return self.in_flight
 
-    # -- worker loops ----------------------------------------------------
+    # -- the worker pool ---------------------------------------------------
 
-    def _run_serialized(self) -> None:
-        scope = self.seed_scope()  # persists across activations
-        while True:
-            work = self._queue.get()
-            if work is None:
-                return
-            self._run_activation(work, scope)
-            if self.mode.value == "single":
-                self._stopped.set()
-                self._drain_queue()
-                return
+    def _submit(self, work: _Work) -> None:
+        with self._pool_lock:
+            if self._idle:
+                self._idle -= 1
+            elif len(self._workers) < self._max_workers:
+                worker = threading.Thread(target=self._serve, name=f"{self.name}-worker", daemon=True)
+                self._workers.append(worker)
+                worker.start()
+        self._queue.put(work)
 
-    def _feed_handlers(self) -> None:
-        # daemon handler threads, bounded; daemons cannot block process exit
-        while True:
-            work = self._queue.get()
-            if work is None:
-                return
-            self._handler_slots.acquire()
-            threading.Thread(
-                target=self._run_in_fresh_scope,
-                args=(work,),
-                name=f"{self.name}-handler",
-                daemon=True,
-            ).start()
-
-    def _run_in_fresh_scope(self, work: _Work) -> None:
-        try:
-            self._run_activation(work, self.seed_scope())
-        finally:
-            self._handler_slots.release()
-
-    def _drain_queue(self) -> None:
-        while True:
-            try:
-                work = self._queue.get_nowait()
-            except queue.Empty:
-                return
-            if work is not None:
-                self._reply_stopped(work)
-
-    def _reply_stopped(self, work: _Work) -> None:
-        if work.slot is not None:
-            work.slot.set(Fault("TransportError", ValueTree(f"service {self.name} has stopped")))
+    def _serve(self) -> None:
+        scope = None if self.mode.value == "concurrent" else self.seed_scope()
+        while (work := self._queue.get()) is not None:
+            if self.mode.value == "single" and self.stopped:
+                # a single service answers its first call only
+                if work.slot is not None:
+                    work.slot.set(
+                        Fault("TransportError", ValueTree(f"service {self.name} has stopped"))
+                    )
+            else:
+                self._run_activation(work, scope if scope is not None else self.seed_scope())
+                if self.mode.value == "single":
+                    self._stopped.set()
+            with self._pool_lock:
+                self._idle += 1
 
     def _run_activation(self, work: _Work, scope: ValueTree) -> None:
         with self._stats_lock:
@@ -287,9 +299,8 @@ class ServiceInstance:
             assign_path(scope, bind, work.tree, ctx, replace=True)
             exec_statements(branch.body, ctx)
             if work.slot is not None and isinstance(branch, RequestResponseBranch):
-                response = _normalize_message(
-                    read_path(scope, Path([PathStep(branch.response_var)]), ctx)
-                )
+                reply = scope.child(branch.response_var)
+                response = _normalize_message(reply) if reply is not None else ValueTree()
                 violations = check_value(
                     response, work.info.response, self.system.checked.type_table
                 )
@@ -327,7 +338,6 @@ class ServiceInstance:
             self.exit_fault = Fault("InternalError", ValueTree(str(exc)))
             self._record_fault("InternalError")
         finally:
-            self.executable_done = True
             with self._stats_lock:
                 self.in_flight -= 1
 
@@ -338,8 +348,6 @@ class ServiceInstance:
     # -- inbound ---------------------------------------------------------
 
     def offer_rr(self, info: OpInfo, tree: ValueTree, timeout: float) -> ValueTree | Fault:
-        if self.stopped:
-            raise TransportError(f"service {self.name} has stopped")
         branch = self.branches.get(info.name)
         if not isinstance(branch, RequestResponseBranch):
             return Fault(
@@ -351,15 +359,13 @@ class ServiceInstance:
         if violations:
             return _violation_fault(violations)
         slot = _ReplySlot()
-        self._queue.put(_Work(info, tree, slot))
+        self._submit(_Work(info, tree, slot))
         result = slot.wait(timeout)
         if result is None:
             return Fault("Timeout", ValueTree(f"no reply from {self.name}.{info.name}"))
         return result
 
     def offer_ow(self, info: OpInfo, tree: ValueTree) -> None:
-        if self.stopped:
-            raise TransportError(f"service {self.name} has stopped")
         tree = _normalize_message(tree)
         violations = check_value(tree, info.request, self.system.checked.type_table)
         if violations:
@@ -376,7 +382,7 @@ class ServiceInstance:
         if info.name not in self.branches:
             log.warning("dropping one-way %s: no handler in %s", info.name, self.name)
             return
-        self._queue.put(_Work(info, tree, None))
+        self._submit(_Work(info, tree, None))
 
     def _receive_queue(self, operation: str) -> "queue.SimpleQueue[ValueTree]":
         with self._receive_lock:
@@ -397,20 +403,6 @@ class ServiceInstance:
     def set_binding(self, port: str, location: Location) -> None:
         with self._bindings_lock:
             self._bindings[port] = location
-
-    def solicit_out(self, port: str, operation: str, request: ValueTree) -> ValueTree | Fault:
-        location = self.binding(port)
-        timeout = self.system.invoke_timeout
-        if location.scheme == "local":
-            return self.system.local_invoke_rr(location, operation, request, timeout)
-        return http_invoke_rr(location, operation, request, timeout)
-
-    def send_oneway_out(self, port: str, operation: str, message: ValueTree) -> None:
-        location = self.binding(port)
-        if location.scheme == "local":
-            self.system.local_invoke_ow(location, operation, message)
-        else:
-            http_invoke_ow(location, operation, message, self.system.invoke_timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -467,59 +459,27 @@ class RunningSystem:
         self._report: SystemReport | None = None
         self._lock = threading.Lock()
 
-    # -- transports --------------------------------------------------------
+    # -- the call path -------------------------------------------------------
 
-    def local_invoke_rr(
-        self, location: Location, operation: str, request: ValueTree, timeout: float
-    ) -> ValueTree | Fault:
-        endpoint = self._local.get(location.name or "")
-        if endpoint is None:
-            raise TransportError(f"nothing listens at {location}")
-        info = endpoint.ops.get(operation)
-        if info is None or info.kind != "rr":
-            return Fault(
-                "UnknownOperation",
-                ValueTree(f"no request-response operation '{operation}' at {location}"),
-            )
-        return endpoint.instance.offer_rr(info, request, timeout)
+    def call(
+        self, location: Location, operation: str, tree: ValueTree, kind: str, timeout: float
+    ) -> ValueTree | Fault | None:
+        """Make one call of kind "rr" or "ow" over the transport the location names.
 
-    def local_invoke_ow(self, location: Location, operation: str, message: ValueTree) -> None:
-        endpoint = self._local.get(location.name or "")
-        if endpoint is None:
-            raise TransportError(f"nothing listens at {location}")
-        info = endpoint.ops.get(operation)
-        if info is None or info.kind != "ow":
-            raise TransportError(f"no one-way operation '{operation}' at {location}")
-        endpoint.instance.offer_ow(info, message)
-
-    def _dispatcher_for(self, endpoint: _Endpoint):
-        def dispatch(operation: str, tree: ValueTree) -> tuple:
-            if endpoint.instance.stopped:
-                raise transport.stopped()
-            info = endpoint.ops.get(operation)
-            if info is None:
-                return (
-                    "fault",
-                    Fault(
-                        "UnknownOperation",
-                        ValueTree(f"no operation '{operation}' at this port"),
-                    ),
-                )
-            if info.kind == "rr":
-                try:
-                    result = endpoint.instance.offer_rr(info, tree, self.invoke_timeout)
-                except TransportError:
-                    raise transport.stopped() from None
-                if isinstance(result, Fault):
-                    return ("fault", result)
-                return ("ok", result)
-            try:
-                endpoint.instance.offer_ow(info, tree)
-            except TransportError:
-                raise transport.stopped() from None
-            return ("accepted", None)
-
-        return dispatch
+        A request-response call returns the reply tree or the fault, and a
+        one-way call returns None once the target accepted the message.
+        Raises TransportError when the target is unreachable, has stopped,
+        or refuses a one-way call.
+        """
+        if location.scheme == "local":
+            endpoint = self._local.get(location.name or "")
+            if endpoint is None:
+                raise TransportError(f"nothing listens at {location}")
+            return endpoint.offer(operation, tree, kind, timeout)
+        if kind == "rr":
+            return http_invoke_rr(location, operation, tree, timeout)
+        http_invoke_ow(location, operation, tree, timeout)
+        return None
 
     # -- client API ----------------------------------------------------------
 
@@ -544,19 +504,12 @@ class RunningSystem:
 
         Raises TransportError when the target is unreachable.
         """
-        location = self._resolve_target(target)
         timeout = timeout if timeout is not None else self.invoke_timeout
-        if location.scheme == "local":
-            return self.local_invoke_rr(location, operation, request, timeout)
-        return http_invoke_rr(location, operation, request, timeout)
+        return self.call(self._resolve_target(target), operation, request, "rr", timeout)
 
     def invoke_ow(self, target: "str | Location", operation: str, message: ValueTree) -> None:
         """Send a one-way message; returns once the target accepted it."""
-        location = self._resolve_target(target)
-        if location.scheme == "local":
-            self.local_invoke_ow(location, operation, message)
-        else:
-            http_invoke_ow(location, operation, message, self.invoke_timeout)
+        self.call(self._resolve_target(target), operation, message, "ow", self.invoke_timeout)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -579,10 +532,10 @@ class RunningSystem:
             self._local.clear()
             for instance in self.instances.values():
                 instance.request_stop()
-            per_instance = timeout / max(len(self.instances), 1)
+            deadline = time.monotonic() + timeout
             report = SystemReport()
             for instance in self.instances.values():
-                aborted = instance.join(per_instance)
+                aborted = instance.join(deadline)
                 report.services.append(
                     ServiceReport(
                         name=instance.name,
@@ -641,14 +594,14 @@ def start(
                 instance.set_binding(port.name, resolve_location(config, port.location, param))
             for port in decl.input_ports:
                 location = resolve_location(config, port.location, param)
-                endpoint = _Endpoint(instance, checked.port_ops[(name, port.name)])
+                endpoint = _Endpoint(instance, checked.port_ops[(name, port.name)], location)
                 if location.scheme == "local":
                     if location.name in system._local:
                         raise BindError(str(location), "already bound in this process")
                     system._local[location.name] = endpoint
                 else:
                     try:
-                        server = HttpPortServer(location.port, system._dispatcher_for(endpoint))
+                        server = HttpPortServer(location.port, endpoint.offer, invoke_timeout)
                     except OSError as exc:
                         raise BindError(str(location), str(exc)) from exc
                     system._servers.append(server)
@@ -656,8 +609,6 @@ def start(
             system.instances[name] = instance
         for server in system._servers:
             server.start()
-        for instance in system.instances.values():
-            instance.start_workers()
         for instance in system.instances.values():
             instance.start_executable()
     except BaseException:

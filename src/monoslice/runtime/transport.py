@@ -4,8 +4,16 @@ Everything is POST. A request-response call posts the encoded request
 tree to /<operation> and gets 200 with the encoded response, or 500
 with a fault envelope {"fault": name, "data": encoded-or-null}. A
 one-way posts the same way and gets 202 with an empty body once the
-message is accepted. Servers bind all interfaces on the port; the host
-part of a location is for dialing.
+message is accepted. The clients mark each post with the kind of call
+they make in the Monoslice-Kind header, "rr" or "ow". The server hands
+every post to the same inbound step that local:// calls go through,
+which refuses a call of the wrong kind before any handler runs: a
+request-response call gets the UnknownOperation envelope and a one-way
+call gets 503. A post without the header is taken as the operation's
+declared kind. A body or Content-Length that cannot be read gets the
+TypeMismatch envelope, and a service that has stopped answers 503.
+Servers bind all interfaces on the port; the host part of a location is
+for dialing.
 """
 
 from __future__ import annotations
@@ -23,6 +31,9 @@ from ..values import JsonError, ValueTree, decode_json, encode_json, from_json_v
 from .interpreter import Fault
 
 CONTENT_TYPE = "application/json; charset=utf-8"
+KIND_HEADER = "Monoslice-Kind"
+# how often serve_forever looks for a shutdown request, which bounds how long close() takes
+_POLL_SECONDS = 0.05
 
 
 class TransportError(MonosliceError):
@@ -50,16 +61,18 @@ def decode_fault(body: bytes) -> Fault:
 # ---------------------------------------------------------------------------
 # server
 
-# dispatch(operation, request) -> ("ok", tree) | ("fault", Fault) | ("accepted", None)
-Dispatcher = Callable[[str, ValueTree], tuple]
+# offer(operation, request, kind or None, timeout) -> reply tree | Fault | None (one-way
+# accepted); raises TransportError when the call is refused
+Offer = Callable[[str, ValueTree, str | None, float], ValueTree | Fault | None]
 
 
 class HttpPortServer:
-    """One HTTP server per socket input port."""
+    """One HTTP server per socket input port, handing each post to offer."""
 
-    def __init__(self, port: int, dispatcher: Dispatcher):
-        self.dispatcher = dispatcher
+    def __init__(self, port: int, offer: Offer, timeout: float):
         outer = self
+        self.offer = offer
+        self.timeout = timeout
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
@@ -77,24 +90,27 @@ class HttpPortServer:
 
             def do_POST(self) -> None:
                 operation = self.path.lstrip("/")
-                length = int(self.headers.get("Content-Length", "0"))
-                raw = self.rfile.read(length) if length else b""
                 try:
-                    request = decode_json(raw) if raw else ValueTree()
-                except JsonError as exc:
+                    length = int(self.headers.get("Content-Length", "0"))
+                    if length < 0:
+                        raise ValueError(f"negative Content-Length {length}")
+                    request = decode_json(self.rfile.read(length)) if length else ValueTree()
+                except (ValueError, JsonError) as exc:
+                    self.close_connection = True  # the unread rest of the body is no request
                     self._respond(500, encode_fault(Fault("TypeMismatch", ValueTree(str(exc)))))
                     return
+                kind = self.headers.get(KIND_HEADER)
                 try:
-                    kind, payload = outer.dispatcher(operation, request)
-                except _Stopped:
-                    self._respond(503, b"")
+                    result = outer.offer(operation, request, kind, outer.timeout)
+                except TransportError as exc:
+                    self._respond(503, encode_json(ValueTree(str(exc))))
                     return
-                if kind == "ok":
-                    self._respond(200, encode_json(payload))
-                elif kind == "fault":
-                    self._respond(500, encode_fault(payload))
-                else:
+                if result is None:
                     self._respond(202, b"")
+                elif isinstance(result, Fault):
+                    self._respond(500, encode_fault(result))
+                else:
+                    self._respond(200, encode_json(result))
 
             def do_GET(self) -> None:
                 self._respond(405, b"")
@@ -102,7 +118,10 @@ class HttpPortServer:
         self._server = ThreadingHTTPServer(("", port), Handler)
         self._server.daemon_threads = True
         self._thread = threading.Thread(
-            target=self._server.serve_forever, name=f"http-port-{port}", daemon=True
+            target=self._server.serve_forever,
+            args=(_POLL_SECONDS,),
+            name=f"http-port-{port}",
+            daemon=True,
         )
 
     def start(self) -> None:
@@ -113,14 +132,6 @@ class HttpPortServer:
         if self._thread.is_alive():
             self._server.shutdown()
         self._server.server_close()
-
-
-class _Stopped(Exception):
-    """Raised by a dispatcher whose service no longer serves."""
-
-
-def stopped() -> _Stopped:
-    return _Stopped()
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +149,7 @@ def http_invoke_rr(
     timeout into the Timeout fault as well.
     """
     try:
-        status, body = _post(location, operation, request, timeout)
+        status, body = _post(location, operation, "rr", request, timeout)
     except _TimeoutFault:
         return Fault("Timeout", ValueTree(f"no reply from {location} within {timeout}s"))
     if status == 200:
@@ -148,21 +159,17 @@ def http_invoke_rr(
             raise TransportError(f"undecodable response from {location}: {exc}") from exc
     if status == 500:
         return decode_fault(body)
-    if status == 503:
-        raise TransportError(f"{location} has stopped serving")
     raise TransportError(f"unexpected status {status} from {location}")
 
 
 def http_invoke_ow(location: Location, operation: str, message: ValueTree, timeout: float) -> None:
     """Send a one-way message over HTTP; returns once the target accepts it."""
     try:
-        status, _ = _post(location, operation, message, timeout)
+        status, _ = _post(location, operation, "ow", message, timeout)
     except _TimeoutFault:
         raise TransportError(f"{location} did not accept the message in time") from None
     if status == 202:
         return
-    if status == 503:
-        raise TransportError(f"{location} has stopped serving")
     raise TransportError(f"unexpected status {status} from {location}")
 
 
@@ -171,8 +178,9 @@ class _TimeoutFault(Exception):
 
 
 def _post(
-    location: Location, operation: str, request: ValueTree, timeout: float
+    location: Location, operation: str, kind: str, request: ValueTree, timeout: float
 ) -> tuple[int, bytes]:
+    """Post one call; raises TransportError when the target refuses it with 503."""
     body = encode_json(request)
     # a little grace so a server-side Timeout fault arrives before we give up
     connection = HTTPConnection(location.host, location.port, timeout=timeout + 2.0)
@@ -181,13 +189,21 @@ def _post(
             "POST",
             f"/{operation}",
             body=body,
-            headers={"Content-Type": CONTENT_TYPE, "Content-Length": str(len(body))},
+            headers={
+                "Content-Type": CONTENT_TYPE,
+                "Content-Length": str(len(body)),
+                KIND_HEADER: kind,
+            },
         )
         response = connection.getresponse()
-        return response.status, response.read()
+        status, reply = response.status, response.read()
     except socket.timeout:
         raise _TimeoutFault() from None
     except (ConnectionError, HTTPException, OSError) as exc:
         raise TransportError(f"cannot reach {location}: {exc}") from exc
     finally:
         connection.close()
+    if status == 503:
+        reason = reply.decode("utf-8", errors="replace")
+        raise TransportError(f"{location} refused the call: {reason}")
+    return status, reply

@@ -204,7 +204,8 @@ def encode_json(tree: ValueTree) -> bytes:
 def decode_json(data: bytes | str) -> ValueTree:
     """Decode JSON bytes or text into a value tree.
 
-    Raises JsonError with line/column on malformed input.
+    Raises JsonError with line/column on malformed input, and without
+    them on input nested deeper than the interpreter can recurse.
     """
     if isinstance(data, bytes):
         try:
@@ -212,7 +213,8 @@ def decode_json(data: bytes | str) -> ValueTree:
         except UnicodeDecodeError as exc:
             raise JsonError(f"payload is not valid UTF-8: {exc}") from exc
     try:
-        obj = json.loads(data)
+        return from_json_value(json.loads(data))
     except json.JSONDecodeError as exc:
         raise JsonError(exc.msg, exc.lineno, exc.colno) from exc
-    return from_json_value(obj)
+    except RecursionError:
+        raise JsonError("payload nests too deeply") from None

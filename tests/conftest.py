@@ -1,6 +1,7 @@
 import json
 import os
 import socket
+import time
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import monoslice
 from monoslice.config import load_config
 from monoslice.parser import parse_source
+from monoslice.runtime import TransportError, http_invoke_rr
 from monoslice.semantics import resolve
 from monoslice.values import decode_json
 
@@ -60,6 +62,26 @@ def free_port() -> int:
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         return sock.getsockname()[1]
+
+
+def call_once_serving(process, location, operation, request):
+    """Call `operation` as soon as the child `process` serves `location`.
+
+    Fails at once, with the child's stderr, if the child exits first, and
+    returns None if nothing answers within 10 s.
+    """
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        if process.poll() is not None:
+            raise AssertionError(
+                f"child exited with status {process.returncode} before serving:\n"
+                + process.stderr.read().decode(errors="replace")
+            )
+        try:
+            return http_invoke_rr(location, operation, request, 5)
+        except TransportError:
+            time.sleep(0.1)
+    return None
 
 
 def loopback_config(service_names, ports=None):

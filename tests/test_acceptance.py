@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
 """
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -20,12 +21,12 @@ from monoslice.ast import Literal
 from monoslice.config import Location
 from monoslice.parser import parse_source
 from monoslice.render import render
-from monoslice.runtime import Fault, TransportError, http_invoke_rr
+from monoslice.runtime import Fault, http_invoke_rr
 from monoslice.semantics import resolve
 from monoslice.slicer import slice_all
 from monoslice.values import Long, ValueTree, decode_json, encode_json
 
-from conftest import FIXTURES, free_port
+from conftest import FIXTURES, call_once_serving, free_port
 from oracle import removable_declarations
 from proggen import random_program
 from script import COLLECTOR, area, corrupted_fixture_source, run_script
@@ -144,18 +145,6 @@ def test_criterion_3_slice_soundness_and_minimality():
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
 
 
-def _poll_until_serving(port: int, operation: str) -> None:
-    location = Location.socket("127.0.0.1", port)
-    deadline = time.monotonic() + 15
-    while time.monotonic() < deadline:
-        try:
-            http_invoke_rr(location, operation, ValueTree(), 5)
-            return
-        except TransportError:
-            time.sleep(0.1)
-    raise AssertionError(f"port {port} never started serving")
-
-
 @criterion(4, "scripted RPCs agree exactly between one local process and four OS processes")
 def test_criterion_4_transport_transparency(fixture_checked, tmp_path):
     # (a) whole architecture in this process over local:// locations
@@ -191,25 +180,33 @@ def test_criterion_4_transport_transparency(fixture_checked, tmp_path):
             stderr=subprocess.PIPE,
         )
 
-    servers = [run_service(name) for name in ("QuerySide", "CommandSide", "EventStore")]
-    try:
-        for name in ("QuerySide", "CommandSide", "EventStore"):
-            _poll_until_serving(ports[name], "bogus")
-        test_client = run_service("TestClient")
-        verdict_b = test_client.wait(timeout=30)
-        assert verdict_b == 0, test_client.stderr.read().decode()
+    # leaving the with blocks closes the children's pipes and reaps them
+    with contextlib.ExitStack() as children:
+        names = ("QuerySide", "CommandSide", "EventStore")
+        servers = [children.enter_context(run_service(name)) for name in names]
+        try:
+            for name, server in zip(names, servers):
+                location = Location.socket("127.0.0.1", ports[name])
+                if call_once_serving(server, location, "bogus", ValueTree()) is None:
+                    raise AssertionError(f"port {ports[name]} never started serving")
+            with run_service("TestClient") as test_client:
+                try:
+                    verdict_b = test_client.wait(timeout=30)
+                    assert verdict_b == 0, test_client.stderr.read().decode()
+                finally:
+                    test_client.kill()
 
-        def invoke(service, operation, request):
-            return http_invoke_rr(
-                Location.socket("127.0.0.1", ports[service]), operation, request, 30
-            )
+            def invoke(service, operation, request):
+                return http_invoke_rr(
+                    Location.socket("127.0.0.1", ports[service]), operation, request, 30
+                )
 
-        outcomes_b = run_script(invoke, f"socket://127.0.0.1:{ports['TestClient']}")
-    finally:
-        for server in servers:
-            server.terminate()
-        for server in servers:
-            server.wait(timeout=10)
+            outcomes_b = run_script(invoke, f"socket://127.0.0.1:{ports['TestClient']}")
+        finally:
+            for server in servers:
+                server.terminate()
+            for server in servers:
+                server.wait(timeout=10)
 
     assert len(outcomes_a) >= 10
     assert outcomes_a == outcomes_b  # exact tree equality, identical fault names

@@ -8,10 +8,9 @@ from pathlib import Path
 
 from monoslice.cli import main
 from monoslice.config import Location
-from monoslice.runtime import TransportError, http_invoke_rr
 from monoslice.values import Long, ValueTree
 
-from conftest import free_port
+from conftest import call_once_serving, free_port
 from script import corrupted_fixture_source
 
 
@@ -21,26 +20,6 @@ def tree_digest(root: Path) -> dict[str, str]:
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
-
-
-def call_once_serving(process, location, operation, request):
-    """Call `operation` as soon as the child `process` serves `location`.
-
-    Fails at once, with the child's stderr, if the child exits first, and
-    returns None if nothing answers within 10 s.
-    """
-    deadline = time.monotonic() + 10
-    while time.monotonic() < deadline:
-        if process.poll() is not None:
-            raise AssertionError(
-                f"child exited with status {process.returncode} before serving:\n"
-                + process.stderr.read().decode(errors="replace")
-            )
-        try:
-            return http_invoke_rr(location, operation, request, 5)
-        except TransportError:
-            time.sleep(0.1)
-    return None
 
 
 def test_check_clean_fixture_prints_nothing(fixture_path, capsys):

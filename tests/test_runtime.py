@@ -1,6 +1,8 @@
 import http.client
 import json
 import random
+import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -88,6 +90,14 @@ def test_shutdown_is_idempotent(fixture_checked, local_config):
     assert system.shutdown() is first
 
 
+def test_socket_shutdown_is_prompt():
+    system, _ = start_source(COLLECTOR)
+    assert system.invoke_rr("Collector", "drain", ValueTree()) == ValueTree()
+    started = time.monotonic()
+    system.shutdown()
+    assert time.monotonic() - started < 0.3
+
+
 # ---------------------------------------------------------------------------
 # the smart-city integration flow
 
@@ -144,6 +154,24 @@ def test_unknown_operation_fault(fixture_checked, local_config):
         reply = system.invoke_rr("CommandSide", "bogus", ValueTree())
         assert isinstance(reply, Fault)
         assert reply.name == "UnknownOperation"
+
+
+@pytest.mark.parametrize("transport", ["local", "socket"])
+def test_a_call_of_the_wrong_kind_is_refused_before_any_handler_runs(transport):
+    if transport == "local":
+        system = runtime.start(resolve(parse_source(COLLECTOR)), local_tree_config(["Collector"]))
+    else:
+        system, _ = start_source(COLLECTOR)
+    try:
+        reply = system.invoke_rr("Collector", "put", ValueTree(1))
+        assert isinstance(reply, Fault) and reply.name == "UnknownOperation"
+        with pytest.raises(TransportError):
+            system.invoke_ow("Collector", "drain", ValueTree())
+        # drain runs after anything queued before it, so nothing else ran
+        assert system.invoke_rr("Collector", "drain", ValueTree()) == ValueTree()
+        assert system.instances["Collector"].served == 1
+    finally:
+        system.shutdown()
 
 
 def test_request_timeout_and_aborted_handler_reporting():
@@ -216,6 +244,63 @@ def test_concurrent_activations_get_isolated_scopes_and_distinct_ids(fixture_che
         ]
         ids = sorted(int(r.root) for r in replies)
         assert ids == list(range(1000, 1008))
+
+
+def test_pool_holds_at_most_32_workers_under_40_callers(fixture_checked, local_config):
+    with runtime.start(fixture_checked, local_config, ["QuerySide", "CommandSide", "EventStore"]) as system:
+        # a longer log makes each EventStore.lookup slower, so QuerySide activations pile up
+        for i in range(300):
+            system.invoke_rr("CommandSide", "createParkingArea", area(f"lot-{i}"))
+        created = system.invoke_rr("CommandSide", "createParkingArea", area("busy"))
+        expected = ValueTree.make(id=ValueTree(created.root), info=area("busy"))
+        most = 0
+        done = threading.Event()
+
+        def watch():
+            nonlocal most
+            while not done.is_set():
+                workers = [t for t in threading.enumerate() if t.name.startswith("QuerySide-")]
+                most = max(most, len(workers))
+                time.sleep(0.001)
+
+        start = threading.Barrier(40)
+
+        def get(_):
+            start.wait(timeout=10)
+            return system.invoke_rr("QuerySide", "getParkingArea", ValueTree(created.root))
+
+        watcher = threading.Thread(target=watch)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so unlocked pool updates would show
+        watcher.start()
+        try:
+            with ThreadPoolExecutor(max_workers=40) as pool:
+                replies = list(pool.map(get, range(40)))
+        finally:
+            sys.setswitchinterval(switch)
+            done.set()
+            watcher.join(timeout=10)
+        assert not watcher.is_alive()
+        assert replies == [expected] * 40
+        assert 0 < most <= 32
+
+
+def test_local_messages_are_isolated_from_the_caller_on_both_sides():
+    system = runtime.start(resolve(parse_source(COLLECTOR)), local_tree_config(["Collector"]))
+    try:
+        message = ValueTree(5)
+        system.invoke_ow("Collector", "put", message)
+        message.root = 99  # the service holds its own copy of what was sent
+        request = ValueTree()
+        reply = system.invoke_rr("Collector", "drain", request)
+        request.root = 7
+        # drain's reply variable persists in the sequential scope and is only
+        # overwritten item by item, so a shared reply would keep this extra item
+        reply.children["items"].append(ValueTree(Long(99)))
+        again = system.invoke_rr("Collector", "drain", ValueTree())
+        assert [int(t.root) for t in again.children["items"]] == [5]
+    finally:
+        system.shutdown()
 
 
 def test_single_mode_serves_exactly_one_activation():
@@ -346,14 +431,14 @@ def test_random_scripts_are_transport_transparent(fixture_checked, local_config,
 # wire format
 
 
-def _post_raw(port, operation, body):
+def _post_raw(port, operation, body, headers=None):
     connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
     try:
         connection.request(
             "POST",
             f"/{operation}",
             body=body,
-            headers={"Content-Type": "application/json; charset=utf-8"},
+            headers={"Content-Type": "application/json; charset=utf-8", **(headers or {})},
         )
         response = connection.getresponse()
         return response.status, response.getheader("Content-Type"), response.read()
@@ -383,6 +468,21 @@ def test_wire_one_way_accepts_with_202():
         assert (status, body) == (202, b"")
         drained = system.invoke_rr("Collector", "drain", ValueTree())
         assert [int(t.root) for t in drained.children["items"]] == [41]
+    finally:
+        system.shutdown()
+
+
+def test_unreadable_bodies_get_the_type_mismatch_envelope():
+    system, ports = start_source(COLLECTOR)
+    try:
+        status, _, body = _post_raw(ports["Collector"], "drain", b"", {"Content-Length": "abc"})
+        assert status == 500
+        assert json.loads(body)["fault"] == "TypeMismatch"
+
+        status, _, body = _post_raw(ports["Collector"], "drain", b'{"a":' * 5000 + b"1" + b"}" * 5000)
+        assert status == 500
+        assert json.loads(body)["fault"] == "TypeMismatch"
+        assert system.invoke_rr("Collector", "drain", ValueTree()) == ValueTree()
     finally:
         system.shutdown()
 

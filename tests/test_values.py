@@ -64,7 +64,13 @@ def test_fractional_and_integral_numbers_decode_to_distinct_kinds():
 
 @pytest.mark.parametrize(
     "payload",
-    [b"[1,2]", b'{"a":[[1]]}', b'{"$":{"x":1}}', b'{"A":'],
+    [
+        b"[1,2]",
+        b'{"a":[[1]]}',
+        b'{"$":{"x":1}}',
+        b'{"A":',
+        b'{"a":' * 5000 + b"1" + b"}" * 5000,  # deeper than the interpreter recurses
+    ],
 )
 def test_unrepresentable_payloads_raise(payload):
     with pytest.raises(JsonError):
