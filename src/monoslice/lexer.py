@@ -1,9 +1,20 @@
-"""Tokenizer for the service-definition language."""
+"""Tokenizer for the service-definition language.
+
+One compiled master pattern, tried with `match` at each position, finds
+the next token; the name of the group that matched says what it is.
+Line and column come from a list of line-start offsets, read forward as
+the position moves. A block comment ends at the next `*/`. A string
+literal is decoded a character at a time only when its body has a
+backslash; a string the pattern refuses takes the same slow path, which
+reports its first error.
+"""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum, unique
+from itertools import accumulate
 
 from .errors import MonosliceError
 from .values import Basic, Long
@@ -66,41 +77,29 @@ KEYWORDS = frozenset(
     }
 )
 
-_PUNCT2 = {
-    "==": TokenKind.EQ,
-    "!=": TokenKind.NEQ,
-    "<=": TokenKind.LE,
-    ">=": TokenKind.GE,
-    "&&": TokenKind.AND,
-    "||": TokenKind.OR,
-}
-
-_PUNCT1 = {
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    ":": TokenKind.COLON,
-    ",": TokenKind.COMMA,
-    ".": TokenKind.DOT,
-    "@": TokenKind.AT,
-    "=": TokenKind.ASSIGN,
-    "<": TokenKind.LT,
-    ">": TokenKind.GT,
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    "!": TokenKind.BANG,
-    "?": TokenKind.QUESTION,
-}
-
+_PUNCT = {kind.value: kind for kind in TokenKind if not kind.value[0].isalpha()}
+_WORD_VALUES = {"true": True, "false": False}
 _ESCAPES = {'"': '"', "\\": "\\", "/": "/", "n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f"}
+_HEX4 = re.compile(r"[0-9a-fA-F]{4}")
+
+# Number literals are ASCII digits. A word starts with [^\W\d], which also
+# admits characters like '²'; tokenize refuses those by the first character.
+_MASTER = re.compile(
+    r"""
+      (?P<skip>(?:[ \t\r\n]+|//[^\n]*)+)
+    | (?P<word>[^\W\d]\w*)
+    | (?P<double>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)L?)
+    | (?P<long>[0-9]+L)
+    | (?P<int>[0-9]+)
+    | (?P<string>"(?:[^"\\\n]|\\[^\n])*")
+    | (?P<comment>/\*)
+    | (?P<punct>\.\.\.|[=!<>]=|&&|\|\||[{}()\[\]:,.@=<>+\-*/!?])
+    """,
+    re.VERBOSE,
+)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     kind: TokenKind
     lexeme: str
@@ -112,133 +111,39 @@ class Token:
         return f"Token({self.kind.name}, {self.lexeme!r}, {self.line}:{self.column})"
 
 
-class _Scanner:
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+def _decode_string(source: str, i: int, line: int, column: int) -> str:
+    """Decode the string literal whose body starts at source[i].
 
-    def error(self, message: str, line: int | None = None, column: int | None = None) -> LexError:
-        return LexError(line or self.line, column or self.column, message)
-
-    @property
-    def eof(self) -> bool:
-        return self.pos >= len(self.source)
-
-    def peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.source[i] if i < len(self.source) else ""
-
-    def advance(self) -> str:
-        ch = self.source[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.column = 1
+    The slow path: it walks the body a character at a time and raises
+    the first error, at the literal's position.
+    """
+    out: list[str] = []
+    while True:
+        ch = source[i : i + 1]
+        if ch in ("", "\n"):
+            raise LexError(line, column, "unterminated string literal")
+        i += 1
+        if ch == '"':
+            return "".join(out)
+        if ch != "\\":
+            out.append(ch)
+            continue
+        esc = source[i : i + 1]
+        i += 1
+        if not esc:
+            raise LexError(line, column, "unterminated string literal")
+        if esc in _ESCAPES:
+            out.append(_ESCAPES[esc])
+        elif esc == "u":
+            if not _HEX4.match(source, i):
+                raise LexError(line, column, "invalid \\u escape")
+            code = int(source[i : i + 4], 16)
+            if 0xD800 <= code <= 0xDFFF:  # not representable in UTF-8 text
+                raise LexError(line, column, "surrogate \\u escape")
+            out.append(chr(code))
+            i += 4
         else:
-            self.column += 1
-        return ch
-
-    def skip_trivia(self) -> None:
-        while not self.eof:
-            ch = self.peek()
-            if ch in " \t\r\n":
-                self.advance()
-            elif ch == "/" and self.peek(1) == "/":
-                while not self.eof and self.peek() != "\n":
-                    self.advance()
-            elif ch == "/" and self.peek(1) == "*":
-                line, column = self.line, self.column
-                self.advance()
-                self.advance()
-                while True:
-                    if self.eof:
-                        raise self.error("unterminated block comment", line, column)
-                    if self.peek() == "*" and self.peek(1) == "/":
-                        self.advance()
-                        self.advance()
-                        break
-                    self.advance()
-            else:
-                return
-
-    def scan_word(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        while not self.eof and (self.peek().isalnum() or self.peek() == "_"):
-            self.advance()
-        word = self.source[start:self.pos]
-        kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
-        value: Basic | None = None
-        if word == "true":
-            value = True
-        elif word == "false":
-            value = False
-        return Token(kind, word, line, column, value)
-
-    def scan_number(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        while not self.eof and self.peek().isdigit():
-            self.advance()
-        is_double = False
-        if self.peek() == "." and self.peek(1).isdigit():
-            is_double = True
-            self.advance()
-            while not self.eof and self.peek().isdigit():
-                self.advance()
-        if self.peek() in ("e", "E"):
-            probe = 1 if self.peek(1) not in ("+", "-") else 2
-            if self.peek(probe).isdigit():  # otherwise the e starts an identifier
-                is_double = True
-                for _ in range(probe):
-                    self.advance()
-                while not self.eof and self.peek().isdigit():
-                    self.advance()
-        text = self.source[start:self.pos]
-        if self.peek() == "L":
-            if is_double:
-                raise self.error("long suffix on a non-integer literal", line, column)
-            self.advance()
-            return Token(TokenKind.LONG, text + "L", line, column, Long(int(text)))
-        if is_double:
-            return Token(TokenKind.DOUBLE, text, line, column, float(text))
-        return Token(TokenKind.INT, text, line, column, int(text))
-
-    def scan_string(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        self.advance()  # opening quote
-        out: list[str] = []
-        while True:
-            if self.eof or self.peek() == "\n":
-                raise self.error("unterminated string literal", line, column)
-            ch = self.advance()
-            if ch == '"':
-                break
-            if ch == "\\":
-                if self.eof:
-                    raise self.error("unterminated string literal", line, column)
-                esc = self.advance()
-                if esc in _ESCAPES:
-                    out.append(_ESCAPES[esc])
-                elif esc == "u":
-                    hexits = ""
-                    for _ in range(4):
-                        if self.eof or self.peek() not in "0123456789abcdefABCDEF":
-                            raise self.error("invalid \\u escape", line, column)
-                        hexits += self.advance()
-                    code = int(hexits, 16)
-                    if 0xD800 <= code <= 0xDFFF:  # not representable in UTF-8 text
-                        raise self.error("surrogate \\u escape", line, column)
-                    out.append(chr(code))
-                else:
-                    raise self.error(f"unknown escape \\{esc}", line, column)
-            else:
-                out.append(ch)
-        text = "".join(out)
-        return Token(TokenKind.STRING, self.source[start:self.pos], line, column, text)
+            raise LexError(line, column, f"unknown escape \\{esc}")
 
 
 def tokenize(source: str) -> list[Token]:
@@ -247,36 +152,50 @@ def tokenize(source: str) -> list[Token]:
     Raises LexError with position on illegal characters or unterminated
     strings/comments.
     """
-    scanner = _Scanner(source)
+    # starts[n] is the offset where line n + 1 begins; the last entry lies
+    # past the end of the source.
+    starts = [0, *accumulate(len(text) + 1 for text in source.split("\n"))]
+    match = _MASTER.match
     tokens: list[Token] = []
-    while True:
-        scanner.skip_trivia()
-        if scanner.eof:
-            return tokens
-        ch = scanner.peek()
-        if ch.isalpha() or ch == "_":
-            tokens.append(scanner.scan_word())
-        elif ch.isdigit():
-            tokens.append(scanner.scan_number())
-        elif ch == '"':
-            tokens.append(scanner.scan_string())
-        else:
-            if ch == "." and scanner.peek(1) == "." and scanner.peek(2) == ".":
-                line, column = scanner.line, scanner.column
-                scanner.advance()
-                scanner.advance()
-                scanner.advance()
-                tokens.append(Token(TokenKind.ELLIPSIS, "...", line, column))
-                continue
-            two = ch + scanner.peek(1)
-            if two in _PUNCT2:
-                line, column = scanner.line, scanner.column
-                scanner.advance()
-                scanner.advance()
-                tokens.append(Token(_PUNCT2[two], two, line, column))
-            elif ch in _PUNCT1:
-                line, column = scanner.line, scanner.column
-                scanner.advance()
-                tokens.append(Token(_PUNCT1[ch], ch, line, column))
-            else:
-                raise scanner.error(f"illegal character {ch!r}")
+    append = tokens.append
+    pos, end, line = 0, len(source), 1
+    while pos < end:
+        m = match(source, pos)
+        group = m.lastgroup if m else None
+        if group == "skip":
+            pos = m.end()
+            continue
+        while starts[line] <= pos:
+            line += 1
+        column = pos - starts[line - 1] + 1
+        if m is None:
+            if source[pos] == '"':  # refused by the pattern, so this raises
+                _decode_string(source, pos + 1, line, column)
+            raise LexError(line, column, f"illegal character {source[pos]!r}")
+        text = m.group()
+        if group == "punct":
+            append(Token(_PUNCT[text], text, line, column))
+        elif group == "word":
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise LexError(line, column, f"illegal character {text[0]!r}")
+            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+            append(Token(kind, text, line, column, _WORD_VALUES.get(text)))
+        elif group == "string":
+            value = _decode_string(source, pos + 1, line, column) if "\\" in text else text[1:-1]
+            append(Token(TokenKind.STRING, text, line, column, value))
+        elif group == "int":
+            append(Token(TokenKind.INT, text, line, column, int(text)))
+        elif group == "long":
+            append(Token(TokenKind.LONG, text, line, column, Long(int(text[:-1]))))
+        elif group == "double":
+            if text[-1] == "L":
+                raise LexError(line, column, "long suffix on a non-integer literal")
+            append(Token(TokenKind.DOUBLE, text, line, column, float(text)))
+        else:  # comment
+            close = source.find("*/", pos + 2)
+            if close < 0:
+                raise LexError(line, column, "unterminated block comment")
+            pos = close + 2
+            continue
+        pos = m.end()
+    return tokens

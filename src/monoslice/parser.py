@@ -83,26 +83,25 @@ def _describe(token: Token) -> str:
 
 class Parser:
     def __init__(self, tokens: list[Token], source_name: str = "program"):
-        self.tokens = tokens
-        self.source_name = source_name
-        self.pos = 0
         if tokens:
             last = tokens[-1]
-            self._eof = Token(TokenKind.EOF, "", last.line, last.column + len(last.lexeme))
+            eof = Token(TokenKind.EOF, "", last.line, last.column + len(last.lexeme))
         else:
-            self._eof = Token(TokenKind.EOF, "", 1, 1)
+            eof = Token(TokenKind.EOF, "", 1, 1)
+        # The parser looks at most one token past the first EOF, so two EOFs
+        # let peek and advance index the list without a bounds check.
+        self.tokens = [*tokens, eof, eof]
+        self.source_name = source_name
+        self.pos = 0
 
     # ------------------------------------------------------------------
     # token plumbing
 
-    def _at(self, i: int) -> Token:
-        return self.tokens[i] if i < len(self.tokens) else self._eof
-
     def peek(self, offset: int = 0) -> Token:
-        return self._at(self.pos + offset)
+        return self.tokens[self.pos + offset]
 
     def advance(self) -> Token:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind is not TokenKind.EOF:
             self.pos += 1
         return token
@@ -399,7 +398,7 @@ class Parser:
         depth = 0
         i = self.pos + 1
         while True:
-            token = self._at(i)
+            token = self.tokens[i]
             if token.kind is TokenKind.EOF:
                 return False
             if token.kind is TokenKind.LPAREN:
@@ -409,7 +408,7 @@ class Parser:
                 if depth == 0:
                     break
             i += 1
-        return self._at(i + 1).kind in (TokenKind.LPAREN, TokenKind.LBRACE)
+        return self.tokens[i + 1].kind in (TokenKind.LPAREN, TokenKind.LBRACE)
 
     def parse_branch(self) -> Branch:
         name = self.expect_ident("operation name")

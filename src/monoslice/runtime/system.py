@@ -35,6 +35,7 @@ from ..ast import (
     RequestResponseBranch,
     ServiceDecl,
     StatementSequence,
+    TypeRef,
 )
 from ..config import (
     BadLocationSyntax,
@@ -133,6 +134,19 @@ class _Endpoint:
 def _violation_fault(violations) -> Fault:
     message = "; ".join(str(v) for v in violations)
     return Fault("TypeMismatch", ValueTree(message))
+
+
+def _admit(tree: ValueTree, type_: TypeRef, types: dict) -> tuple[ValueTree, list]:
+    """Normalize an inbound message and check it against its type.
+
+    A tree nested too deeply for either walk is refused as a violation, with
+    the message JSON decoding gives a payload nested deeper still.
+    """
+    try:
+        tree = _normalize_message(tree)
+        return tree, check_value(tree, type_, types)
+    except RecursionError:
+        return tree, ["payload nests too deeply"]
 
 
 def _normalize_message(tree: ValueTree) -> ValueTree:
@@ -354,8 +368,7 @@ class ServiceInstance:
                 "UnknownOperation",
                 ValueTree(f"service {self.name} has no handler for '{info.name}'"),
             )
-        tree = _normalize_message(tree)
-        violations = check_value(tree, info.request, self.system.checked.type_table)
+        tree, violations = _admit(tree, info.request, self.system.checked.type_table)
         if violations:
             return _violation_fault(violations)
         slot = _ReplySlot()
@@ -366,8 +379,7 @@ class ServiceInstance:
         return result
 
     def offer_ow(self, info: OpInfo, tree: ValueTree) -> None:
-        tree = _normalize_message(tree)
-        violations = check_value(tree, info.request, self.system.checked.type_table)
+        tree, violations = _admit(tree, info.request, self.system.checked.type_table)
         if violations:
             log.warning(
                 "dropping one-way %s to %s: %s",

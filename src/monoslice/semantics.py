@@ -114,25 +114,6 @@ class CheckedProgram:
     port_ops: dict[tuple[str, str], dict[str, OpInfo]]
     warnings: list[str] = field(default_factory=list)
 
-    def service(self, name: str) -> ServiceDecl:
-        return self.service_table[name]
-
-    def input_ops(self, service: str) -> dict[str, OpInfo]:
-        """Operations offered across all input ports of a service (first port wins)."""
-        merged: dict[str, OpInfo] = {}
-        for port in self.service_table[service].input_ports:
-            for op_name, info in self.port_ops[(service, port.name)].items():
-                merged.setdefault(op_name, info)
-        return merged
-
-    def resolve_ref(self, ref: TypeRef) -> BasicType | TypeDecl | InlineTreeRef:
-        """Dereference a type reference; named references are guaranteed to resolve."""
-        if isinstance(ref, BasicRef):
-            return ref.basic
-        if isinstance(ref, NamedRef):
-            return self.type_table[ref.name]
-        return ref
-
     def check_value(self, tree: ValueTree, type_: TypeRef | TypeDecl) -> list["Violation"]:
         return check_value(tree, type_, self.type_table)
 

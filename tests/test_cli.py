@@ -48,6 +48,13 @@ def test_check_parse_error_position(tmp_path, capsys):
     assert err.startswith(f"{bad}:1:10: error:")
 
 
+def test_check_non_ascii_digit_is_a_diagnostic(tmp_path, capsys):
+    bad = tmp_path / "bad.ol"
+    bad.write_text("service S {\n  main { x = ² }\n}\n", encoding="utf-8")
+    assert main(["check", str(bad)]) == 2
+    assert capsys.readouterr().err == f"{bad}:2:14: error: illegal character '²'\n"
+
+
 def test_run_fixture_exits_zero_quickly(fixture_path, local_config_path, capsys):
     started = time.monotonic()
     assert main(["run", "--config", str(local_config_path), str(fixture_path)]) == 0

@@ -106,6 +106,53 @@ def test_illegal_character():
     assert exc.value.column == 3
 
 
+# Every LexError path, with its position and message pinned byte for byte.
+@pytest.mark.parametrize(
+    "source, line, column, message",
+    [
+        ("type A\ntype B # c", 2, 8, "illegal character '#'"),
+        ('x = "oops', 1, 5, "unterminated string literal"),
+        ('x = "oops\ny', 1, 5, "unterminated string literal"),
+        ('x = "oops\\', 1, 5, "unterminated string literal"),
+        ('"a\\\nb"', 1, 1, "unknown escape \\\n"),
+        ('"\\u12"', 1, 1, "invalid \\u escape"),
+        ('"\\u12', 1, 1, "invalid \\u escape"),
+        ('"\\ud800"', 1, 1, "surrogate \\u escape"),
+        ('"\\q"', 1, 1, "unknown escape \\q"),
+        ('x\n  "\\q and no end', 2, 3, "unknown escape \\q"),
+        ("a b\nc\n  d /* never closed", 3, 5, "unterminated block comment"),
+        ("1.5L", 1, 1, "long suffix on a non-integer literal"),
+        ("1e3L", 1, 1, "long suffix on a non-integer literal"),
+        ("\n x = 1.5L", 2, 6, "long suffix on a non-integer literal"),
+    ],
+)
+def test_lex_error_positions_and_messages(source, line, column, message):
+    with pytest.raises(LexError) as exc:
+        tokenize(source)
+    assert (exc.value.line, exc.value.column, str(exc.value)) == (line, column, f"{line}:{column}: {message}")
+
+
+@pytest.mark.parametrize("source, column", [("²", 1), ("x = ²", 5), ("١٢", 1), ("7²", 2)])
+def test_number_literals_are_ascii_digits(source, column):
+    with pytest.raises(LexError) as exc:
+        tokenize(source)
+    assert (exc.value.line, exc.value.column) == (1, column)
+    assert str(exc.value) == f"1:{column}: illegal character {source[column - 1]!r}"
+
+
+def test_letters_and_digit_marks_inside_words_are_identifiers():
+    assert [(t.kind, t.lexeme) for t in tokenize("a² é x١")] == [
+        (TokenKind.IDENT, "a²"),
+        (TokenKind.IDENT, "é"),
+        (TokenKind.IDENT, "x١"),
+    ]
+
+
+def test_every_punctuation_kind_lexes():
+    punctuation = [kind for kind in TokenKind if not kind.value[0].isalpha()]
+    assert kinds(" ".join(kind.value for kind in punctuation)) == punctuation
+
+
 def test_keywords_versus_identifiers():
     tokens = tokenize("service location concurrent RequestResponse")
     assert tokens[0].kind is TokenKind.KEYWORD

@@ -228,6 +228,26 @@ def test_one_way_type_violations_are_dropped_at_the_receiver():
         system.shutdown()
 
 
+def _nested(depth):
+    tree = ValueTree(Long(1))
+    for _ in range(depth):
+        tree = ValueTree(children={"a": [tree]})
+    return tree
+
+
+def test_too_deep_messages_are_type_mismatches_over_local():
+    system = runtime.start(resolve(parse_source(COLLECTOR)), local_tree_config(["Collector"]))
+    try:
+        reply = system.invoke_rr("Collector", "drain", _nested(800))
+        assert isinstance(reply, Fault) and reply.name == "TypeMismatch"
+        system.invoke_ow("Collector", "put", _nested(800))  # dropped at the receiver
+        system.invoke_ow("Collector", "put", ValueTree(7))
+        drained = system.invoke_rr("Collector", "drain", ValueTree())
+        assert [int(t.root) for t in drained.children["items"]] == [7]
+    finally:
+        system.shutdown()
+
+
 # ---------------------------------------------------------------------------
 # execution modes
 
@@ -480,6 +500,17 @@ def test_unreadable_bodies_get_the_type_mismatch_envelope():
         assert json.loads(body)["fault"] == "TypeMismatch"
 
         status, _, body = _post_raw(ports["Collector"], "drain", b'{"a":' * 5000 + b"1" + b"}" * 5000)
+        assert status == 500
+        assert json.loads(body)["fault"] == "TypeMismatch"
+        assert system.invoke_rr("Collector", "drain", ValueTree()) == ValueTree()
+    finally:
+        system.shutdown()
+
+
+def test_a_body_too_deep_to_check_gets_the_type_mismatch_envelope():
+    system, ports = start_source(COLLECTOR)
+    try:
+        status, _, body = _post_raw(ports["Collector"], "drain", b'{"a":' * 950 + b"1" + b"}" * 950)
         assert status == 500
         assert json.loads(body)["fault"] == "TypeMismatch"
         assert system.invoke_rr("Collector", "drain", ValueTree()) == ValueTree()

@@ -42,7 +42,7 @@ def test_fixture_resolves_with_expected_bindings(fixture_checked):
         "InputCommands": ["CommandSideInterface"],
         "EventStore": ["EventStoreInterface"],
     }
-    ops = checked.input_ops("CommandSide")
+    ops = checked.port_ops[("CommandSide", "InputCommands")]
     assert set(ops) == {"createParkingArea", "updateParkingArea", "deleteParkingArea"}
     assert ops["deleteParkingArea"].kind == "rr"
     assert ops["deleteParkingArea"].request == NamedRef("PAID")
@@ -151,13 +151,10 @@ def test_config_warnings(fixture_checked):
     assert len(undeclared) == 1  # CommandSide's config:Configuration
 
 
-def test_resolve_ref_dereferences_names(fixture_checked):
-    ops = fixture_checked.input_ops("CommandSide")
-    request = fixture_checked.resolve_ref(ops["deleteParkingArea"].request)
-    assert request is fixture_checked.type_table["PAID"]
-    assert request.root is BasicType.LONG
-    response = fixture_checked.resolve_ref(ops["deleteParkingArea"].response)
-    assert response is BasicType.STRING
+def test_operation_types_dereference_through_the_type_table(fixture_checked):
+    op = fixture_checked.port_ops[("CommandSide", "InputCommands")]["deleteParkingArea"]
+    assert fixture_checked.type_table[op.request.name].root is BasicType.LONG
+    assert op.response == BasicRef(BasicType.STRING)
 
 
 def test_resolve_is_total(fixture_program):
