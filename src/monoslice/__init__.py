@@ -4,21 +4,4 @@ Parse a service-definition program, check it, run it locally as if
 distributed, and slice it into one deployable codebase per service.
 """
 
-from .parser import parse_source
-from .render import render
-from .semantics import resolve
-from .slicer import slice_all, slice_service
-from .values import Long, ValueTree
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Long",
-    "ValueTree",
-    "parse_source",
-    "render",
-    "resolve",
-    "slice_all",
-    "slice_service",
-    "__version__",
-]

@@ -146,11 +146,14 @@ def _decode_string(source: str, i: int, line: int, column: int) -> str:
             raise LexError(line, column, f"unknown escape \\{esc}")
 
 
+_TOO_MANY_DIGITS = "integer literal has too many digits"
+
+
 def tokenize(source: str) -> list[Token]:
     """Tokenize source text. Comments and whitespace are dropped.
 
-    Raises LexError with position on illegal characters or unterminated
-    strings/comments.
+    Raises LexError with position on illegal characters, unterminated
+    strings/comments, and integer literals too long for int().
     """
     # starts[n] is the offset where line n + 1 begins; the last entry lies
     # past the end of the source.
@@ -184,9 +187,15 @@ def tokenize(source: str) -> list[Token]:
             value = _decode_string(source, pos + 1, line, column) if "\\" in text else text[1:-1]
             append(Token(TokenKind.STRING, text, line, column, value))
         elif group == "int":
-            append(Token(TokenKind.INT, text, line, column, int(text)))
+            try:
+                append(Token(TokenKind.INT, text, line, column, int(text)))
+            except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+                raise LexError(line, column, _TOO_MANY_DIGITS) from None
         elif group == "long":
-            append(Token(TokenKind.LONG, text, line, column, Long(int(text[:-1]))))
+            try:
+                append(Token(TokenKind.LONG, text, line, column, Long(int(text[:-1]))))
+            except ValueError:
+                raise LexError(line, column, _TOO_MANY_DIGITS) from None
         elif group == "double":
             if text[-1] == "L":
                 raise LexError(line, column, "long suffix on a non-integer literal")

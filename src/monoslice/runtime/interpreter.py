@@ -1,4 +1,11 @@
-"""Small-step interpreter for service behaviors.
+"""Closure-compiled interpreter for service behaviors.
+
+compile_block turns a statement list into a Block once: every statement
+and expression becomes a nested Python closure, with path steps,
+constant indices and operators fixed when the closure is built (Feeley
+and Lapalme, "Using closures for code generation", Computer Languages
+12(1), 1987). exec_statements runs a Block against an ExecutionContext,
+one exec_statement per statement executed, nested ones included.
 
 A variable scope is itself a value tree whose children are the
 variables. Reads of missing paths yield an empty tree without mutating
@@ -8,15 +15,23 @@ index past the end of a sequence extends it with empty nodes.
 Assignment semantics: a childless right-hand side sets the target
 node's root and preserves its children; a tree-valued right-hand side
 replaces the target subtree. Message bindings (receives, response
-targets, branch request variables) always replace. Assignment stores
-the tree it is given without copying it: expression values are fresh
-(a path read returns a copy), and so is every message, which the
-runtime copies once as it crosses a port.
+targets, branch request variables) always replace.
+
+Reads borrow, stores and ports copy. A path read yields the scope node
+itself, and operators read roots in place. A tree with children is
+copied when it is stored, by an assignment or a tree-literal entry, so
+no two variables ever share a node. The tree handed to solicit or
+send_oneway may be a scope node: the runtime copies it as it crosses
+the port, and an ExecutionContext must not keep it or hand it back.
+Messages that arrive (replies, receives, requests) are the runtime's
+own copies and are stored as they are.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import Callable
 
 from ..ast import (
     Assign,
@@ -67,11 +82,12 @@ class ExecutionContext:
     """What a behavior needs from its surroundings.
 
     The runtime system supplies a live implementation per activation;
-    tests may substitute stubs.
+    tests may substitute stubs. solicit and send_oneway may be passed a
+    node of the scope itself: they must not keep it, return it, or change
+    it, and must copy what they want to keep.
     """
 
     scope: ValueTree
-    output_ports: frozenset[str]
 
     def solicit(self, port: str, operation: str, request: ValueTree) -> ValueTree:
         raise NotImplementedError
@@ -86,103 +102,297 @@ class ExecutionContext:
         raise NotImplementedError
 
 
-class LocalContext(ExecutionContext):
-    """A context with no ports, enough to evaluate pure behaviors."""
+Step = Callable[[ExecutionContext], None]
+Block = tuple[Step, ...]
+_Eval = Callable[[ExecutionContext], object]
 
-    def __init__(self, scope: ValueTree | None = None):
-        self.scope = scope if scope is not None else ValueTree()
-        self.output_ports = frozenset()
+
+# ---------------------------------------------------------------------------
+# statements
+
+
+def compile_block(statements: list[Statement], output_ports: frozenset[str] = frozenset()) -> Block:
+    """Compile a statement list once; assignments to output_ports rebind them."""
+    return tuple(_statement(s, output_ports) for s in statements)
+
+
+def exec_statements(block: Block, ctx: ExecutionContext) -> None:
+    for statement in block:
+        exec_statement(statement, ctx)
+
+
+def exec_statement(statement: Step, ctx: ExecutionContext) -> None:
+    statement(ctx)
+
+
+def _statement(statement: Statement, ports: frozenset[str]) -> Step:
+    if isinstance(statement, Assign):
+        if statement.target.root in ports:
+            return _rebind(statement.target.root, statement.value)
+        store = _store(statement.target, statement.value)
+        return lambda ctx: store(ctx.scope, ctx)
+    if isinstance(statement, SolicitResponse):
+        return _solicit(statement)
+    if isinstance(statement, OneWaySend):
+        port, operation, argument = statement.port, statement.operation, compile_expr(statement.argument)
+        return lambda ctx: ctx.send_oneway(port, operation, argument(ctx))
+    if isinstance(statement, Receive):
+        operation, slot = statement.operation, _slot(statement.target)
+
+        def receive(ctx: ExecutionContext) -> None:
+            message = ctx.receive(operation)
+            seq, index = slot(ctx.scope, ctx)
+            seq[index] = message
+
+        return receive
+    if isinstance(statement, If):
+        condition = _root(statement.condition)
+        then = compile_block(statement.then, ports)
+        orelse = compile_block(statement.orelse, ports)
+
+        def if_(ctx: ExecutionContext) -> None:
+            for step in then if _bool(condition(ctx), "if condition") else orelse:
+                exec_statement(step, ctx)
+
+        return if_
+    if isinstance(statement, While):
+        condition = _root(statement.condition)
+        body = compile_block(statement.body, ports)
+
+        def while_(ctx: ExecutionContext) -> None:
+            while _bool(condition(ctx), "while condition"):
+                for step in body:
+                    exec_statement(step, ctx)
+
+        return while_
+    if isinstance(statement, Throw):
+        name = statement.fault
+
+        def throw(ctx: ExecutionContext) -> None:
+            raise FaultSignal(Fault(name))
+
+        return throw
+    raise TypeError(f"not a statement: {statement!r}")
+
+
+def _rebind(port: str, value: Expr) -> Step:
+    # resolve-time checks guarantee the shape Port.location
+    location = _root(value)
+
+    def rebind(ctx: ExecutionContext) -> None:
+        text = location(ctx)
+        if not isinstance(text, str):
+            raise fault("TypeMismatch", f"port location must be a string, found {kind_of(text)}")
+        ctx.rebind(port, text)
+
+    return rebind
+
+
+def _solicit(statement: SolicitResponse) -> Step:
+    port, operation, argument = statement.port, statement.operation, compile_expr(statement.argument)
+    if statement.target is None:
+        return lambda ctx: ctx.solicit(port, operation, argument(ctx))
+    slot = _slot(statement.target)
+
+    def solicit(ctx: ExecutionContext) -> None:
+        response = ctx.solicit(port, operation, argument(ctx))
+        seq, index = slot(ctx.scope, ctx)
+        seq[index] = response
+
+    return solicit
 
 
 # ---------------------------------------------------------------------------
 # paths
 
 
-def _eval_index(index: Expr | None, ctx: ExecutionContext) -> int:
+def _index(index: Expr | None) -> int | _Eval:
+    """A step's index: an int fixed now, or a closure that checks it on each use."""
     if index is None:
         return 0
-    tree = eval_expr(index, ctx)
-    root = tree.root
-    if isinstance(root, bool) or not isinstance(root, int):
-        raise fault("TypeMismatch", f"index must be an integer, found {kind_of(root)}")
-    if root < 0:
-        raise fault("TypeMismatch", f"index must be non-negative, found {root}")
-    return int(root)
+    if isinstance(index, Literal) and type(index.value) in (int, Long) and index.value >= 0:
+        return int(index.value)
+    value = _root(index)
+
+    def checked(ctx: ExecutionContext) -> int:
+        root = value(ctx)
+        if isinstance(root, bool) or not isinstance(root, int):
+            raise fault("TypeMismatch", f"index must be an integer, found {kind_of(root)}")
+        if root < 0:
+            raise fault("TypeMismatch", f"index must be non-negative, found {root}")
+        return int(root)
+
+    return checked
 
 
-def read_path(scope: ValueTree, path: Path, ctx: ExecutionContext) -> ValueTree:
-    """Read a path, returning a copy; missing paths yield an empty tree."""
-    node = scope
-    for step in path.steps:
-        index = _eval_index(step.index, ctx)
-        seq = node.children.get(step.name)
-        if seq is None or index >= len(seq):
-            return ValueTree()
-        node = seq[index]
-    return node.copy()
+def _steps(path: Path) -> list[tuple[str, int | _Eval]]:
+    return [(step.name, _index(step.index)) for step in path.steps]
 
 
-def _slot_for(scope: ValueTree, path: Path, ctx: ExecutionContext) -> tuple[list[ValueTree], int]:
-    node = scope
-    for step in path.steps[:-1]:
-        index = _eval_index(step.index, ctx)
-        seq = node.children.setdefault(step.name, [])
+def _locate(path: Path) -> Callable[[ExecutionContext], ValueTree | None]:
+    """The scope node a path names, itself and not a copy, or None if absent."""
+    steps = _steps(path)
+
+    def locate(ctx: ExecutionContext) -> ValueTree | None:
+        node = ctx.scope
+        for name, index in steps:
+            if type(index) is not int:
+                index = index(ctx)
+            seq = node.children.get(name)
+            if seq is None or index >= len(seq):
+                return None
+            node = seq[index]
+        return node
+
+    return locate
+
+
+def _slot(path: Path) -> Callable[[ValueTree, ExecutionContext], tuple[list[ValueTree], int]]:
+    """The sequence and index a path names under a node, created on demand."""
+    *parents, (last, last_index) = _steps(path)
+
+    def slot(node: ValueTree, ctx: ExecutionContext) -> tuple[list[ValueTree], int]:
+        for name, index in parents:
+            if type(index) is not int:
+                index = index(ctx)
+            seq = node.children.setdefault(name, [])
+            while len(seq) <= index:
+                seq.append(ValueTree())
+            node = seq[index]
+        index = last_index if type(last_index) is int else last_index(ctx)
+        seq = node.children.setdefault(last, [])
         while len(seq) <= index:
             seq.append(ValueTree())
-        node = seq[index]
-    last = path.steps[-1]
-    index = _eval_index(last.index, ctx)
-    seq = node.children.setdefault(last.name, [])
-    while len(seq) <= index:
-        seq.append(ValueTree())
-    return seq, index
+        return seq, index
+
+    return slot
 
 
-def assign_path(
-    scope: ValueTree,
-    path: Path,
-    value: ValueTree,
-    ctx: ExecutionContext,
-    replace: bool = False,
-) -> None:
-    seq, index = _slot_for(scope, path, ctx)
-    if replace or value.children:
-        seq[index] = value
-    else:
-        seq[index].root = value.root
+def _store(target: Path, value: Expr) -> Callable[[ValueTree, ExecutionContext], None]:
+    """Assign an expression to a path under a node, copying a borrowed tree."""
+    slot = _slot(target)
+    if isinstance(value, (Literal, Unary, Binary)):  # always childless
+        root = _root(value)
+
+        def store_root(node: ValueTree, ctx: ExecutionContext) -> None:
+            result = root(ctx)
+            seq, index = slot(node, ctx)
+            seq[index].root = result
+
+        return store_root
+    tree = compile_expr(value)
+    borrowed = isinstance(value, PathExpr)
+
+    def store(node: ValueTree, ctx: ExecutionContext) -> None:
+        result = tree(ctx)
+        # decide before the slot is made: making it may add children to a borrowed node
+        if result.children:
+            if borrowed:
+                result = result.copy()
+            seq, index = slot(node, ctx)
+            seq[index] = result
+        else:
+            root = result.root
+            seq, index = slot(node, ctx)
+            seq[index].root = root
+
+    return store
 
 
 # ---------------------------------------------------------------------------
 # expressions
 
 
+def compile_expr(expr: Expr) -> Callable[[ExecutionContext], ValueTree]:
+    """Compile an expression to its tree: a path read borrows the scope node."""
+    if isinstance(expr, PathExpr):
+        locate = _locate(expr.path)
+
+        def read(ctx: ExecutionContext) -> ValueTree:
+            node = locate(ctx)
+            return ValueTree() if node is None else node
+
+        return read
+    if isinstance(expr, TreeLiteral):
+        entries = [_store(key, value) for key, value in expr.entries]
+
+        def build(ctx: ExecutionContext) -> ValueTree:
+            tree = ValueTree()
+            for store in entries:
+                store(tree, ctx)
+            return tree
+
+        return build
+    root = _root(expr)
+    return lambda ctx: ValueTree(root(ctx))
+
+
+def _root(expr: Expr) -> _Eval:
+    """Compile an expression to its root value alone, building no tree where it can."""
+    if isinstance(expr, Literal):
+        value = expr.value
+        return lambda ctx: value
+    if isinstance(expr, PathExpr):
+        if len(expr.path.steps) == 1 and expr.path.steps[0].index is None:  # a plain variable
+            name = expr.path.root
+
+            def variable(ctx: ExecutionContext) -> Basic | None:
+                seq = ctx.scope.children.get(name)
+                return seq[0].root if seq else None
+
+            return variable
+        locate = _locate(expr.path)
+
+        def read_root(ctx: ExecutionContext) -> Basic | None:
+            node = locate(ctx)
+            return None if node is None else node.root
+
+        return read_root
+    if isinstance(expr, Unary):
+        return _unary(expr.op, _root(expr.operand))
+    if isinstance(expr, Binary):
+        return _binary(expr.op, _root(expr.left), _root(expr.right))
+    if isinstance(expr, TreeLiteral):
+        if not expr.entries:
+            return lambda ctx: None
+        tree = compile_expr(expr)
+        return lambda ctx: tree(ctx).root
+    raise TypeError(f"not an expression: {expr!r}")
+
+
 def _numeric(value: Basic | None) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _arith(op: str, a: Basic | None, b: Basic | None) -> Basic:
-    if not _numeric(a) or not _numeric(b):
-        raise fault("TypeMismatch", f"cannot apply '{op}' to {kind_of(a)} and {kind_of(b)}")
-    if op == "/" and b == 0:
-        raise fault("DivisionByZero", "division by zero")
-    if op == "+":
-        result = a + b
-    elif op == "-":
-        result = a - b
-    elif op == "*":
-        result = a * b
-    elif isinstance(a, float) or isinstance(b, float):
-        result = a / b
-    else:
-        # integer division truncates toward zero
-        result = abs(a) // abs(b)
-        if (a < 0) != (b < 0):
-            result = -result
-    if isinstance(result, float):
-        return result
-    if isinstance(a, Long) or isinstance(b, Long):
-        return Long(result)
-    return result
+def _bool(value: Basic | None, what: str) -> bool:
+    if type(value) is not bool:
+        raise fault("TypeMismatch", f"{what} must be a bool, found {kind_of(value)}")
+    return value
+
+
+def _unary(op: str, operand: _Eval) -> _Eval:
+    if op == "!":
+        return lambda ctx: not _bool(operand(ctx), "operand of '!'")
+
+    def minus(ctx: ExecutionContext) -> Basic:
+        root = operand(ctx)
+        if not _numeric(root):
+            raise fault("TypeMismatch", f"cannot negate {kind_of(root)}")
+        return Long(-int(root)) if isinstance(root, Long) else -root
+
+    return minus
+
+
+def _divide(a, b):
+    if isinstance(a, float) or isinstance(b, float):
+        return a / b
+    # integer division truncates toward zero
+    result = abs(a) // abs(b)
+    return -result if (a < 0) != (b < 0) else result
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
+_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def _equal_roots(a: Basic | None, b: Basic | None) -> bool:
@@ -199,102 +409,38 @@ def _equal_roots(a: Basic | None, b: Basic | None) -> bool:
     return False
 
 
-def _compare(op: str, a: Basic | None, b: Basic | None) -> bool:
+def _binary(op: str, left: _Eval, right: _Eval) -> _Eval:
+    if op == "&&":
+        return lambda ctx: _bool(left(ctx), "operand of '&&'") and _bool(right(ctx), "operand of '&&'")
+    if op == "||":
+        return lambda ctx: _bool(left(ctx), "operand of '||'") or _bool(right(ctx), "operand of '||'")
     if op == "==":
-        return _equal_roots(a, b)
+        return lambda ctx: _equal_roots(left(ctx), right(ctx))
     if op == "!=":
-        return not _equal_roots(a, b)
-    if not _numeric(a) or not _numeric(b):
-        raise fault("TypeMismatch", f"cannot apply '{op}' to {kind_of(a)} and {kind_of(b)}")
-    return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[op]
+        return lambda ctx: not _equal_roots(left(ctx), right(ctx))
+    if op in _ORDER:
+        order = _ORDER[op]
 
+        def compare(ctx: ExecutionContext) -> bool:
+            a, b = left(ctx), right(ctx)
+            if not _numeric(a) or not _numeric(b):
+                raise fault("TypeMismatch", f"cannot apply '{op}' to {kind_of(a)} and {kind_of(b)}")
+            return order(a, b)
 
-def _bool_root(tree: ValueTree, what: str) -> bool:
-    if not isinstance(tree.root, bool):
-        raise fault("TypeMismatch", f"{what} must be a bool, found {kind_of(tree.root)}")
-    return tree.root
+        return compare
+    compute = _ARITHMETIC[op]
 
+    def arithmetic(ctx: ExecutionContext) -> Basic:
+        a, b = left(ctx), right(ctx)
+        if not _numeric(a) or not _numeric(b):
+            raise fault("TypeMismatch", f"cannot apply '{op}' to {kind_of(a)} and {kind_of(b)}")
+        if op == "/" and b == 0:
+            raise fault("DivisionByZero", "division by zero")
+        result = compute(a, b)
+        if isinstance(result, float):
+            return result
+        if isinstance(a, Long) or isinstance(b, Long):
+            return Long(result)
+        return result
 
-def eval_expr(expr: Expr, ctx: ExecutionContext) -> ValueTree:
-    if isinstance(expr, Literal):
-        return ValueTree(expr.value)
-    if isinstance(expr, PathExpr):
-        return read_path(ctx.scope, expr.path, ctx)
-    if isinstance(expr, Unary):
-        operand = eval_expr(expr.operand, ctx)
-        if expr.op == "!":
-            return ValueTree(not _bool_root(operand, "operand of '!'"))
-        root = operand.root
-        if not _numeric(root):
-            raise fault("TypeMismatch", f"cannot negate {kind_of(root)}")
-        return ValueTree(Long(-int(root)) if isinstance(root, Long) else -root)
-    if isinstance(expr, Binary):
-        if expr.op in ("&&", "||"):
-            left = _bool_root(eval_expr(expr.left, ctx), f"operand of '{expr.op}'")
-            if expr.op == "&&" and not left:
-                return ValueTree(False)
-            if expr.op == "||" and left:
-                return ValueTree(True)
-            return ValueTree(_bool_root(eval_expr(expr.right, ctx), f"operand of '{expr.op}'"))
-        left = eval_expr(expr.left, ctx)
-        right = eval_expr(expr.right, ctx)
-        if expr.op in ("+", "-", "*", "/"):
-            return ValueTree(_arith(expr.op, left.root, right.root))
-        return ValueTree(_compare(expr.op, left.root, right.root))
-    if isinstance(expr, TreeLiteral):
-        tree = ValueTree()
-        for key, value in expr.entries:
-            assign_path(tree, key, eval_expr(value, ctx), ctx)
-        return tree
-    raise TypeError(f"not an expression: {expr!r}")
-
-
-# ---------------------------------------------------------------------------
-# statements
-
-
-def exec_statements(statements: list[Statement], ctx: ExecutionContext) -> None:
-    for statement in statements:
-        exec_statement(statement, ctx)
-
-
-def exec_statement(statement: Statement, ctx: ExecutionContext) -> None:
-    if isinstance(statement, Assign):
-        if statement.target.root in ctx.output_ports:
-            # resolve-time checks guarantee the shape Port.location
-            value = eval_expr(statement.value, ctx)
-            if not isinstance(value.root, str):
-                raise fault(
-                    "TypeMismatch",
-                    f"port location must be a string, found {kind_of(value.root)}",
-                )
-            ctx.rebind(statement.target.root, value.root)
-            return
-        assign_path(ctx.scope, statement.target, eval_expr(statement.value, ctx), ctx)
-        return
-    if isinstance(statement, SolicitResponse):
-        request = eval_expr(statement.argument, ctx)
-        response = ctx.solicit(statement.port, statement.operation, request)
-        if statement.target is not None:
-            assign_path(ctx.scope, statement.target, response, ctx, replace=True)
-        return
-    if isinstance(statement, OneWaySend):
-        ctx.send_oneway(statement.port, statement.operation, eval_expr(statement.argument, ctx))
-        return
-    if isinstance(statement, Receive):
-        message = ctx.receive(statement.operation)
-        assign_path(ctx.scope, statement.target, message, ctx, replace=True)
-        return
-    if isinstance(statement, If):
-        if _bool_root(eval_expr(statement.condition, ctx), "if condition"):
-            exec_statements(statement.then, ctx)
-        else:
-            exec_statements(statement.orelse, ctx)
-        return
-    if isinstance(statement, While):
-        while _bool_root(eval_expr(statement.condition, ctx), "while condition"):
-            exec_statements(statement.body, ctx)
-        return
-    if isinstance(statement, Throw):
-        raise FaultSignal(Fault(statement.fault))
-    raise TypeError(f"not a statement: {statement!r}")
+    return arithmetic

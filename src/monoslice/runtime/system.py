@@ -29,9 +29,8 @@ import time
 from dataclasses import dataclass, field
 
 from ..ast import (
+    Branch,
     InputChoice,
-    Path,
-    PathStep,
     RequestResponseBranch,
     ServiceDecl,
     StatementSequence,
@@ -47,10 +46,11 @@ from ..errors import MonosliceError, NoServices
 from ..semantics import CheckedProgram, OpInfo, check_value
 from ..values import Long, ValueTree
 from .interpreter import (
+    Block,
     ExecutionContext,
     Fault,
     FaultSignal,
-    assign_path,
+    compile_block,
     exec_statements,
     fault,
 )
@@ -168,7 +168,6 @@ class _ActivationContext(ExecutionContext):
     def __init__(self, instance: "ServiceInstance", scope: ValueTree):
         self.instance = instance
         self.scope = scope
-        self.output_ports = instance.output_port_names
 
     def solicit(self, port: str, operation: str, request: ValueTree) -> ValueTree:
         system = self.instance.system
@@ -217,6 +216,7 @@ class ServiceInstance:
             else {}
         )
         self.input_locations: list[Location] = []
+        self._blocks: dict[str, Block] = {}  # compiled branch bodies, by operation
 
         self._bindings: dict[str, Location] = {}
         self._bindings_lock = threading.Lock()
@@ -309,9 +309,9 @@ class ServiceInstance:
         ctx = _ActivationContext(self, scope)
         try:
             branch = self.branches[work.info.name]
-            bind = Path([PathStep(branch.request_var)])
-            assign_path(scope, bind, work.tree, ctx, replace=True)
-            exec_statements(branch.body, ctx)
+            # the request replaces the variable's first occurrence, as any message binding
+            scope.children.setdefault(branch.request_var, [work.tree])[0] = work.tree
+            exec_statements(self._block(branch), ctx)
             if work.slot is not None and isinstance(branch, RequestResponseBranch):
                 reply = scope.child(branch.response_var)
                 response = _normalize_message(reply) if reply is not None else ValueTree()
@@ -343,7 +343,7 @@ class ServiceInstance:
         scope = self.seed_scope()
         ctx = _ActivationContext(self, scope)
         try:
-            exec_statements(self.behavior.statements, ctx)
+            exec_statements(compile_block(self.behavior.statements, self.output_port_names), ctx)
         except FaultSignal as signal:
             self.exit_fault = signal.fault
             self._record_fault(signal.fault.name)
@@ -354,6 +354,13 @@ class ServiceInstance:
         finally:
             with self._stats_lock:
                 self.in_flight -= 1
+
+    def _block(self, branch: Branch) -> Block:
+        # compiled on first use; two workers racing here compile the same block twice
+        block = self._blocks.get(branch.operation)
+        if block is None:
+            block = self._blocks[branch.operation] = compile_block(branch.body, self.output_port_names)
+        return block
 
     def _record_fault(self, name: str) -> None:
         with self._stats_lock:

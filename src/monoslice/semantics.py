@@ -9,13 +9,14 @@ check_value().
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .ast import (
     Assign,
     BasicRef,
     BasicType,
     Binary,
+    Cardinality,
     Expr,
     If,
     InlineTreeRef,
@@ -41,7 +42,7 @@ from .ast import (
     While,
 )
 from .errors import MonosliceError
-from .values import ValueTree, kind_of
+from .values import Long, ValueTree, kind_of
 
 
 class SemanticError(MonosliceError):
@@ -441,8 +442,14 @@ def check_value(
     Returns the full violation list (empty means conforming). Undeclared
     children are rejected; cardinality bounds and root kinds are checked
     recursively. Type cycles are safe because recursion follows the value.
+
+    A conforming tree costs one walk of a predicate compiled once per
+    (type, table) pair; only a failing tree is walked again to name its
+    violations. The table must not change once a type was checked with it.
     """
-    types = types or {}
+    types = _NO_TYPES if types is None else types
+    if _conformance(type_, types)(tree):
+        return []
     violations: list[Violation] = []
     _check_ref(tree, type_, types, "", violations)
     return violations
@@ -493,3 +500,91 @@ def _check_node(tree: ValueTree, root: BasicType, fields, types, path: str, out:
     for name, seq in tree.children.items():
         if name not in declared:
             out.append(Violation(_join(path, name), "no such child", f"{len(seq)} occurrence(s)"))
+
+
+# ---------------------------------------------------------------------------
+# compiled conformance: the same verdict as _check_ref, without the messages
+
+_NO_TYPES: Mapping[str, TypeDecl] = {}
+
+_ROOT_TESTS: dict[BasicType, Callable[[object], bool]] = {
+    BasicType.ANY: lambda v: True,
+    BasicType.VOID: lambda v: v is None,
+    BasicType.BOOL: lambda v: isinstance(v, bool),
+    BasicType.INT: lambda v: isinstance(v, int) and not isinstance(v, (bool, Long)),
+    BasicType.LONG: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    BasicType.DOUBLE: lambda v: isinstance(v, float)
+    or (isinstance(v, int) and not isinstance(v, (bool, Long))),
+    BasicType.STRING: lambda v: isinstance(v, str),
+}
+
+# (least, most) occurrences each cardinality accepts, as Cardinality.accepts
+# says; calling accepts per field made a 20-period ParkingArea check 40% slower
+_BOUNDS = {Cardinality.ONE: (1, 1), Cardinality.OPTIONAL: (0, 1), Cardinality.MANY: (0, float("inf"))}
+
+# (id(type), id(table)) -> (type, table, predicate). An entry holds its type
+# and table, so neither id can be reused by another object while it lives.
+_PREDICATES: dict[tuple[int, int], tuple[object, object, Callable[[ValueTree], bool]]] = {}
+_PREDICATE_LIMIT = 1024
+
+
+def _conformance(type_, types: Mapping[str, TypeDecl]) -> Callable[[ValueTree], bool]:
+    key = (id(type_), id(types))
+    entry = _PREDICATES.get(key)
+    if entry is None:
+        if len(_PREDICATES) >= _PREDICATE_LIMIT:
+            _PREDICATES.clear()
+        entry = _PREDICATES[key] = (type_, types, _compile_conformance(type_, types))
+    return entry[2]
+
+
+def _never(tree: ValueTree) -> bool:
+    return False
+
+
+def _compile_conformance(type_, types: Mapping[str, TypeDecl]) -> Callable[[ValueTree], bool]:
+    named: dict[str, Callable[[ValueTree], bool]] = {}
+
+    def ref(type_) -> Callable[[ValueTree], bool]:
+        if isinstance(type_, TypeDecl):
+            return node(type_.root, type_.fields)
+        if isinstance(type_, BasicRef):
+            return node(type_.basic, [])
+        if isinstance(type_, InlineTreeRef):
+            return node(BasicType.VOID, type_.fields)
+        if isinstance(type_, NamedRef):
+            name = type_.name
+            if name not in named:
+                decl = types.get(name)
+                if decl is None:
+                    named[name] = _never
+                else:
+                    # a recursive type meets itself while compiling: defer the lookup
+                    named[name] = lambda tree: named[name](tree)
+                    named[name] = node(decl.root, decl.fields)
+            return named[name]
+        raise TypeError(f"not a type: {type_!r}")
+
+    def node(root: BasicType, fields) -> Callable[[ValueTree], bool]:
+        root_ok = _ROOT_TESTS[root]
+        declared = frozenset(f.name for f in fields)
+        checks = [(f.name, *_BOUNDS[f.cardinality], ref(f.type)) for f in fields]
+
+        def conforms(tree: ValueTree) -> bool:
+            if not root_ok(tree.root):
+                return False
+            children = tree.children
+            if not declared.issuperset(children):
+                return False
+            for name, least, most, sub in checks:
+                seq = children.get(name, ())
+                if not least <= len(seq) <= most:
+                    return False
+                for item in seq:
+                    if not sub(item):
+                        return False
+            return True
+
+        return conforms
+
+    return ref(type_)

@@ -205,7 +205,8 @@ def decode_json(data: bytes | str) -> ValueTree:
     """Decode JSON bytes or text into a value tree.
 
     Raises JsonError with line/column on malformed input, and without
-    them on input nested deeper than the interpreter can recurse.
+    them on input nested deeper than the interpreter can recurse or on
+    an integer with more digits than int() converts.
     """
     if isinstance(data, bytes):
         try:
@@ -216,5 +217,7 @@ def decode_json(data: bytes | str) -> ValueTree:
         return from_json_value(json.loads(data))
     except json.JSONDecodeError as exc:
         raise JsonError(exc.msg, exc.lineno, exc.colno) from exc
+    except ValueError:  # a number with more digits than int() converts
+        raise JsonError("number has too many digits") from None
     except RecursionError:
         raise JsonError("payload nests too deeply") from None

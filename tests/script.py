@@ -172,9 +172,10 @@ service Spinner( config ) {
         interfaces: Spin
     }
     main {
+        // long enough to outlive a 0.25 s call and a 0.5 s shutdown on a fast host
         spin( a )( b ) {
             i = 0
-            while( i < 500000 )
+            while( i < 2000000 )
                 i = i + 1
         }
     }

@@ -5,6 +5,7 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
 
 from monoslice.cli import main
 from monoslice.config import Location
@@ -53,6 +54,14 @@ def test_check_non_ascii_digit_is_a_diagnostic(tmp_path, capsys):
     bad.write_text("service S {\n  main { x = ² }\n}\n", encoding="utf-8")
     assert main(["check", str(bad)]) == 2
     assert capsys.readouterr().err == f"{bad}:2:14: error: illegal character '²'\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit")
+def test_check_over_long_integer_is_a_diagnostic(tmp_path, capsys):
+    bad = tmp_path / "bad.ol"
+    bad.write_text("service S {\n  main { x = " + "7" * 5000 + " }\n}\n", encoding="utf-8")
+    assert main(["check", str(bad)]) == 2
+    assert capsys.readouterr().err == f"{bad}:2:14: error: integer literal has too many digits\n"
 
 
 def test_run_fixture_exits_zero_quickly(fixture_path, local_config_path, capsys):

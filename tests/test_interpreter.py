@@ -1,23 +1,36 @@
 import pytest
 
 from monoslice.parser import parse_source
-from monoslice.runtime import LocalContext, exec_statements, eval_expr
-from monoslice.runtime.interpreter import FaultSignal
+from monoslice.runtime.interpreter import (
+    ExecutionContext,
+    FaultSignal,
+    compile_block,
+    compile_expr,
+    exec_statements,
+)
 from monoslice.values import Long, ValueTree
 
 
+class Context(ExecutionContext):
+    """A context with no ports, enough to run pure behaviors."""
+
+    def __init__(self, scope: ValueTree | None = None):
+        self.scope = scope if scope is not None else ValueTree()
+
+
+def main_statements(statements: str):
+    return parse_source("service S { main { " + statements + " } }").services[0].behavior.statements
+
+
 def run_main(statements: str) -> ValueTree:
-    program = parse_source("service S { main { " + statements + " } }")
-    ctx = LocalContext()
-    exec_statements(program.services[0].behavior.statements, ctx)
+    ctx = Context()
+    exec_statements(compile_block(main_statements(statements)), ctx)
     return ctx.scope
 
 
 def evaluate(expression: str, scope: ValueTree | None = None) -> ValueTree:
-    program = parse_source("service S { main { probe = " + expression + " } }")
-    ctx = LocalContext(scope)
-    statement = program.services[0].behavior.statements[0]
-    return eval_expr(statement.value, ctx)
+    statement = main_statements("probe = " + expression)[0]
+    return compile_expr(statement.value)(Context(scope))
 
 
 def fault_name(callable_):
@@ -160,29 +173,89 @@ def test_index_must_be_integer():
 
 
 def test_rebinding_goes_through_context():
-    class Recorder(LocalContext):
+    class Recorder(Context):
         def __init__(self):
             super().__init__()
-            self.output_ports = frozenset({"Out"})
             self.bound = None
 
         def rebind(self, port, location_text):
             self.bound = (port, location_text)
 
-    program = parse_source('service S { main { Out.location = "local://next" } }')
     ctx = Recorder()
-    exec_statements(program.services[0].behavior.statements, ctx)
+    exec_statements(compile_block(main_statements('Out.location = "local://next"'), frozenset({"Out"})), ctx)
     assert ctx.bound == ("Out", "local://next")
     assert "Out" not in ctx.scope.children
 
 
 def test_rebinding_requires_a_string():
-    class Recorder(LocalContext):
+    block = compile_block(main_statements("Out.location = 7"), frozenset({"Out"}))
+    with pytest.raises(FaultSignal) as exc:
+        exec_statements(block, Context())
+    assert exc.value.fault.name == "TypeMismatch"
+
+
+# Reads borrow the scope's nodes; each case fails if a store keeps a borrowed tree.
+@pytest.mark.parametrize(
+    "statements, path, expected",
+    [
+        ("x.a = 1 y = x x.a = 2", ["y", "a"], 1),
+        ("x.a = 1 y = x y.a = 2", ["x", "a"], 1),
+        ("x.a = 1 t = { k = x } x.a = 2", ["t", "k", "a"], 1),
+        ("x.a = 1 t = { k = x } t.k.a = 2", ["x", "a"], 1),
+        ("x.a.b = 1 x.a.a = x.a x.a.b = 2", ["x", "a", "a", "b"], 1),
+        (
+            'state.log[1].id = 7 state.log[1].type = "A" i = 1'
+            ' result.event = state.log[i] state.log[i].type = "B"',
+            ["result", "event", "type"],
+            "A",
+        ),
+    ],
+)
+def test_stored_trees_share_no_node_with_what_they_were_read_from(statements, path, expected):
+    node = run_main(statements)
+    for name in path:
+        node = node.children[name][0]
+    assert node.root == expected
+
+
+def test_a_tree_read_into_itself_is_the_value_before_the_store():
+    scope = run_main("x.a = 1 x.k = x")
+    kept = scope.children["x"][0].children["k"][0]
+    assert kept == ValueTree.make(a=1)
+
+
+def test_solicit_sees_the_request_as_stored_and_the_reply_is_kept_apart():
+    class Recorder(Context):
         def __init__(self):
             super().__init__()
-            self.output_ports = frozenset({"Out"})
+            self.requests = []
 
-    program = parse_source("service S { main { Out.location = 7 } }")
-    with pytest.raises(FaultSignal) as exc:
-        exec_statements(program.services[0].behavior.statements, Recorder())
-    assert exc.value.fault.name == "TypeMismatch"
+        def solicit(self, port, operation, request):
+            self.requests.append(request.copy())  # a context keeps only copies
+            return ValueTree.make(v=1)
+
+    ctx = Recorder()
+    statements = "x.a = 1 req = x x.a = 2 op@Out( req )( r ) req.a = 3 kept = r r.v = 9"
+    exec_statements(compile_block(main_statements(statements)), ctx)
+    assert ctx.requests == [ValueTree.make(a=1)]
+    scope = ctx.scope
+    assert scope.children["x"][0] == ValueTree.make(a=2)
+    assert scope.children["req"][0] == ValueTree.make(a=3)
+    assert scope.children["kept"][0] == ValueTree.make(v=1)
+    assert scope.children["r"][0] == ValueTree.make(v=9)
+
+
+def test_each_executed_statement_goes_through_exec_statement(monkeypatch):
+    from monoslice.runtime import interpreter
+
+    seen = []
+    original = interpreter.exec_statement
+
+    def counting(statement, ctx):
+        seen.append(statement)
+        original(statement, ctx)
+
+    monkeypatch.setattr(interpreter, "exec_statement", counting)
+    run_main("i = 0 while( i < 3 ) { if( i == 1 ) { x = i } i = i + 1 }")
+    # i = 0, the while, three ifs and three increments, and the one x = i
+    assert len(seen) == 9

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from monoslice.lexer import LexError, TokenKind, tokenize
@@ -106,6 +108,12 @@ def test_illegal_character():
     assert exc.value.column == 3
 
 
+# Python 3.10 converts integers of any length, so it has no over-long literal.
+DIGIT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit"
+)
+
+
 # Every LexError path, with its position and message pinned byte for byte.
 @pytest.mark.parametrize(
     "source, line, column, message",
@@ -124,6 +132,14 @@ def test_illegal_character():
         ("1.5L", 1, 1, "long suffix on a non-integer literal"),
         ("1e3L", 1, 1, "long suffix on a non-integer literal"),
         ("\n x = 1.5L", 2, 6, "long suffix on a non-integer literal"),
+        pytest.param(
+            "x = " + "7" * 5000, 1, 5, "integer literal has too many digits",
+            marks=DIGIT_LIMIT, id="5000-digit-int",
+        ),
+        pytest.param(
+            "a\n  " + "7" * 5000 + "L", 2, 3, "integer literal has too many digits",
+            marks=DIGIT_LIMIT, id="5000-digit-long",
+        ),
     ],
 )
 def test_lex_error_positions_and_messages(source, line, column, message):

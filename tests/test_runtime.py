@@ -323,6 +323,63 @@ def test_local_messages_are_isolated_from_the_caller_on_both_sides():
         system.shutdown()
 
 
+EVENT_LOG = """
+type Event {
+    id : long
+    type : string
+}
+
+type Found {
+    event? : Event
+}
+
+interface Log {
+    RequestResponse:
+        put( Event )( void ),
+        get( long )( Found )
+}
+
+service EventLog( config ) {
+    execution: sequential
+    inputPort In {
+        location: config.EventLog.location
+        protocol: http { format = "json" }
+        interfaces: Log
+    }
+    main {
+        put( e )( ok ) {
+            if( state.count == {} )
+                state.count = 0
+            state.log[state.count] = e
+            state.count = state.count + 1
+        }
+        get( id )( result ) {
+            i = 0
+            while( state.log[i].id != {} ) {
+                if( state.log[i].id == id ) {
+                    result.event = state.log[i]
+                    state.log[i].type = "READ"
+                }
+                i = i + 1
+            }
+        }
+    }
+}
+"""
+
+
+def test_a_stored_read_is_a_copy_of_the_state_it_was_read_from():
+    system = runtime.start(resolve(parse_source(EVENT_LOG)), local_tree_config(["EventLog"]))
+    try:
+        assert system.invoke_rr("EventLog", "put", ValueTree.make(id=Long(1), type="CREATED")) == ValueTree()
+        first = system.invoke_rr("EventLog", "get", ValueTree(Long(1)))
+        again = system.invoke_rr("EventLog", "get", ValueTree(Long(1)))
+        assert first == ValueTree.make(event=ValueTree.make(id=Long(1), type="CREATED"))
+        assert again == ValueTree.make(event=ValueTree.make(id=Long(1), type="READ"))
+    finally:
+        system.shutdown()
+
+
 def test_single_mode_serves_exactly_one_activation():
     system, _ = start_source(ONE_SHOT)
     try:

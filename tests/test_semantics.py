@@ -1,12 +1,15 @@
 import copy
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoslice.ast import (
     BasicRef,
     BasicType,
     Cardinality,
     FieldDecl,
+    InlineTreeRef,
     NamedRef,
     TypeDecl,
 )
@@ -19,6 +22,8 @@ from monoslice.semantics import (
     UndefinedType,
     UnknownOperation,
     UnknownPort,
+    _check_ref,
+    _conformance,
     check_value,
     resolve,
 )
@@ -252,3 +257,131 @@ def test_recursive_types_check_by_value():
     assert check_value(chain, node, types) == []
     broken = ValueTree.make(label="a", next=ValueTree.make(label=ValueTree(5)))
     assert check_value(broken, node, types) != []
+
+
+def test_checks_of_short_lived_types_never_see_each_others_verdicts():
+    for _ in range(300):
+        assert check_value(ValueTree(5), BasicRef(BasicType.LONG)) == []
+        assert check_value(ValueTree(Long(5)), BasicRef(BasicType.INT)) != []
+        assert check_value(ValueTree(Long(5)), NamedRef("N"), {"N": TypeDecl("N", BasicType.LONG)}) == []
+        assert check_value(ValueTree(Long(5)), NamedRef("N"), {"N": TypeDecl("N", BasicType.INT)}) != []
+
+
+# ---------------------------------------------------------------------------
+# the compiled check against the walk that names the violations
+
+TYPE_NAMES = ["T0", "T1"]
+CHILD_NAMES = ["a", "b", "c"]
+
+any_root = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(Long),
+    st.floats(-2, 2, width=16),
+    st.sampled_from(["", "x"]),
+)
+ROOTS_OF = {
+    BasicType.VOID: st.none(),
+    BasicType.BOOL: st.booleans(),
+    BasicType.INT: st.integers(-3, 3),
+    BasicType.LONG: st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(Long)),
+    BasicType.DOUBLE: st.one_of(st.floats(-2, 2, width=16), st.integers(-3, 3)),
+    BasicType.STRING: st.sampled_from(["", "x"]),
+    BasicType.ANY: any_root,
+}
+
+type_refs = st.recursive(
+    st.one_of(
+        st.sampled_from(list(BasicType)).map(BasicRef),
+        st.sampled_from([*TYPE_NAMES, "Missing"]).map(NamedRef),
+    ),
+    lambda inner: st.lists(
+        st.builds(FieldDecl, st.sampled_from(CHILD_NAMES), st.sampled_from(list(Cardinality)), inner),
+        max_size=3,
+    ).map(InlineTreeRef),
+    max_leaves=5,
+)
+type_tables = st.tuples(
+    *(
+        st.builds(
+            TypeDecl,
+            st.just(name),
+            st.sampled_from(list(BasicType)),
+            st.lists(
+                st.builds(FieldDecl, st.sampled_from(CHILD_NAMES), st.sampled_from(list(Cardinality)), type_refs),
+                max_size=3,
+            ),
+        )
+        for name in TYPE_NAMES
+    )
+).map(lambda decls: {decl.name: decl for decl in decls})
+
+arbitrary_trees = st.recursive(
+    any_root.map(ValueTree),
+    lambda inner: st.tuples(
+        any_root, st.dictionaries(st.sampled_from(CHILD_NAMES), st.lists(inner, min_size=1, max_size=2))
+    ).map(lambda parts: ValueTree(*parts)),
+    max_leaves=6,
+)
+
+
+@st.composite
+def trees_near(draw, type_, types, departs):
+    """A tree that conforms to the type (bar unresolved names), or departs from it at one place."""
+    sites = []  # (node, declared field or None, basic type of the node)
+
+    def near(type_, depth):
+        if isinstance(type_, NamedRef):
+            type_ = types.get(type_.name)
+        if type_ is None or depth > 3:
+            return draw(arbitrary_trees)
+        if isinstance(type_, BasicRef):
+            basic, fields = type_.basic, []
+        elif isinstance(type_, InlineTreeRef):
+            basic, fields = BasicType.VOID, type_.fields
+        else:
+            basic, fields = type_.root, type_.fields
+        tree = ValueTree(draw(ROOTS_OF[basic]))
+        sites.append((tree, None, basic))
+        for f in fields:
+            least, most = {Cardinality.ONE: (1, 1), Cardinality.OPTIONAL: (0, 1), Cardinality.MANY: (0, 2)}[f.cardinality]
+            count = draw(st.integers(least, most))
+            if count:
+                tree.children[f.name] = [near(f.type, depth + 1) for _ in range(count)]
+            sites.append((tree, f, basic))
+        return tree
+
+    tree = near(type_, 0)
+    if departs and sites:
+        node, f, _ = draw(st.sampled_from(sites))
+        if f is None:
+            how = draw(st.sampled_from(["root", "undeclared"]))
+            if how == "root":
+                node.root = draw(any_root)
+            else:
+                node.children["undeclared"] = [ValueTree()]
+        else:
+            seq = node.children.get(f.name, [])
+            how = draw(st.sampled_from(["fewer", "more", "item"] if seq else ["more"]))
+            if how == "fewer":
+                seq.pop()
+                if not seq:
+                    del node.children[f.name]
+            elif how == "more":
+                node.children[f.name] = [*seq, draw(arbitrary_trees) if not seq else seq[-1].copy()]
+            else:
+                seq[draw(st.integers(0, len(seq) - 1))] = draw(arbitrary_trees)
+    return tree
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_compiled_check_agrees_with_the_naming_walk(data):
+    types = data.draw(type_tables)
+    type_ = data.draw(st.one_of(type_refs, st.sampled_from(list(types.values()))))
+    tree = data.draw(trees_near(type_, types, data.draw(st.booleans())))
+    named: list = []
+    _check_ref(tree, type_, types, "", named)
+    assert _conformance(type_, types)(tree) is (named == [])
+    assert check_value(tree, type_, types) == named

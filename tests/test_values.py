@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +72,13 @@ def test_fractional_and_integral_numbers_decode_to_distinct_kinds():
         b'{"$":{"x":1}}',
         b'{"A":',
         b'{"a":' * 5000 + b"1" + b"}" * 5000,  # deeper than the interpreter recurses
+        pytest.param(
+            b'{"a":' + b"7" * 5000 + b"}",  # more digits than int() converts
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit"
+            ),
+            id="5000-digit-number",
+        ),
     ],
 )
 def test_unrepresentable_payloads_raise(payload):
