@@ -10,14 +10,14 @@ transports are observationally equivalent: each message is copied once
 at each boundary, into its JSON image, so in-process execution cannot
 share state that serialization would have severed.
 
-Each service runs its activations on a pool of long-lived daemon
-workers that grows only when no worker is idle: at most 32 for
-concurrent, where each activation gets a fresh scope, and one for
-sequential, which keeps one scope across activations (so a service can
-keep state across requests), and for single, which serves exactly one
-activation and then stops. A service whose main is a statement sequence
-is executable: it runs once to completion on its own thread after
-startup.
+Each service runs its activations on a WorkerPool (pool.py), the kind
+of pool that also serves the connections of a socket:// port: at most
+32 workers for concurrent, where each activation gets a fresh scope,
+and one for sequential, which keeps one scope across activations (so a
+service can keep state across requests), and for single, which serves
+exactly one activation and then stops. A service whose main is a
+statement sequence is executable: it runs once to completion on its
+own thread after startup.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..ast import (
     Branch,
@@ -54,6 +55,7 @@ from .interpreter import (
     exec_statements,
     fault,
 )
+from .pool import MAX_WORKERS, WorkerPool
 from .transport import HttpPortServer, TransportError, http_invoke_ow, http_invoke_rr
 
 log = logging.getLogger("monoslice.runtime")
@@ -61,7 +63,9 @@ log = logging.getLogger("monoslice.runtime")
 DEFAULT_INVOKE_TIMEOUT = 30.0
 DEFAULT_RECEIVE_TIMEOUT = 30.0
 DEFAULT_SHUTDOWN_TIMEOUT = 5.0
-_POOL_WORKERS = 32
+# an int no wider than this has fewer decimal digits than the smallest limit
+# Python may set on int-to-text conversion (640), so only wider ones are converted
+_SAFE_INT_BITS = 640 * 3
 
 
 class BindError(MonosliceError):
@@ -136,27 +140,40 @@ def _violation_fault(violations) -> Fault:
     return Fault("TypeMismatch", ValueTree(message))
 
 
+class _Unencodable(Exception):
+    pass
+
+
 def _admit(tree: ValueTree, type_: TypeRef, types: dict) -> tuple[ValueTree, list]:
-    """Normalize an inbound message and check it against its type.
+    """Normalize a message crossing a port and check it against its type.
 
     A tree nested too deeply for either walk is refused as a violation, with
-    the message JSON decoding gives a payload nested deeper still.
+    the message JSON decoding gives a payload nested deeper still, and so is
+    a tree holding an integer with more digits than JSON encoding converts.
     """
     try:
         tree = _normalize_message(tree)
         return tree, check_value(tree, type_, types)
     except RecursionError:
         return tree, ["payload nests too deeply"]
+    except _Unencodable:
+        return tree, ["integer has too many digits for JSON"]
 
 
 def _normalize_message(tree: ValueTree) -> ValueTree:
     """Copy a tree the way a JSON round trip would shape it (ints become longs).
 
     The in-process transport must be indistinguishable from the wire, so
-    every message crossing a boundary is normalized to the wire image.
+    every message crossing a boundary is normalized to the wire image, and
+    an integer the wire cannot carry raises _Unencodable.
     """
     root = tree.root
     if isinstance(root, int) and not isinstance(root, bool):
+        if root.bit_length() > _SAFE_INT_BITS:
+            try:
+                str(root)
+            except ValueError:
+                raise _Unencodable() from None
         root = Long(root)
     out = ValueTree(root)
     for name, seq in tree.children.items():
@@ -220,14 +237,11 @@ class ServiceInstance:
 
         self._bindings: dict[str, Location] = {}
         self._bindings_lock = threading.Lock()
-        self._queue: "queue.SimpleQueue[_Work | None]" = queue.SimpleQueue()
         self._receive_queues: dict[str, "queue.SimpleQueue[ValueTree]"] = {}
         self._receive_lock = threading.Lock()
         self._stopped = threading.Event()
-        self._max_workers = _POOL_WORKERS if self.mode.value == "concurrent" else 1
-        self._workers: list[threading.Thread] = []
-        self._idle = 0  # workers waiting for work that no submitted work has claimed
-        self._pool_lock = threading.Lock()
+        size = MAX_WORKERS if self.mode.value == "concurrent" else 1
+        self._pool = WorkerPool(f"{self.name}-worker", size, self._worker)
         self._executable_thread: threading.Thread | None = None
 
         self._stats_lock = threading.Lock()
@@ -261,47 +275,36 @@ class ServiceInstance:
 
     def request_stop(self) -> None:
         self._stopped.set()
-        # one end marker for every worker the pool may hold, even one still starting
-        for _ in range(self._max_workers):
-            self._queue.put(None)
+        self._pool.stop()
 
     def join(self, deadline: float) -> int:
         """Join the threads until the monotonic deadline; returns the still-running activations."""
-        threads = list(self._workers)
+        self._pool.join(deadline)
         if self._executable_thread is not None:
-            threads.append(self._executable_thread)
-        for thread in threads:
-            thread.join(max(0.0, deadline - time.monotonic()))
+            self._executable_thread.join(max(0.0, deadline - time.monotonic()))
         with self._stats_lock:
             return self.in_flight
 
-    # -- the worker pool ---------------------------------------------------
+    # -- activations -------------------------------------------------------
 
-    def _submit(self, work: _Work) -> None:
-        with self._pool_lock:
-            if self._idle:
-                self._idle -= 1
-            elif len(self._workers) < self._max_workers:
-                worker = threading.Thread(target=self._serve, name=f"{self.name}-worker", daemon=True)
-                self._workers.append(worker)
-                worker.start()
-        self._queue.put(work)
+    def _worker(self) -> Callable[[_Work], None]:
+        """The job handler of one pool thread."""
+        if self.mode.value == "concurrent":
+            return lambda work: self._run_activation(work, self.seed_scope())
+        # the one worker of a sequential or single service keeps one scope
+        scope = self.seed_scope()
+        return lambda work: self._serve(work, scope)
 
-    def _serve(self) -> None:
-        scope = None if self.mode.value == "concurrent" else self.seed_scope()
-        while (work := self._queue.get()) is not None:
-            if self.mode.value == "single" and self.stopped:
-                # a single service answers its first call only
-                if work.slot is not None:
-                    work.slot.set(
-                        Fault("TransportError", ValueTree(f"service {self.name} has stopped"))
-                    )
-            else:
-                self._run_activation(work, scope if scope is not None else self.seed_scope())
-                if self.mode.value == "single":
-                    self._stopped.set()
-            with self._pool_lock:
-                self._idle += 1
+    def _serve(self, work: _Work, scope: ValueTree) -> None:
+        if self.mode.value == "single" and self.stopped:
+            # a single service answers its first call only
+            if work.slot is not None:
+                stopped = ValueTree(f"service {self.name} has stopped")
+                work.slot.set(Fault("TransportError", stopped))
+            return
+        self._run_activation(work, scope)
+        if self.mode.value == "single":
+            self._stopped.set()
 
     def _run_activation(self, work: _Work, scope: ValueTree) -> None:
         with self._stats_lock:
@@ -314,9 +317,10 @@ class ServiceInstance:
             exec_statements(self._block(branch), ctx)
             if work.slot is not None and isinstance(branch, RequestResponseBranch):
                 reply = scope.child(branch.response_var)
-                response = _normalize_message(reply) if reply is not None else ValueTree()
-                violations = check_value(
-                    response, work.info.response, self.system.checked.type_table
+                response, violations = _admit(
+                    reply if reply is not None else ValueTree(),
+                    work.info.response,
+                    self.system.checked.type_table,
                 )
                 if violations:
                     self._record_fault("TypeMismatch")
@@ -379,7 +383,7 @@ class ServiceInstance:
         if violations:
             return _violation_fault(violations)
         slot = _ReplySlot()
-        self._submit(_Work(info, tree, slot))
+        self._pool.submit(_Work(info, tree, slot))
         result = slot.wait(timeout)
         if result is None:
             return Fault("Timeout", ValueTree(f"no reply from {self.name}.{info.name}"))
@@ -401,7 +405,7 @@ class ServiceInstance:
         if info.name not in self.branches:
             log.warning("dropping one-way %s: no handler in %s", info.name, self.name)
             return
-        self._submit(_Work(info, tree, None))
+        self._pool.submit(_Work(info, tree, None))
 
     def _receive_queue(self, operation: str) -> "queue.SimpleQueue[ValueTree]":
         with self._receive_lock:

@@ -10,30 +10,50 @@ every post to the same inbound step that local:// calls go through,
 which refuses a call of the wrong kind before any handler runs: a
 request-response call gets the UnknownOperation envelope and a one-way
 call gets 503. A post without the header is taken as the operation's
-declared kind. A body or Content-Length that cannot be read gets the
-TypeMismatch envelope, and a service that has stopped answers 503.
-Servers bind all interfaces on the port; the host part of a location is
-for dialing.
+declared kind. A body or Content-Length that cannot be read, a
+Content-Length over MAX_BODY_BYTES, and a reply that cannot be encoded
+get the TypeMismatch envelope, and a service that has stopped answers
+503.
+
+Each port's server runs an accept loop that hands every connection to
+a pool of at most MAX_WORKERS threads. A worker reads the requests of
+its connection one after another, parsing the request line and headers
+by hand within MAX_LINE_BYTES and MAX_HEADERS, and writes each response
+with one send. A connection stays open for the next request unless the
+client asks to close it or a request was refused; one that sends
+nothing for READ_TIMEOUT seconds is closed, so idle or stalled clients
+hold a worker for that long at most. Servers bind all interfaces on the
+port; the host part of a location is for dialing. The clients open one
+connection per call.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import socketserver
 import threading
+from http import HTTPStatus
 from http.client import HTTPConnection, HTTPException
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
 from ..config import Location
 from ..errors import MonosliceError
 from ..values import JsonError, ValueTree, decode_json, encode_json, from_json_value, to_json_value
 from .interpreter import Fault
+from .pool import MAX_WORKERS, WorkerPool
 
 CONTENT_TYPE = "application/json; charset=utf-8"
 KIND_HEADER = "Monoslice-Kind"
-# how often serve_forever looks for a shutdown request, which bounds how long close() takes
+_KIND_KEY = KIND_HEADER.lower().encode()  # as the server's header table holds it
+# how often the accept loop looks for a shutdown request, which bounds how long close() takes
 _POLL_SECONDS = 0.05
+
+# what one connection may send the server
+MAX_LINE_BYTES = 8192  # the request line and each header line
+MAX_HEADERS = 100
+MAX_BODY_BYTES = 4 * 1024 * 1024
+READ_TIMEOUT = 10.0  # seconds a connection may wait for its client's next bytes
 
 
 class TransportError(MonosliceError):
@@ -70,55 +90,14 @@ class HttpPortServer:
     """One HTTP server per socket input port, handing each post to offer."""
 
     def __init__(self, port: int, offer: Offer, timeout: float):
-        outer = self
         self.offer = offer
         self.timeout = timeout
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-
-            def log_message(self, fmt, *args):  # keep stderr clean
-                pass
-
-            def _respond(self, status: int, body: bytes) -> None:
-                self.send_response(status)
-                self.send_header("Content-Type", CONTENT_TYPE)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                if body:
-                    self.wfile.write(body)
-
-            def do_POST(self) -> None:
-                operation = self.path.lstrip("/")
-                try:
-                    length = int(self.headers.get("Content-Length", "0"))
-                    if length < 0:
-                        raise ValueError(f"negative Content-Length {length}")
-                    request = decode_json(self.rfile.read(length)) if length else ValueTree()
-                except (ValueError, JsonError) as exc:
-                    self.close_connection = True  # the unread rest of the body is no request
-                    self._respond(500, encode_fault(Fault("TypeMismatch", ValueTree(str(exc)))))
-                    return
-                kind = self.headers.get(KIND_HEADER)
-                try:
-                    result = outer.offer(operation, request, kind, outer.timeout)
-                except TransportError as exc:
-                    self._respond(503, encode_json(ValueTree(str(exc))))
-                    return
-                if result is None:
-                    self._respond(202, b"")
-                elif isinstance(result, Fault):
-                    self._respond(500, encode_fault(result))
-                else:
-                    self._respond(200, encode_json(result))
-
-            def do_GET(self) -> None:
-                self._respond(405, b"")
-
-        self._server = ThreadingHTTPServer(("", port), Handler)
-        self._server.daemon_threads = True
+        self._pool = WorkerPool(f"http-port-{port}-worker", MAX_WORKERS, lambda: self._serve)
+        self._open: set[socket.socket] = set()  # accepted connections not yet closed
+        self._open_lock = threading.Lock()
+        self._listener = _Listener(("", port), self._accept)
         self._thread = threading.Thread(
-            target=self._server.serve_forever,
+            target=self._listener.serve_forever,
             args=(_POLL_SECONDS,),
             name=f"http-port-{port}",
             daemon=True,
@@ -130,8 +109,194 @@ class HttpPortServer:
     def close(self) -> None:
         # shutdown() blocks forever unless serve_forever is actually running
         if self._thread.is_alive():
-            self._server.shutdown()
-        self._server.server_close()
+            self._listener.shutdown()
+        self._listener.server_close()
+        # a worker waiting for a request reads the end of its connection at once,
+        # while one still answering a request can send its response
+        with self._open_lock:
+            for connection in self._open:
+                try:
+                    connection.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass
+        self._pool.stop()
+
+    def _accept(self, connection: socket.socket) -> None:
+        with self._open_lock:
+            self._open.add(connection)
+        self._pool.submit(connection)
+
+    def _serve(self, connection: socket.socket) -> None:
+        try:
+            connection.settimeout(READ_TIMEOUT)
+            reader = _Reader(connection)
+            while self._answer(reader):
+                pass
+        except OSError:  # the client went away, or stopped reading its response
+            pass
+        finally:
+            with self._open_lock:
+                self._open.discard(connection)
+            connection.close()
+
+    def _answer(self, reader: "_Reader") -> bool:
+        """Read one request and answer it; returns whether to read another."""
+        try:
+            operation, request, kind, keep = _read_request(reader)
+        except _Refused as refused:
+            return _send(reader.connection, refused.status, refused.body, False)
+        except (EOFError, socket.timeout) as exc:
+            if not reader.started:  # idle, or the client closed between requests
+                return False
+            status = 408 if isinstance(exc, socket.timeout) else 400
+            return _send(reader.connection, status, b'"incomplete request"', False)
+        try:
+            result = self.offer(operation, request, kind, self.timeout)
+        except TransportError as exc:
+            return _send(reader.connection, 503, encode_json(ValueTree(str(exc))), keep)
+        try:
+            if result is None:
+                status, body = 202, b""
+            elif isinstance(result, Fault):
+                status, body = 500, encode_fault(result)
+            else:
+                status, body = 200, encode_json(result)
+        except ValueError as exc:  # say, an integer with more digits than JSON converts
+            status, body = 500, _mismatch(f"the reply cannot be encoded: {exc}")
+        return _send(reader.connection, status, body, keep)
+
+
+def _read_request(reader: "_Reader") -> tuple[str, ValueTree, str | None, bool]:
+    """The operation, request tree, call kind and keep-alive of the next post.
+
+    Raises _Refused for a request that gets no call, and EOFError or
+    socket.timeout when the client stops sending.
+    """
+    method, target, version, headers = reader.head()
+    if method != b"POST":
+        raise _Refused(405, b"") if method == b"GET" else _Refused(501, b'"only POST is served"')
+    if b"transfer-encoding" in headers:
+        raise _Refused(411, b'"the body must come with a Content-Length"')
+    try:
+        length = int(headers.get(b"content-length", b"0").decode("latin-1"))
+        if length < 0:
+            raise ValueError(f"negative Content-Length {length}")
+        if length > MAX_BODY_BYTES:
+            raise ValueError(f"Content-Length {length} is over the limit of {MAX_BODY_BYTES}")
+        if length and version == b"HTTP/1.1" and (
+            headers.get(b"expect", b"").lower() == b"100-continue"
+        ):
+            reader.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        request = decode_json(reader.read(length)) if length else ValueTree()
+    except (ValueError, JsonError) as exc:
+        # the connection closes: the unread rest of the body is no request
+        raise _Refused(500, _mismatch(str(exc))) from None
+    kind = headers.get(_KIND_KEY)
+    connection = headers.get(b"connection", b"").lower()
+    return (
+        target.decode("latin-1").lstrip("/"),
+        request,
+        None if kind is None else kind.decode("latin-1"),
+        connection != b"close" if version == b"HTTP/1.1" else connection == b"keep-alive",
+    )
+
+
+class _Listener(socketserver.TCPServer):
+    """The accept loop of one port; every accepted connection goes to on_accept."""
+
+    allow_reuse_address = True
+    request_queue_size = 2 * MAX_WORKERS
+
+    def __init__(self, address, on_accept: Callable[[socket.socket], None]):
+        self.on_accept = on_accept
+        super().__init__(address, None)
+
+    def process_request(self, request, client_address) -> None:
+        self.on_accept(request)
+
+
+class _Refused(Exception):
+    """A request answered with status and body, after which the connection closes."""
+
+    def __init__(self, status: int, body: bytes):
+        self.status = status
+        self.body = body
+
+
+class _Reader:
+    """The bytes a connection has sent and not yet been parsed."""
+
+    def __init__(self, connection: socket.socket):
+        self.connection = connection
+        self.buffer = b""
+        self.started = False  # whether any byte of the current request arrived
+
+    def _recv(self, size: int) -> bytes:
+        chunk = self.connection.recv(size)
+        if not chunk:
+            raise EOFError()
+        self.started = True
+        return chunk
+
+    def line(self, too_long: int) -> bytes:
+        """The next line, without its line end; a longer one is refused with too_long."""
+        while (end := self.buffer.find(b"\n")) < 0:
+            if len(self.buffer) > MAX_LINE_BYTES:
+                raise _Refused(too_long, b'"line too long"')
+            self.buffer += self._recv(65536)
+        if end > MAX_LINE_BYTES:
+            raise _Refused(too_long, b'"line too long"')
+        line, self.buffer = self.buffer[:end], self.buffer[end + 1 :]
+        return line[:-1] if line.endswith(b"\r") else line
+
+    def head(self) -> tuple[bytes, bytes, bytes, dict[bytes, bytes]]:
+        """The method, target, version and headers (lower-case names, first wins)."""
+        self.started = bool(self.buffer)
+        words = self.line(414).split()
+        if len(words) != 3:
+            raise _Refused(400, b'"malformed request line"')
+        method, target, version = words
+        if version not in (b"HTTP/1.1", b"HTTP/1.0"):
+            if version.startswith(b"HTTP/"):
+                raise _Refused(505, b'"only HTTP/1.0 and HTTP/1.1 are spoken here"')
+            raise _Refused(400, b'"malformed request line"')
+        headers: dict[bytes, bytes] = {}
+        for _ in range(MAX_HEADERS + 1):
+            line = self.line(431)
+            if not line:
+                return method, target, version, headers
+            name, colon, value = line.partition(b":")
+            if not colon or not name or name != name.strip():
+                raise _Refused(400, b'"malformed header line"')
+            headers.setdefault(name.lower(), value.strip())
+        raise _Refused(431, b'"too many headers"')
+
+    def read(self, size: int) -> bytes:
+        """Exactly size bytes."""
+        if len(self.buffer) < size:
+            parts, have = [self.buffer], len(self.buffer)
+            while have < size:
+                chunk = self._recv(min(size - have, 1 << 20))
+                parts.append(chunk)
+                have += len(chunk)
+            self.buffer = b"".join(parts)
+        data, self.buffer = self.buffer[:size], self.buffer[size:]
+        return data
+
+
+def _mismatch(reason: str) -> bytes:
+    return encode_fault(Fault("TypeMismatch", ValueTree(reason)))
+
+
+_STATUS_LINES = {s.value: f"HTTP/1.1 {s.value} {s.phrase}\r\n".encode() for s in HTTPStatus}
+_HEADERS = b"Content-Type: " + CONTENT_TYPE.encode() + b"\r\nContent-Length: %d\r\n"
+
+
+def _send(connection: socket.socket, status: int, body: bytes, keep: bool) -> bool:
+    """Write one response in one send; returns keep."""
+    end = b"\r\n" if keep else b"Connection: close\r\n\r\n"
+    connection.sendall(_STATUS_LINES[status] + _HEADERS % len(body) + end + body)
+    return keep
 
 
 # ---------------------------------------------------------------------------

@@ -181,3 +181,34 @@ service Spinner( config ) {
     }
 }
 """
+
+GROWER = """
+interface Grow {
+    RequestResponse:
+        big( void )( long ),
+        small( void )( long )
+}
+
+service Grower( config ) {
+    execution: concurrent
+    inputPort In {
+        location: config.Grower.location
+        protocol: http { format = "json" }
+        interfaces: Grow
+    }
+    main {
+        // 10 squared 13 times has 8193 digits, more than JSON encoding converts
+        big( a )( b ) {
+            b = 10L
+            i = 0
+            while( i < 13 ) {
+                b = b * b
+                i = i + 1
+            }
+        }
+        small( a )( b ) {
+            b = 10L
+        }
+    }
+}
+"""

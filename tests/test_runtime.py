@@ -16,7 +16,15 @@ from monoslice.semantics import resolve
 from monoslice.values import Long, ValueTree, decode_json
 
 from conftest import loopback_config
-from script import COLLECTOR, ONE_SHOT, SPINNER, area, corrupted_fixture_source, run_script
+from script import (
+    COLLECTOR,
+    GROWER,
+    ONE_SHOT,
+    SPINNER,
+    area,
+    corrupted_fixture_source,
+    run_script,
+)
 
 
 def start_source(source, names=None, **kwargs):
@@ -571,6 +579,24 @@ def test_a_body_too_deep_to_check_gets_the_type_mismatch_envelope():
         assert status == 500
         assert json.loads(body)["fault"] == "TypeMismatch"
         assert system.invoke_rr("Collector", "drain", ValueTree()) == ValueTree()
+    finally:
+        system.shutdown()
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int-to-text conversion"
+)
+@pytest.mark.parametrize("transport", ["local", "socket"])
+def test_a_reply_too_long_for_json_is_a_type_mismatch(transport):
+    checked = resolve(parse_source(GROWER))
+    if transport == "local":
+        system = runtime.start(checked, local_tree_config(["Grower"]))
+    else:
+        system = runtime.start(checked, loopback_config(["Grower"])[0])
+    try:
+        reply = system.invoke_rr("Grower", "big", ValueTree())
+        assert isinstance(reply, Fault) and reply.name == "TypeMismatch"
+        assert system.invoke_rr("Grower", "small", ValueTree()) == ValueTree(Long(10))
     finally:
         system.shutdown()
 
