@@ -45,7 +45,7 @@ from ..config import (
 )
 from ..errors import MonosliceError, NoServices
 from ..semantics import CheckedProgram, OpInfo, check_value
-from ..values import Long, ValueTree
+from ..values import TOO_DEEP, TOO_MANY_DIGITS, Long, ValueTree
 from .interpreter import (
     Block,
     ExecutionContext,
@@ -155,9 +155,9 @@ def _admit(tree: ValueTree, type_: TypeRef, types: dict) -> tuple[ValueTree, lis
         tree = _normalize_message(tree)
         return tree, check_value(tree, type_, types)
     except RecursionError:
-        return tree, ["payload nests too deeply"]
+        return tree, [TOO_DEEP]
     except _Unencodable:
-        return tree, ["integer has too many digits for JSON"]
+        return tree, [TOO_MANY_DIGITS]
 
 
 def _normalize_message(tree: ValueTree) -> ValueTree:

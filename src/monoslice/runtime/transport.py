@@ -23,25 +23,50 @@ with one send. A connection stays open for the next request unless the
 client asks to close it or a request was refused; one that sends
 nothing for READ_TIMEOUT seconds is closed, so idle or stalled clients
 hold a worker for that long at most. Servers bind all interfaces on the
-port; the host part of a location is for dialing. The clients open one
-connection per call.
+port; the host part of a location is for dialing.
+
+The clients open one connection per call, dialed by HTTPConnection,
+and frame the call by hand: the request head, with Connection: close,
+and the body go out in one send, and the response is read by the
+server's own reader, within the same line and header limits, with a
+Content-Length that must be present and at most MAX_BODY_BYTES. A
+response that breaks them or ends early is a TransportError, and no
+response within the call's timeout plus REPLY_GRACE is the Timeout
+fault (TransportError for a one-way call). An operation name travels
+percent-encoded as UTF-8, so an ASCII name is unchanged on the wire. A
+message JSON cannot carry never leaves the client: a request-response
+call gets the TypeMismatch fault and a one-way message is dropped with
+a warning, as local:// does.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import socket
 import socketserver
 import threading
 from http import HTTPStatus
-from http.client import HTTPConnection, HTTPException
+from http.client import HTTPConnection
 from typing import Callable
+from urllib.parse import quote, unquote
 
 from ..config import Location
 from ..errors import MonosliceError
-from ..values import JsonError, ValueTree, decode_json, encode_json, from_json_value, to_json_value
+from ..values import (
+    TOO_DEEP,
+    TOO_MANY_DIGITS,
+    JsonError,
+    ValueTree,
+    decode_json,
+    encode_json,
+    from_json_value,
+    to_json_value,
+)
 from .interpreter import Fault
 from .pool import MAX_WORKERS, WorkerPool
+
+log = logging.getLogger("monoslice.runtime")
 
 CONTENT_TYPE = "application/json; charset=utf-8"
 KIND_HEADER = "Monoslice-Kind"
@@ -54,6 +79,9 @@ MAX_LINE_BYTES = 8192  # the request line and each header line
 MAX_HEADERS = 100
 MAX_BODY_BYTES = 4 * 1024 * 1024
 READ_TIMEOUT = 10.0  # seconds a connection may wait for its client's next bytes
+# how much longer than the call's timeout a client waits for the reply, so that
+# a server-side Timeout fault arrives before the client gives up
+REPLY_GRACE = 2.0
 
 
 class TransportError(MonosliceError):
@@ -71,11 +99,12 @@ def encode_fault(fault: Fault) -> bytes:
 def decode_fault(body: bytes) -> Fault:
     try:
         envelope = json.loads(body.decode("utf-8"))
-        name = envelope["fault"]
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
+        name, data = envelope["fault"], envelope.get("data")
+        if not isinstance(name, str):
+            raise TypeError(f"fault name {name!r} is not a string")
+        return Fault(name, from_json_value(data) if data is not None else None)
+    except (ValueError, LookupError, TypeError, RecursionError, JsonError) as exc:
         raise TransportError(f"malformed fault envelope: {exc}") from exc
-    data = envelope.get("data")
-    return Fault(name, from_json_value(data) if data is not None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -174,15 +203,11 @@ def _read_request(reader: "_Reader") -> tuple[str, ValueTree, str | None, bool]:
     """
     method, target, version, headers = reader.head()
     if method != b"POST":
-        raise _Refused(405, b"") if method == b"GET" else _Refused(501, b'"only POST is served"')
+        raise _Refused(405 if method == b"GET" else 501, "only POST is served")
     if b"transfer-encoding" in headers:
-        raise _Refused(411, b'"the body must come with a Content-Length"')
+        raise _Refused(411, "the body must come with a Content-Length")
     try:
-        length = int(headers.get(b"content-length", b"0").decode("latin-1"))
-        if length < 0:
-            raise ValueError(f"negative Content-Length {length}")
-        if length > MAX_BODY_BYTES:
-            raise ValueError(f"Content-Length {length} is over the limit of {MAX_BODY_BYTES}")
+        length = _content_length(headers.get(b"content-length", b"0"))
         if length and version == b"HTTP/1.1" and (
             headers.get(b"expect", b"").lower() == b"100-continue"
         ):
@@ -190,15 +215,25 @@ def _read_request(reader: "_Reader") -> tuple[str, ValueTree, str | None, bool]:
         request = decode_json(reader.read(length)) if length else ValueTree()
     except (ValueError, JsonError) as exc:
         # the connection closes: the unread rest of the body is no request
-        raise _Refused(500, _mismatch(str(exc))) from None
+        raise _Refused(500, str(exc), _mismatch(str(exc))) from None
     kind = headers.get(_KIND_KEY)
     connection = headers.get(b"connection", b"").lower()
     return (
-        target.decode("latin-1").lstrip("/"),
+        unquote(target.decode("utf-8", "replace").lstrip("/")),
         request,
         None if kind is None else kind.decode("latin-1"),
         connection != b"close" if version == b"HTTP/1.1" else connection == b"keep-alive",
     )
+
+
+def _content_length(value: bytes) -> int:
+    """A Content-Length header's value; ValueError unless it is digits within MAX_BODY_BYTES."""
+    if not value.isdigit():
+        raise ValueError(f"Content-Length {value.decode('latin-1')!r} is not a number")
+    length = int(value)
+    if length > MAX_BODY_BYTES:
+        raise ValueError(f"Content-Length {length} is over the limit of {MAX_BODY_BYTES}")
+    return length
 
 
 class _Listener(socketserver.TCPServer):
@@ -216,11 +251,19 @@ class _Listener(socketserver.TCPServer):
 
 
 class _Refused(Exception):
-    """A request answered with status and body, after which the connection closes."""
+    """Input that breaks the protocol or a limit, named by reason.
 
-    def __init__(self, status: int, body: bytes):
+    The server answers it with status and body and closes the connection;
+    the client raises TransportError.
+    """
+
+    def __init__(self, status: int, reason: str, body: bytes | None = None):
+        super().__init__(reason)
         self.status = status
-        self.body = body
+        self.body = json.dumps(reason).encode() if body is None else body
+
+
+_VERSIONS = (b"HTTP/1.1", b"HTTP/1.0")
 
 
 class _Reader:
@@ -242,34 +285,38 @@ class _Reader:
         """The next line, without its line end; a longer one is refused with too_long."""
         while (end := self.buffer.find(b"\n")) < 0:
             if len(self.buffer) > MAX_LINE_BYTES:
-                raise _Refused(too_long, b'"line too long"')
+                raise _Refused(too_long, "line too long")
             self.buffer += self._recv(65536)
         if end > MAX_LINE_BYTES:
-            raise _Refused(too_long, b'"line too long"')
+            raise _Refused(too_long, "line too long")
         line, self.buffer = self.buffer[:end], self.buffer[end + 1 :]
         return line[:-1] if line.endswith(b"\r") else line
 
     def head(self) -> tuple[bytes, bytes, bytes, dict[bytes, bytes]]:
-        """The method, target, version and headers (lower-case names, first wins)."""
+        """The method, target and version of a request line, and the headers."""
         self.started = bool(self.buffer)
         words = self.line(414).split()
         if len(words) != 3:
-            raise _Refused(400, b'"malformed request line"')
+            raise _Refused(400, "malformed request line")
         method, target, version = words
-        if version not in (b"HTTP/1.1", b"HTTP/1.0"):
+        if version not in _VERSIONS:
             if version.startswith(b"HTTP/"):
-                raise _Refused(505, b'"only HTTP/1.0 and HTTP/1.1 are spoken here"')
-            raise _Refused(400, b'"malformed request line"')
+                raise _Refused(505, "only HTTP/1.0 and HTTP/1.1 are spoken here")
+            raise _Refused(400, "malformed request line")
+        return method, target, version, self.headers()
+
+    def headers(self) -> dict[bytes, bytes]:
+        """The header lines up to the blank line (lower-case names, first wins)."""
         headers: dict[bytes, bytes] = {}
         for _ in range(MAX_HEADERS + 1):
             line = self.line(431)
             if not line:
-                return method, target, version, headers
+                return headers
             name, colon, value = line.partition(b":")
             if not colon or not name or name != name.strip():
-                raise _Refused(400, b'"malformed header line"')
+                raise _Refused(400, "malformed header line")
             headers.setdefault(name.lower(), value.strip())
-        raise _Refused(431, b'"too many headers"')
+        raise _Refused(431, "too many headers")
 
     def read(self, size: int) -> bytes:
         """Exactly size bytes."""
@@ -311,10 +358,13 @@ def http_invoke_rr(
     Returns the response tree or the remote fault; a server-side timeout
     comes back as the fault named Timeout. Raises TransportError when
     the endpoint is unreachable and converts a client-side socket
-    timeout into the Timeout fault as well.
+    timeout into the Timeout fault as well. A request JSON cannot carry
+    gets the TypeMismatch fault without being sent.
     """
     try:
-        status, body = _post(location, operation, "rr", request, timeout)
+        status, body = _post(location, operation, "rr", _encode(request), timeout)
+    except _Unencodable as exc:
+        return Fault("TypeMismatch", ValueTree(str(exc)))
     except _TimeoutFault:
         return Fault("Timeout", ValueTree(f"no reply from {location} within {timeout}s"))
     if status == 200:
@@ -328,9 +378,15 @@ def http_invoke_rr(
 
 
 def http_invoke_ow(location: Location, operation: str, message: ValueTree, timeout: float) -> None:
-    """Send a one-way message over HTTP; returns once the target accepts it."""
+    """Send a one-way message over HTTP; returns once the target accepts it.
+
+    A message JSON cannot carry is dropped with a warning, without being sent.
+    """
     try:
-        status, _ = _post(location, operation, "ow", message, timeout)
+        status, _ = _post(location, operation, "ow", _encode(message), timeout)
+    except _Unencodable as exc:
+        log.warning("dropping one-way %s to %s: %s", operation, location, exc)
+        return
     except _TimeoutFault:
         raise TransportError(f"{location} did not accept the message in time") from None
     if status == 202:
@@ -342,29 +398,59 @@ class _TimeoutFault(Exception):
     pass
 
 
-def _post(
-    location: Location, operation: str, kind: str, request: ValueTree, timeout: float
-) -> tuple[int, bytes]:
-    """Post one call; raises TransportError when the target refuses it with 503."""
-    body = encode_json(request)
-    # a little grace so a server-side Timeout fault arrives before we give up
-    connection = HTTPConnection(location.host, location.port, timeout=timeout + 2.0)
+class _Unencodable(Exception):
+    """A message JSON cannot carry, named by the violation local:// gives it."""
+
+
+def _encode(message: ValueTree) -> bytes:
     try:
-        connection.request(
-            "POST",
-            f"/{operation}",
-            body=body,
-            headers={
-                "Content-Type": CONTENT_TYPE,
-                "Content-Length": str(len(body)),
-                KIND_HEADER: kind,
-            },
-        )
-        response = connection.getresponse()
-        status, reply = response.status, response.read()
+        return encode_json(message)
+    except ValueError:  # an integer with more digits than int-to-text conversion allows
+        raise _Unencodable(TOO_MANY_DIGITS) from None
+    except RecursionError:
+        raise _Unencodable(TOO_DEEP) from None
+
+
+_REQUEST_HEAD = (
+    b"POST /%s HTTP/1.1\r\nHost: %s:%d\r\nContent-Type: "
+    + CONTENT_TYPE.encode()
+    + b"\r\nContent-Length: %d\r\n"
+    + KIND_HEADER.encode()
+    + b": %s\r\nConnection: close\r\n\r\n"
+)
+
+
+def _post(
+    location: Location, operation: str, kind: str, body: bytes, timeout: float
+) -> tuple[int, bytes]:
+    """Post one encoded call on a connection of its own; returns the status and body.
+
+    Raises _TimeoutFault when no reply comes within timeout plus
+    REPLY_GRACE, and TransportError when the target cannot be reached,
+    answers outside the protocol or its limits, or refuses the call with
+    503.
+    """
+    host = location.host.encode("idna")
+    head = _REQUEST_HEAD % (
+        quote(operation, safe="").encode("ascii"),
+        b"[%s]" % host if b":" in host else host,
+        location.port,
+        len(body),
+        kind.encode("ascii"),
+    )
+    # HTTPConnection only dials: it resolves the host, sets the timeout and TCP_NODELAY
+    connection = HTTPConnection(location.host, location.port, timeout=timeout + REPLY_GRACE)
+    try:
+        connection.connect()
+        connection.sock.sendall(head + body)
+        status, reply = _read_response(_Reader(connection.sock))
     except socket.timeout:
         raise _TimeoutFault() from None
-    except (ConnectionError, HTTPException, OSError) as exc:
+    except EOFError:
+        raise TransportError(f"{location} closed the connection mid-response") from None
+    except _Refused as exc:
+        raise TransportError(f"malformed response from {location}: {exc}") from None
+    except OSError as exc:
         raise TransportError(f"cannot reach {location}: {exc}") from exc
     finally:
         connection.close()
@@ -372,3 +458,23 @@ def _post(
         reason = reply.decode("utf-8", errors="replace")
         raise TransportError(f"{location} refused the call: {reason}")
     return status, reply
+
+
+# the status of the client's refusals, which it raises as TransportError whatever the status
+_BAD_RESPONSE = 502
+
+
+def _read_response(reader: _Reader) -> tuple[int, bytes]:
+    """The status and body of the response to a post, within the server's limits."""
+    version, _, rest = reader.line(_BAD_RESPONSE).partition(b" ")
+    code = rest[:3]
+    if version not in _VERSIONS or not code.isdigit() or rest[3:4] not in (b"", b" "):
+        raise _Refused(_BAD_RESPONSE, "malformed status line")
+    length = reader.headers().get(b"content-length")
+    if length is None:
+        raise _Refused(_BAD_RESPONSE, "no Content-Length")
+    try:
+        size = _content_length(length)
+    except ValueError as exc:
+        raise _Refused(_BAD_RESPONSE, str(exc)) from None
+    return int(code), reader.read(size)

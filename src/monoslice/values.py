@@ -196,6 +196,11 @@ def from_json_value(obj: Any) -> ValueTree:
     return tree
 
 
+# what a port says of a message JSON cannot carry, on either transport
+TOO_DEEP = "payload nests too deeply"
+TOO_MANY_DIGITS = "integer has too many digits for JSON"
+
+
 def encode_json(tree: ValueTree) -> bytes:
     """Encode a tree as compact UTF-8 JSON bytes."""
     return json.dumps(to_json_value(tree), separators=(",", ":"), ensure_ascii=False).encode("utf-8")
@@ -220,4 +225,4 @@ def decode_json(data: bytes | str) -> ValueTree:
     except ValueError:  # a number with more digits than int() converts
         raise JsonError("number has too many digits") from None
     except RecursionError:
-        raise JsonError("payload nests too deeply") from None
+        raise JsonError(TOO_DEEP) from None

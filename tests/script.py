@@ -212,3 +212,25 @@ service Grower( config ) {
     }
 }
 """
+
+# an operation name outside ASCII, which the lexer takes as an identifier
+CAFE = """
+interface Menu {
+    RequestResponse:
+        café( void )( string )
+}
+
+service Cafe( config ) {
+    execution: concurrent
+    inputPort In {
+        location: config.Cafe.location
+        protocol: http { format = "json" }
+        interfaces: Menu
+    }
+    main {
+        café( a )( b ) {
+            b = "crème"
+        }
+    }
+}
+"""

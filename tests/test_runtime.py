@@ -17,6 +17,7 @@ from monoslice.values import Long, ValueTree, decode_json
 
 from conftest import loopback_config
 from script import (
+    CAFE,
     COLLECTOR,
     GROWER,
     ONE_SHOT,
@@ -583,20 +584,64 @@ def test_a_body_too_deep_to_check_gets_the_type_mismatch_envelope():
         system.shutdown()
 
 
+def _start_on(transport, source, names):
+    checked = resolve(parse_source(source))
+    if transport == "local":
+        return runtime.start(checked, local_tree_config(names))
+    return runtime.start(checked, loopback_config(names)[0])
+
+
 @pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int-to-text conversion"
 )
 @pytest.mark.parametrize("transport", ["local", "socket"])
 def test_a_reply_too_long_for_json_is_a_type_mismatch(transport):
-    checked = resolve(parse_source(GROWER))
-    if transport == "local":
-        system = runtime.start(checked, local_tree_config(["Grower"]))
-    else:
-        system = runtime.start(checked, loopback_config(["Grower"])[0])
+    system = _start_on(transport, GROWER, ["Grower"])
     try:
         reply = system.invoke_rr("Grower", "big", ValueTree())
         assert isinstance(reply, Fault) and reply.name == "TypeMismatch"
         assert system.invoke_rr("Grower", "small", ValueTree()) == ValueTree(Long(10))
+    finally:
+        system.shutdown()
+
+
+@pytest.mark.parametrize("transport", ["local", "socket"])
+@pytest.mark.parametrize(
+    "message, violation",
+    [
+        pytest.param(
+            ValueTree(Long(10**5000)),
+            "integer has too many digits for JSON",
+            id="digits",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"),
+                reason="no limit on int-to-text conversion",
+            ),
+        ),
+        pytest.param(_nested(2000), "payload nests too deeply", id="depth"),
+    ],
+)
+def test_a_request_json_cannot_carry_is_a_type_mismatch(transport, message, violation, caplog):
+    system = _start_on(transport, GROWER + COLLECTOR, ["Grower", "Collector"])
+    try:
+        reply = system.invoke_rr("Grower", "small", message)
+        assert reply == Fault("TypeMismatch", ValueTree(violation))
+        with caplog.at_level("WARNING", logger="monoslice.runtime"):
+            system.invoke_ow("Collector", "put", message)
+        assert "dropping one-way put" in caplog.text
+        assert violation in caplog.text
+        system.invoke_ow("Collector", "put", ValueTree(7))
+        drained = system.invoke_rr("Collector", "drain", ValueTree())
+        assert [int(t.root) for t in drained.children["items"]] == [7]
+    finally:
+        system.shutdown()
+
+
+@pytest.mark.parametrize("transport", ["local", "socket"])
+def test_an_operation_named_outside_ascii_is_served(transport):
+    system = _start_on(transport, CAFE, ["Cafe"])
+    try:
+        assert system.invoke_rr("Cafe", "café", ValueTree()) == ValueTree("crème")
     finally:
         system.shutdown()
 
