@@ -8,6 +8,7 @@ Locations are `socket://host:port` (network) or `local://name`
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 
@@ -18,6 +19,9 @@ from .values import ValueTree, decode_json
 
 # a configuration is an ordinary value tree decoded from JSON
 ConfigTree = ValueTree
+
+# whitespace and control characters, which no host name holds and HTTP clients refuse
+_BAD_HOST_CHARACTER = re.compile(r"[\s\x00-\x1f\x7f-\x9f]")
 
 
 class BadLocationSyntax(MonosliceError):
@@ -64,6 +68,12 @@ class Location:
                 raise BadLocationSyntax(text, "expected socket://host:port")
             if "/" in rest:
                 raise BadLocationSyntax(text, "no path component allowed")
+            if _BAD_HOST_CHARACTER.search(host):
+                raise BadLocationSyntax(text, "the host holds whitespace or a control character")
+            try:
+                host.encode("idna")  # as the client sends it
+            except UnicodeError as exc:
+                raise BadLocationSyntax(text, f"the host is no IDNA name: {exc}") from None
             try:
                 port = int(port_text)
             except ValueError:

@@ -17,14 +17,19 @@ node's root and preserves its children; a tree-valued right-hand side
 replaces the target subtree. Message bindings (receives, response
 targets, branch request variables) always replace.
 
-Reads borrow, stores and ports copy. A path read yields the scope node
-itself, and operators read roots in place. A tree with children is
-copied when it is stored, by an assignment or a tree-literal entry, so
-no two variables ever share a node. The tree handed to solicit or
-send_oneway may be a scope node: the runtime copies it as it crosses
-the port, and an ExecutionContext must not keep it or hand it back.
-Messages that arrive (replies, receives, requests) are the runtime's
-own copies and are stored as they are.
+Reads borrow, stores share, writes copy the path. A path read yields
+the scope node itself, and operators read roots in place. A tree read
+from a path and stored, by an assignment or a tree-literal entry, is
+marked shared (ValueTree.writable) and stored as it is, so two
+variables may hold one node. No shared node is ever changed in place: a
+write swaps each shared node on the path it writes along, the target
+included, for its writable clone, so no write shows through another
+variable, activation or service, and a store costs the length of its
+path, not the size of its tree. The tree handed to solicit or
+send_oneway may be a scope node: the runtime marks it shared before
+anything else holds it. Messages that arrive (replies, receives,
+requests) are stored as they are, marked shared when the runtime keeps
+them too.
 """
 
 from __future__ import annotations
@@ -83,8 +88,10 @@ class ExecutionContext:
 
     The runtime system supplies a live implementation per activation;
     tests may substitute stubs. solicit and send_oneway may be passed a
-    node of the scope itself: they must not keep it, return it, or change
-    it, and must copy what they want to keep.
+    node of the scope itself: they must not change it, and may keep it or
+    hand it on only once it is marked shared. A tree that solicit or
+    receive returns becomes the scope's, to be changed in place unless it
+    is marked shared, so one that anything else keeps must be marked.
     """
 
     scope: ValueTree
@@ -248,7 +255,11 @@ def _locate(path: Path) -> Callable[[ExecutionContext], ValueTree | None]:
 
 
 def _slot(path: Path) -> Callable[[ValueTree, ExecutionContext], tuple[list[ValueTree], int]]:
-    """The sequence and index a path names under a node, created on demand."""
+    """The sequence and index a path names under a node, created on demand.
+
+    The node must not be shared; every shared node on the way down is
+    swapped for its writable clone, so the sequence may be changed.
+    """
     *parents, (last, last_index) = _steps(path)
 
     def slot(node: ValueTree, ctx: ExecutionContext) -> tuple[list[ValueTree], int]:
@@ -259,6 +270,8 @@ def _slot(path: Path) -> Callable[[ValueTree, ExecutionContext], tuple[list[Valu
             while len(seq) <= index:
                 seq.append(ValueTree())
             node = seq[index]
+            if node.shared:
+                node = seq[index] = node.writable()
         index = last_index if type(last_index) is int else last_index(ctx)
         seq = node.children.setdefault(last, [])
         while len(seq) <= index:
@@ -269,7 +282,7 @@ def _slot(path: Path) -> Callable[[ValueTree, ExecutionContext], tuple[list[Valu
 
 
 def _store(target: Path, value: Expr) -> Callable[[ValueTree, ExecutionContext], None]:
-    """Assign an expression to a path under a node, copying a borrowed tree."""
+    """Assign an expression to a path under a node, sharing a borrowed tree."""
     slot = _slot(target)
     if isinstance(value, (Literal, Unary, Binary)):  # always childless
         root = _root(value)
@@ -277,7 +290,10 @@ def _store(target: Path, value: Expr) -> Callable[[ValueTree, ExecutionContext],
         def store_root(node: ValueTree, ctx: ExecutionContext) -> None:
             result = root(ctx)
             seq, index = slot(node, ctx)
-            seq[index].root = result
+            target = seq[index]
+            if target.shared:
+                target = seq[index] = target.writable()
+            target.root = result
 
         return store_root
     tree = compile_expr(value)
@@ -285,16 +301,20 @@ def _store(target: Path, value: Expr) -> Callable[[ValueTree, ExecutionContext],
 
     def store(node: ValueTree, ctx: ExecutionContext) -> None:
         result = tree(ctx)
-        # decide before the slot is made: making it may add children to a borrowed node
+        # decide before the slot is made: making it may add children to a borrowed
+        # node, unless the mark makes the slot clone it
         if result.children:
             if borrowed:
-                result = result.copy()
+                result.shared = True
             seq, index = slot(node, ctx)
             seq[index] = result
         else:
             root = result.root
             seq, index = slot(node, ctx)
-            seq[index].root = root
+            target = seq[index]
+            if target.shared:
+                target = seq[index] = target.writable()
+            target.root = root
 
     return store
 

@@ -6,9 +6,13 @@ socket:// ports get an HTTP server. Every outbound call goes through
 RunningSystem.call, the only place that picks a transport, and every
 inbound call, local or HTTP, goes through _Endpoint.offer, which checks
 the operation and the call kind before anything runs. The two
-transports are observationally equivalent: each message is copied once
-at each boundary, into its JSON image, so in-process execution cannot
-share state that serialization would have severed.
+transports are observationally equivalent: a message crossing a
+local:// port is marked shared (ValueTree.writable) rather than copied,
+so neither side's writes reach the other and in-process execution
+cannot share state that serialization would have severed. A message
+that differs from its JSON image is path-copied into it; one that is
+its image crosses as it is. Python callers do not honour the mark, so
+invoke_rr and invoke_ow copy their trees in and out of a local:// call.
 
 Each service runs its activations on a WorkerPool (pool.py), the kind
 of pool that also serves the connections of a socket:// port: at most
@@ -145,14 +149,15 @@ class _Unencodable(Exception):
 
 
 def _admit(tree: ValueTree, type_: TypeRef, types: dict) -> tuple[ValueTree, list]:
-    """Normalize a message crossing a port and check it against its type.
+    """Take a message crossing a port to its JSON image, shared, and check it.
 
     A tree nested too deeply for either walk is refused as a violation, with
     the message JSON decoding gives a payload nested deeper still, and so is
     a tree holding an integer with more digits than JSON encoding converts.
     """
     try:
-        tree = _normalize_message(tree)
+        tree = _wire_image(tree)
+        tree.shared = True  # the sender may hold it still, and the receiver keeps it
         return tree, check_value(tree, type_, types)
     except RecursionError:
         return tree, [TOO_DEEP]
@@ -160,13 +165,16 @@ def _admit(tree: ValueTree, type_: TypeRef, types: dict) -> tuple[ValueTree, lis
         return tree, [TOO_MANY_DIGITS]
 
 
-def _normalize_message(tree: ValueTree) -> ValueTree:
-    """Copy a tree the way a JSON round trip would shape it (ints become longs).
+def _wire_image(tree: ValueTree) -> ValueTree:
+    """The tree as a JSON round trip would shape it: every int becomes a long.
 
     The in-process transport must be indistinguishable from the wire, so
-    every message crossing a boundary is normalized to the wire image, and
-    an integer the wire cannot carry raises _Unencodable.
+    every message crossing a boundary is taken to its wire image. A tree
+    that already is its image is returned itself; otherwise the nodes on
+    the path down to each plain int are copied and all others are shared.
+    An integer the wire cannot carry raises _Unencodable.
     """
+    image = tree
     root = tree.root
     if isinstance(root, int) and not isinstance(root, bool):
         if root.bit_length() > _SAFE_INT_BITS:
@@ -174,11 +182,23 @@ def _normalize_message(tree: ValueTree) -> ValueTree:
                 str(root)
             except ValueError:
                 raise _Unencodable() from None
-        root = Long(root)
-    out = ValueTree(root)
-    for name, seq in tree.children.items():
-        out.children[name] = [_normalize_message(t) for t in seq]
-    return out
+        if type(root) is not Long:
+            tree.shared = True  # its image shares its children
+            image = tree.writable()
+            image.root = Long(root)
+    children = tree.children
+    if children:  # most nodes are leaves; enumerate cost a third of the walk
+        for name, seq in children.items():
+            i = 0
+            for child in seq:
+                sub = _wire_image(child)
+                if sub is not child:
+                    if image is tree:
+                        tree.shared = True
+                        image = tree.writable()
+                    image.children[name][i] = sub
+                i += 1
+    return image
 
 
 class _ActivationContext(ExecutionContext):
@@ -225,6 +245,7 @@ class ServiceInstance:
         self.name = decl.name
         self.mode = decl.execution
         self.config_tree = config_tree
+        config_tree.shared = True  # every activation's scope holds it
         self.output_port_names = frozenset(p.name for p in decl.output_ports)
         self.behavior = decl.behavior
         self.branches = (
@@ -263,7 +284,7 @@ class ServiceInstance:
     def seed_scope(self) -> ValueTree:
         scope = ValueTree()
         if self.decl.config is not None:
-            scope.children[self.decl.config.name] = [self.config_tree.copy()]
+            scope.children[self.decl.config.name] = [self.config_tree]
         return scope
 
     def start_executable(self) -> None:
@@ -528,11 +549,19 @@ class RunningSystem:
         Raises TransportError when the target is unreachable.
         """
         timeout = timeout if timeout is not None else self.invoke_timeout
-        return self.call(self._resolve_target(target), operation, request, "rr", timeout)
+        location = self._resolve_target(target)
+        if location.scheme != "local":
+            return self.call(location, operation, request, "rr", timeout)
+        # the caller keeps and may change its trees, which the services share
+        result = self.call(location, operation, request.copy(), "rr", timeout)
+        return result.copy() if isinstance(result, ValueTree) else result
 
     def invoke_ow(self, target: "str | Location", operation: str, message: ValueTree) -> None:
         """Send a one-way message; returns once the target accepted it."""
-        self.call(self._resolve_target(target), operation, message, "ow", self.invoke_timeout)
+        location = self._resolve_target(target)
+        if location.scheme == "local":
+            message = message.copy()  # the caller keeps and may change it
+        self.call(location, operation, message, "ow", self.invoke_timeout)
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -74,9 +74,18 @@ class ValueTree:
     Child sequences are never empty: an absent name means zero occurrences.
     Equality is structural, order-sensitive within a sequence and
     order-insensitive across names.
+
+    A tree marked shared may be reachable from more than one holder (two
+    variables, two activations, a caller and its callee), and is never
+    changed in place: a writer takes writable() instead, a shallow clone
+    whose children are marked shared in turn, so only the nodes on the
+    path it writes along are copied (Driscoll, Sarnak, Sleator and
+    Tarjan, "Making data structures persistent", JCSS 38(1), 1989). The
+    mark is never cleared, and a node below a shared one counts as
+    shared even before a clone marks it.
     """
 
-    __slots__ = ("root", "children")
+    __slots__ = ("root", "children", "shared")
 
     def __init__(
         self,
@@ -84,6 +93,7 @@ class ValueTree:
         children: dict[str, list["ValueTree"]] | None = None,
     ):
         self.root = root
+        self.shared = False
         self.children: dict[str, list[ValueTree]] = {}
         if children:
             for name, seq in children.items():
@@ -102,9 +112,30 @@ class ValueTree:
         return tree
 
     def copy(self) -> "ValueTree":
+        """A deep copy that shares no node with this tree, however deep it is."""
         out = ValueTree(self.root)
+        pending = [(self, out)]
+        while pending:
+            source, target = pending.pop()
+            for name, seq in source.children.items():
+                copies = target.children[name] = [ValueTree(t.root) for t in seq]
+                pending.extend(zip(seq, copies))
+        return out
+
+    def writable(self) -> "ValueTree":
+        """This node if it is not shared, else a shallow clone that may be changed.
+
+        The clone is unshared and has sequences of its own, holding the
+        same children, which are marked shared.
+        """
+        if not self.shared:
+            return self
+        out = ValueTree(self.root)
+        children = out.children
         for name, seq in self.children.items():
-            out.children[name] = [t.copy() for t in seq]
+            for t in seq:
+                t.shared = True
+            children[name] = seq[:]
         return out
 
     def child(self, name: str, index: int = 0) -> "ValueTree | None":

@@ -17,7 +17,14 @@ from monoslice.values import JsonError, ValueTree, decode_json
 
 @pytest.mark.parametrize(
     "text",
-    ["socket://localhost:9002", "socket://commandside:8080", "local://es", "local://a-b_c"],
+    [
+        "socket://localhost:9002",
+        "socket://commandside:8080",
+        "socket://::1:8080",
+        "socket://café.example:8080",
+        "local://es",
+        "local://a-b_c",
+    ],
 )
 def test_location_round_trip(text):
     assert str(Location.parse(text)) == text
@@ -35,6 +42,12 @@ def test_location_round_trip(text):
         "local://",
         "local://a/b",
         "socket://h:1/path",
+        # hosts the HTTP client cannot dial: whitespace or a control character,
+        # and names the idna codec refuses (an empty label, one over 63 characters)
+        "socket://bad host:8080",
+        "socket://tab\there:8080",
+        "socket://a..b:8080",
+        "socket://" + "x" * 70 + ":8080",
     ],
 )
 def test_invalid_locations_rejected(text):

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from monoslice.ast import Literal, PathExpr, TreeLiteral
 from monoslice.parser import parse_source
 from monoslice.runtime.interpreter import (
     ExecutionContext,
@@ -194,7 +197,8 @@ def test_rebinding_requires_a_string():
     assert exc.value.fault.name == "TypeMismatch"
 
 
-# Reads borrow the scope's nodes; each case fails if a store keeps a borrowed tree.
+# Reads borrow the scope's nodes and stores share them; each case fails if a write
+# changes a shared node in place.
 @pytest.mark.parametrize(
     "statements, path, expected",
     [
@@ -209,6 +213,9 @@ def test_rebinding_requires_a_string():
             ["result", "event", "type"],
             "A",
         ),
+        # root-only writes to a node two variables hold
+        ("x.a = 1 y = x y = 5", ["x"], None),
+        ("x.a = 1 y = x x = 5", ["y"], None),
     ],
 )
 def test_stored_trees_share_no_node_with_what_they_were_read_from(statements, path, expected):
@@ -259,3 +266,65 @@ def test_each_executed_statement_goes_through_exec_statement(monkeypatch):
     run_main("i = 0 while( i < 3 ) { if( i == 1 ) { x = i } i = i + 1 }")
     # i = 0, the while, three ifs and three increments, and the one x = i
     assert len(seen) == 9
+
+
+# ---------------------------------------------------------------------------
+# sharing against a model that copies on every store
+
+_VARIABLES = st.sampled_from(["x", "y", "z"])
+_STATEMENTS = st.one_of(
+    st.builds("{} = {}".format, _VARIABLES, _VARIABLES),
+    st.builds("{}.k[1] = {}.m".format, _VARIABLES, _VARIABLES),
+    st.builds("{} = 7".format, _VARIABLES),
+    st.builds('{}.k = "s"'.format, _VARIABLES),
+    st.builds("{} = {{ k = {}, m.n = 1 }}".format, _VARIABLES, _VARIABLES),
+    st.builds("{}.m = {{ k[1] = {}.k, n = 2 }}".format, _VARIABLES, _VARIABLES),
+    st.builds("{}.m.n = {}".format, _VARIABLES, _VARIABLES),
+)
+
+
+def _model_slot(node, path):
+    for step in path.steps:
+        index = step.index.value if step.index is not None else 0
+        seq = node.children.setdefault(step.name, [])
+        while len(seq) <= index:
+            seq.append(ValueTree())
+        node = seq[index]
+    return seq, index
+
+
+def _model_value(expr, scope):
+    """The value of an expression, as a tree no variable holds."""
+    if isinstance(expr, Literal):
+        return ValueTree(expr.value)
+    if isinstance(expr, PathExpr):
+        node = scope
+        for step in expr.path.steps:
+            node = node.child(step.name, step.index.value if step.index is not None else 0)
+            if node is None:
+                return ValueTree()
+        return node.copy()
+    assert isinstance(expr, TreeLiteral)
+    tree = ValueTree()
+    for key, value in expr.entries:
+        _model_store(tree, key, value, scope)
+    return tree
+
+
+def _model_store(node, path, expr, scope):
+    value = _model_value(expr, scope)
+    seq, index = _model_slot(node, path)
+    if value.children:
+        seq[index] = value
+    else:
+        seq[index].root = value.root
+
+
+@given(st.lists(_STATEMENTS, min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_sharing_stores_give_the_scope_copying_stores_give(statements):
+    parsed = main_statements(" ".join(statements))
+    model = ValueTree()
+    for statement in parsed:
+        _model_store(model, statement.target, statement.value, model)
+    assert run_main(" ".join(statements)) == model

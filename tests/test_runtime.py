@@ -389,6 +389,253 @@ def test_a_stored_read_is_a_copy_of_the_state_it_was_read_from():
         system.shutdown()
 
 
+# ---------------------------------------------------------------------------
+# sharing across boundaries
+
+DEEP = """
+interface Build {
+    RequestResponse:
+        build( long )( any )
+}
+
+service Deep( config ) {
+    execution: concurrent
+    inputPort In {
+        location: config.Deep.location
+        protocol: http { format = "json" }
+        interfaces: Build
+    }
+    main {
+        // each pass nests the tree one level deeper
+        build( n )( r ) {
+            i = 0
+            while( i < n ) {
+                b.a = b
+                i = i + 1
+            }
+            r = b
+        }
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("transport", ["local", "socket"])
+def test_a_deep_tree_built_by_assignment_reaches_the_reply_check(transport):
+    system = _start_on(transport, DEEP, ["Deep"])
+    try:
+        shallow = system.invoke_rr("Deep", "build", ValueTree(Long(50)))
+        assert isinstance(shallow, Fault) and shallow.name == "TypeMismatch"
+        assert system.invoke_rr("Deep", "build", ValueTree(Long(800))) == shallow
+        too_deep = system.invoke_rr("Deep", "build", ValueTree(Long(2000)))
+        assert too_deep == Fault("TypeMismatch", ValueTree("payload nests too deeply"))
+    finally:
+        system.shutdown()
+
+
+@pytest.mark.parametrize("transport", ["local", "socket"])
+def test_a_python_caller_changing_its_trees_changes_no_service_state(fixture_source, transport):
+    system = _start_on(transport, fixture_source, ["CommandSide", "EventStore"])
+    try:
+        request = area("Oak Street 12")
+        created = system.invoke_rr("CommandSide", "createParkingArea", request)
+        request.children["name"][0].root = "changed after the call"
+        request.children["availability"].append(ValueTree.make(start="00:00", end="01:00"))
+        expected = ValueTree.make(
+            event=ValueTree.make(type="PA_CREATED", id=created.root, info=area("Oak Street 12"))
+        )
+        reply = system.invoke_rr("EventStore", "lookup", ValueTree(created.root))
+        assert reply == expected
+        reply.child("event").child("info").child("name").root = "changed reply"
+        reply.child("event").children["type"] = [ValueTree("PA_DELETED")]
+        assert system.invoke_rr("EventStore", "lookup", ValueTree(created.root)) == expected
+    finally:
+        system.shutdown()
+
+
+KEEPER = """
+type Msg {
+    count : long
+    big : Big
+}
+
+type Big {
+    deep : string
+}
+
+interface Keep {
+    RequestResponse:
+        keep( Msg )( void ),
+        give( void )( Msg )
+}
+
+interface Send {
+    RequestResponse:
+        send( void )( Msg )
+}
+
+service Keeper( config ) {
+    execution: sequential
+    inputPort In {
+        location: config.Keeper.location
+        protocol: http { format = "json" }
+        interfaces: Keep
+    }
+    main {
+        keep( m )( ok ) {
+            state.kept = m
+        }
+        give( a )( m ) {
+            m = state.kept
+        }
+    }
+}
+
+service Sender( config ) {
+    execution: concurrent
+    inputPort In {
+        location: config.Sender.location
+        protocol: http { format = "json" }
+        interfaces: Send
+    }
+    outputPort Keeper {
+        location: config.Keeper.location
+        protocol: http { format = "json" }
+        interfaces: Keep
+    }
+    main {
+        // the plain int makes the port copy the message's root, and share the rest
+        send( a )( r ) {
+            msg.count = 5
+            msg.big.deep = "sent"
+            keep@Keeper( msg )()
+            msg.big.deep = "changed after sending"
+            give@Keeper( a )( r )
+        }
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("transport", ["local", "socket"])
+def test_a_sender_changing_what_it_sent_changes_no_receiver_state(transport):
+    system = _start_on(transport, KEEPER, ["Keeper", "Sender"])
+    try:
+        reply = system.invoke_rr("Sender", "send", ValueTree())
+        assert reply == ValueTree.make(count=Long(5), big=ValueTree.make(deep="sent"))
+    finally:
+        system.shutdown()
+
+
+def test_a_message_crossing_a_local_port_is_not_changed_for_its_sender():
+    system = _start_on("local", KEEPER, ["Keeper"])
+    try:
+        # as an activation's solicit passes a node of its scope: the port takes the
+        # plain int to a long in a copy of the path to it, not in the sender's tree
+        message = ValueTree.make(count=5, big=ValueTree.make(deep="sent"))
+        keeper = system.instances["Keeper"].input_locations[0]
+        assert system.call(keeper, "keep", message, "rr", 10) == ValueTree()
+        assert type(message.child("count").root) is int
+        kept = system.invoke_rr("Keeper", "give", ValueTree())
+        assert kept == ValueTree.make(count=Long(5), big=ValueTree.make(deep="sent"))
+        assert type(kept.child("count").root) is Long
+    finally:
+        system.shutdown()
+
+
+MEDDLER = """
+interface MeddlerInterface {
+RequestResponse:
+    meddle( PAID )( string )
+}
+
+service Meddler( config ) {
+    execution: concurrent
+    inputPort In {
+        location: config.Meddler.location
+        protocol: http { format = "json" }
+        interfaces: MeddlerInterface
+    }
+    outputPort EventStore {
+        location: config.EventStore.location
+        protocol: http { format = "json" }
+        interfaces: EventStoreInterface
+    }
+    main {
+        meddle( id )( name ) {
+            lookup@EventStore( id )( res )
+            res.event.info.name = "x"
+            res.meddled = true
+            name = res.event.info.name
+        }
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("transport", ["local", "socket"])
+def test_a_handler_changing_a_reply_leaves_the_event_log_alone(fixture_source, transport):
+    system = _start_on(transport, fixture_source + MEDDLER, ["CommandSide", "EventStore", "Meddler"])
+    try:
+        created = system.invoke_rr("CommandSide", "createParkingArea", area("Oak Street 12"))
+        assert system.invoke_rr("Meddler", "meddle", ValueTree(created.root)) == ValueTree("x")
+        reply = system.invoke_rr("EventStore", "lookup", ValueTree(created.root))
+        assert reply == ValueTree.make(
+            event=ValueTree.make(type="PA_CREATED", id=created.root, info=area("Oak Street 12"))
+        )
+    finally:
+        system.shutdown()
+
+
+MARKER = """
+interface Mark {
+    RequestResponse:
+        mark( string )( string )
+}
+
+service Marker( config ) {
+    execution: concurrent
+    inputPort In {
+        location: config.Marker.location
+        protocol: http { format = "json" }
+        interfaces: Mark
+    }
+    main {
+        // config is read-only, but a variable that holds it is not; every
+        // activation must start from the configuration as it was loaded
+        mark( tag )( seen ) {
+            if( config.tag != {} || config.Marker.location == "" )
+                throw( ScopeLeak )
+            c = config
+            c.tag = tag
+            c.Marker.location = ""
+            i = 0
+            while( i < 2000 )
+                i = i + 1
+            if( config.tag != {} )
+                throw( ScopeLeak )
+            seen = c.tag
+        }
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("transport", ["local", "socket"])
+def test_concurrent_activations_do_not_see_each_others_writes_to_the_config(transport):
+    system = _start_on(transport, MARKER, ["Marker"])
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so the activations interleave
+    try:
+        tags = [f"tag-{i}" for i in range(16)]
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            replies = list(pool.map(lambda tag: system.invoke_rr("Marker", "mark", ValueTree(tag)), tags))
+        assert replies == [ValueTree(tag) for tag in tags]
+    finally:
+        sys.setswitchinterval(switch)
+        system.shutdown()
+
+
 def test_single_mode_serves_exactly_one_activation():
     system, _ = start_source(ONE_SHOT)
     try:
@@ -587,8 +834,8 @@ def test_a_body_too_deep_to_check_gets_the_type_mismatch_envelope():
 def _start_on(transport, source, names):
     checked = resolve(parse_source(source))
     if transport == "local":
-        return runtime.start(checked, local_tree_config(names))
-    return runtime.start(checked, loopback_config(names)[0])
+        return runtime.start(checked, local_tree_config(names), names)
+    return runtime.start(checked, loopback_config(names)[0], names)
 
 
 @pytest.mark.skipif(
@@ -674,3 +921,17 @@ def test_rebound_output_port_is_used_by_later_sends(fixture_checked, local_confi
         assert reply == ValueTree("OK")
         created = system.invoke_rr("CommandSide", "createParkingArea", area("late"))
         assert isinstance(created, ValueTree)  # fan-out to the executable's queue succeeded
+
+
+@pytest.mark.parametrize("transport", ["local", "socket"])
+@pytest.mark.parametrize("host", ["bad host", "tab\there", "a..b", "x" * 70])
+def test_a_rebind_to_a_host_the_client_cannot_dial_is_a_bad_location(fixture_source, transport, host):
+    system = _start_on(transport, fixture_source, ["EventStore"])
+    try:
+        # publish rebinds its Subscriber port to each subscriber's location
+        subscription = ValueTree.make(location=f"socket://{host}:8080", topics=ValueTree("PA_CREATED"))
+        assert system.invoke_rr("EventStore", "subscribe", subscription) == ValueTree("OK")
+        reply = system.invoke_rr("EventStore", "publish", ValueTree.make(type="PA_CREATED"))
+        assert isinstance(reply, Fault) and reply.name == "BadLocation"
+    finally:
+        system.shutdown()
