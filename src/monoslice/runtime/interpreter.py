@@ -92,9 +92,14 @@ class ExecutionContext:
     hand it on only once it is marked shared. A tree that solicit or
     receive returns becomes the scope's, to be changed in place unless it
     is marked shared, so one that anything else keeps must be marked.
+
+    aborted is set by the runtime on an activation that outlived its
+    shutdown deadline: a while loop reads it on each iteration, and ends
+    the activation with the fault Aborted once it is true.
     """
 
     scope: ValueTree
+    aborted = False
 
     def solicit(self, port: str, operation: str, request: ValueTree) -> ValueTree:
         raise NotImplementedError
@@ -168,6 +173,8 @@ def _statement(statement: Statement, ports: frozenset[str]) -> Step:
 
         def while_(ctx: ExecutionContext) -> None:
             while _bool(condition(ctx), "while condition"):
+                if ctx.aborted:  # a plain attribute: this loop is the interpreter's hot path
+                    raise fault("Aborted", "the system shut down before the activation ended")
                 for step in body:
                     exec_statement(step, ctx)
 

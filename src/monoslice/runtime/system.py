@@ -11,8 +11,12 @@ local:// port is marked shared (ValueTree.writable) rather than copied,
 so neither side's writes reach the other and in-process execution
 cannot share state that serialization would have severed. A message
 that differs from its JSON image is path-copied into it; one that is
-its image crosses as it is. Python callers do not honour the mark, so
-invoke_rr and invoke_ow copy their trees in and out of a local:// call.
+its image crosses as it is. Each node a port admits is marked admitted
+as well (ValueTree.admitted): a later crossing does not walk it again
+and reuses its conformance verdict, so a crossing costs the nodes a
+sender added or wrote along, not the size of the message. Python
+callers do not honour the marks, so invoke_rr and invoke_ow copy their
+trees in and out of a local:// call.
 
 Each service runs its activations on a WorkerPool (pool.py), the kind
 of pool that also serves the connections of a socket:// port: at most
@@ -70,6 +74,10 @@ DEFAULT_SHUTDOWN_TIMEOUT = 5.0
 # an int no wider than this has fewer decimal digits than the smallest limit
 # Python may set on int-to-text conversion (640), so only wider ones are converted
 _SAFE_INT_BITS = 640 * 3
+# the most JSON objects and arrays a message a port admits may nest: JSON
+# decoding and the port's walks recurse once per level, against Python's
+# recursion limit of 1000, so this leaves the calling thread 100 frames
+MAX_NESTING = 900
 
 
 class BindError(MonosliceError):
@@ -145,24 +153,24 @@ def _violation_fault(violations) -> Fault:
 
 
 class _Unencodable(Exception):
-    pass
+    """A message JSON cannot carry, named by the violation a port reports."""
 
 
 def _admit(tree: ValueTree, type_: TypeRef, types: dict) -> tuple[ValueTree, list]:
     """Take a message crossing a port to its JSON image, shared, and check it.
 
-    A tree nested too deeply for either walk is refused as a violation, with
-    the message JSON decoding gives a payload nested deeper still, and so is
-    a tree holding an integer with more digits than JSON encoding converts.
+    A tree nesting more than MAX_NESTING JSON levels, or too deeply for
+    either walk, is refused as a violation, with the message JSON decoding
+    gives a payload nested deeper still, and so is a tree holding an integer
+    with more digits than JSON encoding converts.
     """
     try:
         tree = _wire_image(tree)
-        tree.shared = True  # the sender may hold it still, and the receiver keeps it
         return tree, check_value(tree, type_, types)
     except RecursionError:
         return tree, [TOO_DEEP]
-    except _Unencodable:
-        return tree, [TOO_MANY_DIGITS]
+    except _Unencodable as exc:
+        return tree, [str(exc)]
 
 
 def _wire_image(tree: ValueTree) -> ValueTree:
@@ -172,8 +180,19 @@ def _wire_image(tree: ValueTree) -> ValueTree:
     every message crossing a boundary is taken to its wire image. A tree
     that already is its image is returned itself; otherwise the nodes on
     the path down to each plain int are copied and all others are shared.
-    An integer the wire cannot carry raises _Unencodable.
+    An integer the wire cannot carry, or nesting past MAX_NESTING, raises
+    _Unencodable.
+
+    Every node of the image is marked shared and admitted (the sender may
+    hold it still, and the receiver keeps it), with its nesting, and an
+    admitted node is returned at once: it and all below it are their image
+    already, and its nesting says how deep. So a crossing walks only the
+    nodes no port admitted before, which are the ones a sender built or the
+    paths it wrote along (ValueTree.admitted), and still refuses a message
+    nested too deeply however many crossings built it.
     """
+    if tree.admitted is not None:
+        return tree
     image = tree
     root = tree.root
     if isinstance(root, int) and not isinstance(root, bool):
@@ -181,23 +200,32 @@ def _wire_image(tree: ValueTree) -> ValueTree:
             try:
                 str(root)
             except ValueError:
-                raise _Unencodable() from None
+                raise _Unencodable(TOO_MANY_DIGITS) from None
         if type(root) is not Long:
             tree.shared = True  # its image shares its children
             image = tree.writable()
             image.root = Long(root)
+    nesting = 0
     children = tree.children
     if children:  # most nodes are leaves; enumerate cost a third of the walk
         for name, seq in children.items():
+            level = 1 if len(seq) == 1 else 2  # this node's object, and an array of the name's
             i = 0
             for child in seq:
                 sub = _wire_image(child)
+                if sub.nesting + level > nesting:
+                    nesting = sub.nesting + level  # how deep the image is, admitted parts included
                 if sub is not child:
                     if image is tree:
                         tree.shared = True
                         image = tree.writable()
                     image.children[name][i] = sub
                 i += 1
+        if nesting > MAX_NESTING:
+            raise _Unencodable(TOO_DEEP)
+    image.nesting = nesting
+    image.shared = True
+    image.admitted = True
     return image
 
 
@@ -268,7 +296,7 @@ class ServiceInstance:
         self._stats_lock = threading.Lock()
         self.served = 0
         self.fault_names: list[str] = []
-        self.in_flight = 0
+        self._live: set[_ActivationContext] = set()  # the activations running now
         self.exit_fault: Fault | None = None
 
     # -- lifecycle -----------------------------------------------------
@@ -304,7 +332,13 @@ class ServiceInstance:
         if self._executable_thread is not None:
             self._executable_thread.join(max(0.0, deadline - time.monotonic()))
         with self._stats_lock:
-            return self.in_flight
+            return len(self._live)
+
+    def abort(self) -> None:
+        """End every running activation with the fault Aborted at its next loop iteration."""
+        with self._stats_lock:
+            for ctx in self._live:
+                ctx.aborted = True
 
     # -- activations -------------------------------------------------------
 
@@ -328,9 +362,9 @@ class ServiceInstance:
             self._stopped.set()
 
     def _run_activation(self, work: _Work, scope: ValueTree) -> None:
-        with self._stats_lock:
-            self.in_flight += 1
         ctx = _ActivationContext(self, scope)
+        with self._stats_lock:
+            self._live.add(ctx)
         try:
             branch = self.branches[work.info.name]
             # the request replaces the variable's first occurrence, as any message binding
@@ -359,14 +393,13 @@ class ServiceInstance:
                 work.slot.set(Fault("InternalError", ValueTree(str(exc))))
         finally:
             with self._stats_lock:
-                self.in_flight -= 1
+                self._live.discard(ctx)
                 self.served += 1
 
     def _run_executable(self) -> None:
+        ctx = _ActivationContext(self, self.seed_scope())
         with self._stats_lock:
-            self.in_flight += 1
-        scope = self.seed_scope()
-        ctx = _ActivationContext(self, scope)
+            self._live.add(ctx)
         try:
             exec_statements(compile_block(self.behavior.statements, self.output_port_names), ctx)
         except FaultSignal as signal:
@@ -378,7 +411,7 @@ class ServiceInstance:
             self._record_fault("InternalError")
         finally:
             with self._stats_lock:
-                self.in_flight -= 1
+                self._live.discard(ctx)
 
     def _block(self, branch: Branch) -> Block:
         # compiled on first use; two workers racing here compile the same block twice
@@ -575,7 +608,11 @@ class RunningSystem:
         return results
 
     def shutdown(self, timeout: float = DEFAULT_SHUTDOWN_TIMEOUT) -> SystemReport:
-        """Stop accepting, drain in-flight handlers up to the timeout, report."""
+        """Stop accepting, drain in-flight handlers up to the timeout, report.
+
+        An activation still running at the deadline is reported aborted,
+        and ends with the fault Aborted at its next loop iteration.
+        """
         with self._lock:
             if self._report is not None:
                 return self._report
@@ -588,6 +625,8 @@ class RunningSystem:
             report = SystemReport()
             for instance in self.instances.values():
                 aborted = instance.join(deadline)
+                if aborted:
+                    instance.abort()
                 report.services.append(
                     ServiceReport(
                         name=instance.name,

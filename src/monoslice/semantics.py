@@ -8,6 +8,7 @@ check_value().
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping
 
@@ -444,8 +445,15 @@ def check_value(
     recursively. Type cycles are safe because recursion follows the value.
 
     A conforming tree costs one walk of a predicate compiled once per
-    (type, table) pair; only a failing tree is walked again to name its
-    violations. The table must not change once a type was checked with it.
+    (type, table) pair, each named type once per table; only a failing
+    tree is walked again to name its violations. The table must not
+    change once a type was checked with it.
+
+    The walk stops at a node whose admitted mark holds the very predicate
+    it would run there, and a node that passes keeps that predicate in
+    its mark, but only if the mark is already set: a port has admitted
+    the node, so it can no longer change (ValueTree.admitted). A tree no
+    port admitted is walked whole each time and keeps no verdict.
     """
     types = _NO_TYPES if types is None else types
     if _conformance(type_, types)(tree):
@@ -522,19 +530,27 @@ _ROOT_TESTS: dict[BasicType, Callable[[object], bool]] = {
 # says; calling accepts per field made a 20-period ParkingArea check 40% slower
 _BOUNDS = {Cardinality.ONE: (1, 1), Cardinality.OPTIONAL: (0, 1), Cardinality.MANY: (0, float("inf"))}
 
-# (id(type), id(table)) -> (type, table, predicate). An entry holds its type
-# and table, so neither id can be reused by another object while it lives.
+# (id(type), id(table)) -> (type, table, predicate), and id(table) -> (table,
+# {type name: predicate}), so a named type has one predicate per table, under
+# whichever type it is met. An entry holds its type and table, so neither id
+# can be reused by another object while it lives. Both are cleared together.
 _PREDICATES: dict[tuple[int, int], tuple[object, object, Callable[[ValueTree], bool]]] = {}
+_NAMED: dict[int, tuple[object, dict[str, Callable[[ValueTree], bool]]]] = {}
 _PREDICATE_LIMIT = 1024
+_COMPILING = threading.Lock()
 
 
 def _conformance(type_, types: Mapping[str, TypeDecl]) -> Callable[[ValueTree], bool]:
     key = (id(type_), id(types))
     entry = _PREDICATES.get(key)
     if entry is None:
-        if len(_PREDICATES) >= _PREDICATE_LIMIT:
-            _PREDICATES.clear()
-        entry = _PREDICATES[key] = (type_, types, _compile_conformance(type_, types))
+        with _COMPILING:  # one compile at a time, so a table's named predicates stay one each
+            entry = _PREDICATES.get(key)
+            if entry is None:
+                if len(_PREDICATES) >= _PREDICATE_LIMIT:
+                    _PREDICATES.clear()
+                    _NAMED.clear()
+                entry = _PREDICATES[key] = (type_, types, _compile_conformance(type_, types))
     return entry[2]
 
 
@@ -543,7 +559,8 @@ def _never(tree: ValueTree) -> bool:
 
 
 def _compile_conformance(type_, types: Mapping[str, TypeDecl]) -> Callable[[ValueTree], bool]:
-    named: dict[str, Callable[[ValueTree], bool]] = {}
+    compiled = _NAMED.setdefault(id(types), (types, {}))[1]
+    named = dict(compiled)  # published only once the whole type has compiled
 
     def ref(type_) -> Callable[[ValueTree], bool]:
         if isinstance(type_, TypeDecl):
@@ -556,21 +573,20 @@ def _compile_conformance(type_, types: Mapping[str, TypeDecl]) -> Callable[[Valu
             name = type_.name
             if name not in named:
                 decl = types.get(name)
-                if decl is None:
-                    named[name] = _never
-                else:
-                    # a recursive type meets itself while compiling: defer the lookup
-                    named[name] = lambda tree: named[name](tree)
-                    named[name] = node(decl.root, decl.fields)
+                named[name] = _never if decl is None else node(decl.root, decl.fields, name)
             return named[name]
         raise TypeError(f"not a type: {type_!r}")
 
-    def node(root: BasicType, fields) -> Callable[[ValueTree], bool]:
+    def node(root: BasicType, fields, name: str | None = None) -> Callable[[ValueTree], bool]:
         root_ok = _ROOT_TESTS[root]
         declared = frozenset(f.name for f in fields)
-        checks = [(f.name, *_BOUNDS[f.cardinality], ref(f.type)) for f in fields]
+        checks: list[tuple[str, int, float, Callable[[ValueTree], bool]]] = []
 
         def conforms(tree: ValueTree) -> bool:
+            # only a node a port admitted, which never changes, keeps a verdict
+            mark = tree.admitted
+            if mark is conforms:
+                return True
             if not root_ok(tree.root):
                 return False
             children = tree.children
@@ -583,8 +599,17 @@ def _compile_conformance(type_, types: Mapping[str, TypeDecl]) -> Callable[[Valu
                 for item in seq:
                     if not sub(item):
                         return False
+            if mark is not None:
+                tree.admitted = conforms
             return True
 
+        if name is not None:
+            # named before its fields compile, so a recursive type calls itself
+            # directly: one frame per level of the tree it checks
+            named[name] = conforms
+        checks.extend((f.name, *_BOUNDS[f.cardinality], ref(f.type)) for f in fields)
         return conforms
 
-    return ref(type_)
+    predicate = ref(type_)
+    compiled.update(named)
+    return predicate

@@ -83,9 +83,21 @@ class ValueTree:
     Tarjan, "Making data structures persistent", JCSS 38(1), 1989). The
     mark is never cleared, and a node below a shared one counts as
     shared even before a clone marks it.
+
+    admitted is None on every node made here: by the constructor, copy(),
+    writable() and from_json_value. A port sets it on the nodes of a
+    message it has taken to its JSON image, and any other value means
+    that the node is shared, that it and every node below it are their
+    own JSON image, and that the node passed the conformance predicate
+    the value holds (True if none yet). Since an admitted node is never
+    changed, a port skips it, and a write re-opens only its path: every
+    clone it makes is unadmitted. nesting is set along with admitted, and
+    only read where admitted is set: it counts the JSON objects and arrays
+    nested in the node's image (0 for a leaf), so a port can refuse a
+    message too deep for the wire without walking what it admitted before.
     """
 
-    __slots__ = ("root", "children", "shared")
+    __slots__ = ("root", "children", "shared", "admitted", "nesting")
 
     def __init__(
         self,
@@ -94,6 +106,7 @@ class ValueTree:
     ):
         self.root = root
         self.shared = False
+        self.admitted: object = None
         self.children: dict[str, list[ValueTree]] = {}
         if children:
             for name, seq in children.items():
@@ -112,14 +125,29 @@ class ValueTree:
         return tree
 
     def copy(self) -> "ValueTree":
-        """A deep copy that shares no node with this tree, however deep it is."""
-        out = ValueTree(self.root)
-        pending = [(self, out)]
+        """A deep copy that shares no node with this tree, however deep it is.
+
+        Unshared and unadmitted throughout. Each node is made without
+        __init__, and only the child maps of nodes that have children wait
+        on the stack.
+        """
+        make = ValueTree.__new__
+        out = make(ValueTree)
+        out.root, out.shared, out.admitted, out.children = self.root, False, None, {}
+        pending = [(self.children, out.children)]
         while pending:
             source, target = pending.pop()
-            for name, seq in source.children.items():
-                copies = target.children[name] = [ValueTree(t.root) for t in seq]
-                pending.extend(zip(seq, copies))
+            for name, seq in source.items():
+                copies = target[name] = []
+                for t in seq:
+                    node = make(ValueTree)
+                    node.root = t.root
+                    node.shared = False
+                    node.admitted = None
+                    node.children = children = {}
+                    if t.children:
+                        pending.append((t.children, children))
+                    copies.append(node)
         return out
 
     def writable(self) -> "ValueTree":

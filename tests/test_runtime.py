@@ -12,6 +12,7 @@ from monoslice import runtime
 from monoslice.errors import NoServices
 from monoslice.parser import parse_source
 from monoslice.runtime import BindError, Fault, TransportError
+from monoslice.runtime import system as system_module
 from monoslice.semantics import resolve
 from monoslice.values import Long, ValueTree, decode_json
 
@@ -191,6 +192,12 @@ def test_request_timeout_and_aborted_handler_reporting():
     assert reply.name == "Timeout"
     report = system.shutdown(timeout=0.5)
     assert report.aborted_total() >= 1
+    # an aborted activation stops at its loop's next iteration, and its worker with it
+    deadline = time.monotonic() + 1.0
+    for thread in threading.enumerate():
+        if thread.name == "Spinner-worker":
+            thread.join(max(0.0, deadline - time.monotonic()))
+    assert not [t for t in threading.enumerate() if t.name == "Spinner-worker" and t.is_alive()]
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +440,72 @@ def test_a_deep_tree_built_by_assignment_reaches_the_reply_check(transport):
         system.shutdown()
 
 
+CHAIN = """
+type Chain { a?:Chain }
+
+interface ChainInterface {
+RequestResponse:
+    grow( long )( Chain ),
+    echo( Chain )( Chain )
+}
+
+service Chainer( config ) {
+    execution: sequential
+    inputPort In {
+        location: config.Chainer.location
+        protocol: http { format = "json" }
+        interfaces: ChainInterface
+    }
+    main {
+        // each call nests the kept chain n levels deeper and replies with all of it
+        grow( n )( c ) {
+            i = 0
+            while( i < n ) {
+                s.a = s
+                i = i + 1
+            }
+            c = s
+        }
+        echo( x )( y ) {
+            y = x
+        }
+    }
+}
+"""
+
+
+def _chain(levels):
+    tree = ValueTree()
+    for _ in range(levels):
+        tree = ValueTree(children={"a": [tree]})
+    return tree
+
+
+def _levels(tree):
+    levels = 0
+    while tree.children:
+        (tree,) = tree.children["a"]
+        levels += 1
+    return levels
+
+
+@pytest.mark.parametrize("transport", ["local", "socket"])
+def test_a_chain_grown_across_crossings_is_refused_where_one_sent_whole_is(transport):
+    system = _start_on(transport, CHAIN, ["Chainer"])
+    limit = system_module.MAX_NESTING
+    too_deep = Fault("TypeMismatch", ValueTree("payload nests too deeply"))
+    try:
+        for _ in range(limit // 100):  # each reply walks its 100 new levels, not those admitted before
+            chain = system.invoke_rr("Chainer", "grow", ValueTree(Long(100)))
+            assert not isinstance(chain, Fault)
+        assert _levels(chain) == limit
+        assert _levels(system.invoke_rr("Chainer", "echo", _chain(limit))) == limit
+        assert system.invoke_rr("Chainer", "echo", _chain(limit + 1)) == too_deep
+        assert system.invoke_rr("Chainer", "grow", ValueTree(Long(1))) == too_deep
+    finally:
+        system.shutdown()
+
+
 @pytest.mark.parametrize("transport", ["local", "socket"])
 def test_a_python_caller_changing_its_trees_changes_no_service_state(fixture_source, transport):
     system = _start_on(transport, fixture_source, ["CommandSide", "EventStore"])
@@ -583,6 +656,180 @@ def test_a_handler_changing_a_reply_leaves_the_event_log_alone(fixture_source, t
         assert reply == ValueTree.make(
             event=ValueTree.make(type="PA_CREATED", id=created.root, info=area("Oak Street 12"))
         )
+    finally:
+        system.shutdown()
+
+
+RELAY = """
+type Item { name:string n*:long }
+type Held { info:Item }
+
+interface StoreInterface {
+RequestResponse:
+    put( Item )( string ),
+    get( void )( Held )
+}
+
+interface RelayInterface {
+RequestResponse:
+    relay( void )( Held )
+}
+
+service Store( config ) {
+    execution: sequential
+    inputPort In {
+        location: config.Store.location
+        protocol: http { format = "json" }
+        interfaces: StoreInterface
+    }
+    main {
+        put( item )( ok ) {
+            state.item = item
+            ok = "OK"
+        }
+        get( req )( res ) {
+            res.info = state.item
+        }
+    }
+}
+
+service Relay( config ) {
+    execution: concurrent
+    inputPort In {
+        location: config.Relay.location
+        protocol: http { format = "json" }
+        interfaces: RelayInterface
+    }
+    outputPort Store {
+        location: config.Store.location
+        protocol: http { format = "json" }
+        interfaces: StoreInterface
+    }
+    main {
+        relay( req )( res ) {
+            get@Store( req )( res )
+            res.info.n[1] = "bad"
+        }
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("transport", ["local", "socket"])
+def test_a_write_under_an_admitted_reply_is_checked_again(transport):
+    system = _start_on(transport, RELAY, ["Store", "Relay"])
+    try:
+        item = ValueTree.make(name="box", n=[Long(1), Long(2), Long(3)])
+        assert system.invoke_rr("Store", "put", item) == ValueTree("OK")
+        for _ in range(2):  # the second time, every node the store replies with was admitted
+            reply = system.invoke_rr("Relay", "relay", ValueTree())
+            assert isinstance(reply, Fault) and reply.name == "TypeMismatch"
+            assert reply.data.root == "at 'info.n[1]': expected root of kind long, found string"
+            assert system.invoke_rr("Store", "get", ValueTree()) == ValueTree.make(info=item)
+    finally:
+        system.shutdown()
+
+
+def test_concurrent_relays_and_reads_of_one_admitted_item_keep_their_verdicts():
+    system = _start_on("local", RELAY, ["Store", "Relay"])
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so the checks of one shared item interleave
+    try:
+        item = ValueTree.make(name="box", n=[Long(i) for i in range(20)])
+        assert system.invoke_rr("Store", "put", item) == ValueTree("OK")
+
+        def verdict_holds(i):
+            if i % 2:
+                reply = system.invoke_rr("Relay", "relay", ValueTree())
+                return isinstance(reply, Fault) and reply.data.root.startswith("at 'info.n[1]'")
+            return system.invoke_rr("Store", "get", ValueTree()) == ValueTree.make(info=item)
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            assert all(pool.map(verdict_holds, range(200)))
+    finally:
+        sys.setswitchinterval(switch)
+        system.shutdown()
+
+
+def _area_of(periods):
+    info = area(f"{periods}-period area")
+    info.children["availability"] = [
+        ValueTree.make(start=f"{h:02}:00", end=f"{h:02}:30") for h in range(periods)
+    ]
+    return info
+
+
+def test_a_crossing_walks_only_the_nodes_no_port_admitted(fixture_checked, local_config, monkeypatch):
+    original = system_module._wire_image
+    visits = []
+
+    def counted(tree):
+        visits.append(tree)
+        return original(tree)
+
+    monkeypatch.setattr(system_module, "_wire_image", counted)
+    with runtime.start(fixture_checked, local_config, ["QuerySide", "CommandSide", "EventStore"]) as system:
+        counts = {}
+        for periods in (1, 48):
+            info = _area_of(periods)
+            created = system.invoke_rr("CommandSide", "createParkingArea", info)
+            ident = ValueTree(created.root)
+            event = ValueTree.make(type="PA_CREATED", id=created.root, info=info)
+            calls = [
+                ("EventStore", "lookup", ValueTree.make(event=event)),
+                ("QuerySide", "getParkingArea", ValueTree.make(id=created.root, info=info)),
+            ]
+            counts[periods] = []
+            for target, operation, expected in calls * 2:
+                visits.clear()
+                assert system.invoke_rr(target, operation, ident) == expected
+                counts[periods].append(len(visits))
+    assert counts[1] == counts[48]
+    # the 48-period area alone has 150 nodes; what crosses again is its stored event, admitted at publish
+    assert max(counts[48]) < 20
+
+
+LOOPER = """
+interface Echo {
+RequestResponse:
+    ping( string )( string ),
+    callSelf( string )( string )
+}
+
+service Looper( config ) {
+    execution: sequential
+    inputPort In {
+        location: config.Looper.location
+        protocol: http { format = "json" }
+        interfaces: Echo
+    }
+    outputPort Self {
+        location: config.Looper.location
+        protocol: http { format = "json" }
+        interfaces: Echo
+    }
+    main {
+        ping( a )( b ) {
+            b = a
+        }
+        callSelf( a )( b ) {
+            ping@Self( a )( b )
+        }
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("transport", ["local", "socket"])
+def test_a_sequential_service_calling_itself_times_out_then_serves_again(transport):
+    system = _start_on(transport, LOOPER, ["Looper"], invoke_timeout=0.5)
+    try:
+        began = time.monotonic()
+        reply = system.invoke_rr("Looper", "callSelf", ValueTree("x"), timeout=5.0)
+        # its one worker runs callSelf, so the inner ping waits behind it until it times out
+        assert isinstance(reply, Fault) and reply.name == "Timeout"
+        assert 0.45 <= time.monotonic() - began < 4.0
+        assert system.invoke_rr("Looper", "ping", ValueTree("y"), timeout=5.0) == ValueTree("y")
     finally:
         system.shutdown()
 
@@ -831,11 +1078,11 @@ def test_a_body_too_deep_to_check_gets_the_type_mismatch_envelope():
         system.shutdown()
 
 
-def _start_on(transport, source, names):
+def _start_on(transport, source, names, **kwargs):
     checked = resolve(parse_source(source))
     if transport == "local":
-        return runtime.start(checked, local_tree_config(names), names)
-    return runtime.start(checked, loopback_config(names)[0], names)
+        return runtime.start(checked, local_tree_config(names), names, **kwargs)
+    return runtime.start(checked, loopback_config(names)[0], names, **kwargs)
 
 
 @pytest.mark.skipif(

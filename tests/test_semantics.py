@@ -14,6 +14,8 @@ from monoslice.ast import (
     TypeDecl,
 )
 from monoslice.parser import parse_source
+from monoslice.runtime.interpreter import ExecutionContext, compile_block, exec_statements
+from monoslice.runtime.system import _admit
 from monoslice.semantics import (
     BehaviorError,
     DuplicateDeclaration,
@@ -27,7 +29,7 @@ from monoslice.semantics import (
     check_value,
     resolve,
 )
-from monoslice.values import Long, ValueTree
+from monoslice.values import Long, ValueTree, decode_json, encode_json
 
 
 def resolve_errors(source):
@@ -385,3 +387,101 @@ def test_compiled_check_agrees_with_the_naming_walk(data):
     _check_ref(tree, type_, types, "", named)
     assert _conformance(type_, types)(tree) is (named == [])
     assert check_value(tree, type_, types) == named
+
+
+# ---------------------------------------------------------------------------
+# the verdicts a port keeps on what it admitted, against a fresh check
+
+NODE = TypeDecl(
+    "Node",
+    BasicType.VOID,
+    [
+        FieldDecl("label", Cardinality.ONE, BasicRef(BasicType.STRING)),
+        FieldDecl("next", Cardinality.OPTIONAL, NamedRef("Node")),
+        FieldDecl("vals", Cardinality.MANY, BasicRef(BasicType.LONG)),
+    ],
+)
+PAIR = TypeDecl(
+    "Pair",
+    BasicType.VOID,
+    [
+        FieldDecl("left", Cardinality.ONE, NamedRef("Node")),
+        FieldDecl("right", Cardinality.OPTIONAL, NamedRef("Node")),
+        FieldDecl("n", Cardinality.MANY, BasicRef(BasicType.INT)),
+    ],
+)
+ADMIT_TYPES = {"Node": NODE, "Pair": PAIR}
+ADMIT_REFS = [
+    NamedRef("Node"),
+    NamedRef("Pair"),
+    InlineTreeRef([FieldDecl("left", Cardinality.OPTIONAL, NamedRef("Node"))]),
+    BasicRef(BasicType.ANY),
+]
+WRITE_NAMES = ["label", "next", "vals", "left", "right", "n", "a"]
+WRITE_VALUES = ["5", "5L", '"s"', "true", "t"]  # t holds a tree no port admitted
+
+
+class Holder(ExecutionContext):
+    def __init__(self, scope: ValueTree):
+        self.scope = scope
+
+
+def main_statements(statements: str):
+    return parse_source("service S { main { " + statements + " } }").services[0].behavior.statements
+
+
+def _nodes(tree):
+    pending = [tree]
+    while pending:
+        node = pending.pop()
+        yield node
+        for seq in node.children.values():
+            pending.extend(seq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_admitting_again_after_writes_agrees_with_a_fresh_check(data):
+    tree = data.draw(trees_near(data.draw(st.sampled_from(ADMIT_REFS)), ADMIT_TYPES, data.draw(st.booleans())))
+    scope = ValueTree(children={"m": [tree], "t": [data.draw(arbitrary_trees)]})
+    steps = ["admit", *data.draw(st.lists(st.sampled_from(["admit", "write"]), min_size=2, max_size=4))]
+    for step in steps:
+        held = scope.child("m")
+        if step == "write":
+            # an assignment the interpreter runs: each shared node on its path is swapped for a clone
+            path = "".join(
+                f".{name}" + (f"[{index}]" if index is not None else "")
+                for name, index in data.draw(
+                    st.lists(st.tuples(st.sampled_from(WRITE_NAMES), st.sampled_from([None, 0, 1, 2])), max_size=3)
+                )
+            )
+            statement = f"m{path} = {data.draw(st.sampled_from(WRITE_VALUES))}"
+            exec_statements(compile_block(main_statements(statement)), Holder(scope))
+            continue
+        type_ = data.draw(st.sampled_from(ADMIT_REFS))
+        sent = repr(held)  # repr tells a long from an int
+        wire = decode_json(encode_json(held))
+        image, violations = _admit(held, type_, ADMIT_TYPES)
+        assert repr(held) == sent, "the sender's tree changed"
+        assert repr(image) == repr(wire), "the image is not what JSON would carry"
+        assert not [n for n in _nodes(image) if type(n.root) is int], "a plain int crossed"
+        assert violations == check_value(image.copy(), type_, ADMIT_TYPES)
+        assert violations == check_value(wire, type_, ADMIT_TYPES)
+        scope.children["m"] = [image]  # the receiver keeps what crossed, and may write to it
+
+
+def test_check_value_keeps_no_verdict_on_a_tree_no_port_admitted():
+    tree = ValueTree.make(label="a", next=ValueTree.make(label="b", vals=[Long(1), Long(2)]))
+    assert check_value(tree, NamedRef("Node"), ADMIT_TYPES) == []
+    tree.child("next").child("vals", 1).root = "bad"
+    problems = check_value(tree, NamedRef("Node"), ADMIT_TYPES)
+    assert [p.path for p in problems] == ["next.vals[1]"]
+    assert all(node.admitted is None for node in _nodes(tree))
+
+
+def test_a_named_type_is_one_predicate_under_every_type_that_holds_it():
+    # so a verdict kept under one message type holds when the subtree crosses in another
+    image, violations = _admit(ValueTree.make(left=ValueTree.make(label="a")), NamedRef("Pair"), ADMIT_TYPES)
+    assert violations == []
+    assert image.admitted is _conformance(NamedRef("Pair"), ADMIT_TYPES)
+    assert image.child("left").admitted is _conformance(NamedRef("Node"), ADMIT_TYPES)

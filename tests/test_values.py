@@ -121,6 +121,47 @@ def test_copy_is_deep():
     assert original.children["a"][0].children["b"][0].root == "x"
 
 
+def _chain(depth):
+    tree = ValueTree(Long(0))
+    for i in range(1, depth):
+        tree = ValueTree(f"level {i}", {"a": [tree]})
+    return tree
+
+
+def _wide(width):
+    return ValueTree.make(xs=[ValueTree.make(Long(i), k=i % 2 == 0) for i in range(width)])
+
+
+def _node_pairs(a, b):
+    pending = [(a, b)]
+    while pending:
+        x, y = pending.pop()
+        yield x, y
+        assert x.children.keys() == y.children.keys()
+        for name, seq in x.children.items():
+            assert len(seq) == len(y.children[name])
+            pending.extend(zip(seq, y.children[name]))
+
+
+@pytest.mark.parametrize("source", [_chain(2000), _wide(10_000)], ids=["2000-deep", "10k-wide"])
+def test_a_copy_of_a_deep_or_wide_tree_is_equal_unmarked_and_apart(source):
+    for node, _ in _node_pairs(source, source):  # as a port leaves what it admitted
+        node.shared, node.admitted = True, True
+    clone = source.copy()
+    pairs = list(_node_pairs(source, clone))
+    for original, copied in pairs:
+        assert repr(copied.root) == repr(original.root)  # repr tells a long from an int
+        assert copied is not original
+        assert copied.shared is False and copied.admitted is None
+    deepest_original, deepest_copy = pairs[-1]
+    deepest_copy.root = "changed"
+    deepest_copy.children["new"] = [ValueTree(1)]
+    clone.children.clear()
+    assert deepest_original.root is not None and deepest_original.root != "changed"
+    assert "new" not in deepest_original.children
+    assert len(list(_node_pairs(source, source))) == len(pairs)  # the clear reached no source node
+
+
 _names = st.text(min_size=1, max_size=8).filter(lambda s: s != "$")
 _roots = st.one_of(
     st.none(),
