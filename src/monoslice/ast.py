@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from enum import Enum, unique
 from typing import Union
 
-from .values import Basic, Long
+from .values import Basic
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,6 @@ class Cardinality(Enum):
     ONE = ""
     OPTIONAL = "?"
     MANY = "*"
-
-    def accepts(self, count: int) -> bool:
-        if self is Cardinality.ONE:
-            return count == 1
-        if self is Cardinality.OPTIONAL:
-            return count <= 1
-        return True
 
     def describe(self) -> str:
         return {"": "exactly one", "?": "at most one", "*": "any number of"}[self.value]
@@ -364,11 +357,3 @@ class SourceProgram:
     @property
     def services(self) -> list[ServiceDecl]:
         return self.of_kind(ServiceDecl)
-
-
-def int_literal(value: int) -> Literal:
-    return Literal(int(value))
-
-
-def long_literal(value: int) -> Literal:
-    return Literal(Long(value))

@@ -78,6 +78,8 @@ _SAFE_INT_BITS = 640 * 3
 # decoding and the port's walks recurse once per level, against Python's
 # recursion limit of 1000, so this leaves the calling thread 100 frames
 MAX_NESTING = 900
+# what abort puts into a receive queue: the receive that takes it ends with Aborted
+_ABORT = object()
 
 
 class BindError(MonosliceError):
@@ -286,8 +288,9 @@ class ServiceInstance:
 
         self._bindings: dict[str, Location] = {}
         self._bindings_lock = threading.Lock()
-        self._receive_queues: dict[str, "queue.SimpleQueue[ValueTree]"] = {}
+        self._receive_queues: dict[str, "queue.SimpleQueue[ValueTree | object]"] = {}
         self._receive_lock = threading.Lock()
+        self._aborted = False  # under _receive_lock: a queue made after abort starts with the mark
         self._stopped = threading.Event()
         size = MAX_WORKERS if self.mode.value == "concurrent" else 1
         self._pool = WorkerPool(f"{self.name}-worker", size, self._worker)
@@ -335,10 +338,14 @@ class ServiceInstance:
             return len(self._live)
 
     def abort(self) -> None:
-        """End every running activation with the fault Aborted at its next loop iteration."""
+        """End every running activation with the fault Aborted at its next loop iteration or receive."""
         with self._stats_lock:
             for ctx in self._live:
                 ctx.aborted = True
+        with self._receive_lock:
+            self._aborted = True
+            for waiting in self._receive_queues.values():
+                waiting.put(_ABORT)
 
     # -- activations -------------------------------------------------------
 
@@ -461,15 +468,23 @@ class ServiceInstance:
             return
         self._pool.submit(_Work(info, tree, None))
 
-    def _receive_queue(self, operation: str) -> "queue.SimpleQueue[ValueTree]":
+    def _receive_queue(self, operation: str) -> "queue.SimpleQueue[ValueTree | object]":
         with self._receive_lock:
-            return self._receive_queues.setdefault(operation, queue.SimpleQueue())
+            waiting = self._receive_queues.get(operation)
+            if waiting is None:
+                waiting = self._receive_queues[operation] = queue.SimpleQueue()
+                if self._aborted:
+                    waiting.put(_ABORT)
+            return waiting
 
     def receive(self, operation: str) -> ValueTree:
         try:
-            return self._receive_queue(operation).get(timeout=DEFAULT_RECEIVE_TIMEOUT)
+            message = self._receive_queue(operation).get(timeout=DEFAULT_RECEIVE_TIMEOUT)
         except queue.Empty:
             raise fault("Timeout", f"no '{operation}' message arrived") from None
+        if message is _ABORT:
+            raise fault("Aborted", "the system shut down before the activation ended")
+        return message
 
     # -- outbound ----------------------------------------------------------
 
@@ -611,7 +626,8 @@ class RunningSystem:
         """Stop accepting, drain in-flight handlers up to the timeout, report.
 
         An activation still running at the deadline is reported aborted,
-        and ends with the fault Aborted at its next loop iteration.
+        and ends with the fault Aborted at its next loop iteration or
+        receive; an aborted executable's verdict is Aborted.
         """
         with self._lock:
             if self._report is not None:
@@ -625,17 +641,18 @@ class RunningSystem:
             report = SystemReport()
             for instance in self.instances.values():
                 aborted = instance.join(deadline)
+                verdict = instance.exit_fault.name if instance.exit_fault else None
                 if aborted:
                     instance.abort()
+                    if instance.is_executable:
+                        verdict = verdict or "Aborted"  # how its main ends, maybe after this report
                 report.services.append(
                     ServiceReport(
                         name=instance.name,
                         served=instance.served,
                         faults=list(instance.fault_names),
                         executable=instance.is_executable,
-                        executable_fault=(
-                            instance.exit_fault.name if instance.exit_fault else None
-                        ),
+                        executable_fault=verdict,
                         aborted=aborted,
                     )
                 )

@@ -13,6 +13,7 @@ from monoslice.errors import NoServices
 from monoslice.parser import parse_source
 from monoslice.runtime import BindError, Fault, TransportError
 from monoslice.runtime import system as system_module
+from monoslice.runtime.interpreter import FaultSignal
 from monoslice.semantics import resolve
 from monoslice.values import Long, ValueTree, decode_json
 
@@ -198,6 +199,43 @@ def test_request_timeout_and_aborted_handler_reporting():
         if thread.name == "Spinner-worker":
             thread.join(max(0.0, deadline - time.monotonic()))
     assert not [t for t in threading.enumerate() if t.name == "Spinner-worker" and t.is_alive()]
+
+
+WAITER = """
+interface Notes {
+    OneWay:
+        note( string )
+}
+
+service Waiter( config ) {
+    execution: single
+    inputPort In {
+        location: config.Waiter.location
+        protocol: http { format = "json" }
+        interfaces: Notes
+    }
+    main {
+        note( x )
+    }
+}
+"""
+
+
+def test_shutdown_wakes_an_executable_blocked_in_receive():
+    system = runtime.start(resolve(parse_source(WAITER)), local_tree_config(["Waiter"]))
+    report = system.shutdown(timeout=0.3)
+    assert report.aborted_total() == 1
+    assert report.executable_faults() == {"Waiter": "Aborted"}
+    assert "executable=Aborted" in str(report)
+    deadline = time.monotonic() + 1.0
+    for thread in threading.enumerate():
+        if thread.name == "Waiter-main":
+            thread.join(max(0.0, deadline - time.monotonic()))
+    assert not [t for t in threading.enumerate() if t.name == "Waiter-main" and t.is_alive()]
+    # a receive that makes its queue after the abort finds the mark as well
+    with pytest.raises(FaultSignal) as raised:
+        system.instances["Waiter"].receive("later")
+    assert raised.value.fault.name == "Aborted"
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +474,50 @@ def test_a_deep_tree_built_by_assignment_reaches_the_reply_check(transport):
         assert system.invoke_rr("Deep", "build", ValueTree(Long(800))) == shallow
         too_deep = system.invoke_rr("Deep", "build", ValueTree(Long(2000)))
         assert too_deep == Fault("TypeMismatch", ValueTree("payload nests too deeply"))
+    finally:
+        system.shutdown()
+
+
+NUMBERS = """
+type Scaled { x:double }
+
+interface NumberInterface {
+RequestResponse:
+    ping( int )( int ),
+    scale( int )( Scaled )
+}
+
+service Numbers( config ) {
+    execution: concurrent
+    inputPort In {
+        location: config.Numbers.location
+        protocol: http { format = "json" }
+        interfaces: NumberInterface
+    }
+    main {
+        ping( n )( r ) {
+            r = n + 1
+        }
+        scale( n )( s ) {
+            s.x = 1
+        }
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("transport", ["local", "socket"])
+def test_int_and_double_declarations_take_the_longs_a_port_delivers(transport):
+    system = _start_on(transport, NUMBERS, ["Numbers"])
+    try:
+        reply = system.invoke_rr("Numbers", "ping", ValueTree(5))
+        assert reply == ValueTree(6) and type(reply.root) is Long
+        assert system.invoke_rr("Numbers", "ping", ValueTree(Long(-(2**31)))) == ValueTree(1 - 2**31)
+        scaled = system.invoke_rr("Numbers", "scale", ValueTree(5))
+        assert scaled == ValueTree.make(x=ValueTree(1)) and type(scaled.child("x").root) is Long
+        too_wide = Fault("TypeMismatch", ValueTree("at '<root>': expected root of kind int, found long"))
+        assert system.invoke_rr("Numbers", "ping", ValueTree(Long(2**31))) == too_wide
+        assert system.invoke_rr("Numbers", "ping", ValueTree(2**31 - 1)) == too_wide  # the reply
     finally:
         system.shutdown()
 

@@ -221,9 +221,16 @@ def test_cardinality_bounds_exhaustive(cardinality, accepted):
 def test_numeric_widening():
     assert check_value(ValueTree(5), BasicRef(BasicType.LONG)) == []
     assert check_value(ValueTree(5), BasicRef(BasicType.DOUBLE)) == []
-    assert check_value(ValueTree(Long(5)), BasicRef(BasicType.INT)) != []
-    assert check_value(ValueTree(Long(5)), BasicRef(BasicType.DOUBLE)) != []
+    # JSON carries no int/long distinction, so a long within 32 bits is an int, and any long a double
+    assert check_value(ValueTree(Long(5)), BasicRef(BasicType.INT)) == []
+    assert check_value(ValueTree(Long(-(2**31))), BasicRef(BasicType.INT)) == []
+    assert check_value(ValueTree(Long(2**31 - 1)), BasicRef(BasicType.INT)) == []
+    assert check_value(ValueTree(Long(2**31)), BasicRef(BasicType.INT)) != []
+    assert check_value(ValueTree(Long(-(2**31) - 1)), BasicRef(BasicType.INT)) != []
+    assert check_value(ValueTree(Long(5)), BasicRef(BasicType.DOUBLE)) == []
+    assert check_value(ValueTree(Long(2**40)), BasicRef(BasicType.DOUBLE)) == []
     assert check_value(ValueTree(True), BasicRef(BasicType.INT)) != []
+    assert check_value(ValueTree(True), BasicRef(BasicType.DOUBLE)) != []
 
 
 def test_any_root_accepts_every_childless_tree():
@@ -264,9 +271,50 @@ def test_recursive_types_check_by_value():
 def test_checks_of_short_lived_types_never_see_each_others_verdicts():
     for _ in range(300):
         assert check_value(ValueTree(5), BasicRef(BasicType.LONG)) == []
-        assert check_value(ValueTree(Long(5)), BasicRef(BasicType.INT)) != []
-        assert check_value(ValueTree(Long(5)), NamedRef("N"), {"N": TypeDecl("N", BasicType.LONG)}) == []
-        assert check_value(ValueTree(Long(5)), NamedRef("N"), {"N": TypeDecl("N", BasicType.INT)}) != []
+        assert check_value(ValueTree(Long(2**31)), BasicRef(BasicType.INT)) != []
+        assert check_value(ValueTree(Long(2**31)), NamedRef("N"), {"N": TypeDecl("N", BasicType.LONG)}) == []
+        assert check_value(ValueTree(Long(2**31)), NamedRef("N"), {"N": TypeDecl("N", BasicType.INT)}) != []
+
+
+def test_violations_are_named_root_first_then_field_by_field_then_undeclared():
+    item = TypeDecl("Item", BasicType.VOID, [FieldDecl("v", Cardinality.ONE, BasicRef(BasicType.LONG))])
+    decl = TypeDecl(
+        "T",
+        BasicType.STRING,
+        [
+            FieldDecl("one", Cardinality.ONE, BasicRef(BasicType.INT)),
+            FieldDecl("xs", Cardinality.MANY, NamedRef("Item")),
+            FieldDecl("opt", Cardinality.OPTIONAL, BasicRef(BasicType.BOOL)),
+        ],
+    )
+    tree = ValueTree(
+        5,
+        {
+            "zz": [ValueTree()],
+            "opt": [ValueTree(True), ValueTree("no")],
+            "xs": [ValueTree.make(v="s", w=ValueTree(Long(1))), ValueTree.make(v=ValueTree(Long(1)))],
+        },
+    )
+    assert [str(v) for v in check_value(tree, decl, {"Item": item})] == [
+        "at '<root>': expected root of kind string, found int",
+        "at 'one': expected exactly one int, found 0 occurrence(s)",
+        "at 'xs[0].v': expected root of kind long, found string",
+        "at 'xs[0].w': expected no such child, found 1 occurrence(s)",
+        "at 'opt': expected at most one bool, found 2 occurrence(s)",
+        "at 'opt[1]': expected root of kind bool, found string",
+        "at 'zz': expected no such child, found 1 occurrence(s)",
+    ]
+
+
+@pytest.mark.parametrize("levels", [500, 600, 800])
+def test_a_violation_deep_in_a_chain_is_named(levels):
+    types = {"Chain": TypeDecl("Chain", BasicType.VOID, [FieldDecl("a", Cardinality.OPTIONAL, NamedRef("Chain"))])}
+    chain = ValueTree("bottom")
+    for _ in range(levels):
+        chain = ValueTree(children={"a": [chain]})
+    _, violations = _admit(chain, NamedRef("Chain"), types)
+    path = ".".join(["a"] * levels)
+    assert [str(v) for v in violations] == [f"at '{path}': expected root of kind void, found string"]
 
 
 # ---------------------------------------------------------------------------
@@ -275,20 +323,24 @@ def test_checks_of_short_lived_types_never_see_each_others_verdicts():
 TYPE_NAMES = ["T0", "T1"]
 CHILD_NAMES = ["a", "b", "c"]
 
+# longs within 32 bits, which pass where int is declared, and just outside them
+int_longs = st.one_of(st.integers(-3, 3), st.sampled_from([-(2**31), 2**31 - 1])).map(Long)
+wide_longs = st.sampled_from([-(2**31) - 1, 2**31]).map(Long)
 any_root = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-3, 3),
-    st.integers(-3, 3).map(Long),
+    int_longs,
+    wide_longs,
     st.floats(-2, 2, width=16),
     st.sampled_from(["", "x"]),
 )
 ROOTS_OF = {
     BasicType.VOID: st.none(),
     BasicType.BOOL: st.booleans(),
-    BasicType.INT: st.integers(-3, 3),
-    BasicType.LONG: st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(Long)),
-    BasicType.DOUBLE: st.one_of(st.floats(-2, 2, width=16), st.integers(-3, 3)),
+    BasicType.INT: st.one_of(st.integers(-3, 3), int_longs),
+    BasicType.LONG: st.one_of(st.integers(-3, 3), int_longs, wide_longs),
+    BasicType.DOUBLE: st.one_of(st.floats(-2, 2, width=16), st.integers(-3, 3), int_longs, wide_longs),
     BasicType.STRING: st.sampled_from(["", "x"]),
     BasicType.ANY: any_root,
 }
