@@ -127,6 +127,19 @@ class Binary:
     pos: Pos | None = _pos_field()
 
 
+# How tightly each binary operator binds, the loosest first; the parser and
+# the renderer both read it. Every binary operator is left-associative, and
+# a unary operator binds tighter than all of them.
+PRECEDENCE = {
+    "||": 1,
+    "&&": 2,
+    "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
+    "+": 4, "-": 4,
+    "*": 5, "/": 5,
+}
+UNARY_PRECEDENCE = 6
+
+
 @dataclass
 class TreeLiteral:
     entries: list[tuple[Path, "Expr"]]

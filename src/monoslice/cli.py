@@ -97,7 +97,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
 
     selected = list(system.instances.values())
-    executables = [inst for inst in selected if inst.is_executable]
+    executables = [inst for inst in selected if inst.decl.is_executable]
     if executables:
         faults = system.wait_executables()
         report = system.shutdown()

@@ -8,6 +8,7 @@ names, tree-literal keys), so data can have fields like `type`.
 from __future__ import annotations
 
 from .ast import (
+    PRECEDENCE,
     Assign,
     BasicRef,
     BasicType,
@@ -56,14 +57,8 @@ from .values import Long
 
 _BASIC_NAMES = {t.value: t for t in BasicType}
 _EXECUTION_MODES = {m.value: m for m in ExecutionMode}
-_COMPARISONS = {
-    TokenKind.EQ: "==",
-    TokenKind.NEQ: "!=",
-    TokenKind.LT: "<",
-    TokenKind.LE: "<=",
-    TokenKind.GT: ">",
-    TokenKind.GE: ">=",
-}
+# the binding of each operator token, 0 for every other kind of token
+_BINDING = {kind: PRECEDENCE.get(kind.value, 0) for kind in TokenKind}
 
 
 class ParseError(MonosliceError):
@@ -519,42 +514,16 @@ class Parser:
         self.expect(TokenKind.RBRACKET)
         return index
 
-    def parse_expr(self) -> Expr:
-        return self._parse_or()
+    def parse_expr(self, least: int = 1) -> Expr:
+        """An expression whose binary operators all bind at least as tightly as least.
 
-    def _parse_or(self) -> Expr:
-        left = self._parse_and()
-        while self.at(TokenKind.OR):
-            token = self.advance()
-            left = Binary("||", left, self._parse_and(), pos=self._pos(token))
-        return left
-
-    def _parse_and(self) -> Expr:
-        left = self._parse_comparison()
-        while self.at(TokenKind.AND):
-            token = self.advance()
-            left = Binary("&&", left, self._parse_comparison(), pos=self._pos(token))
-        return left
-
-    def _parse_comparison(self) -> Expr:
-        left = self._parse_additive()
-        while self.peek().kind in _COMPARISONS:
-            token = self.advance()
-            left = Binary(_COMPARISONS[token.kind], left, self._parse_additive(), pos=self._pos(token))
-        return left
-
-    def _parse_additive(self) -> Expr:
-        left = self._parse_multiplicative()
-        while self.peek().kind in (TokenKind.PLUS, TokenKind.MINUS):
-            token = self.advance()
-            left = Binary(token.lexeme, left, self._parse_multiplicative(), pos=self._pos(token))
-        return left
-
-    def _parse_multiplicative(self) -> Expr:
+        Precedence climbing: a right operand takes only operators binding
+        tighter than its own, so each level nests to the left.
+        """
         left = self._parse_unary()
-        while self.peek().kind in (TokenKind.STAR, TokenKind.SLASH):
+        while (precedence := _BINDING[self.peek().kind]) >= least:
             token = self.advance()
-            left = Binary(token.lexeme, left, self._parse_unary(), pos=self._pos(token))
+            left = Binary(token.kind.value, left, self.parse_expr(precedence + 1), pos=self._pos(token))
         return left
 
     def _parse_unary(self) -> Expr:

@@ -10,6 +10,8 @@ byte for byte.
 from __future__ import annotations
 
 from .ast import (
+    PRECEDENCE,
+    UNARY_PRECEDENCE,
     Assign,
     BasicRef,
     BasicType,
@@ -48,15 +50,6 @@ from .ast import (
 from .values import Long
 
 _INDENT = "    "
-
-_PRECEDENCE = {
-    "||": 1,
-    "&&": 2,
-    "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
-    "+": 4, "-": 4,
-    "*": 5, "/": 5,
-}
-_UNARY_PRECEDENCE = 6
 
 
 def render(program: SourceProgram) -> str:
@@ -306,11 +299,11 @@ def _expr(expr: Expr, parent_precedence: int) -> str:
         entries = ", ".join(f"{_path(p)} = {_expr(e, 0)}" for p, e in expr.entries)
         return "{ " + entries + " }"
     if isinstance(expr, Unary):
-        inner = _expr(expr.operand, _UNARY_PRECEDENCE)
+        inner = _expr(expr.operand, UNARY_PRECEDENCE)
         text = expr.op + inner
-        return f"({text})" if parent_precedence > _UNARY_PRECEDENCE else text
+        return f"({text})" if parent_precedence > UNARY_PRECEDENCE else text
     if isinstance(expr, Binary):
-        mine = _PRECEDENCE[expr.op]
+        mine = PRECEDENCE[expr.op]
         left = _expr(expr.left, mine)
         right = _expr(expr.right, mine + 1)
         text = f"{left} {expr.op} {right}"

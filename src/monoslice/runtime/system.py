@@ -25,7 +25,11 @@ and one for sequential, which keeps one scope across activations (so a
 service can keep state across requests), and for single, which serves
 exactly one activation and then stops. A service whose main is a
 statement sequence is executable: it runs once to completion on its
-own thread after startup.
+own thread after startup. Every activation, executable or not, runs
+through ServiceInstance._run, which records the fault it ends in. A
+request-response call hands the pool a queue of its own with its
+request, the worker puts the admitted reply or the fault on it, and the
+caller waits on it up to its timeout.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import logging
 import queue
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -42,7 +47,6 @@ from ..ast import (
     InputChoice,
     RequestResponseBranch,
     ServiceDecl,
-    StatementSequence,
     TypeRef,
 )
 from ..config import (
@@ -88,26 +92,11 @@ class BindError(MonosliceError):
         super().__init__(f"cannot bind {location}: {reason}")
 
 
-class _ReplySlot:
-    def __init__(self):
-        self._event = threading.Event()
-        self._result: ValueTree | Fault | None = None
-
-    def set(self, result: ValueTree | Fault) -> None:
-        self._result = result
-        self._event.set()
-
-    def wait(self, timeout: float) -> ValueTree | Fault | None:
-        if not self._event.wait(timeout):
-            return None
-        return self._result
-
-
 @dataclass
 class _Work:
     info: OpInfo
     tree: ValueTree
-    slot: _ReplySlot | None
+    reply: "queue.SimpleQueue[ValueTree | Fault] | None"  # where a waiting caller takes the outcome
 
 
 @dataclass
@@ -275,7 +264,7 @@ class ServiceInstance:
         self.name = decl.name
         self.mode = decl.execution
         self.config_tree = config_tree
-        config_tree.shared = True  # every activation's scope holds it
+        config_tree.shared = True  # every activation's scope, in every service, holds it
         self.output_port_names = frozenset(p.name for p in decl.output_ports)
         self.behavior = decl.behavior
         self.branches = (
@@ -298,15 +287,11 @@ class ServiceInstance:
 
         self._stats_lock = threading.Lock()
         self.served = 0
-        self.fault_names: list[str] = []
+        self.faults: Counter[str] = Counter()  # how often the service ended an activation in each fault
         self._live: set[_ActivationContext] = set()  # the activations running now
         self.exit_fault: Fault | None = None
 
     # -- lifecycle -----------------------------------------------------
-
-    @property
-    def is_executable(self) -> bool:
-        return isinstance(self.behavior, StatementSequence)
 
     @property
     def stopped(self) -> bool:
@@ -319,7 +304,7 @@ class ServiceInstance:
         return scope
 
     def start_executable(self) -> None:
-        if not self.is_executable:
+        if not self.decl.is_executable:
             return
         thread = threading.Thread(target=self._run_executable, name=f"{self.name}-main", daemon=True)
         self._executable_thread = thread
@@ -360,65 +345,62 @@ class ServiceInstance:
     def _serve(self, work: _Work, scope: ValueTree) -> None:
         if self.mode.value == "single" and self.stopped:
             # a single service answers its first call only
-            if work.slot is not None:
-                stopped = ValueTree(f"service {self.name} has stopped")
-                work.slot.set(Fault("TransportError", stopped))
+            if work.reply is not None:
+                work.reply.put(Fault("TransportError", ValueTree(f"service {self.name} has stopped")))
             return
         self._run_activation(work, scope)
         if self.mode.value == "single":
             self._stopped.set()
 
     def _run_activation(self, work: _Work, scope: ValueTree) -> None:
+        """Run one request-response or one-way activation and hand a waiting caller its outcome."""
+        branch = self.branches[work.info.name]
+        # the request replaces the variable's first occurrence, as any message binding
+        scope.children.setdefault(branch.request_var, [work.tree])[0] = work.tree
+        response = None if work.reply is None else (branch.response_var, work.info.response)
+        outcome = self._run(self._block(branch), scope, work.info.name, response)
+        with self._stats_lock:
+            self.served += 1
+        if work.reply is not None:
+            work.reply.put(outcome)
+
+    def _run_executable(self) -> None:
+        block = compile_block(self.behavior.statements, self.output_port_names)
+        self.exit_fault = self._run(block, self.seed_scope(), "main", None)
+
+    def _run(
+        self, block: Block, scope: ValueTree, operation: str, response: tuple[str, TypeRef] | None
+    ) -> ValueTree | Fault | None:
+        """Run one activation of the block in scope and record the fault it ends in.
+
+        Returns that fault; otherwise, when response names the reply variable
+        and its type, the reply as the port admits it, or TypeMismatch (also
+        recorded) when it violates its type; otherwise None.
+        """
         ctx = _ActivationContext(self, scope)
         with self._stats_lock:
             self._live.add(ctx)
+        outcome = None
         try:
-            branch = self.branches[work.info.name]
-            # the request replaces the variable's first occurrence, as any message binding
-            scope.children.setdefault(branch.request_var, [work.tree])[0] = work.tree
-            exec_statements(self._block(branch), ctx)
-            if work.slot is not None and isinstance(branch, RequestResponseBranch):
-                reply = scope.child(branch.response_var)
-                response, violations = _admit(
-                    reply if reply is not None else ValueTree(),
-                    work.info.response,
-                    self.system.checked.type_table,
+            exec_statements(block, ctx)
+            if response is not None:
+                var, type_ = response
+                reply = scope.child(var)
+                reply, violations = _admit(
+                    reply if reply is not None else ValueTree(), type_, self.system.checked.type_table
                 )
-                if violations:
-                    self._record_fault("TypeMismatch")
-                    work.slot.set(_violation_fault(violations))
-                else:
-                    work.slot.set(response)
+                outcome = _violation_fault(violations) if violations else reply
         except FaultSignal as signal:
-            self._record_fault(signal.fault.name)
-            if work.slot is not None:
-                work.slot.set(signal.fault)
+            outcome = signal.fault
         except Exception as exc:  # defensive: a handler bug must not kill the worker
-            log.exception("internal error in %s.%s", self.name, work.info.name)
-            self._record_fault("InternalError")
-            if work.slot is not None:
-                work.slot.set(Fault("InternalError", ValueTree(str(exc))))
+            log.exception("internal error in %s.%s", self.name, operation)
+            outcome = Fault("InternalError", ValueTree(str(exc)))
         finally:
             with self._stats_lock:
                 self._live.discard(ctx)
-                self.served += 1
-
-    def _run_executable(self) -> None:
-        ctx = _ActivationContext(self, self.seed_scope())
-        with self._stats_lock:
-            self._live.add(ctx)
-        try:
-            exec_statements(compile_block(self.behavior.statements, self.output_port_names), ctx)
-        except FaultSignal as signal:
-            self.exit_fault = signal.fault
-            self._record_fault(signal.fault.name)
-        except Exception as exc:
-            log.exception("internal error in executable service %s", self.name)
-            self.exit_fault = Fault("InternalError", ValueTree(str(exc)))
-            self._record_fault("InternalError")
-        finally:
-            with self._stats_lock:
-                self._live.discard(ctx)
+                if isinstance(outcome, Fault):
+                    self.faults[outcome.name] += 1
+        return outcome
 
     def _block(self, branch: Branch) -> Block:
         # compiled on first use; two workers racing here compile the same block twice
@@ -426,10 +408,6 @@ class ServiceInstance:
         if block is None:
             block = self._blocks[branch.operation] = compile_block(branch.body, self.output_port_names)
         return block
-
-    def _record_fault(self, name: str) -> None:
-        with self._stats_lock:
-            self.fault_names.append(name)
 
     # -- inbound ---------------------------------------------------------
 
@@ -443,12 +421,12 @@ class ServiceInstance:
         tree, violations = _admit(tree, info.request, self.system.checked.type_table)
         if violations:
             return _violation_fault(violations)
-        slot = _ReplySlot()
-        self._pool.submit(_Work(info, tree, slot))
-        result = slot.wait(timeout)
-        if result is None:
+        reply: "queue.SimpleQueue[ValueTree | Fault]" = queue.SimpleQueue()
+        self._pool.submit(_Work(info, tree, reply))
+        try:
+            return reply.get(timeout=timeout)
+        except queue.Empty:
             return Fault("Timeout", ValueTree(f"no reply from {self.name}.{info.name}"))
-        return result
 
     def offer_ow(self, info: OpInfo, tree: ValueTree) -> None:
         tree, violations = _admit(tree, info.request, self.system.checked.type_table)
@@ -460,7 +438,7 @@ class ServiceInstance:
                 "; ".join(str(v) for v in violations),
             )
             return
-        if self.is_executable:
+        if self.decl.is_executable:
             self._receive_queue(info.name).put(tree)
             return
         if info.name not in self.branches:
@@ -505,13 +483,13 @@ class ServiceInstance:
 class ServiceReport:
     name: str
     served: int
-    faults: list[str]
+    faults: Counter[str]  # fault name to how many activations ended in it
     executable: bool
     executable_fault: str | None
     aborted: int
 
     def line(self) -> str:
-        parts = [f"{self.name}: served={self.served}", f"faults={len(self.faults)}"]
+        parts = [f"{self.name}: served={self.served}", f"faults={self.faults.total()}"]
         if self.executable:
             verdict = self.executable_fault or "completed"
             parts.append(f"executable={verdict}")
@@ -617,7 +595,7 @@ class RunningSystem:
         """Block until executable services finish; returns their exit faults."""
         results: dict[str, Fault | None] = {}
         for instance in self.instances.values():
-            if instance.is_executable and instance._executable_thread is not None:
+            if instance._executable_thread is not None:
                 instance._executable_thread.join(timeout)
                 results[instance.name] = instance.exit_fault
         return results
@@ -642,16 +620,19 @@ class RunningSystem:
             for instance in self.instances.values():
                 aborted = instance.join(deadline)
                 verdict = instance.exit_fault.name if instance.exit_fault else None
+                executable = instance.decl.is_executable
                 if aborted:
                     instance.abort()
-                    if instance.is_executable:
+                    if executable:
                         verdict = verdict or "Aborted"  # how its main ends, maybe after this report
+                with instance._stats_lock:  # an aborted activation may still record its fault
+                    faults = Counter(instance.faults)
                 report.services.append(
                     ServiceReport(
                         name=instance.name,
                         served=instance.served,
-                        faults=list(instance.fault_names),
-                        executable=instance.is_executable,
+                        faults=faults,
+                        executable=executable,
                         executable_fault=verdict,
                         aborted=aborted,
                     )
@@ -693,19 +674,18 @@ def start(
         raise issues[0]
 
     system = RunningSystem(checked, config, invoke_timeout)
+    config_tree = config.copy()  # every service holds this one; the caller keeps its own
     try:
         for name in names:
             decl = checked.service_table[name]
             param = decl.config.name if decl.config else None
-            instance = ServiceInstance(system, decl, config.copy())
+            instance = ServiceInstance(system, decl, config_tree)
             for port in decl.output_ports:
                 instance.set_binding(port.name, resolve_location(config, port.location, param))
             for port in decl.input_ports:
                 location = resolve_location(config, port.location, param)
                 endpoint = _Endpoint(instance, checked.port_ops[(name, port.name)], location)
-                if location.scheme == "local":
-                    if location.name in system._local:
-                        raise BindError(str(location), "already bound in this process")
+                if location.scheme == "local":  # validate_config refused two ports on one name
                     system._local[location.name] = endpoint
                 else:
                     try:

@@ -2,6 +2,7 @@ import pytest
 
 from monoslice.ast import (
     BasicRef,
+    Binary,
     BasicType,
     Cardinality,
     ExecutionMode,
@@ -11,7 +12,9 @@ from monoslice.ast import (
     InterfaceDecl,
     Literal,
     NamedRef,
+    Path,
     PathExpr,
+    PathStep,
     Receive,
     ServiceDecl,
     SolicitResponse,
@@ -236,6 +239,17 @@ def test_operator_precedence():
     assert value.left.left.left.op == "+"
     assert value.left.left.left.right.op == "*"
     assert value.left.right.op == "!"
+
+
+def _var(name):
+    return PathExpr(Path([PathStep(name)]))
+
+
+@pytest.mark.parametrize("op", ["||", "&&", "==", "-", "/"])
+def test_each_operator_level_nests_to_the_left(op):
+    program = parse_source(wrap_in_service(f"x = a {op} b {op} c"))
+    value = program.services[0].behavior.statements[0].value
+    assert value == Binary(op, Binary(op, _var("a"), _var("b")), _var("c"))
 
 
 def test_parse_error_reports_position_of_offending_token():

@@ -101,6 +101,11 @@ def test_parentheses_follow_structure_not_source():
     assert "x = a + b * c" in render(redundant)
 
 
+@pytest.mark.parametrize("expr", ["a - (b - c)", "a / (b / c)", "a == (b == c)"])
+def test_a_right_nested_operand_keeps_its_parentheses(expr):
+    assert f"x = {expr}" in round_trips(f"service S {{ main {{ x = {expr} }} }}")
+
+
 def test_string_escapes_round_trip():
     round_trips('service S { main { x = "a\\"b\\\\c\\nd\\te" } }')
 

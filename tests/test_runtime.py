@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from monoslice import runtime
+from monoslice.config import LocationCollision
 from monoslice.errors import NoServices
 from monoslice.parser import parse_source
 from monoslice.runtime import BindError, Fault, TransportError
@@ -51,6 +52,9 @@ SERVICE_NAMES = ["QuerySide", "CommandSide", "EventStore", "TestClient"]
 def test_start_binds_every_selected_input(fixture_checked, local_config):
     with runtime.start(fixture_checked, local_config, ["QuerySide", "CommandSide", "EventStore"]) as system:
         assert len(system.instances) == 3
+        # one copy of the configuration for the whole system, never the caller's tree
+        trees = {id(instance.config_tree) for instance in system.instances.values()}
+        assert len(trees) == 1 and id(local_config) not in trees
         reply = system.invoke_rr("CommandSide", "deleteParkingArea", ValueTree(Long(5)))
         assert reply == ValueTree("OK")
 
@@ -63,6 +67,20 @@ def test_start_with_empty_subset_raises(fixture_checked, local_config):
 def test_start_unknown_service_rejected(fixture_checked, local_config):
     with pytest.raises(Exception):
         runtime.start(fixture_checked, local_config, ["Ghost"])
+
+
+def test_start_refuses_two_inputs_on_one_local_name_before_binding_any(monkeypatch):
+    source = (
+        "interface I { RequestResponse: op( int )( int ) }"
+        'service A { inputPort Web { location: "socket://127.0.0.1:9" protocol: http interfaces: I } '
+        'inputPort In { location: "local://same" protocol: http interfaces: I } main { op( a )( b ) { b = 1 } } }'
+        'service B { inputPort In { location: "local://same" protocol: http interfaces: I } main { op( a )( b ) { b = 1 } } }'
+    )
+    servers = []
+    monkeypatch.setattr(system_module, "HttpPortServer", lambda *args: servers.append(args))
+    with pytest.raises(LocationCollision):
+        runtime.start(resolve(parse_source(source)), ValueTree())
+    assert servers == []
 
 
 def test_second_bind_on_same_socket_fails(fixture_checked):
@@ -183,6 +201,46 @@ def test_a_call_of_the_wrong_kind_is_refused_before_any_handler_runs(transport):
         assert system.instances["Collector"].served == 1
     finally:
         system.shutdown()
+
+
+COUNTED = """
+interface Echo {
+    RequestResponse:
+        echo( int )( int )
+}
+
+service Counted( config ) {
+    execution: sequential
+    inputPort In {
+        location: config.Counted.location
+        protocol: http { format = "json" }
+        interfaces: Echo
+    }
+    main {
+        echo( x )( y ) {
+            if( x == 0 )
+                throw( NotFound )
+            y = x
+            if( x < 0 )
+                y = "negative"
+        }
+    }
+}
+"""
+
+
+def test_the_report_counts_each_fault_by_name():
+    system = runtime.start(resolve(parse_source(COUNTED)), local_tree_config(["Counted"]))
+    try:
+        for request in (-1, 0, -2, 5, -3):
+            system.invoke_rr("Counted", "echo", ValueTree(Long(request)))
+        # a request refused at the port never starts an activation, so it is no fault of the service
+        assert system.invoke_rr("Counted", "echo", ValueTree("x")).name == "TypeMismatch"
+    finally:
+        report = system.shutdown()
+    [counted] = report.services
+    assert counted.faults == {"TypeMismatch": 3, "NotFound": 1}
+    assert counted.line() == "Counted: served=5 faults=4"
 
 
 def test_request_timeout_and_aborted_handler_reporting():
@@ -960,6 +1018,8 @@ def test_concurrent_activations_do_not_see_each_others_writes_to_the_config(tran
         with ThreadPoolExecutor(max_workers=8) as pool:
             replies = list(pool.map(lambda tag: system.invoke_rr("Marker", "mark", ValueTree(tag)), tags))
         assert replies == [ValueTree(tag) for tag in tags]
+        trees = {id(instance.config_tree) for instance in system.instances.values()}
+        assert len(trees) == 1 and id(system.config) not in trees  # one tree, not the caller's
     finally:
         sys.setswitchinterval(switch)
         system.shutdown()
