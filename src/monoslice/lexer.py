@@ -11,6 +11,7 @@ reports its first error.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum, unique
@@ -153,7 +154,8 @@ def tokenize(source: str) -> list[Token]:
     """Tokenize source text. Comments and whitespace are dropped.
 
     Raises LexError with position on illegal characters, unterminated
-    strings/comments, and integer literals too long for int().
+    strings/comments, integer literals too long for int(), and double
+    literals too large for a finite float.
     """
     # starts[n] is the offset where line n + 1 begins; the last entry lies
     # past the end of the source.
@@ -199,7 +201,10 @@ def tokenize(source: str) -> list[Token]:
         elif group == "double":
             if text[-1] == "L":
                 raise LexError(line, column, "long suffix on a non-integer literal")
-            append(Token(TokenKind.DOUBLE, text, line, column, float(text)))
+            value = float(text)
+            if not math.isfinite(value):  # rendered as `inf`, it would read back as a variable
+                raise LexError(line, column, "double literal out of range")
+            append(Token(TokenKind.DOUBLE, text, line, column, value))
         else:  # comment
             close = source.find("*/", pos + 2)
             if close < 0:

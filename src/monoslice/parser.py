@@ -7,6 +7,8 @@ names, tree-literal keys), so data can have fields like `type`.
 
 from __future__ import annotations
 
+from typing import Callable, TypeVar
+
 from .ast import (
     PRECEDENCE,
     Assign,
@@ -59,6 +61,7 @@ _BASIC_NAMES = {t.value: t for t in BasicType}
 _EXECUTION_MODES = {m.value: m for m in ExecutionMode}
 # the binding of each operator token, 0 for every other kind of token
 _BINDING = {kind: PRECEDENCE.get(kind.value, 0) for kind in TokenKind}
+_T = TypeVar("_T")
 
 
 class ParseError(MonosliceError):
@@ -101,6 +104,14 @@ class Parser:
             self.pos += 1
         return token
 
+    def accept(self, kind: TokenKind) -> Token | None:
+        """Take the next token if it is of this kind, which is never EOF."""
+        token = self.tokens[self.pos]
+        if token.kind is kind:
+            self.pos += 1
+            return token
+        return None
+
     def error(self, expected: str, token: Token | None = None) -> ParseError:
         token = token or self.peek()
         return ParseError(token.line, token.column, expected, _describe(token))
@@ -138,6 +149,41 @@ class Parser:
             return self.advance()
         raise self.error(expected)
 
+    def braced(self, item: Callable[[], _T]) -> list[_T]:
+        """`{ item* }`: the items read up to the closing brace."""
+        self.expect(TokenKind.LBRACE)
+        items: list[_T] = []
+        while not self.accept(TokenKind.RBRACE):
+            items.append(item())
+        return items
+
+    def parenthesized(self, item: Callable[[], _T]) -> _T:
+        """`( item )`"""
+        self.expect(TokenKind.LPAREN)
+        value = item()
+        self.expect(TokenKind.RPAREN)
+        return value
+
+    def _once(self, seen: set[str], expected: str) -> Token:
+        """Take a clause keyword, refusing it at its second occurrence in a block."""
+        token = self.advance()
+        if token.lexeme in seen:
+            raise self.error(expected, token)
+        seen.add(token.lexeme)
+        return token
+
+    def _entries(self, key: Callable[[], _T]) -> list[tuple[_T, Expr]]:
+        """`{ key = expr [,] ... }`"""
+
+        def entry() -> tuple[_T, Expr]:
+            name = key()
+            self.expect(TokenKind.ASSIGN)
+            value = self.parse_expr()
+            self.accept(TokenKind.COMMA)
+            return name, value
+
+        return self.braced(entry)
+
     @staticmethod
     def _pos(token: Token) -> Pos:
         return Pos(token.line, token.column)
@@ -162,8 +208,7 @@ class Parser:
         start = self.expect_keyword("type")
         name = self.expect_ident("type name")
         root = BasicType.VOID
-        if self.at(TokenKind.COLON):
-            self.advance()
+        if self.accept(TokenKind.COLON):
             token = self.peek()
             if token.kind is not TokenKind.KEYWORD or token.lexeme not in _BASIC_NAMES:
                 raise self.error("a basic type (void, bool, int, long, double, string, any)")
@@ -174,21 +219,14 @@ class Parser:
         return TypeDecl(name.lexeme, root, fields, pos=self._pos(start))
 
     def parse_field_block(self, inline: bool = False) -> list[FieldDecl]:
-        self.expect(TokenKind.LBRACE)
-        fields: list[FieldDecl] = []
-        while not self.at(TokenKind.RBRACE):
-            fields.append(self.parse_field_decl(inline))
-        self.expect(TokenKind.RBRACE)
-        return fields
+        return self.braced(lambda: self.parse_field_decl(inline))
 
     def parse_field_decl(self, inline: bool) -> FieldDecl:
         name = self.expect_name(keyword_ok=True, expected="field name")
         cardinality = Cardinality.ONE
-        if self.at(TokenKind.QUESTION):
-            self.advance()
+        if self.accept(TokenKind.QUESTION):
             cardinality = Cardinality.OPTIONAL
-        elif self.at(TokenKind.STAR):
-            self.advance()
+        elif self.accept(TokenKind.STAR):
             cardinality = Cardinality.MANY
         self.expect(TokenKind.COLON)
         ref = self.parse_type_ref(inline_forbidden=inline)
@@ -212,68 +250,47 @@ class Parser:
     def parse_interface_decl(self) -> InterfaceDecl:
         start = self.expect_keyword("interface")
         name = self.expect_ident("interface name")
-        self.expect(TokenKind.LBRACE)
         request_responses: list[RequestResponseOp] = []
         one_ways: list[OneWayOp] = []
-        while not self.at(TokenKind.RBRACE):
-            if self.at_keyword("RequestResponse"):
-                self.advance()
-                self.expect(TokenKind.COLON)
-                self._parse_operation_list(request_responses, with_response=True)
-            elif self.at_keyword("OneWay"):
-                self.advance()
-                self.expect(TokenKind.COLON)
-                self._parse_operation_list(one_ways, with_response=False)
-            else:
-                raise self.error("'RequestResponse' or 'OneWay'")
-        self.expect(TokenKind.RBRACE)
-        return InterfaceDecl(name.lexeme, request_responses, one_ways, pos=self._pos(start))
 
-    def _parse_operation_list(self, into: list, with_response: bool) -> None:
-        while True:
-            name = self.expect_ident("operation name")
-            self.expect(TokenKind.LPAREN)
-            request = self.parse_type_ref()
-            self.expect(TokenKind.RPAREN)
-            if with_response:
-                self.expect(TokenKind.LPAREN)
-                response = self.parse_type_ref()
-                self.expect(TokenKind.RPAREN)
-                into.append(RequestResponseOp(name.lexeme, request, response, pos=self._pos(name)))
-            else:
-                into.append(OneWayOp(name.lexeme, request, pos=self._pos(name)))
-            if self.at(TokenKind.COMMA):
-                self.advance()
-            else:
-                return
+        def section() -> None:
+            with_response = self.at_keyword("RequestResponse")
+            if not with_response and not self.at_keyword("OneWay"):
+                raise self.error("'RequestResponse' or 'OneWay'")
+            self.advance()
+            self.expect(TokenKind.COLON)
+            while True:
+                op = self.expect_ident("operation name")
+                request = self.parenthesized(self.parse_type_ref)
+                if with_response:
+                    response = self.parenthesized(self.parse_type_ref)
+                    request_responses.append(
+                        RequestResponseOp(op.lexeme, request, response, pos=self._pos(op))
+                    )
+                else:
+                    one_ways.append(OneWayOp(op.lexeme, request, pos=self._pos(op)))
+                if not self.accept(TokenKind.COMMA):
+                    return
+
+        self.braced(section)
+        return InterfaceDecl(name.lexeme, request_responses, one_ways, pos=self._pos(start))
 
     def parse_service_decl(self) -> ServiceDecl:
         start = self.expect_keyword("service")
         name = self.expect_ident("service name")
-        config: ConfigParam | None = None
-        if self.at(TokenKind.LPAREN):
-            self.advance()
-            if not self.at(TokenKind.RPAREN):
-                param = self.expect_ident("configuration parameter name")
-                type_name: str | None = None
-                if self.at(TokenKind.COLON):
-                    self.advance()
-                    type_name = self.expect_ident("configuration type name").lexeme
-                config = ConfigParam(param.lexeme, type_name, pos=self._pos(param))
-            self.expect(TokenKind.RPAREN)
-        self.expect(TokenKind.LBRACE)
-
-        execution: ExecutionMode | None = None
+        config = self.parenthesized(self._config_param) if self.at(TokenKind.LPAREN) else None
+        seen: set[str] = set()
+        execution = ExecutionMode.SINGLE
         input_ports: list[PortDecl] = []
         output_ports: list[PortDecl] = []
-        behavior: Behavior | None = None
-        while not self.at(TokenKind.RBRACE):
-            if self.at(TokenKind.ELLIPSIS):
-                self.advance()  # elided body, as printed in skeleton listings
+        behavior: Behavior = StatementSequence([])
+
+        def clause() -> None:
+            nonlocal execution, behavior
+            if self.accept(TokenKind.ELLIPSIS):
+                pass  # elided body, as printed in skeleton listings
             elif self.at_keyword("execution"):
-                token = self.advance()
-                if execution is not None:
-                    raise self.error("at most one execution clause", token)
+                self._once(seen, "at most one execution clause")
                 self.expect(TokenKind.COLON)
                 mode = self.peek()
                 if mode.kind is not TokenKind.IDENT or mode.lexeme not in _EXECUTION_MODES:
@@ -285,71 +302,64 @@ class Parser:
             elif self.at_keyword("outputPort"):
                 output_ports.append(self.parse_port_decl(PortKind.OUTPUT))
             elif self.at_keyword("main"):
-                token = self.advance()
-                if behavior is not None:
-                    raise self.error("at most one main block", token)
+                self._once(seen, "at most one main block")
                 behavior = self.parse_behavior()
             else:
                 raise self.error("'execution', 'inputPort', 'outputPort', or 'main'")
-        self.expect(TokenKind.RBRACE)
+
+        self.braced(clause)
         return ServiceDecl(
             name.lexeme,
             config=config,
-            execution=execution or ExecutionMode.SINGLE,
+            execution=execution,
             input_ports=input_ports,
             output_ports=output_ports,
-            behavior=behavior if behavior is not None else StatementSequence([]),
+            behavior=behavior,
             pos=self._pos(start),
         )
+
+    def _config_param(self) -> ConfigParam | None:
+        if self.at(TokenKind.RPAREN):
+            return None
+        param = self.expect_ident("configuration parameter name")
+        type_name: str | None = None
+        if self.accept(TokenKind.COLON):
+            type_name = self.expect_ident("configuration type name").lexeme
+        return ConfigParam(param.lexeme, type_name, pos=self._pos(param))
 
     def parse_port_decl(self, kind: PortKind) -> PortDecl:
         start = self.advance()  # inputPort / outputPort keyword
         name = self.expect_ident("port name")
-        self.expect(TokenKind.LBRACE)
+        seen: set[str] = set()
         location: Expr | None = None
         protocol: tuple[str, list[tuple[str, Expr]]] | None = None
-        interfaces: list[str] = []
-        interface_positions: list[Pos | None] = []
-        while not self.at(TokenKind.RBRACE):
+        interfaces: list[Token] = []
+
+        def protocol_parameter() -> str:
+            return self.expect_name(keyword_ok=True, expected="protocol parameter name").lexeme
+
+        def clause() -> None:
+            nonlocal location, protocol
             if self.at_lexeme("location"):
-                token = self.advance()
-                if location is not None:
-                    raise self.error("at most one location clause", token)
+                self._once(seen, "at most one location clause")
                 self.expect(TokenKind.COLON)
                 location = self.parse_expr()
             elif self.at_lexeme("protocol"):
-                token = self.advance()
-                if protocol is not None:
-                    raise self.error("at most one protocol clause", token)
+                self._once(seen, "at most one protocol clause")
                 self.expect(TokenKind.COLON)
                 proto_name = self.expect_ident("protocol name").lexeme
-                params: list[tuple[str, Expr]] = []
-                if self.at(TokenKind.LBRACE):
-                    self.advance()
-                    while not self.at(TokenKind.RBRACE):
-                        pname = self.expect_name(keyword_ok=True, expected="protocol parameter name")
-                        self.expect(TokenKind.ASSIGN)
-                        params.append((pname.lexeme, self.parse_expr()))
-                        if self.at(TokenKind.COMMA):
-                            self.advance()
-                    self.expect(TokenKind.RBRACE)
+                params = self._entries(protocol_parameter) if self.at(TokenKind.LBRACE) else []
                 protocol = (proto_name, params)
             elif self.at_lexeme("interfaces"):
-                token = self.advance()
-                if interfaces:
-                    raise self.error("at most one interfaces clause", token)
+                self._once(seen, "at most one interfaces clause")
                 self.expect(TokenKind.COLON)
-                first = self.expect_ident("interface name")
-                interfaces.append(first.lexeme)
-                interface_positions = [self._pos(first)]
-                while self.at(TokenKind.COMMA):
-                    self.advance()
-                    nth = self.expect_ident("interface name")
-                    interfaces.append(nth.lexeme)
-                    interface_positions.append(self._pos(nth))
+                interfaces.append(self.expect_ident("interface name"))
+                while self.accept(TokenKind.COMMA):
+                    interfaces.append(self.expect_ident("interface name"))
             else:
                 raise self.error("'location', 'protocol', or 'interfaces'")
-        self.expect(TokenKind.RBRACE)
+
+        self.braced(clause)
         if location is None:
             raise self.error(f"a location clause in port {name.lexeme}", start)
         if protocol is None:
@@ -362,8 +372,8 @@ class Parser:
             location,
             protocol[0],
             protocol[1],
-            interfaces,
-            interface_positions=interface_positions,
+            [token.lexeme for token in interfaces],
+            interface_positions=[self._pos(token) for token in interfaces],
             pos=self._pos(start),
         )
 
@@ -371,27 +381,22 @@ class Parser:
     # behaviors
 
     def parse_behavior(self) -> Behavior:
-        brace = self.expect(TokenKind.LBRACE)
-        pos = self._pos(brace)
+        pos = self._pos(self.peek())
         if self._behavior_is_choice():
-            branches: list[Branch] = []
-            while not self.at(TokenKind.RBRACE):
-                branches.append(self.parse_branch())
-            self.expect(TokenKind.RBRACE)
-            return InputChoice(branches, pos=pos)
-        statements: list[Statement] = []
-        while not self.at(TokenKind.RBRACE):
-            statements.append(self.parse_statement())
-        self.expect(TokenKind.RBRACE)
-        return StatementSequence(statements, pos=pos)
+            return InputChoice(self.braced(self.parse_branch), pos=pos)
+        return StatementSequence(self.parse_block(), pos=pos)
 
     def _behavior_is_choice(self) -> bool:
-        # A branch looks like `op( v )( v ) {` or `op( v ) {`; a statement
-        # starting `op(` is an inline receive, never followed by ( or {.
-        if self.peek().kind is not TokenKind.IDENT or self.peek(1).kind is not TokenKind.LPAREN:
+        # Past the `{`, a branch looks like `op( v )( v ) {` or `op( v ) {`; a
+        # statement starting `op(` is an inline receive, never followed by ( or {.
+        if not (
+            self.peek().kind is TokenKind.LBRACE
+            and self.peek(1).kind is TokenKind.IDENT
+            and self.peek(2).kind is TokenKind.LPAREN
+        ):
             return False
         depth = 0
-        i = self.pos + 1
+        i = self.pos + 2
         while True:
             token = self.tokens[i]
             if token.kind is TokenKind.EOF:
@@ -407,13 +412,9 @@ class Parser:
 
     def parse_branch(self) -> Branch:
         name = self.expect_ident("operation name")
-        self.expect(TokenKind.LPAREN)
-        request_var = self.expect_ident("request variable").lexeme
-        self.expect(TokenKind.RPAREN)
+        request_var = self.parenthesized(lambda: self.expect_ident("request variable").lexeme)
         if self.at(TokenKind.LPAREN):
-            self.advance()
-            response_var = self.expect_ident("response variable").lexeme
-            self.expect(TokenKind.RPAREN)
+            response_var = self.parenthesized(lambda: self.expect_ident("response variable").lexeme)
             body = self.parse_block()
             return RequestResponseBranch(name.lexeme, request_var, response_var, body, pos=self._pos(name))
         body = self.parse_block()
@@ -423,12 +424,7 @@ class Parser:
     # statements
 
     def parse_block(self) -> list[Statement]:
-        self.expect(TokenKind.LBRACE)
-        statements: list[Statement] = []
-        while not self.at(TokenKind.RBRACE):
-            statements.append(self.parse_statement())
-        self.expect(TokenKind.RBRACE)
-        return statements
+        return self.braced(self.parse_statement)
 
     def parse_body(self) -> list[Statement]:
         """A braced block, or a single statement (as in the bare `if ... throw` idiom)."""
@@ -440,9 +436,7 @@ class Parser:
         token = self.peek()
         if self.at_keyword("if"):
             self.advance()
-            self.expect(TokenKind.LPAREN)
-            condition = self.parse_expr()
-            self.expect(TokenKind.RPAREN)
+            condition = self.parenthesized(self.parse_expr)
             then = self.parse_body()
             orelse: list[Statement] = []
             if self.at_keyword("else"):
@@ -451,16 +445,11 @@ class Parser:
             return If(condition, then, orelse, pos=self._pos(token))
         if self.at_keyword("while"):
             self.advance()
-            self.expect(TokenKind.LPAREN)
-            condition = self.parse_expr()
-            self.expect(TokenKind.RPAREN)
-            body = self.parse_body()
-            return While(condition, body, pos=self._pos(token))
+            condition = self.parenthesized(self.parse_expr)
+            return While(condition, self.parse_body(), pos=self._pos(token))
         if self.at_keyword("throw"):
             self.advance()
-            self.expect(TokenKind.LPAREN)
-            fault = self.expect_ident("fault name").lexeme
-            self.expect(TokenKind.RPAREN)
+            fault = self.parenthesized(lambda: self.expect_ident("fault name").lexeme)
             return Throw(fault, pos=self._pos(token))
         if token.kind is TokenKind.IDENT:
             after = self.peek(1)
@@ -468,10 +457,7 @@ class Parser:
                 return self.parse_invocation()
             if after.kind is TokenKind.LPAREN:
                 self.advance()
-                self.advance()
-                target = self.parse_path()
-                self.expect(TokenKind.RPAREN)
-                return Receive(token.lexeme, target, pos=self._pos(token))
+                return Receive(token.lexeme, self.parenthesized(self.parse_path), pos=self._pos(token))
             target = self.parse_path()
             self.expect(TokenKind.ASSIGN)
             value = self.parse_expr()
@@ -482,15 +468,9 @@ class Parser:
         name = self.expect_ident("operation name")
         self.expect(TokenKind.AT)
         port = self.expect_ident("port name").lexeme
-        self.expect(TokenKind.LPAREN)
-        argument = self.parse_expr()
-        self.expect(TokenKind.RPAREN)
+        argument = self.parenthesized(self.parse_expr)
         if self.at(TokenKind.LPAREN):
-            self.advance()
-            target: Path | None = None
-            if not self.at(TokenKind.RPAREN):
-                target = self.parse_path()
-            self.expect(TokenKind.RPAREN)
+            target = self.parenthesized(lambda: None if self.at(TokenKind.RPAREN) else self.parse_path())
             return SolicitResponse(name.lexeme, port, argument, target, pos=self._pos(name))
         return OneWaySend(name.lexeme, port, argument, pos=self._pos(name))
 
@@ -500,16 +480,14 @@ class Parser:
     def parse_path(self, keyword_root: bool = False) -> Path:
         first = self.expect_name(keyword_ok=keyword_root, expected="a variable path")
         steps = [PathStep(first.lexeme, self._maybe_index())]
-        while self.at(TokenKind.DOT):
-            self.advance()
+        while self.accept(TokenKind.DOT):
             name = self.expect_name(keyword_ok=True, expected="a path segment")
             steps.append(PathStep(name.lexeme, self._maybe_index()))
         return Path(steps, pos=self._pos(first))
 
     def _maybe_index(self) -> Expr | None:
-        if not self.at(TokenKind.LBRACKET):
+        if not self.accept(TokenKind.LBRACKET):
             return None
-        self.advance()
         index = self.parse_expr()
         self.expect(TokenKind.RBRACKET)
         return index
@@ -527,15 +505,13 @@ class Parser:
         return left
 
     def _parse_unary(self) -> Expr:
-        if self.at(TokenKind.MINUS):
-            token = self.advance()
+        if token := self.accept(TokenKind.MINUS):
             operand = self._parse_unary()
             folded = _fold_negation(operand)
             if folded is not None:
                 return folded
             return Unary("-", operand, pos=self._pos(token))
-        if self.at(TokenKind.BANG):
-            token = self.advance()
+        if token := self.accept(TokenKind.BANG):
             return Unary("!", self._parse_unary(), pos=self._pos(token))
         return self._parse_primary()
 
@@ -548,10 +524,7 @@ class Parser:
             self.advance()
             return Literal(token.value, pos=self._pos(token))
         if token.kind is TokenKind.LPAREN:
-            self.advance()
-            expr = self.parse_expr()
-            self.expect(TokenKind.RPAREN)
-            return expr
+            return self.parenthesized(self.parse_expr)
         if token.kind is TokenKind.LBRACE:
             return self.parse_tree_literal()
         if token.kind is TokenKind.IDENT:
@@ -560,16 +533,8 @@ class Parser:
         raise self.error("an expression")
 
     def parse_tree_literal(self) -> TreeLiteral:
-        brace = self.expect(TokenKind.LBRACE)
-        entries: list[tuple[Path, Expr]] = []
-        while not self.at(TokenKind.RBRACE):
-            path = self.parse_path(keyword_root=True)
-            self.expect(TokenKind.ASSIGN)
-            entries.append((path, self.parse_expr()))
-            if self.at(TokenKind.COMMA):
-                self.advance()
-        self.expect(TokenKind.RBRACE)
-        return TreeLiteral(entries, pos=self._pos(brace))
+        pos = self._pos(self.peek())
+        return TreeLiteral(self._entries(lambda: self.parse_path(keyword_root=True)), pos=pos)
 
 
 def _fold_negation(operand: Expr) -> Literal | None:

@@ -9,6 +9,8 @@ byte for byte.
 
 from __future__ import annotations
 
+import json
+
 from .ast import (
     PRECEDENCE,
     UNARY_PRECEDENCE,
@@ -118,26 +120,19 @@ def _interface_decl(decl: InterfaceDecl) -> str:
     if not decl.request_responses and not decl.one_ways:
         return f"interface {decl.name} {{}}"
     lines = [f"interface {decl.name} {{"]
-    if decl.request_responses:
-        lines.append(_INDENT + "RequestResponse:")
-        for i, op in enumerate(decl.request_responses):
-            comma = "," if i < len(decl.request_responses) - 1 else ""
-            lines.append(_INDENT * 2 + _rr_op(op) + comma)
-    if decl.one_ways:
-        lines.append(_INDENT + "OneWay:")
-        for i, op in enumerate(decl.one_ways):
-            comma = "," if i < len(decl.one_ways) - 1 else ""
-            lines.append(_INDENT * 2 + _ow_op(op) + comma)
+    for section, ops in (("RequestResponse", decl.request_responses), ("OneWay", decl.one_ways)):
+        if ops:
+            lines.append(_INDENT + section + ":")
+            lines.append(",\n".join(_INDENT * 2 + _operation(op) for op in ops))
     lines.append("}")
     return "\n".join(lines)
 
 
-def _rr_op(op: RequestResponseOp) -> str:
-    return f"{op.name}( {_type_ref(op.request)} )( {_type_ref(op.response)} )"
-
-
-def _ow_op(op: OneWayOp) -> str:
-    return f"{op.name}( {_type_ref(op.request)} )"
+def _operation(op: RequestResponseOp | OneWayOp) -> str:
+    text = f"{op.name}( {_type_ref(op.request)} )"
+    if isinstance(op, RequestResponseOp):
+        text += f"( {_type_ref(op.response)} )"
+    return text
 
 
 def _service_decl(decl: ServiceDecl) -> str:
@@ -150,9 +145,7 @@ def _service_decl(decl: ServiceDecl) -> str:
     body: list[str] = []
     if decl.execution is not ExecutionMode.SINGLE:
         body.append(_INDENT + f"execution: {decl.execution.value}")
-    for port in decl.input_ports:
-        body.extend(_port_lines(port))
-    for port in decl.output_ports:
+    for port in decl.ports():
         body.extend(_port_lines(port))
     body.extend(_behavior_lines(decl.behavior))
     if not body:
@@ -175,18 +168,14 @@ def _port_lines(port: PortDecl) -> list[str]:
 
 def _behavior_lines(behavior: Behavior) -> list[str]:
     if isinstance(behavior, StatementSequence):
-        if not behavior.statements:
-            return []
-        lines = [_INDENT + "main {"]
-        for statement in behavior.statements:
-            lines.extend(_statement_lines(statement, 2))
-        lines.append(_INDENT + "}")
-        return lines
-    if not behavior.branches:
+        items, item_lines = behavior.statements, _statement_lines
+    else:
+        items, item_lines = behavior.branches, _branch_lines
+    if not items:
         return []
     lines = [_INDENT + "main {"]
-    for branch in behavior.branches:
-        lines.extend(_branch_lines(branch, 2))
+    for item in items:
+        lines.extend(item_lines(item, 2))
     lines.append(_INDENT + "}")
     return lines
 
@@ -263,29 +252,8 @@ def _literal(value) -> str:
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, str):
-        return _quote(value)
+        return json.dumps(value, ensure_ascii=False)  # the lexer reads exactly JSON's escapes
     raise TypeError(f"not a literal value: {value!r}")
-
-
-def _quote(text: str) -> str:
-    out = ['"']
-    for ch in text:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
 
 
 def _expr(expr: Expr, parent_precedence: int) -> str:

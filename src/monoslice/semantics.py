@@ -262,39 +262,35 @@ class _Resolver:
         return None
 
     def _check_inbound_op(self, decl: ServiceDecl, operation: str, wanted: str, pos: Pos | None) -> None:
-        info = self._inbound_info(decl, operation)
-        kind_name = "request-response" if wanted == "rr" else "one-way"
+        where = f"any input port of service {decl.name}"
+        self._check_kind(self._inbound_info(decl, operation), wanted, operation, where, pos)
+
+    def _check_kind(
+        self, info: OpInfo | None, wanted: str, operation: str, where: str, pos: Pos | None
+    ) -> None:
+        """Report an operation that the ports where names do not offer as wanted ("rr" or "ow")."""
         if info is None or info.kind != wanted:
-            self.errors.append(
-                UnknownOperation(
-                    operation, f"any input port of service {decl.name} as {kind_name}", pos
-                )
-            )
+            kind_name = "request-response" if wanted == "rr" else "one-way"
+            self.errors.append(UnknownOperation(operation, f"{where} as {kind_name}", pos))
 
     def _check_statements(self, decl: ServiceDecl, statements: list[Statement], executable: bool) -> None:
         port_names = {p.name for p in decl.ports()}
         output_names = {p.name for p in decl.output_ports}
         config_name = decl.config.name if decl.config else None
 
-        def check_read_path(path: Path) -> None:
-            if path.root in port_names:
-                self.errors.append(
-                    BehaviorError(
-                        f"port name '{path.root}' cannot be read as a variable", path.pos
-                    )
-                )
+        def check_indices(path: Path) -> None:
             for step in path.steps:
                 if step.index is not None:
                     check_expr(step.index)
 
         def check_expr(expr: Expr) -> None:
             if isinstance(expr, PathExpr):
-                if expr.path.root == config_name:
-                    for step in expr.path.steps:
-                        if step.index is not None:
-                            check_expr(step.index)
-                    return
-                check_read_path(expr.path)
+                root = expr.path.root
+                if root != config_name and root in port_names:
+                    self.errors.append(
+                        BehaviorError(f"port name '{root}' cannot be read as a variable", expr.path.pos)
+                    )
+                check_indices(expr.path)
             elif isinstance(expr, Unary):
                 check_expr(expr.operand)
             elif isinstance(expr, Binary):
@@ -302,9 +298,7 @@ class _Resolver:
                 check_expr(expr.right)
             elif isinstance(expr, TreeLiteral):
                 for key, value in expr.entries:
-                    for step in key.steps:
-                        if step.index is not None:
-                            check_expr(step.index)
+                    check_indices(key)
                     check_expr(value)
 
         def check_write_path(path: Path, pos: Pos | None) -> None:
@@ -333,24 +327,15 @@ class _Resolver:
                     BehaviorError(f"input port name '{root}' cannot be assigned", pos)
                 )
                 return
-            for step in path.steps:
-                if step.index is not None:
-                    check_expr(step.index)
+            check_indices(path)
 
         def check_outbound(statement: SolicitResponse | OneWaySend, wanted: str) -> None:
             if statement.port not in output_names:
                 self.errors.append(UnknownPort(statement.port, decl.name, statement.pos))
                 return
             info = self.port_ops.get((decl.name, statement.port), {}).get(statement.operation)
-            kind_name = "request-response" if wanted == "rr" else "one-way"
-            if info is None or info.kind != wanted:
-                self.errors.append(
-                    UnknownOperation(
-                        statement.operation,
-                        f"output port {statement.port} as {kind_name}",
-                        statement.pos,
-                    )
-                )
+            where = f"output port {statement.port}"
+            self._check_kind(info, wanted, statement.operation, where, statement.pos)
 
         def walk(stmts: list[Statement]) -> None:
             for statement in stmts:

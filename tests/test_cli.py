@@ -64,6 +64,13 @@ def test_check_over_long_integer_is_a_diagnostic(tmp_path, capsys):
     assert capsys.readouterr().err == f"{bad}:2:14: error: integer literal has too many digits\n"
 
 
+def test_check_overflowing_double_is_a_diagnostic(tmp_path, capsys):
+    bad = tmp_path / "bad.ol"
+    bad.write_text("service S {\n  main { y = 1e999 }\n}\n", encoding="utf-8")
+    assert main(["check", str(bad)]) == 2
+    assert capsys.readouterr().err == f"{bad}:2:14: error: double literal out of range\n"
+
+
 def test_run_fixture_exits_zero_quickly(fixture_path, local_config_path, capsys):
     started = time.monotonic()
     assert main(["run", "--config", str(local_config_path), str(fixture_path)]) == 0

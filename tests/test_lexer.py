@@ -39,6 +39,7 @@ def test_numeric_literals():
     assert tokenize("2e3")[0].kind is TokenKind.DOUBLE
     assert tokenize("1e+21")[0].value == 1e21
     assert tokenize("3.5e-7")[0].kind is TokenKind.DOUBLE
+    assert tokenize("1.7976931348623157e308")[0].value == 1.7976931348623157e308
 
 
 def test_long_suffix_rejected_on_fractions():
@@ -132,6 +133,9 @@ DIGIT_LIMIT = pytest.mark.skipif(
         ("1.5L", 1, 1, "long suffix on a non-integer literal"),
         ("1e3L", 1, 1, "long suffix on a non-integer literal"),
         ("\n x = 1.5L", 2, 6, "long suffix on a non-integer literal"),
+        # float() reads these as infinity, which no literal can render back
+        ("y = 1e999", 1, 5, "double literal out of range"),
+        ("y = -1.0e400", 1, 6, "double literal out of range"),
         pytest.param(
             "x = " + "7" * 5000, 1, 5, "integer literal has too many digits",
             marks=DIGIT_LIMIT, id="5000-digit-int",

@@ -23,7 +23,10 @@ from monoslice.ast import (
     TreeLiteral,
     TypeDecl,
 )
+from monoslice.lexer import LexError, tokenize
 from monoslice.parser import ParseError, parse_source
+from monoslice.render import render
+from monoslice.semantics import CheckedProgram, ResolveFailure, resolve
 from monoslice.values import Long
 
 # Reference listings the grammar must accept, kept verbatim.
@@ -284,3 +287,103 @@ def test_declaration_positions_retained():
 def test_first_error_aborts():
     with pytest.raises(ParseError):
         parse_source("type A { x:1 }\ntype B { }")
+
+
+# Every error the parser can raise, with its position, expectation and
+# finding pinned. `'}'` and `'@'` are never expected: a braced list reads
+# items until it meets its `}`, and an invocation is parsed only once its `@`
+# has been seen.
+@pytest.mark.parametrize(
+    "source, line, column, expected, found",
+    [
+        ("x", 1, 1, "a declaration (type, interface, or service)", "'x'"),
+        ("type {", 1, 6, "type name", "'{'"),
+        ("type T : foo", 1, 10, "a basic type (void, bool, int, long, double, string, any)", "'foo'"),
+        ("type T { : int }", 1, 10, "field name", "':'"),
+        ("type T { a : { b : { c : int } } }", 1, 20, "a basic or named type (inline trees do not nest)", "'{'"),
+        ("type T { a : 1 }", 1, 14, "a type reference", "'1'"),
+        ("interface {", 1, 11, "interface name", "'{'"),
+        ("interface I { x }", 1, 15, "'RequestResponse' or 'OneWay'", "'x'"),
+        ("interface I { OneWay: ( int ) }", 1, 23, "operation name", "'('"),
+        ("interface I { OneWay op( int ) }", 1, 22, "':'", "'op'"),
+        ("interface I { OneWay: op int }", 1, 26, "'('", "'int'"),
+        ("interface I { OneWay: op( int }", 1, 31, "')'", "'}'"),
+        ("service {", 1, 9, "service name", "'{'"),
+        ("service S", 1, 10, "'{'", "end of input"),
+        ("service S( : T ) {}", 1, 12, "configuration parameter name", "':'"),
+        ("service S( c : ) {}", 1, 16, "configuration type name", "')'"),
+        ("service S( c {}", 1, 14, "')'", "'{'"),
+        ("service S { execution: single execution: single }", 1, 31, "at most one execution clause", "'execution'"),
+        ("service S { execution single }", 1, 23, "':'", "'single'"),
+        ("service S { execution: fast }", 1, 24, "an execution mode (concurrent, sequential, single)", "'fast'"),
+        ("service S { main {} main {} }", 1, 21, "at most one main block", "'main'"),
+        ("service S { x }", 1, 13, "'execution', 'inputPort', 'outputPort', or 'main'", "'x'"),
+        ("service S { inputPort { } }", 1, 23, "port name", "'{'"),
+        (
+            'service S { inputPort P { location: "local://a" location: "local://b" } }',
+            1, 49, "at most one location clause", "'location'",
+        ),
+        ("service S { inputPort P { protocol: http protocol: http } }", 1, 42, "at most one protocol clause", "'protocol'"),
+        ("service S { inputPort P { protocol: { } } }", 1, 37, "protocol name", "'{'"),
+        ("service S { inputPort P { protocol: http { = 1 } } }", 1, 44, "protocol parameter name", "'='"),
+        ("service S { inputPort P { protocol: http { format 1 } } }", 1, 51, "'='", "'1'"),
+        ("service S { inputPort P { interfaces: I interfaces: J } }", 1, 41, "at most one interfaces clause", "'interfaces'"),
+        ("service S { inputPort P { interfaces: I, } }", 1, 42, "interface name", "'}'"),
+        ("service S { inputPort P { x } }", 1, 27, "'location', 'protocol', or 'interfaces'", "'x'"),
+        ("service S {\n  inputPort P { protocol: http interfaces: I }\n}", 2, 3, "a location clause in port P", "'inputPort'"),
+        (
+            'service S {\n  inputPort P { location: "local://a" interfaces: I }\n}',
+            2, 3, "a protocol clause in port P", "'inputPort'",
+        ),
+        (
+            'service S {\n  inputPort P { location: "local://a" protocol: http }\n}',
+            2, 3, "an interfaces clause in port P", "'inputPort'",
+        ),
+        ("service S { main op( ) { } }", 1, 18, "'{'", "'op'"),
+        ("service S { main { op( ) { } } }", 1, 24, "request variable", "')'"),
+        ("service S { main { op( a )( ) { } } }", 1, 29, "response variable", "')'"),
+        ("service S { main { throw( ) } }", 1, 27, "fault name", "')'"),
+        ("service S { main { throw x } }", 1, 26, "'('", "'x'"),
+        ("service S { main { if x ) {} } }", 1, 23, "'('", "'x'"),
+        ("service S { main { while( x {} } }", 1, 29, "')'", "'{'"),
+        ("service S { main { 1 } }", 1, 20, "a statement", "'1'"),
+        ("service S { main { op( 1 ) } }", 1, 24, "a variable path", "'1'"),
+        ("service S { main { op@P( 1 )( 2 ) } }", 1, 31, "a variable path", "'2'"),
+        ("service S { main { op@( 1 ) } }", 1, 23, "port name", "'('"),
+        ("service S { main { x. = 1 } }", 1, 23, "a path segment", "'='"),
+        ("service S { main { x 1 } }", 1, 22, "'='", "'1'"),
+        ("service S { main { x = } }", 1, 24, "an expression", "'}'"),
+        ("service S { main { x[1 = 2 } }", 1, 24, "']'", "'='"),
+        ("service S { main { x = ( 1 } }", 1, 28, "')'", "'}'"),
+        ("service S { main { x = { 1 = 2 } } }", 1, 26, "a variable path", "'1'"),
+        ("service S { main { x = { a 2 } } }", 1, 28, "'='", "'2'"),
+    ],
+)
+def test_parse_error_positions_and_texts(source, line, column, expected, found):
+    with pytest.raises(ParseError) as exc:
+        parse_source(source)
+    error = exc.value
+    assert (error.line, error.column, error.expected, error.found) == (line, column, expected, found)
+    assert str(error) == f"{line}:{column}: expected {expected}, found {found}"
+
+
+def test_deleting_a_token_of_the_fixture_fails_cleanly_or_round_trips(fixture_source):
+    """Each fourth token deleted in turn: a positioned error, or a program that
+    renders, reparses equal and either resolves or fails to resolve cleanly."""
+    starts = [0]
+    for text in fixture_source.split("\n"):
+        starts.append(starts[-1] + len(text) + 1)
+    tokens = tokenize(fixture_source)
+    for token in tokens[::4]:
+        start = starts[token.line - 1] + token.column - 1
+        variant = fixture_source[:start] + fixture_source[start + len(token.lexeme):]
+        try:
+            program = parse_source(variant)
+        except (ParseError, LexError) as error:
+            assert error.line >= 1 and error.column >= 1
+            continue
+        assert parse_source(render(program)) == program, f"deleting {token} changed the round trip"
+        try:
+            assert isinstance(resolve(program), CheckedProgram)
+        except ResolveFailure as failure:
+            assert failure.errors

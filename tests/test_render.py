@@ -108,6 +108,12 @@ def test_a_right_nested_operand_keeps_its_parentheses(expr):
 
 def test_string_escapes_round_trip():
     round_trips('service S { main { x = "a\\"b\\\\c\\nd\\te" } }')
+    # every C0 control character, then a quote and a backslash
+    controls = "".join(f"\\u{code:04x}" for code in range(0x20))
+    text = round_trips(f'service S {{ main {{ x = "{controls}\\"\\\\" }} }}')
+    assert 'x = "\\u0000\\u0001' in text
+    assert '\\u0007\\b\\t\\n\\u000b\\f\\r\\u000e' in text
+    assert '\\u001f\\"\\\\"' in text
 
 
 def test_tree_literal_rendering():

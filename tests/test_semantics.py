@@ -136,6 +136,46 @@ def test_behavior_misuse_of_ports_and_config():
     resolve(parse_source(source % "y = config.S.location"))
 
 
+def test_behavior_errors_keep_their_texts_and_order():
+    source = (
+        "interface I { RequestResponse: ping( int )( int ) OneWay: tick( int ) }\n"
+        "service S( config ) {\n"
+        '  inputPort In { location: "local://s" protocol: http interfaces: I }\n'
+        '  outputPort Out { location: "local://t" protocol: http interfaces: I }\n'
+        "  main {\n"
+        "    ping( a ) { skip( m ) }\n"
+        "    tick( a )( b ) {\n"
+        "      b = Out + { k[In] = In, j = config.x[Out] }\n"
+        "      y[Out.n] = 1\n"
+        "      config.x = 1\n"
+        "      Out.retries = 1\n"
+        "      In.x = 2\n"
+        "      tick@Out( 1 )( r )\n"
+        "      ping@Out( 1 )\n"
+        "      ping@In( 1 )\n"
+        "    }\n"
+        "  }\n"
+        "}\n"
+    )
+    assert [str(e) for e in resolve_errors(source)] == [
+        "6:5: operation 'ping' is not offered by any input port of service S as one-way",
+        "6:17: inline receive is only valid in an executable service (a main that is a statement sequence)",
+        "6:17: operation 'skip' is not offered by any input port of service S as one-way",
+        "7:5: operation 'tick' is not offered by any input port of service S as request-response",
+        "8:11: port name 'Out' cannot be read as a variable",
+        "8:21: port name 'In' cannot be read as a variable",
+        "8:27: port name 'In' cannot be read as a variable",
+        "8:44: port name 'Out' cannot be read as a variable",
+        "9:9: port name 'Out' cannot be read as a variable",
+        "10:7: config parameter 'config' is read-only",
+        "11:7: only 'Out.location' may be assigned on output port 'Out'",
+        "12:7: input port name 'In' cannot be assigned",
+        "13:7: operation 'tick' is not offered by output port Out as request-response",
+        "14:7: operation 'ping' is not offered by output port Out as one-way",
+        "15:7: 'In' is not an output port of service S",
+    ]
+
+
 def test_inline_receive_only_in_executable_services():
     source = (
         "interface I { OneWay: tick( int ) RequestResponse: ping( int )( int ) }"
