@@ -5,7 +5,10 @@ and expression becomes a nested Python closure, with path steps,
 constant indices and operators fixed when the closure is built (Feeley
 and Lapalme, "Using closures for code generation", Computer Languages
 12(1), 1987). exec_statements runs a Block against an ExecutionContext,
-one exec_statement per statement executed, nested ones included.
+one exec_statement per statement executed, nested ones included. Each
+specialisation is chosen from the syntax tree alone: shapes such as a
+comparison with {}, a plain-variable index or store, and same-kind
+equality are compiled to direct tests, with the same faults.
 
 A variable scope is itself a value tree whose children are the
 variables. Reads of missing paths yield an empty tree without mutating
@@ -163,7 +166,10 @@ def _statement(statement: Statement, ports: frozenset[str]) -> Step:
         orelse = compile_block(statement.orelse, ports)
 
         def if_(ctx: ExecutionContext) -> None:
-            for step in then if _bool(condition(ctx), "if condition") else orelse:
+            c = condition(ctx)
+            if c is not True and c is not False:
+                _bool(c, "if condition")  # raises
+            for step in then if c is True else orelse:
                 exec_statement(step, ctx)
 
         return if_
@@ -172,11 +178,15 @@ def _statement(statement: Statement, ports: frozenset[str]) -> Step:
         body = compile_block(statement.body, ports)
 
         def while_(ctx: ExecutionContext) -> None:
-            while _bool(condition(ctx), "while condition"):
+            c = condition(ctx)
+            while c is True:
                 if ctx.aborted:  # a plain attribute: this loop is the interpreter's hot path
                     raise fault("Aborted", "the system shut down before the activation ended")
                 for step in body:
                     exec_statement(step, ctx)
+                c = condition(ctx)
+            if c is not False:
+                _bool(c, "while condition")  # raises
 
         return while_
     if isinstance(statement, Throw):
@@ -226,17 +236,29 @@ def _index(index: Expr | None) -> int | _Eval:
         return 0
     if isinstance(index, Literal) and type(index.value) in (int, Long) and index.value >= 0:
         return int(index.value)
+    if isinstance(index, PathExpr) and _is_variable(index.path):
+        name = index.path.root
+
+        def variable(ctx: ExecutionContext) -> int:
+            seq = ctx.scope.children.get(name)
+            root = seq[0].root if seq else None
+            return root if type(root) is int and root >= 0 else _checked_index(root)
+
+        return variable
     value = _root(index)
+    return lambda ctx: _checked_index(value(ctx))
 
-    def checked(ctx: ExecutionContext) -> int:
-        root = value(ctx)
-        if isinstance(root, bool) or not isinstance(root, int):
-            raise fault("TypeMismatch", f"index must be an integer, found {kind_of(root)}")
-        if root < 0:
-            raise fault("TypeMismatch", f"index must be non-negative, found {root}")
-        return int(root)
 
-    return checked
+def _checked_index(root: Basic | None) -> int:
+    if isinstance(root, bool) or not isinstance(root, int):
+        raise fault("TypeMismatch", f"index must be an integer, found {kind_of(root)}")
+    if root < 0:
+        raise fault("TypeMismatch", f"index must be non-negative, found {root}")
+    return int(root)
+
+
+def _is_variable(path: Path) -> bool:
+    return len(path.steps) == 1 and path.steps[0].index is None
 
 
 def _steps(path: Path) -> list[tuple[str, int | _Eval]]:
@@ -246,16 +268,28 @@ def _steps(path: Path) -> list[tuple[str, int | _Eval]]:
 def _locate(path: Path) -> Callable[[ExecutionContext], ValueTree | None]:
     """The scope node a path names, itself and not a copy, or None if absent."""
     steps = _steps(path)
+    if all(type(index) is int for _, index in steps):
+
+        def fixed(ctx: ExecutionContext) -> ValueTree | None:
+            node = ctx.scope
+            try:
+                for name, index in steps:
+                    node = node.children[name][index]
+            except (KeyError, IndexError):  # indices are never negative: past the end
+                return None
+            return node
+
+        return fixed
 
     def locate(ctx: ExecutionContext) -> ValueTree | None:
         node = ctx.scope
         for name, index in steps:
             if type(index) is not int:
-                index = index(ctx)
-            seq = node.children.get(name)
-            if seq is None or index >= len(seq):
+                index = index(ctx)  # outside the try: its faults propagate
+            try:
+                node = node.children[name][index]
+            except (KeyError, IndexError):
                 return None
-            node = seq[index]
         return node
 
     return locate
@@ -290,9 +324,24 @@ def _slot(path: Path) -> Callable[[ValueTree, ExecutionContext], tuple[list[Valu
 
 def _store(target: Path, value: Expr) -> Callable[[ValueTree, ExecutionContext], None]:
     """Assign an expression to a path under a node, sharing a borrowed tree."""
-    slot = _slot(target)
     if isinstance(value, (Literal, Unary, Binary)):  # always childless
         root = _root(value)
+        if _is_variable(target):
+            name = target.root
+
+            def store_variable(node: ValueTree, ctx: ExecutionContext) -> None:
+                result = root(ctx)
+                seq = node.children.get(name)
+                if not seq:
+                    node.children[name] = [ValueTree(result)]
+                    return
+                held = seq[0]
+                if held.shared:
+                    held = seq[0] = held.writable()
+                held.root = result
+
+            return store_variable
+        slot = _slot(target)
 
         def store_root(node: ValueTree, ctx: ExecutionContext) -> None:
             result = root(ctx)
@@ -303,6 +352,7 @@ def _store(target: Path, value: Expr) -> Callable[[ValueTree, ExecutionContext],
             target.root = result
 
         return store_root
+    slot = _slot(target)
     tree = compile_expr(value)
     borrowed = isinstance(value, PathExpr)
 
@@ -360,7 +410,7 @@ def _root(expr: Expr) -> _Eval:
         value = expr.value
         return lambda ctx: value
     if isinstance(expr, PathExpr):
-        if len(expr.path.steps) == 1 and expr.path.steps[0].index is None:  # a plain variable
+        if _is_variable(expr.path):
             name = expr.path.root
 
             def variable(ctx: ExecutionContext) -> Basic | None:
@@ -381,10 +431,14 @@ def _root(expr: Expr) -> _Eval:
         return _binary(expr.op, _root(expr.left), _root(expr.right))
     if isinstance(expr, TreeLiteral):
         if not expr.entries:
-            return lambda ctx: None
+            return _nothing
         tree = compile_expr(expr)
         return lambda ctx: tree(ctx).root
     raise TypeError(f"not an expression: {expr!r}")
+
+
+def _nothing(ctx: ExecutionContext) -> None:
+    """The root of {}: _binary tells a comparison with {} by this closure."""
 
 
 def _numeric(value: Basic | None) -> bool:
@@ -441,10 +495,19 @@ def _binary(op: str, left: _Eval, right: _Eval) -> _Eval:
         return lambda ctx: _bool(left(ctx), "operand of '&&'") and _bool(right(ctx), "operand of '&&'")
     if op == "||":
         return lambda ctx: _bool(left(ctx), "operand of '||'") or _bool(right(ctx), "operand of '||'")
-    if op == "==":
-        return lambda ctx: _equal_roots(left(ctx), right(ctx))
-    if op == "!=":
-        return lambda ctx: not _equal_roots(left(ctx), right(ctx))
+    if op in ("==", "!=") and _nothing in (left, right):  # a test for absence
+        other = right if left is _nothing else left
+        if op == "==":
+            return lambda ctx: other(ctx) is None
+        return lambda ctx: other(ctx) is not None
+    if op in ("==", "!="):
+        negate = op == "!="
+
+        def equal(ctx: ExecutionContext) -> bool:
+            a, b = left(ctx), right(ctx)
+            return (a == b if type(a) is type(b) else _equal_roots(a, b)) ^ negate
+
+        return equal
     if op in _ORDER:
         order = _ORDER[op]
 
@@ -456,9 +519,12 @@ def _binary(op: str, left: _Eval, right: _Eval) -> _Eval:
 
         return compare
     compute = _ARITHMETIC[op]
+    integral = op != "/"  # +, - and * of two ints need no checks
 
     def arithmetic(ctx: ExecutionContext) -> Basic:
         a, b = left(ctx), right(ctx)
+        if integral and type(a) is int and type(b) is int:
+            return compute(a, b)
         if not _numeric(a) or not _numeric(b):
             raise fault("TypeMismatch", f"cannot apply '{op}' to {kind_of(a)} and {kind_of(b)}")
         if op == "/" and b == 0:

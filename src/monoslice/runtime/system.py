@@ -40,6 +40,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Callable
 
 from ..ast import (
@@ -57,7 +58,7 @@ from ..config import (
 )
 from ..errors import MonosliceError, NoServices
 from ..semantics import CheckedProgram, OpInfo, check_value
-from ..values import TOO_DEEP, TOO_MANY_DIGITS, Long, ValueTree
+from ..values import NOT_FINITE, TOO_DEEP, TOO_MANY_DIGITS, Long, ValueTree
 from .interpreter import (
     Block,
     ExecutionContext,
@@ -153,7 +154,8 @@ def _admit(tree: ValueTree, type_: TypeRef, types: dict) -> tuple[ValueTree, lis
     A tree nesting more than MAX_NESTING JSON levels, or too deeply for
     either walk, is refused as a violation, with the message JSON decoding
     gives a payload nested deeper still, and so is a tree holding an integer
-    with more digits than JSON encoding converts.
+    with more digits than JSON encoding converts or a double that is not
+    finite.
     """
     try:
         tree = _wire_image(tree)
@@ -171,8 +173,8 @@ def _wire_image(tree: ValueTree) -> ValueTree:
     every message crossing a boundary is taken to its wire image. A tree
     that already is its image is returned itself; otherwise the nodes on
     the path down to each plain int are copied and all others are shared.
-    An integer the wire cannot carry, or nesting past MAX_NESTING, raises
-    _Unencodable.
+    An integer or a double the wire cannot carry, or nesting past
+    MAX_NESTING, raises _Unencodable.
 
     Every node of the image is marked shared and admitted (the sender may
     hold it still, and the receiver keeps it), with its nesting, and an
@@ -196,6 +198,8 @@ def _wire_image(tree: ValueTree) -> ValueTree:
             tree.shared = True  # its image shares its children
             image = tree.writable()
             image.root = Long(root)
+    elif type(root) is float and not isfinite(root):
+        raise _Unencodable(NOT_FINITE)
     nesting = 0
     children = tree.children
     if children:  # most nodes are leaves; enumerate cost a third of the walk

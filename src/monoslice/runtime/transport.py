@@ -54,6 +54,7 @@ from urllib.parse import quote, unquote
 from ..config import Location
 from ..errors import MonosliceError
 from ..values import (
+    NOT_FINITE,
     TOO_DEEP,
     TOO_MANY_DIGITS,
     JsonError,
@@ -405,8 +406,8 @@ class _Unencodable(Exception):
 def _encode(message: ValueTree) -> bytes:
     try:
         return encode_json(message)
-    except ValueError:  # an integer with more digits than int-to-text conversion allows
-        raise _Unencodable(TOO_MANY_DIGITS) from None
+    except ValueError as exc:  # allow_nan=False names a float; int-to-text, its digit limit
+        raise _Unencodable(NOT_FINITE if "float" in str(exc) else TOO_MANY_DIGITS) from None
     except RecursionError:
         raise _Unencodable(TOO_DEEP) from None
 

@@ -9,7 +9,8 @@ subset (no child named "$", no non-finite doubles).
 from __future__ import annotations
 
 import json
-from typing import Any
+import math
+from typing import Any, NoReturn
 
 from .errors import MonosliceError
 
@@ -258,19 +259,39 @@ def from_json_value(obj: Any) -> ValueTree:
 # what a port says of a message JSON cannot carry, on either transport
 TOO_DEEP = "payload nests too deeply"
 TOO_MANY_DIGITS = "integer has too many digits for JSON"
+NOT_FINITE = "double is not finite, which JSON cannot carry"
 
 
 def encode_json(tree: ValueTree) -> bytes:
-    """Encode a tree as compact UTF-8 JSON bytes."""
-    return json.dumps(to_json_value(tree), separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    """Encode a tree as compact UTF-8 JSON bytes.
+
+    Raises ValueError on a double that is not finite, and on an integer
+    with more digits than int-to-text conversion allows.
+    """
+    return json.dumps(
+        to_json_value(tree), separators=(",", ":"), ensure_ascii=False, allow_nan=False
+    ).encode("utf-8")
+
+
+def _not_json(constant: str) -> NoReturn:
+    raise JsonError(f"{constant} is not a JSON number")
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise JsonError("number is out of the range of a double")
+    return value
 
 
 def decode_json(data: bytes | str) -> ValueTree:
     """Decode JSON bytes or text into a value tree.
 
     Raises JsonError with line/column on malformed input, and without
-    them on input nested deeper than the interpreter can recurse or on
-    an integer with more digits than int() converts.
+    them on input nested deeper than the interpreter can recurse, on
+    NaN, Infinity and -Infinity, which are not JSON, on a number that
+    overflows a double, and on an integer with more digits than int()
+    converts.
     """
     if isinstance(data, bytes):
         try:
@@ -278,7 +299,7 @@ def decode_json(data: bytes | str) -> ValueTree:
         except UnicodeDecodeError as exc:
             raise JsonError(f"payload is not valid UTF-8: {exc}") from exc
     try:
-        return from_json_value(json.loads(data))
+        return from_json_value(json.loads(data, parse_constant=_not_json, parse_float=_finite))
     except json.JSONDecodeError as exc:
         raise JsonError(exc.msg, exc.lineno, exc.colno) from exc
     except ValueError:  # a number with more digits than int() converts

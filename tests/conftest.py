@@ -5,6 +5,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import monoslice
 from monoslice.config import load_config
@@ -14,6 +15,12 @@ from monoslice.semantics import resolve
 from monoslice.values import decode_json
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "monoslice" / "fixtures"
+
+# CI's longer, seeded run of the interpreter differential; tests that set
+# their own max_examples keep it under this profile too
+settings.register_profile("ci", derandomize=True, max_examples=3000)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 # the directory holding the monoslice package this test process imported
 PACKAGE_ROOT = str(Path(monoslice.__file__).resolve().parent.parent)

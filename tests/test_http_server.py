@@ -237,6 +237,21 @@ def test_every_request_gets_a_status(shared_server, request_bytes, status):
         assert parse_response(receive_all(connection))[0] == status
 
 
+@pytest.mark.parametrize(
+    "body, reason",
+    [
+        (b'{"x":NaN}', "NaN is not a JSON number"),
+        (b'{"x":1e999}', "number is out of the range of a double"),
+    ],
+)
+def test_a_number_that_is_not_finite_gets_the_type_mismatch_envelope(shared_server, body, reason):
+    with shared_server.connect() as connection:
+        connection.sendall(post(b"/echo", body))
+        connection.shutdown(socket.SHUT_WR)
+        status, reply = parse_response(receive_all(connection))
+    assert (status, json.loads(reply)) == (500, {"fault": "TypeMismatch", "data": reason})
+
+
 def test_a_stalled_request_gets_408(server, monkeypatch):
     monkeypatch.setattr(transport, "READ_TIMEOUT", 0.2)
     with server.connect() as connection:

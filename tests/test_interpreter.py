@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoslice.ast import Literal, PathExpr, TreeLiteral
+from monoslice.ast import Binary, Literal, Path, PathExpr, PathStep, TreeLiteral, Unary
 from monoslice.parser import parse_source
 from monoslice.runtime.interpreter import (
     ExecutionContext,
@@ -11,7 +11,7 @@ from monoslice.runtime.interpreter import (
     compile_expr,
     exec_statements,
 )
-from monoslice.values import Long, ValueTree
+from monoslice.values import Long, ValueTree, kind_of
 
 
 class Context(ExecutionContext):
@@ -36,10 +36,16 @@ def evaluate(expression: str, scope: ValueTree | None = None) -> ValueTree:
     return compile_expr(statement.value)(Context(scope))
 
 
-def fault_name(callable_):
+def fault_of(callable_):
+    """The name and message of the fault callable_ raises."""
     with pytest.raises(FaultSignal) as exc:
         callable_()
-    return exc.value.fault.name
+    fault = exc.value.fault
+    return fault.name, None if fault.data is None else fault.data.root
+
+
+def fault_name(callable_):
+    return fault_of(callable_)[0]
 
 
 def test_index_assignment_creates_singleton_sequence():
@@ -328,3 +334,203 @@ def test_sharing_stores_give_the_scope_copying_stores_give(statements):
     for statement in parsed:
         _model_store(model, statement.target, statement.value, model)
     assert run_main(" ".join(statements)) == model
+
+
+# ---------------------------------------------------------------------------
+# the edge cases of the shapes compiled to direct tests
+
+
+@pytest.mark.parametrize("expression", ["ghost", "x[1]", "x[i]", "x.a[i]", "x[0].ghost[0]"])
+def test_a_read_through_an_absent_name_or_past_the_end_is_empty_and_changes_nothing(expression):
+    scope = ValueTree.make(x=ValueTree.make(7, a=1), i=1)
+    before = scope.copy()
+    assert evaluate(expression, scope).is_empty
+    assert scope == before
+
+
+@pytest.mark.parametrize(
+    "index, message",
+    [
+        (True, "index must be an integer, found bool"),
+        (-1, "index must be non-negative, found -1"),
+        (Long(-2), "index must be non-negative, found -2L"),
+        ("0", "index must be an integer, found string"),
+        (None, "index must be an integer, found nothing"),  # i is absent
+        (ValueTree.make(k=0), "index must be an integer, found nothing"),  # i has no root
+        (0.0, "index must be an integer, found double"),
+    ],
+)
+def test_an_index_held_in_a_variable_must_be_a_non_negative_integer(index, message):
+    held = {} if index is None else {"i": index}
+    for expression in ["x[i]", "x[i].a", "x[i] == {}"]:
+        scope = ValueTree.make(x=[1, 2], **held)
+        assert fault_of(lambda: evaluate(expression, scope)) == ("TypeMismatch", message)
+    scope = ValueTree.make(**held)
+    block = compile_block(main_statements("x[i] = 1"))
+    assert fault_of(lambda: exec_statements(block, Context(scope))) == ("TypeMismatch", message)
+
+
+def test_a_long_index_held_in_a_variable_selects_like_an_int():
+    scope = ValueTree.make(x=["a", "b"], i=Long(1))
+    assert evaluate("x[i]", scope).root == "b"
+    assert evaluate("x[i] != {}", scope).root is True
+
+
+def test_a_node_with_children_and_no_root_equals_the_empty_tree():
+    scope = ValueTree.make(x=ValueTree.make(a=1))
+    assert evaluate("x == {}", scope).root is True
+    assert evaluate("x != {}", scope).root is False
+    assert evaluate("{} == x", scope).root is True
+    assert evaluate("x.a != {}", scope).root is True
+
+
+def test_arithmetic_on_variables_keeps_its_kinds():
+    scope = run_main("a = 1 b = 2 c = a + b d = a * b - c n = 5L m = n + a q = 0 - 7 r = q / b")
+    roots = {name: seq[0].root for name, seq in scope.children.items()}
+    assert (type(roots["c"]), roots["c"]) == (int, 3)
+    assert (type(roots["d"]), roots["d"]) == (int, -1)
+    assert (type(roots["m"]), roots["m"]) == (Long, 6)
+    assert (type(roots["r"]), roots["r"]) == (int, -3)
+
+
+@pytest.mark.parametrize(
+    "statements, message",
+    [
+        ("if( 1 ) { x = 1 }", "if condition must be a bool, found int"),
+        ("if( missing ) { x = 1 }", "if condition must be a bool, found nothing"),
+        ('while( "no" ) { x = 1 }', "while condition must be a bool, found string"),
+        ("c = true while( c ) { c = 1 }", "while condition must be a bool, found int"),
+    ],
+)
+def test_a_condition_that_is_not_a_bool_faults_with_its_kind(statements, message):
+    assert fault_of(lambda: run_main(statements)) == ("TypeMismatch", message)
+
+
+def test_incrementing_a_variable_that_holds_a_shared_tree_writes_a_clone():
+    config = ValueTree.make(5, k="kept")
+    config.shared = True  # as the runtime stores the configuration tree
+    ctx = Context(ValueTree.make(config=config))
+    exec_statements(compile_block(main_statements("i = config i = i + 1 config = config + 1")), ctx)
+    assert config == ValueTree.make(5, k="kept")
+    assert ctx.scope.children["i"][0] == ValueTree.make(6, k="kept")
+    assert ctx.scope.children["config"][0] == ValueTree.make(6, k="kept")
+
+
+# ---------------------------------------------------------------------------
+# compiled expressions against a recursive model of the operator rules
+
+_NUMERIC = ("int", "long", "double")
+_ROOTS = st.one_of(
+    st.none(),  # the variable is absent
+    st.booleans(),
+    st.integers(-(10**6), 10**6),
+    st.integers(-(10**6), 10**6).map(Long),
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")]),
+    st.sampled_from(["", "a", "1"]),
+)
+_LITERALS = st.one_of(
+    st.booleans(),
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(Long),
+    st.sampled_from([0.0, 2.5, -1.5]),
+    st.sampled_from(["", "a"]),
+)
+_OPERANDS = st.one_of(
+    st.sampled_from(["x", "y"]).map(lambda name: PathExpr(Path([PathStep(name)]))),
+    _LITERALS.map(Literal),
+    st.just(TreeLiteral([])),
+)
+_BINARY = ["==", "!=", "<", "<=", ">", ">=", "+", "-", "*", "/", "&&", "||"]
+
+
+def _operator(operands):
+    return st.one_of(
+        st.builds(Unary, st.sampled_from(["-", "!"]), operands),
+        st.builds(Binary, st.sampled_from(_BINARY), operands, operands),
+    )
+
+
+_EXPRESSIONS = _operator(st.recursive(_OPERANDS, _operator, max_leaves=3))
+
+
+class _ModelFault(Exception):
+    pass
+
+
+def _model_bool(value, what):
+    if kind_of(value) != "bool":
+        raise _ModelFault("TypeMismatch", f"{what} must be a bool, found {kind_of(value)}")
+    return value
+
+
+def _model_root(expr, scope):
+    """An expression's root by the language's rules, one case at a time."""
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, TreeLiteral):
+        return None
+    if isinstance(expr, PathExpr):
+        node = scope.child(expr.path.root)
+        return None if node is None else node.root
+    if isinstance(expr, Unary):
+        value = _model_root(expr.operand, scope)
+        if expr.op == "!":
+            return not _model_bool(value, "operand of '!'")
+        if kind_of(value) not in _NUMERIC:
+            raise _ModelFault("TypeMismatch", f"cannot negate {kind_of(value)}")
+        return Long(-value) if kind_of(value) == "long" else -value
+    op = expr.op
+    a = _model_root(expr.left, scope)
+    if op in ("&&", "||"):  # the right operand counts only when the left does not decide
+        if _model_bool(a, f"operand of '{op}'") == (op == "||"):
+            return a
+        return _model_bool(_model_root(expr.right, scope), f"operand of '{op}'")
+    b = _model_root(expr.right, scope)
+    ka, kb = kind_of(a), kind_of(b)
+    if op in ("==", "!="):  # total: numerics compare by value, other kinds only with their own
+        same = a == b if ka in _NUMERIC and kb in _NUMERIC else ka == kb and a == b
+        return same == (op == "==")
+    if ka not in _NUMERIC or kb not in _NUMERIC:
+        raise _ModelFault("TypeMismatch", f"cannot apply '{op}' to {ka} and {kb}")
+    if op in ("<", "<=", ">", ">="):
+        return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[op]
+    if op == "/" and b == 0:
+        raise _ModelFault("DivisionByZero", "division by zero")
+    if op == "+":
+        result = a + b
+    elif op == "-":
+        result = a - b
+    elif op == "*":
+        result = a * b
+    elif "double" in (ka, kb):
+        result = a / b
+    else:
+        result, remainder = divmod(a, b)
+        if remainder and (a < 0) != (b < 0):  # divmod floors; division truncates toward zero
+            result += 1
+    if "double" in (ka, kb):
+        return float(result)
+    return Long(result) if "long" in (ka, kb) else int(result)
+
+
+def _outcome(evaluate_root):
+    try:
+        value = evaluate_root()
+    except FaultSignal as exc:
+        return "fault", exc.fault.name, exc.fault.data.root
+    except _ModelFault as exc:
+        return ("fault", *exc.args)
+    return "value", type(value), repr(value)  # repr tells -0.0 from 0.0 and matches nan
+
+
+@given(_EXPRESSIONS, _ROOTS, _ROOTS)
+# the example count comes from the loaded profile when it asks for more (tests/conftest.py)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+def test_compiled_expressions_agree_with_the_model(expr, x, y):
+    scope = ValueTree()
+    for name, root in (("x", x), ("y", y)):
+        if root is not None:
+            scope.children[name] = [ValueTree(root)]
+    compiled = compile_expr(expr)
+    assert _outcome(lambda: compiled(Context(scope)).root) == _outcome(lambda: _model_root(expr, scope))

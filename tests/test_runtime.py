@@ -1255,6 +1255,9 @@ def test_a_reply_too_long_for_json_is_a_type_mismatch(transport):
             ),
         ),
         pytest.param(_nested(2000), "payload nests too deeply", id="depth"),
+        pytest.param(
+            ValueTree.make(x=float("nan")), "double is not finite, which JSON cannot carry", id="nan"
+        ),
     ],
 )
 def test_a_request_json_cannot_carry_is_a_type_mismatch(transport, message, violation, caplog):
@@ -1269,6 +1272,38 @@ def test_a_request_json_cannot_carry_is_a_type_mismatch(transport, message, viol
         system.invoke_ow("Collector", "put", ValueTree(7))
         drained = system.invoke_rr("Collector", "drain", ValueTree())
         assert [int(t.root) for t in drained.children["items"]] == [7]
+    finally:
+        system.shutdown()
+
+
+OVERFLOWER = """
+interface Overflow {
+    RequestResponse:
+        huge( void )( double )
+}
+
+service Overflower( config ) {
+    execution: concurrent
+    inputPort In {
+        location: config.Overflower.location
+        protocol: http { format = "json" }
+        interfaces: Overflow
+    }
+    main {
+        huge( a )( b ) {
+            b = 1e308 * 10.0
+        }
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("transport", ["local", "socket"])
+def test_a_reply_that_overflows_a_double_is_a_type_mismatch(transport):
+    system = _start_on(transport, OVERFLOWER, ["Overflower"])
+    try:
+        reply = system.invoke_rr("Overflower", "huge", ValueTree())
+        assert reply == Fault("TypeMismatch", ValueTree("double is not finite, which JSON cannot carry"))
     finally:
         system.shutdown()
 

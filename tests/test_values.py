@@ -86,6 +86,29 @@ def test_unrepresentable_payloads_raise(payload):
         decode_json(payload)
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (b"NaN", "NaN is not a JSON number"),
+        (b'{"x":Infinity}', "Infinity is not a JSON number"),
+        (b'{"x":[1,-Infinity]}', "-Infinity is not a JSON number"),
+        (b"1e999", "number is out of the range of a double"),
+        (b'{"x":-1e400}', "number is out of the range of a double"),
+    ],
+)
+def test_numbers_that_are_not_finite_are_refused(payload, message):
+    with pytest.raises(JsonError) as exc:
+        decode_json(payload)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_a_double_that_is_not_finite_is_not_encoded(value):
+    with pytest.raises(ValueError):
+        encode_json(ValueTree.make(x=value))
+    assert encode_json(ValueTree.make(x=1e308)) == b'{"x":1e+308}'
+
+
 def test_json_error_carries_position():
     with pytest.raises(JsonError) as exc:
         decode_json(b'{"A":')
