@@ -13,7 +13,8 @@ equality are compiled to direct tests, with the same faults.
 A variable scope is itself a value tree whose children are the
 variables. Reads of missing paths yield an empty tree without mutating
 the scope; assignments create intermediate nodes on demand, and an
-index past the end of a sequence extends it with empty nodes.
+index past the end of a sequence extends it with empty nodes, up to
+MAX_PAD of them: one further is the TypeMismatch fault.
 
 Assignment semantics: a childless right-hand side sets the target
 node's root and preserves its children; a tree-valued right-hand side
@@ -59,6 +60,10 @@ from ..ast import (
     While,
 )
 from ..values import Basic, Long, ValueTree, kind_of
+
+# the most empty nodes a store may add past the end of one sequence, so that one
+# index taken from a message cannot allocate without bound
+MAX_PAD = 65536
 
 
 @dataclass
@@ -307,19 +312,29 @@ def _slot(path: Path) -> Callable[[ValueTree, ExecutionContext], tuple[list[Valu
         for name, index in parents:
             if type(index) is not int:
                 index = index(ctx)
-            seq = node.children.setdefault(name, [])
-            while len(seq) <= index:
-                seq.append(ValueTree())
+            seq = node.children.get(name)
+            if seq is None or len(seq) <= index:
+                seq = _pad(node, name, index)
             node = seq[index]
             if node.shared:
                 node = seq[index] = node.writable()
         index = last_index if type(last_index) is int else last_index(ctx)
-        seq = node.children.setdefault(last, [])
-        while len(seq) <= index:
-            seq.append(ValueTree())
+        seq = node.children.get(last)
+        if seq is None or len(seq) <= index:
+            seq = _pad(node, last, index)
         return seq, index
 
     return slot
+
+
+def _pad(node: ValueTree, name: str, index: int) -> list[ValueTree]:
+    """The node's sequence name, extended with empty nodes up to index, at most MAX_PAD past its end."""
+    seq = node.children.get(name, [])
+    if index - len(seq) > MAX_PAD:  # refused before the scope changes
+        raise fault("TypeMismatch", f"index {index} is more than {MAX_PAD} past the end of its sequence")
+    seq.extend([ValueTree() for _ in range(index + 1 - len(seq))])
+    node.children[name] = seq
+    return seq
 
 
 def _store(target: Path, value: Expr) -> Callable[[ValueTree, ExecutionContext], None]:

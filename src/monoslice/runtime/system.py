@@ -14,9 +14,12 @@ that differs from its JSON image is path-copied into it; one that is
 its image crosses as it is. Each node a port admits is marked admitted
 as well (ValueTree.admitted): a later crossing does not walk it again
 and reuses its conformance verdict, so a crossing costs the nodes a
-sender added or wrote along, not the size of the message. Python
-callers do not honour the marks, so invoke_rr and invoke_ow copy their
-trees in and out of a local:// call.
+sender added or wrote along, not the size of the message. The sender
+images, the receiver checks: RunningSystem.call takes every message to
+its image before it picks a transport, and the receiving port checks
+it against its type. Python callers do not honour the marks, so
+invoke_rr and invoke_ow copy their requests in, and invoke_rr copies
+out a reply a service may still hold.
 
 Each service runs its activations on a WorkerPool (pool.py), the kind
 of pool that also serves the connections of a socket:// port: at most
@@ -148,22 +151,29 @@ class _Unencodable(Exception):
     """A message JSON cannot carry, named by the violation a port reports."""
 
 
-def _admit(tree: ValueTree, type_: TypeRef, types: dict) -> tuple[ValueTree, list]:
-    """Take a message crossing a port to its JSON image, shared, and check it.
+def _image(tree: ValueTree) -> tuple[ValueTree, str | None]:
+    """A message's JSON image, shared, or the tree and why JSON cannot carry it.
 
-    A tree nesting more than MAX_NESTING JSON levels, or too deeply for
-    either walk, is refused as a violation, with the message JSON decoding
-    gives a payload nested deeper still, and so is a tree holding an integer
-    with more digits than JSON encoding converts or a double that is not
-    finite.
+    Nesting past MAX_NESTING, or too deep for the walk, gets the violation
+    decode_json gives a payload nested deeper still.
     """
     try:
-        tree = _wire_image(tree)
+        return _wire_image(tree), None
+    except RecursionError:
+        return tree, TOO_DEEP
+    except _Unencodable as exc:
+        return tree, str(exc)
+
+
+def _admit(tree: ValueTree, type_: TypeRef, types: dict) -> tuple[ValueTree, list]:
+    """Take a message crossing a port to its JSON image and check it against its type."""
+    tree, violation = _image(tree)
+    if violation is not None:
+        return tree, [violation]
+    try:
         return tree, check_value(tree, type_, types)
     except RecursionError:
         return tree, [TOO_DEEP]
-    except _Unencodable as exc:
-        return tree, [str(exc)]
 
 
 def _wire_image(tree: ValueTree) -> ValueTree:
@@ -229,26 +239,21 @@ class _ActivationContext(ExecutionContext):
         self.instance = instance
         self.scope = scope
 
-    def solicit(self, port: str, operation: str, request: ValueTree) -> ValueTree:
+    def _call(self, port: str, operation: str, tree: ValueTree, kind: str) -> ValueTree | Fault | None:
         system = self.instance.system
         try:
-            result = system.call(
-                self.instance.binding(port), operation, request, "rr", system.invoke_timeout
-            )
+            return system.call(self.instance.binding(port), operation, tree, kind, system.invoke_timeout)
         except TransportError as exc:
             raise fault("TransportError", str(exc)) from exc
+
+    def solicit(self, port: str, operation: str, request: ValueTree) -> ValueTree:
+        result = self._call(port, operation, request, "rr")
         if isinstance(result, Fault):
             raise FaultSignal(result)
         return result
 
     def send_oneway(self, port: str, operation: str, message: ValueTree) -> None:
-        system = self.instance.system
-        try:
-            system.call(
-                self.instance.binding(port), operation, message, "ow", system.invoke_timeout
-            )
-        except TransportError as exc:
-            raise fault("TransportError", str(exc)) from exc
+        self._call(port, operation, message, "ow")
 
     def receive(self, operation: str) -> ValueTree:
         return self.instance.receive(operation)
@@ -540,11 +545,20 @@ class RunningSystem:
     ) -> ValueTree | Fault | None:
         """Make one call of kind "rr" or "ow" over the transport the location names.
 
-        A request-response call returns the reply tree or the fault, and a
-        one-way call returns None once the target accepted the message.
-        Raises TransportError when the target is unreachable, has stopped,
-        or refuses a one-way call.
+        The message is taken to its JSON image first, on either transport,
+        so one JSON cannot carry is never delivered: a request-response
+        call gets the TypeMismatch fault and a one-way message is dropped
+        with a warning. A request-response call returns the reply tree or
+        the fault, and a one-way call returns None once the target
+        accepted the message. Raises TransportError when the target is
+        unreachable, has stopped, or refuses a one-way call.
         """
+        tree, violation = _image(tree)
+        if violation is not None:
+            if kind == "rr":
+                return Fault("TypeMismatch", ValueTree(violation))
+            log.warning("dropping one-way %s to %s: %s", operation, location, violation)
+            return None
         if location.scheme == "local":
             endpoint = self._local.get(location.name or "")
             if endpoint is None:
@@ -579,19 +593,13 @@ class RunningSystem:
         Raises TransportError when the target is unreachable.
         """
         timeout = timeout if timeout is not None else self.invoke_timeout
-        location = self._resolve_target(target)
-        if location.scheme != "local":
-            return self.call(location, operation, request, "rr", timeout)
-        # the caller keeps and may change its trees, which the services share
-        result = self.call(location, operation, request.copy(), "rr", timeout)
-        return result.copy() if isinstance(result, ValueTree) else result
+        # the caller keeps and may change its trees, which call marks and services may share
+        result = self.call(self._resolve_target(target), operation, request.copy(), "rr", timeout)
+        return result.copy() if isinstance(result, ValueTree) and result.shared else result
 
     def invoke_ow(self, target: "str | Location", operation: str, message: ValueTree) -> None:
         """Send a one-way message; returns once the target accepted it."""
-        location = self._resolve_target(target)
-        if location.scheme == "local":
-            message = message.copy()  # the caller keeps and may change it
-        self.call(location, operation, message, "ow", self.invoke_timeout)
+        self.call(self._resolve_target(target), operation, message.copy(), "ow", self.invoke_timeout)
 
     # -- lifecycle -------------------------------------------------------------
 

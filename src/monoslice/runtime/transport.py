@@ -33,16 +33,12 @@ Content-Length that must be present and at most MAX_BODY_BYTES. A
 response that breaks them or ends early is a TransportError, and no
 response within the call's timeout plus REPLY_GRACE is the Timeout
 fault (TransportError for a one-way call). An operation name travels
-percent-encoded as UTF-8, so an ASCII name is unchanged on the wire. A
-message JSON cannot carry never leaves the client: a request-response
-call gets the TypeMismatch fault and a one-way message is dropped with
-a warning, as local:// does.
+percent-encoded as UTF-8, so an ASCII name is unchanged on the wire.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import socket
 import socketserver
 import threading
@@ -54,20 +50,16 @@ from urllib.parse import quote, unquote
 from ..config import Location
 from ..errors import MonosliceError
 from ..values import (
-    NOT_FINITE,
-    TOO_DEEP,
-    TOO_MANY_DIGITS,
     JsonError,
     ValueTree,
     decode_json,
     encode_json,
     from_json_value,
+    load_json,
     to_json_value,
 )
 from .interpreter import Fault
 from .pool import MAX_WORKERS, WorkerPool
-
-log = logging.getLogger("monoslice.runtime")
 
 CONTENT_TYPE = "application/json; charset=utf-8"
 KIND_HEADER = "Monoslice-Kind"
@@ -94,12 +86,13 @@ def encode_fault(fault: Fault) -> bytes:
         "fault": fault.name,
         "data": to_json_value(fault.data) if fault.data is not None else None,
     }
-    return json.dumps(envelope, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    text = json.dumps(envelope, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+    return text.encode("utf-8")
 
 
 def decode_fault(body: bytes) -> Fault:
     try:
-        envelope = json.loads(body.decode("utf-8"))
+        envelope = load_json(body.decode("utf-8"))
         name, data = envelope["fault"], envelope.get("data")
         if not isinstance(name, str):
             raise TypeError(f"fault name {name!r} is not a string")
@@ -359,13 +352,11 @@ def http_invoke_rr(
     Returns the response tree or the remote fault; a server-side timeout
     comes back as the fault named Timeout. Raises TransportError when
     the endpoint is unreachable and converts a client-side socket
-    timeout into the Timeout fault as well. A request JSON cannot carry
-    gets the TypeMismatch fault without being sent.
+    timeout into the Timeout fault as well. The request must already be
+    its JSON image, as RunningSystem.call makes every message it sends.
     """
     try:
-        status, body = _post(location, operation, "rr", _encode(request), timeout)
-    except _Unencodable as exc:
-        return Fault("TypeMismatch", ValueTree(str(exc)))
+        status, body = _post(location, operation, "rr", encode_json(request), timeout)
     except _TimeoutFault:
         return Fault("Timeout", ValueTree(f"no reply from {location} within {timeout}s"))
     if status == 200:
@@ -381,13 +372,11 @@ def http_invoke_rr(
 def http_invoke_ow(location: Location, operation: str, message: ValueTree, timeout: float) -> None:
     """Send a one-way message over HTTP; returns once the target accepts it.
 
-    A message JSON cannot carry is dropped with a warning, without being sent.
+    The message must already be its JSON image, as RunningSystem.call
+    makes every message it sends.
     """
     try:
-        status, _ = _post(location, operation, "ow", _encode(message), timeout)
-    except _Unencodable as exc:
-        log.warning("dropping one-way %s to %s: %s", operation, location, exc)
-        return
+        status, _ = _post(location, operation, "ow", encode_json(message), timeout)
     except _TimeoutFault:
         raise TransportError(f"{location} did not accept the message in time") from None
     if status == 202:
@@ -397,19 +386,6 @@ def http_invoke_ow(location: Location, operation: str, message: ValueTree, timeo
 
 class _TimeoutFault(Exception):
     pass
-
-
-class _Unencodable(Exception):
-    """A message JSON cannot carry, named by the violation local:// gives it."""
-
-
-def _encode(message: ValueTree) -> bytes:
-    try:
-        return encode_json(message)
-    except ValueError as exc:  # allow_nan=False names a float; int-to-text, its digit limit
-        raise _Unencodable(NOT_FINITE if "float" in str(exc) else TOO_MANY_DIGITS) from None
-    except RecursionError:
-        raise _Unencodable(TOO_DEEP) from None
 
 
 _REQUEST_HEAD = (

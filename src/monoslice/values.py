@@ -284,6 +284,15 @@ def _finite(text: str) -> float:
     return value
 
 
+def load_json(text: str) -> Any:
+    """Parse JSON text, refusing NaN, Infinity, -Infinity and a number that overflows a double.
+
+    Raises JsonError on those, json.JSONDecodeError on malformed text, and
+    ValueError on an integer with more digits than int() converts.
+    """
+    return json.loads(text, parse_constant=_not_json, parse_float=_finite)
+
+
 def decode_json(data: bytes | str) -> ValueTree:
     """Decode JSON bytes or text into a value tree.
 
@@ -299,7 +308,7 @@ def decode_json(data: bytes | str) -> ValueTree:
         except UnicodeDecodeError as exc:
             raise JsonError(f"payload is not valid UTF-8: {exc}") from exc
     try:
-        return from_json_value(json.loads(data, parse_constant=_not_json, parse_float=_finite))
+        return from_json_value(load_json(data))
     except json.JSONDecodeError as exc:
         raise JsonError(exc.msg, exc.lineno, exc.colno) from exc
     except ValueError:  # a number with more digits than int() converts

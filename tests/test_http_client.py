@@ -160,6 +160,19 @@ def test_a_hostile_reply_is_a_transport_error_and_the_socket_closes(fake, reply,
     assert time.monotonic() - started < 5
 
 
+@pytest.mark.parametrize("data", [b"NaN", b"Infinity", b"1e999"])
+def test_a_fault_envelope_holding_a_number_json_refuses_is_malformed(fake, data):
+    reply = call(fake, response(500, b'{"fault":"F","data":' + data + b"}"), OPEN)
+    assert isinstance(reply, TransportError) and "malformed fault envelope" in str(reply)
+
+
+def test_a_fault_envelope_is_written_as_json():
+    fault = Fault("F", ValueTree.make(1.5, a=Long(1), b="é"))
+    assert transport.encode_fault(fault) == '{"fault":"F","data":{"$":1.5,"a":1,"b":"é"}}'.encode()
+    with pytest.raises(ValueError):
+        transport.encode_fault(Fault("F", ValueTree(float("nan"))))
+
+
 def test_a_server_that_never_answers_gives_the_timeout_fault(fake, monkeypatch):
     monkeypatch.setattr(transport, "REPLY_GRACE", 0.0)
     started = time.monotonic()

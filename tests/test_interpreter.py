@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from monoslice.ast import Binary, Literal, Path, PathExpr, PathStep, TreeLiteral, Unary
 from monoslice.parser import parse_source
 from monoslice.runtime.interpreter import (
+    MAX_PAD,
     ExecutionContext,
     FaultSignal,
     compile_block,
@@ -61,6 +62,26 @@ def test_index_past_end_extends_with_empty_nodes():
     assert len(seq) == 3
     assert seq[0].is_empty and seq[1].is_empty
     assert seq[2].root == 1
+
+
+@pytest.mark.parametrize("statement", ["x[n] = 1", "x[n] = t", "x[n].a = 1", "y[n] = 1"])
+def test_a_store_pads_at_most_max_pad_nodes_past_a_sequences_end(statement):
+    name = statement[0]
+    end = 2 if name == "x" else 0  # the sequence's length before the store
+
+    def scope(n):
+        return ValueTree.make(x=[1, 2], n=Long(n), t=ValueTree.make(k=1))
+
+    block = compile_block(main_statements(statement))
+    ctx = Context(scope(end + MAX_PAD))
+    exec_statements(block, ctx)
+    seq = ctx.scope.children[name]
+    assert len(seq) == end + MAX_PAD + 1
+    assert all(node.is_empty for node in seq[end:-1]) and not seq[-1].is_empty
+    ctx = Context(scope(end + MAX_PAD + 1))
+    fault, message = fault_of(lambda: exec_statements(block, ctx))
+    assert fault == "TypeMismatch" and f"more than {MAX_PAD} past the end" in message
+    assert ctx.scope == scope(end + MAX_PAD + 1)
 
 
 def test_if_picks_the_then_branch():

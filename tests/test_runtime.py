@@ -666,6 +666,22 @@ def test_a_python_caller_changing_its_trees_changes_no_service_state(fixture_sou
         system.shutdown()
 
 
+@pytest.mark.parametrize("transport", ["local", "socket"])
+def test_a_python_caller_writing_a_non_finite_double_into_a_sent_request_gets_a_type_mismatch(
+    fixture_source, transport
+):
+    system = _start_on(transport, fixture_source, ["CommandSide", "EventStore"])
+    try:
+        request = area("Oak Street 12")
+        created = system.invoke_rr("CommandSide", "createParkingArea", request)
+        assert not isinstance(created, Fault)
+        request.children["name"][0].root = float("nan")
+        reply = system.invoke_rr("CommandSide", "createParkingArea", request)
+        assert reply == Fault("TypeMismatch", ValueTree("double is not finite, which JSON cannot carry"))
+    finally:
+        system.shutdown()
+
+
 KEEPER = """
 type Msg {
     count : long
@@ -1272,6 +1288,62 @@ def test_a_request_json_cannot_carry_is_a_type_mismatch(transport, message, viol
         system.invoke_ow("Collector", "put", ValueTree(7))
         drained = system.invoke_rr("Collector", "drain", ValueTree())
         assert [int(t.root) for t in drained.children["items"]] == [7]
+    finally:
+        system.shutdown()
+
+
+@pytest.mark.parametrize("transport", ["local", "socket"])
+def test_a_request_json_cannot_carry_is_refused_before_its_operation_is_looked_up(transport, caplog):
+    system = _start_on(transport, GROWER + COLLECTOR, ["Grower", "Collector"])
+    violation = "double is not finite, which JSON cannot carry"
+    try:
+        for target, operation in [("Grower", "nosuch"), ("Collector", "put")]:
+            reply = system.invoke_rr(target, operation, ValueTree.make(x=float("nan")))
+            assert reply == Fault("TypeMismatch", ValueTree(violation))
+        with caplog.at_level("WARNING", logger="monoslice.runtime"):
+            for target, operation in [("Collector", "nosuch"), ("Grower", "small")]:
+                assert system.invoke_ow(target, operation, ValueTree.make(x=float("nan"))) is None
+        dropped = [r.getMessage() for r in caplog.records if "dropping one-way" in r.getMessage()]
+        assert len(dropped) == 2 and all(violation in message for message in dropped)
+        assert system.invoke_rr("Collector", "drain", ValueTree()) == ValueTree()
+    finally:
+        system.shutdown()
+
+
+PADDER = """
+type Req {
+    n : long
+}
+
+interface Pad {
+    RequestResponse:
+        pad( Req )( void )
+}
+
+service Padder( config ) {
+    execution: concurrent
+    inputPort In {
+        location: config.Padder.location
+        protocol: http { format = "json" }
+        interfaces: Pad
+    }
+    main {
+        pad( req )( r ) {
+            x[req.n] = 1
+        }
+    }
+}
+"""
+
+
+def test_a_store_at_an_index_from_a_request_cannot_pad_without_bound():
+    system = _start_on("local", PADDER, ["Padder"])
+    try:
+        started = time.monotonic()
+        reply = system.invoke_rr("Padder", "pad", ValueTree.make(n=Long(10**8)))
+        assert isinstance(reply, Fault) and reply.name == "TypeMismatch"
+        assert time.monotonic() - started < 1
+        assert system.invoke_rr("Padder", "pad", ValueTree.make(n=Long(3))) == ValueTree()
     finally:
         system.shutdown()
 
