@@ -31,11 +31,18 @@ from .lexer import LexError
 from .parser import ParseError, parse_source
 from .semantics import CheckedProgram, ResolveFailure, resolve
 from .slicer import slice_all
-from .values import JsonError
+from .values import JsonError, ValueTree
 
 
 def _diag(path: str, message: str) -> None:
     print(f"{path}: {message}", file=sys.stderr)
+
+
+def _positioned(program_path: str, error: MonosliceError) -> None:
+    # lexer, parser and resolver errors read "line:column: message": every
+    # node of a parsed program has a position
+    position, _, message = str(error).partition(": ")
+    _diag(f"{program_path}:{position}", f"error: {message}")
 
 
 def _load_checked(program_path: str) -> CheckedProgram | None:
@@ -48,34 +55,28 @@ def _load_checked(program_path: str) -> CheckedProgram | None:
     try:
         program = parse_source(source, source_name=Path(program_path).stem)
     except (LexError, ParseError) as exc:
-        _diag(f"{program_path}:{exc.line}:{exc.column}", _strip_position(str(exc)))
+        _positioned(program_path, exc)
         return None
     try:
         return resolve(program)
     except ResolveFailure as failure:
         for error in failure.errors:
-            where = f"{program_path}:{error.pos}" if error.pos else program_path
-            _diag(where, _strip_position(str(error)))
+            _positioned(program_path, error)
         return None
 
 
-def _strip_position(message: str) -> str:
-    # errors carry "line:col: text"; the path prefix we print already has it
-    head, sep, tail = message.partition(": ")
-    if sep and head.replace(":", "").isdigit():
-        return f"error: {tail}"
-    return f"error: {message}"
-
-
-def _load_config_file(config_path: str):
+def _load(args: argparse.Namespace) -> tuple[CheckedProgram, ValueTree] | None:
+    """The checked program, then the configuration; None, once diagnosed, if either fails."""
+    checked = _load_checked(args.program)
+    if checked is None:
+        return None
     try:
-        return load_config(config_path)
+        return checked, load_config(args.config)
     except OSError as exc:
-        print(f"error: cannot read {config_path}: {exc}", file=sys.stderr)
-        return None
+        print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
     except JsonError as exc:
-        _diag(config_path, f"error: {exc}")
-        return None
+        _diag(args.config, f"error: {exc}")
+    return None
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -83,12 +84,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    checked = _load_checked(args.program)
-    if checked is None:
+    loaded = _load(args)
+    if loaded is None:
         return 2
-    config = _load_config_file(args.config)
-    if config is None:
-        return 2
+    checked, config = loaded
     services = args.service or None
     try:
         system = runtime.start(checked, config, services)
@@ -105,35 +104,26 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 1 if any(f is not None for f in faults.values()) else 0
 
     print(f"serving {len(selected)} service(s); interrupt to stop", file=sys.stderr)
-    stop = {"flag": False}
-
-    def _on_term(signum, frame):
-        stop["flag"] = True
-
+    # SIGTERM (docker stop, Popen.terminate) stops the services as an interrupt
+    # does; cmd_run must be on the main thread to take signals
+    previous = signal.getsignal(signal.SIGTERM)
     try:
-        previous = signal.signal(signal.SIGTERM, _on_term)
-    except ValueError:  # not on the main thread; interrupts still work
-        previous = None
-    try:
-        while not stop["flag"]:
-            time.sleep(0.2)
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
+        while True:
+            time.sleep(3600)
     except KeyboardInterrupt:
         pass
     finally:
-        if previous is not None:
-            signal.signal(signal.SIGTERM, previous)
-        report = system.shutdown()
-        print(report)
+        signal.signal(signal.SIGTERM, previous)
+        print(system.shutdown())
     return 0
 
 
 def cmd_slice(args: argparse.Namespace) -> int:
-    checked = _load_checked(args.program)
-    if checked is None:
+    loaded = _load(args)
+    if loaded is None:
         return 2
-    config = _load_config_file(args.config)
-    if config is None:
-        return 2
+    checked, config = loaded
     issues = validate_config(checked, config)
     if issues:
         for issue in issues:

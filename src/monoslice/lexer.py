@@ -108,9 +108,6 @@ class Token:
     column: int
     value: Basic | None = field(default=None, compare=False)
 
-    def __repr__(self) -> str:
-        return f"Token({self.kind.name}, {self.lexeme!r}, {self.line}:{self.column})"
-
 
 def _decode_string(source: str, i: int, line: int, column: int) -> str:
     """Decode the string literal whose body starts at source[i].

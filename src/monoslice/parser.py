@@ -133,11 +133,6 @@ class Parser:
         token = self.peek()
         return token.kind is TokenKind.IDENT and token.lexeme == word
 
-    def expect_keyword(self, word: str) -> Token:
-        if not self.at_keyword(word):
-            raise self.error(f"'{word}'")
-        return self.advance()
-
     def expect_ident(self, expected: str = "identifier") -> Token:
         return self.expect(TokenKind.IDENT, expected)
 
@@ -205,7 +200,7 @@ class Parser:
         return SourceProgram(declarations, self.source_name)
 
     def parse_type_decl(self) -> TypeDecl:
-        start = self.expect_keyword("type")
+        start = self.advance()  # 'type', which parse_program saw
         name = self.expect_ident("type name")
         root = BasicType.VOID
         if self.accept(TokenKind.COLON):
@@ -248,7 +243,7 @@ class Parser:
         raise self.error("a type reference")
 
     def parse_interface_decl(self) -> InterfaceDecl:
-        start = self.expect_keyword("interface")
+        start = self.advance()  # 'interface', which parse_program saw
         name = self.expect_ident("interface name")
         request_responses: list[RequestResponseOp] = []
         one_ways: list[OneWayOp] = []
@@ -276,7 +271,7 @@ class Parser:
         return InterfaceDecl(name.lexeme, request_responses, one_ways, pos=self._pos(start))
 
     def parse_service_decl(self) -> ServiceDecl:
-        start = self.expect_keyword("service")
+        start = self.advance()  # 'service', which parse_program saw
         name = self.expect_ident("service name")
         config = self.parenthesized(self._config_param) if self.at(TokenKind.LPAREN) else None
         seen: set[str] = set()

@@ -70,9 +70,7 @@ def _render_declaration(decl: Declaration) -> str:
         return _type_decl(decl)
     if isinstance(decl, InterfaceDecl):
         return _interface_decl(decl)
-    if isinstance(decl, ServiceDecl):
-        return _service_decl(decl)
-    raise TypeError(f"not a declaration: {decl!r}")
+    return _service_decl(decl)
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +217,12 @@ def _statement_lines(statement: Statement, depth: int) -> list[str]:
         return [f"{pad}throw( {statement.fault} )"]
     if isinstance(statement, While):
         return _block_lines(f"{pad}while( {_expr(statement.condition, 0)} )", statement.body, depth)
-    if isinstance(statement, If):
-        lines = _block_lines(f"{pad}if( {_expr(statement.condition, 0)} )", statement.then, depth)
-        if statement.orelse:
-            else_head = lines.pop() + " else"
-            lines.extend(_block_lines(else_head, statement.orelse, depth))
-        return lines
-    raise TypeError(f"not a statement: {statement!r}")
+    # an If, the last kind of statement
+    lines = _block_lines(f"{pad}if( {_expr(statement.condition, 0)} )", statement.then, depth)
+    if statement.orelse:
+        else_head = lines.pop() + " else"
+        lines.extend(_block_lines(else_head, statement.orelse, depth))
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +248,7 @@ def _literal(value) -> str:
         return str(value)
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)  # the lexer reads exactly JSON's escapes
-    raise TypeError(f"not a literal value: {value!r}")
+    return json.dumps(value, ensure_ascii=False)  # a string: the lexer reads exactly JSON's escapes
 
 
 def _expr(expr: Expr, parent_precedence: int) -> str:
@@ -270,10 +265,9 @@ def _expr(expr: Expr, parent_precedence: int) -> str:
         inner = _expr(expr.operand, UNARY_PRECEDENCE)
         text = expr.op + inner
         return f"({text})" if parent_precedence > UNARY_PRECEDENCE else text
-    if isinstance(expr, Binary):
-        mine = PRECEDENCE[expr.op]
-        left = _expr(expr.left, mine)
-        right = _expr(expr.right, mine + 1)
-        text = f"{left} {expr.op} {right}"
-        return f"({text})" if parent_precedence > mine else text
-    raise TypeError(f"not an expression: {expr!r}")
+    # a Binary, the last kind of expression
+    mine = PRECEDENCE[expr.op]
+    left = _expr(expr.left, mine)
+    right = _expr(expr.right, mine + 1)
+    text = f"{left} {expr.op} {right}"
+    return f"({text})" if parent_precedence > mine else text

@@ -194,14 +194,13 @@ def _statement(statement: Statement, ports: frozenset[str]) -> Step:
                 _bool(c, "while condition")  # raises
 
         return while_
-    if isinstance(statement, Throw):
-        name = statement.fault
+    # a Throw, the last kind of statement
+    name = statement.fault
 
-        def throw(ctx: ExecutionContext) -> None:
-            raise FaultSignal(Fault(name))
+    def throw(ctx: ExecutionContext) -> None:
+        raise FaultSignal(Fault(name))
 
-        return throw
-    raise TypeError(f"not a statement: {statement!r}")
+    return throw
 
 
 def _rebind(port: str, value: Expr) -> Step:
@@ -304,25 +303,39 @@ def _slot(path: Path) -> Callable[[ValueTree, ExecutionContext], tuple[list[Valu
     """The sequence and index a path names under a node, created on demand.
 
     The node must not be shared; every shared node on the way down is
-    swapped for its writable clone, so the sequence may be changed.
+    swapped for its writable clone, so the sequence may be changed. A step
+    that faults leaves the node as it was: the first sequence the walk
+    padded is cut back, and every later pad lies below it.
     """
     *parents, (last, last_index) = _steps(path)
 
     def slot(node: ValueTree, ctx: ExecutionContext) -> tuple[list[ValueTree], int]:
-        for name, index in parents:
-            if type(index) is not int:
-                index = index(ctx)
-            seq = node.children.get(name)
+        first = None  # the node, name and length of the first sequence padded
+        try:
+            for name, index in parents:
+                if type(index) is not int:
+                    index = index(ctx)
+                seq = node.children.get(name)
+                if seq is None or len(seq) <= index:
+                    if first is None:
+                        first = node, name, 0 if seq is None else len(seq)
+                    seq = _pad(node, name, index)
+                node = seq[index]
+                if node.shared:
+                    node = seq[index] = node.writable()
+            index = last_index if type(last_index) is int else last_index(ctx)
+            seq = node.children.get(last)
             if seq is None or len(seq) <= index:
-                seq = _pad(node, name, index)
-            node = seq[index]
-            if node.shared:
-                node = seq[index] = node.writable()
-        index = last_index if type(last_index) is int else last_index(ctx)
-        seq = node.children.get(last)
-        if seq is None or len(seq) <= index:
-            seq = _pad(node, last, index)
-        return seq, index
+                seq = _pad(node, last, index)  # refuses before it changes the node
+            return seq, index
+        except FaultSignal:
+            if first is not None:
+                padded, name, length = first
+                if length:
+                    del padded.children[name][length:]
+                else:  # absent still if that pad was the step refused
+                    padded.children.pop(name, None)
+            raise
 
     return slot
 
@@ -444,12 +457,11 @@ def _root(expr: Expr) -> _Eval:
         return _unary(expr.op, _root(expr.operand))
     if isinstance(expr, Binary):
         return _binary(expr.op, _root(expr.left), _root(expr.right))
-    if isinstance(expr, TreeLiteral):
-        if not expr.entries:
-            return _nothing
-        tree = compile_expr(expr)
-        return lambda ctx: tree(ctx).root
-    raise TypeError(f"not an expression: {expr!r}")
+    # a TreeLiteral, the last kind of expression
+    if not expr.entries:
+        return _nothing
+    tree = compile_expr(expr)
+    return lambda ctx: tree(ctx).root
 
 
 def _nothing(ctx: ExecutionContext) -> None:
@@ -492,17 +504,9 @@ _ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.
 
 
 def _equal_roots(a: Basic | None, b: Basic | None) -> bool:
-    # Total: absent equals absent, mismatched kinds are unequal, numerics widen.
-    if a is None or b is None:
-        return a is None and b is None
-    a_bool, b_bool = isinstance(a, bool), isinstance(b, bool)
-    if a_bool or b_bool:
-        return a_bool and b_bool and a == b
-    if _numeric(a) and _numeric(b):
-        return a == b
-    if isinstance(a, str) and isinstance(b, str):
-        return a == b
-    return False
+    # Roots of two different types are equal only as two numbers of one value:
+    # absent never equals a root, and a bool is no number.
+    return _numeric(a) and _numeric(b) and a == b
 
 
 def _binary(op: str, left: _Eval, right: _Eval) -> _Eval:

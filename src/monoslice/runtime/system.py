@@ -296,6 +296,7 @@ class ServiceInstance:
 
         self._stats_lock = threading.Lock()
         self.served = 0
+        self.refused = 0  # requests refused before any activation: a type violation or no handler
         self.faults: Counter[str] = Counter()  # how often the service ended an activation in each fault
         self._live: set[_ActivationContext] = set()  # the activations running now
         self.exit_fault: Fault | None = None
@@ -423,12 +424,14 @@ class ServiceInstance:
     def offer_rr(self, info: OpInfo, tree: ValueTree, timeout: float) -> ValueTree | Fault:
         branch = self.branches.get(info.name)
         if not isinstance(branch, RequestResponseBranch):
+            self._refuse()
             return Fault(
                 "UnknownOperation",
                 ValueTree(f"service {self.name} has no handler for '{info.name}'"),
             )
         tree, violations = _admit(tree, info.request, self.system.checked.type_table)
         if violations:
+            self._refuse()
             return _violation_fault(violations)
         reply: "queue.SimpleQueue[ValueTree | Fault]" = queue.SimpleQueue()
         self._pool.submit(_Work(info, tree, reply))
@@ -440,6 +443,7 @@ class ServiceInstance:
     def offer_ow(self, info: OpInfo, tree: ValueTree) -> None:
         tree, violations = _admit(tree, info.request, self.system.checked.type_table)
         if violations:
+            self._refuse()
             log.warning(
                 "dropping one-way %s to %s: %s",
                 info.name,
@@ -451,9 +455,14 @@ class ServiceInstance:
             self._receive_queue(info.name).put(tree)
             return
         if info.name not in self.branches:
+            self._refuse()
             log.warning("dropping one-way %s: no handler in %s", info.name, self.name)
             return
         self._pool.submit(_Work(info, tree, None))
+
+    def _refuse(self) -> None:
+        with self._stats_lock:
+            self.refused += 1
 
     def _receive_queue(self, operation: str) -> "queue.SimpleQueue[ValueTree | object]":
         with self._receive_lock:
@@ -492,6 +501,7 @@ class ServiceInstance:
 class ServiceReport:
     name: str
     served: int
+    refused: int
     faults: Counter[str]  # fault name to how many activations ended in it
     executable: bool
     executable_fault: str | None
@@ -499,6 +509,8 @@ class ServiceReport:
 
     def line(self) -> str:
         parts = [f"{self.name}: served={self.served}", f"faults={self.faults.total()}"]
+        if self.refused:
+            parts.append(f"refused={self.refused}")
         if self.executable:
             verdict = self.executable_fault or "completed"
             parts.append(f"executable={verdict}")
@@ -643,6 +655,7 @@ class RunningSystem:
                     ServiceReport(
                         name=instance.name,
                         served=instance.served,
+                        refused=instance.refused,
                         faults=faults,
                         executable=executable,
                         executable_fault=verdict,

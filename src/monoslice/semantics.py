@@ -441,10 +441,8 @@ def _shape(type_, types: Mapping[str, TypeDecl]) -> tuple[BasicType, list] | Non
         return type_.basic, []
     if isinstance(type_, InlineTreeRef):
         return BasicType.VOID, type_.fields
-    if isinstance(type_, NamedRef):
-        decl = types.get(type_.name)
-        return None if decl is None else (decl.root, decl.fields)
-    raise TypeError(f"not a type: {type_!r}")
+    decl = types.get(type_.name)  # a NamedRef, the last kind of type reference
+    return None if decl is None else (decl.root, decl.fields)
 
 
 def _check_ref(tree: ValueTree, type_, types, path: str, out: list[Violation]) -> None:

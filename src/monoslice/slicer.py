@@ -72,16 +72,13 @@ def compute_dependencies(checked: CheckedProgram, service_name: str) -> Dependen
             if isinstance(op, RequestResponseOp):
                 _named_types(op.response, pending)
 
+    # pending never holds a name already in deps.types, and a resolved program
+    # declares every type it names
     while pending:
         name = pending.pop()
-        if name in deps.types:
-            continue
         deps.types.add(name)
-        type_decl = checked.type_table.get(name)
-        if type_decl is None:
-            continue
         referenced: set[str] = set()
-        for f in type_decl.fields:
+        for f in checked.type_table[name].fields:
             _named_types(f.type, referenced)
         pending.update(referenced - deps.types)
 

@@ -152,13 +152,11 @@ class ValueTree:
         return out
 
     def writable(self) -> "ValueTree":
-        """This node if it is not shared, else a shallow clone that may be changed.
+        """A shallow clone of this shared node that may be changed.
 
         The clone is unshared and has sequences of its own, holding the
-        same children, which are marked shared.
+        same children, which are marked shared. Callers test shared first.
         """
-        if not self.shared:
-            return self
         out = ValueTree(self.root)
         children = out.children
         for name, seq in self.children.items():
@@ -219,9 +217,7 @@ def to_json_value(tree: ValueTree) -> Any:
 def _scalar(value: Any) -> Basic | None:
     if value is None or isinstance(value, (bool, float, str)):
         return value
-    if isinstance(value, int):
-        return Long(value)
-    raise JsonError(f"unsupported JSON value: {value!r}")
+    return Long(value)  # the one other scalar json.loads makes: an int
 
 
 def from_json_value(obj: Any) -> ValueTree:

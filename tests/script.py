@@ -151,7 +151,11 @@ service OneShot( config ) {
         interfaces: Once
     }
     main {
+        // spins a times first, so that a second call can queue behind it
         hit( a )( b ) {
+            i = 0
+            while( i < a )
+                i = i + 1
             b = a + 1
         }
     }

@@ -92,6 +92,30 @@ def test_run_rejects_unsatisfiable_config(fixture_path, tmp_path, capsys):
     assert "missing config path" in capsys.readouterr().err
 
 
+def test_slice_rejects_unsatisfiable_config(fixture_path, tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    out = tmp_path / "sliced"
+    assert main(["slice", "--config", str(empty), "--output", str(out), str(fixture_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing config path" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "slice"])
+def test_the_program_then_the_config_must_load(command, fixture_path, tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    # the program is read first: a missing one is the only error reported
+    assert main([command, "--config", str(missing), "no-such-file.ol"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read no-such-file.ol:")
+    assert main([command, "--config", str(missing), str(fixture_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}:")
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"A":')
+    assert main([command, "--config", str(broken), str(fixture_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"{broken}: error: ")
+
+
 def test_run_single_service_serves_until_terminated(fixture_path, tmp_path):
     port = free_port()
     config = tmp_path / "solo.json"

@@ -96,11 +96,20 @@ def test_resolve_location_missing_path():
     with pytest.raises(MissingConfigPath) as exc:
         resolve_location(_config(), _path_expr("config.QuerySide.location"), "config")
     assert exc.value.path == "QuerySide.location"
+    with pytest.raises(MissingConfigPath) as exc:  # present, but holding no string
+        resolve_location(_config(), _path_expr("config.CommandSide"), "config")
+    assert exc.value.path == "CommandSide"
 
 
 def test_resolve_location_rejects_foreign_roots():
     with pytest.raises(BadLocationSyntax):
         resolve_location(_config(), _path_expr("other.CommandSide.location"), "config")
+
+
+def test_resolve_location_rejects_indices():
+    with pytest.raises(BadLocationSyntax) as exc:
+        resolve_location(_config(), _path_expr("config.CommandSide[0].location"), "config")
+    assert "indices are not allowed in config paths" in str(exc.value)
 
 
 def test_validate_fixture_against_bundled_configs(fixture_checked, local_config):

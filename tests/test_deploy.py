@@ -181,3 +181,13 @@ def test_overwrite_requires_force_and_is_deterministic(fixture_plan_inputs, tmp_
     (options.output_root / "stale.txt").write_text("left over")
     write_deployment(plan, force=True)
     assert tree_digest(options.output_root) == first  # stale file purged, bytes identical
+
+
+def test_a_write_that_fails_part_way_leaves_no_output(fixture_plan_inputs, tmp_path):
+    slices, config, raw = fixture_plan_inputs
+    options = make_options(tmp_path, raw)
+    plan = plan_deployment(slices, config, options)
+    plan.entries[-1].folder_name = "docker-compose.yml"  # a file by then: its folder cannot be made
+    with pytest.raises(OSError):
+        write_deployment(plan)
+    assert not options.output_root.exists()

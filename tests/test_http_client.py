@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from monoslice.config import Location
 from monoslice.runtime import Fault, TransportError, http_invoke_rr, transport
+from monoslice.runtime.transport import http_invoke_ow
 from monoslice.values import Long, ValueTree, encode_json
 
 # how the fake server ends its side after the reply
@@ -150,6 +151,9 @@ HOSTILE = {
     "fault-data-unrepresentable": (response(500, b'{"fault":"F","data":[1]}'), OPEN),
     "fault-data-too-deep": (response(500, b'{"fault":"F","data":' + DEEP + b"}"), OPEN),
     "unexpected-status": (response(404, b""), OPEN),
+    # no line end within the longest read: refused before the rest arrives
+    "status-line-longer-than-a-read": (b"HTTP/1.1 200 " + b"a" * 70_000 + b"\r\n\r\n", OPEN),
+    "fault-name-empty": (response(500, b'{"fault":""}'), OPEN),
 }
 
 
@@ -179,6 +183,19 @@ def test_a_server_that_never_answers_gives_the_timeout_fault(fake, monkeypatch):
     reply = call(fake, None, OPEN, timeout=0.3)
     assert isinstance(reply, Fault) and reply.name == "Timeout"
     assert time.monotonic() - started < 3
+
+
+@pytest.mark.parametrize(
+    "reply, timeout", [(response(200, b"1"), 5.0), (None, 0.3)], ids=["status-200", "no-reply"]
+)
+def test_a_one_way_post_not_accepted_with_202_is_a_transport_error(fake, monkeypatch, reply, timeout):
+    monkeypatch.setattr(transport, "REPLY_GRACE", 0.0)
+    fake.script(reply, OPEN)
+    try:
+        with pytest.raises(TransportError):
+            http_invoke_ow(fake.location, "note", ValueTree(Long(7)), timeout)
+    finally:
+        assert fake.outcomes.get(timeout=15) == "closed"
 
 
 def test_nothing_listening_is_a_transport_error():

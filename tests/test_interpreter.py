@@ -84,6 +84,15 @@ def test_a_store_pads_at_most_max_pad_nodes_past_a_sequences_end(statement):
     assert ctx.scope == scope(end + MAX_PAD + 1)
 
 
+@pytest.mark.parametrize("n", [Long(10**8), "s"], ids=["past-max-pad", "not-an-index"])
+def test_a_store_that_faults_at_a_later_step_leaves_the_scope_as_it_was(n):
+    block = compile_block(main_statements("x[3].a[n] = 1"))
+    for x in ([], [1, 2]):  # x absent, and x shorter than the index the store pads it to
+        ctx = Context(ValueTree.make(x=x, n=n))
+        assert fault_name(lambda: exec_statements(block, ctx)) == "TypeMismatch"
+        assert ctx.scope == ValueTree.make(x=x, n=n)
+
+
 def test_if_picks_the_then_branch():
     scope = run_main("if( true ) { y = 1 } else { y = 2 }")
     assert scope.children["y"][0].root == 1
@@ -148,6 +157,7 @@ def test_equality_is_total():
     assert evaluate("1 == 1.0").root is True  # numeric comparison widens
     assert evaluate("true == 1").root is False
     assert evaluate('"1" == 1').root is False
+    assert evaluate("{ a = 1 } == 3").root is False  # a tree literal's root is absent
 
 
 def test_string_equality_is_codepoint_equality():

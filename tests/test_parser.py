@@ -22,6 +22,7 @@ from monoslice.ast import (
     Throw,
     TreeLiteral,
     TypeDecl,
+    Unary,
 )
 from monoslice.lexer import LexError, tokenize
 from monoslice.parser import ParseError, parse_source
@@ -182,6 +183,11 @@ def test_integration_test_snippet():
     assert condition.right.right == Literal(Long(123))
 
 
+def test_an_empty_source_is_a_program_of_no_declarations():
+    assert parse_source("").declarations == []
+    assert parse_source("// a comment alone\n").declarations == []
+
+
 def test_empty_interface():
     iface = parse_source("interface I {}").declarations[0]
     assert iface.request_responses == [] and iface.one_ways == []
@@ -231,6 +237,12 @@ def test_negative_literals_fold():
     assert statements[0].value == Literal(-5)
     assert statements[1].value == Literal(Long(-5))
     assert statements[2].value == Literal(-0.5)
+    # a literal equals only a literal of its own kind
+    assert statements[1].value != Literal(-5) and statements[0].value != -5
+    # a bool or a string has no negative to fold into: the interpreter faults on it
+    program = parse_source(wrap_in_service('a = -true\nb = -"s"'))
+    a, b = program.services[0].behavior.statements
+    assert a.value == Unary("-", Literal(True)) and b.value == Unary("-", Literal("s"))
 
 
 def test_operator_precedence():

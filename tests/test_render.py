@@ -90,6 +90,9 @@ def test_statement_forms():
     assert "} else {" in text
     assert "while( i < 3 ) {" in text
     assert "throw( Boom )" in text
+    text = round_trips("service S { main { tick( m ) { x = m } ping( a )( b ) { b = a } } }")
+    assert "        tick( m ) {\n" in text  # a one-way input branch
+    assert "        ping( a )( b ) {\n" in text
 
 
 def test_parentheses_follow_structure_not_source():

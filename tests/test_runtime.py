@@ -10,13 +10,13 @@ import pytest
 
 from monoslice import runtime
 from monoslice.config import LocationCollision
-from monoslice.errors import NoServices
+from monoslice.errors import MonosliceError, NoServices
 from monoslice.parser import parse_source
 from monoslice.runtime import BindError, Fault, TransportError
 from monoslice.runtime import system as system_module
 from monoslice.runtime.interpreter import FaultSignal
 from monoslice.semantics import resolve
-from monoslice.values import Long, ValueTree, decode_json
+from monoslice.values import TOO_DEEP, Long, ValueTree, decode_json
 
 from conftest import loopback_config
 from script import (
@@ -178,6 +178,17 @@ def test_handler_fault_reaches_the_caller_by_name(fixture_checked, local_config)
         assert reply.name == "NotFound"
 
 
+def test_a_call_names_its_target_by_service_by_location_or_by_location_text(
+    fixture_checked, local_config
+):
+    with runtime.start(fixture_checked, local_config, ["EventStore"]) as system:
+        location = system.instances["EventStore"].input_locations[0]
+        for target in ("EventStore", location, str(location)):
+            assert system.invoke_rr(target, "lookup", ValueTree(Long(1))) == ValueTree()
+        with pytest.raises(MonosliceError):
+            system.invoke_rr("Nobody", "lookup", ValueTree(Long(1)))
+
+
 def test_unknown_operation_fault(fixture_checked, local_config):
     with runtime.start(fixture_checked, local_config, ["CommandSide", "EventStore"]) as system:
         reply = system.invoke_rr("CommandSide", "bogus", ValueTree())
@@ -240,7 +251,53 @@ def test_the_report_counts_each_fault_by_name():
         report = system.shutdown()
     [counted] = report.services
     assert counted.faults == {"TypeMismatch": 3, "NotFound": 1}
-    assert counted.line() == "Counted: served=5 faults=4"
+    assert counted.line() == "Counted: served=5 faults=4 refused=1"
+
+
+DESK = """
+interface Front {
+    RequestResponse:
+        ask( int )( int ),
+        unanswered( int )( int )
+    OneWay:
+        note( int ),
+        unheard( int )
+}
+
+service Desk( config ) {
+    execution: sequential
+    inputPort In {
+        location: config.Desk.location
+        protocol: http { format = "json" }
+        interfaces: Front
+    }
+    main {
+        ask( x )( y ) {
+            y = x
+        }
+        note( x ) {
+            kept = x
+        }
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("transport", ["local", "socket"])
+def test_a_request_refused_for_its_type_or_for_want_of_a_handler_is_counted(transport):
+    system = _start_on(transport, DESK, ["Desk"])
+    try:
+        assert system.invoke_rr("Desk", "ask", ValueTree("x")).name == "TypeMismatch"
+        assert system.invoke_rr("Desk", "unanswered", ValueTree(1)).name == "UnknownOperation"
+        system.invoke_ow("Desk", "note", ValueTree("x"))
+        system.invoke_ow("Desk", "unheard", ValueTree(1))
+        assert system.invoke_rr("Desk", "ask", ValueTree(1)) == ValueTree(1)
+        system.invoke_ow("Desk", "note", ValueTree(2))
+    finally:
+        report = system.shutdown()
+    [desk] = report.services
+    assert (desk.served, desk.refused, desk.faults.total()) == (2, 4, 0)
+    assert desk.line() == "Desk: served=2 faults=0 refused=4"
 
 
 def test_request_timeout_and_aborted_handler_reporting():
@@ -294,6 +351,16 @@ def test_shutdown_wakes_an_executable_blocked_in_receive():
     with pytest.raises(FaultSignal) as raised:
         system.instances["Waiter"].receive("later")
     assert raised.value.fault.name == "Aborted"
+
+
+def test_an_executable_that_receives_nothing_in_time_ends_in_timeout(monkeypatch):
+    monkeypatch.setattr(system_module, "DEFAULT_RECEIVE_TIMEOUT", 0.1)
+    system = runtime.start(resolve(parse_source(WAITER)), local_tree_config(["Waiter"]))
+    try:
+        faults = system.wait_executables(timeout=10)
+    finally:
+        system.shutdown()
+    assert faults == {"Waiter": Fault("Timeout", ValueTree("no 'note' message arrived"))}
 
 
 # ---------------------------------------------------------------------------
@@ -641,9 +708,26 @@ def test_a_chain_grown_across_crossings_is_refused_where_one_sent_whole_is(trans
         assert _levels(chain) == limit
         assert _levels(system.invoke_rr("Chainer", "echo", _chain(limit))) == limit
         assert system.invoke_rr("Chainer", "echo", _chain(limit + 1)) == too_deep
+        assert system.invoke_rr("Chainer", "echo", _chain(5 * limit)) == too_deep  # past the walk's recursion
         assert system.invoke_rr("Chainer", "grow", ValueTree(Long(1))) == too_deep
     finally:
         system.shutdown()
+
+
+def test_a_walk_that_runs_out_of_stack_refuses_its_message_as_too_deep(monkeypatch):
+    # A caller already deep in its own stack leaves the imaging walk or the
+    # check too little room. The walks raise here at once: a line tracer, such
+    # as tests/line_audit.py's, stops when the recursion limit is reached.
+    types = resolve(parse_source(CHAIN)).type_table
+    tree = _chain(3)
+
+    def overflow(*args):
+        raise RecursionError
+
+    monkeypatch.setattr(system_module, "check_value", overflow)
+    assert system_module._admit(tree, types["Chain"], types) == (tree, [TOO_DEEP])
+    monkeypatch.setattr(system_module, "_wire_image", overflow)
+    assert system_module._admit(tree, types["Chain"], types) == (tree, [TOO_DEEP])
 
 
 @pytest.mark.parametrize("transport", ["local", "socket"])
@@ -1055,6 +1139,21 @@ def test_single_mode_serves_exactly_one_activation():
         system.shutdown()
 
 
+def test_a_single_service_answers_a_caller_queued_behind_its_one_activation_that_it_stopped():
+    system = _start_on("local", ONE_SHOT, ["OneShot"])
+    instance = system.instances["OneShot"]
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            first = pool.submit(system.invoke_rr, "OneShot", "hit", ValueTree(Long(300_000)))
+            while not instance._live and not first.done():  # until the activation runs
+                time.sleep(0.001)
+            second = system.invoke_rr("OneShot", "hit", ValueTree(Long(1)))
+            assert first.result(timeout=60) == ValueTree(Long(300_001))
+        assert second == Fault("TransportError", ValueTree("service OneShot has stopped"))
+    finally:
+        system.shutdown()
+
+
 def test_sequential_state_persists_across_activations():
     system, _ = start_source(COLLECTOR)
     try:
@@ -1312,16 +1411,25 @@ def test_a_request_json_cannot_carry_is_refused_before_its_operation_is_looked_u
 
 PADDER = """
 type Req {
-    n : long
+    n : any
+}
+
+type Held {
+    x* : Slot
+}
+
+type Slot {
+    a* : any
 }
 
 interface Pad {
     RequestResponse:
-        pad( Req )( void )
+        pad( Req )( void ),
+        held( void )( Held )
 }
 
 service Padder( config ) {
-    execution: concurrent
+    execution: sequential
     inputPort In {
         location: config.Padder.location
         protocol: http { format = "json" }
@@ -1329,7 +1437,10 @@ service Padder( config ) {
     }
     main {
         pad( req )( r ) {
-            x[req.n] = 1
+            s.x[3].a[req.n] = 1
+        }
+        held( q )( r ) {
+            r = s
         }
     }
 }
@@ -1343,7 +1454,11 @@ def test_a_store_at_an_index_from_a_request_cannot_pad_without_bound():
         reply = system.invoke_rr("Padder", "pad", ValueTree.make(n=Long(10**8)))
         assert isinstance(reply, Fault) and reply.name == "TypeMismatch"
         assert time.monotonic() - started < 1
+        assert system.invoke_rr("Padder", "pad", ValueTree.make(n="s")).name == "TypeMismatch"
+        # neither faulted store left s.x padded in the scope the service keeps
+        assert system.invoke_rr("Padder", "held", ValueTree()) == ValueTree()
         assert system.invoke_rr("Padder", "pad", ValueTree.make(n=Long(3))) == ValueTree()
+        assert len(system.invoke_rr("Padder", "held", ValueTree()).children["x"]) == 4
     finally:
         system.shutdown()
 

@@ -82,6 +82,18 @@ def test_duplicate_declarations_rejected():
     assert any(isinstance(e, DuplicateDeclaration) for e in errors)
     errors = resolve_errors("interface I { RequestResponse: op( int )( int ) OneWay: op( int ) }")
     assert any(isinstance(e, DuplicateDeclaration) for e in errors)
+    service = (
+        "interface I { OneWay: tick( int ) }\n"
+        'service S { inputPort In { location: "local://s" protocol: http interfaces: I }\n'
+        "%s main { tick( a ) { x = 1 } %s } }"
+    )
+    port = 'outputPort In { location: "local://t" protocol: http interfaces: I }'
+    assert [str(e) for e in resolve_errors(service % (port, ""))] == [
+        "3:1: duplicate port in service S 'In'"
+    ]
+    assert [str(e) for e in resolve_errors(service % ("", "tick( b ) { x = 2 }"))] == [
+        "3:29: duplicate input branch in service S 'tick'"
+    ]
 
 
 def test_undefined_type_carries_position():
@@ -131,6 +143,7 @@ def test_behavior_misuse_of_ports_and_config():
     assert any(isinstance(e, BehaviorError) for e in resolve_errors(source % "In = 1"))
     assert any(isinstance(e, BehaviorError) for e in resolve_errors(source % "config.x = 1"))
     assert any(isinstance(e, BehaviorError) for e in resolve_errors(source % "y = Out"))
+    assert any(isinstance(e, BehaviorError) for e in resolve_errors(source % "y = -Out"))
     # the rebinding form and config reads are fine
     resolve(parse_source(source % 'Out.location = "local://elsewhere"'))
     resolve(parse_source(source % "y = config.S.location"))

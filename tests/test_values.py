@@ -62,6 +62,8 @@ def test_fractional_and_integral_numbers_decode_to_distinct_kinds():
     assert kind_of(decode_json(b"1.5").root) == "double"
     assert kind_of(decode_json(b"2e3").root) == "double"
     assert kind_of(decode_json(b"7").root) == "long"
+    with pytest.raises(TypeError):  # a root built from Python may be anything
+        kind_of([7])
 
 
 @pytest.mark.parametrize(
@@ -79,6 +81,7 @@ def test_fractional_and_integral_numbers_decode_to_distinct_kinds():
             ),
             id="5000-digit-number",
         ),
+        pytest.param(b'"\xff"', id="not-utf-8"),
     ],
 )
 def test_unrepresentable_payloads_raise(payload):
@@ -135,6 +138,8 @@ def test_equality_kind_rules():
     assert ValueTree(True) != ValueTree(1)
     assert ValueTree() != ValueTree(0)
     assert ValueTree() == ValueTree()
+    assert ValueTree(5) != 5  # a tree equals only a tree
+    assert ValueTree.make(x=1) != ValueTree.make(y=1)
 
 
 def test_copy_is_deep():
