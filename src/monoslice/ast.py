@@ -8,13 +8,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, unique
-from typing import Union
+from typing import NamedTuple, Union
 
 from .values import Basic
 
 
-@dataclass(frozen=True)
-class Pos:
+class Pos(NamedTuple):
+    """A 1-based line and column; a tuple, since one is built per syntax node."""
+
     line: int
     column: int
 

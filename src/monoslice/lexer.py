@@ -1,22 +1,31 @@
 """Tokenizer for the service-definition language.
 
-One compiled master pattern, tried with `match` at each position, finds
-the next token; the name of the group that matched says what it is.
-Line and column come from a list of line-start offsets, read forward as
-the position moves. A block comment ends at the next `*/`. A string
-literal is decoded a character at a time only when its body has a
-backslash; a string the pattern refuses takes the same slow path, which
-reports its first error.
+One compiled pattern, run by `finditer`, matches each token together with
+the whitespace and comments after it, so its matches tile the source from
+the first token to the end. Each token carries its start offset, not a
+line and column: `position` works those out, from the source's table of
+line starts (`line_starts`) and a binary search, only where a position is
+reported, in a `LexError` here and in the parser's errors and syntax tree.
+
+Keywords, identifiers written in ASCII and punctuation take their kind
+from one dict lookup. Numbers, strings, other words and every character
+no token starts with go to one cold function each, which does the checks
+and raises the `LexError`. A block comment ends at the next `*/`; one
+never closed is reported where it opens. A string literal is decoded a
+character at a time only when its body has a backslash; a string the
+pattern refuses takes the same slow path, which reports its first error.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from bisect import bisect_right
 from enum import Enum, unique
 from itertools import accumulate
+from typing import NamedTuple, NoReturn
 
+from .ast import Pos
 from .errors import MonosliceError
 from .values import Basic, Long
 
@@ -78,48 +87,113 @@ KEYWORDS = frozenset(
     }
 )
 
-_PUNCT = {kind.value: kind for kind in TokenKind if not kind.value[0].isalpha()}
+
+class Token(NamedTuple):
+    kind: TokenKind
+    lexeme: str
+    offset: int
+    value: Basic | None = None
+
+
+# the kind of every keyword and punctuation lexeme; any other plain word is an identifier
+_KINDS = {
+    **dict.fromkeys(KEYWORDS, TokenKind.KEYWORD),
+    **{kind.value: kind for kind in TokenKind if not kind.value[0].isalpha()},
+}
 _WORD_VALUES = {"true": True, "false": False}
 _ESCAPES = {'"': '"', "\\": "\\", "/": "/", "n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f"}
 _HEX4 = re.compile(r"[0-9a-fA-F]{4}")
 
-# Number literals are ASCII digits. A word starts with [^\W\d], which also
-# admits characters like '²'; tokenize refuses those by the first character.
-_MASTER = re.compile(
+# whitespace, line comments and closed block comments
+_SKIP = r"(?:[ \t\r\n]+|//[^\n]*|/\*[^*]*\*+(?:[^*/][^*]*\*+)*/)*"
+# A token, then what is skipped after it. Group 1 is a plain token: an ASCII
+# word or punctuation. The other groups go to _COLD by their number. Number
+# literals are ASCII digits. A word starting outside ASCII starts with
+# [^\W\d], which also admits characters like '²' that _word refuses. `.`
+# takes every other character, an unclosed `/*` and a refused string
+# included, so no character is passed over.
+_TOKEN = re.compile(
     r"""
-      (?P<skip>(?:[ \t\r\n]+|//[^\n]*)+)
-    | (?P<word>[^\W\d]\w*)
-    | (?P<double>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)L?)
-    | (?P<long>[0-9]+L)
-    | (?P<int>[0-9]+)
-    | (?P<string>"(?:[^"\\\n]|\\[^\n])*")
-    | (?P<comment>/\*)
-    | (?P<punct>\.\.\.|[=!<>]=|&&|\|\||[{}()\[\]:,.@=<>+\-*/!?])
-    """,
+    (?: ( [A-Za-z_]\w* | \.\.\. | [=!<>]=? | && | \|\| | [{}()\[\]:,.@+\-*?] | /(?!\*) )
+      | ( [0-9]+ (?: \.[0-9]+ (?:[eE][+-]?[0-9]+)? | [eE][+-]?[0-9]+ )? L? )
+      | ( "(?:[^"\\\n]|\\[^\n])*" )
+      | ( [^\W\d]\w* )
+      | ( . )
+    )"""
+    + _SKIP,
     re.VERBOSE,
 )
+_LEADING = re.compile(_SKIP)
+_new = tuple.__new__  # builds a Token or Pos without a Python-level __new__
 
 
-@dataclass(slots=True)
-class Token:
-    kind: TokenKind
-    lexeme: str
-    line: int
-    column: int
-    value: Basic | None = field(default=None, compare=False)
+def line_starts(source: str) -> list[int]:
+    """The offset at which each line of source begins (and one past its end)."""
+    return [0, *accumulate(len(text) + 1 for text in source.split("\n"))]
 
 
-def _decode_string(source: str, i: int, line: int, column: int) -> str:
-    """Decode the string literal whose body starts at source[i].
+def position(starts: list[int], offset: int) -> Pos:
+    """The 1-based line and column of a source offset, given its line_starts."""
+    line = bisect_right(starts, offset)
+    return _new(Pos, (line, offset - starts[line - 1] + 1))
+
+
+def _error(source: str, offset: int, message: str) -> NoReturn:
+    raise LexError(*position(line_starts(source), offset), message)
+
+
+def _number(source: str, offset: int, text: str) -> Token:
+    digits = text[:-1] if text[-1] == "L" else text
+    if not digits.isdigit():
+        if digits is not text:
+            _error(source, offset, "long suffix on a non-integer literal")
+        value = float(text)
+        if not math.isfinite(value):  # rendered as `inf`, it would read back as a variable
+            _error(source, offset, "double literal out of range")
+        return Token(TokenKind.DOUBLE, text, offset, value)
+    try:
+        value = int(digits)
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        _error(source, offset, "integer literal has too many digits")
+    if digits is text:
+        return Token(TokenKind.INT, text, offset, value)
+    return Token(TokenKind.LONG, text, offset, Long(value))
+
+
+def _string(source: str, offset: int, text: str) -> Token:
+    value = _decode_string(source, offset) if "\\" in text else text[1:-1]
+    return Token(TokenKind.STRING, text, offset, value)
+
+
+def _word(source: str, offset: int, text: str) -> Token:
+    if not text[0].isalpha():
+        _error(source, offset, f"illegal character {text[0]!r}")
+    return Token(TokenKind.IDENT, text, offset)
+
+
+def _other(source: str, offset: int, text: str) -> NoReturn:
+    if text == '"':  # a string the pattern refused, so decoding it raises
+        _decode_string(source, offset)
+    if source.startswith("/*", offset):  # closed ones are skipped
+        _error(source, offset, "unterminated block comment")
+    _error(source, offset, f"illegal character {text!r}")
+
+
+_COLD = (None, None, _number, _string, _word, _other)
+
+
+def _decode_string(source: str, offset: int) -> str:
+    """Decode the string literal that opens at source[offset].
 
     The slow path: it walks the body a character at a time and raises
     the first error, at the literal's position.
     """
     out: list[str] = []
+    i = offset + 1
     while True:
         ch = source[i : i + 1]
         if ch in ("", "\n"):
-            raise LexError(line, column, "unterminated string literal")
+            _error(source, offset, "unterminated string literal")
         i += 1
         if ch == '"':
             return "".join(out)
@@ -129,22 +203,19 @@ def _decode_string(source: str, i: int, line: int, column: int) -> str:
         esc = source[i : i + 1]
         i += 1
         if not esc:
-            raise LexError(line, column, "unterminated string literal")
+            _error(source, offset, "unterminated string literal")
         if esc in _ESCAPES:
             out.append(_ESCAPES[esc])
         elif esc == "u":
             if not _HEX4.match(source, i):
-                raise LexError(line, column, "invalid \\u escape")
+                _error(source, offset, "invalid \\u escape")
             code = int(source[i : i + 4], 16)
             if 0xD800 <= code <= 0xDFFF:  # not representable in UTF-8 text
-                raise LexError(line, column, "surrogate \\u escape")
+                _error(source, offset, "surrogate \\u escape")
             out.append(chr(code))
             i += 4
         else:
-            raise LexError(line, column, f"unknown escape \\{esc}")
-
-
-_TOO_MANY_DIGITS = "integer literal has too many digits"
+            _error(source, offset, f"unknown escape \\{esc}")
 
 
 def tokenize(source: str) -> list[Token]:
@@ -154,59 +225,15 @@ def tokenize(source: str) -> list[Token]:
     strings/comments, integer literals too long for int(), and double
     literals too large for a finite float.
     """
-    # starts[n] is the offset where line n + 1 begins; the last entry lies
-    # past the end of the source.
-    starts = [0, *accumulate(len(text) + 1 for text in source.split("\n"))]
-    match = _MASTER.match
     tokens: list[Token] = []
     append = tokens.append
-    pos, end, line = 0, len(source), 1
-    while pos < end:
-        m = match(source, pos)
-        group = m.lastgroup if m else None
-        if group == "skip":
-            pos = m.end()
-            continue
-        while starts[line] <= pos:
-            line += 1
-        column = pos - starts[line - 1] + 1
-        if m is None:
-            if source[pos] == '"':  # refused by the pattern, so this raises
-                _decode_string(source, pos + 1, line, column)
-            raise LexError(line, column, f"illegal character {source[pos]!r}")
-        text = m.group()
-        if group == "punct":
-            append(Token(_PUNCT[text], text, line, column))
-        elif group == "word":
-            if not (text[0].isalpha() or text[0] == "_"):
-                raise LexError(line, column, f"illegal character {text[0]!r}")
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            append(Token(kind, text, line, column, _WORD_VALUES.get(text)))
-        elif group == "string":
-            value = _decode_string(source, pos + 1, line, column) if "\\" in text else text[1:-1]
-            append(Token(TokenKind.STRING, text, line, column, value))
-        elif group == "int":
-            try:
-                append(Token(TokenKind.INT, text, line, column, int(text)))
-            except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
-                raise LexError(line, column, _TOO_MANY_DIGITS) from None
-        elif group == "long":
-            try:
-                append(Token(TokenKind.LONG, text, line, column, Long(int(text[:-1]))))
-            except ValueError:
-                raise LexError(line, column, _TOO_MANY_DIGITS) from None
-        elif group == "double":
-            if text[-1] == "L":
-                raise LexError(line, column, "long suffix on a non-integer literal")
-            value = float(text)
-            if not math.isfinite(value):  # rendered as `inf`, it would read back as a variable
-                raise LexError(line, column, "double literal out of range")
-            append(Token(TokenKind.DOUBLE, text, line, column, value))
-        else:  # comment
-            close = source.find("*/", pos + 2)
-            if close < 0:
-                raise LexError(line, column, "unterminated block comment")
-            pos = close + 2
-            continue
-        pos = m.end()
+    new = _new
+    kinds, values, ident = _KINDS, _WORD_VALUES, TokenKind.IDENT
+    for m in _TOKEN.finditer(source, _LEADING.match(source).end()):
+        text = m[1]
+        if text is None:
+            group = m.lastindex
+            append(_COLD[group](source, m.start(), m[group]))
+        else:
+            append(new(Token, (kinds.get(text, ident), text, m.start(), values.get(text))))
     return tokens

@@ -1,5 +1,11 @@
 """Recursive descent parser building syntax trees from token streams.
 
+Tokens carry their source offsets. The parser holds the source's table
+of line starts and turns an offset into a line and column
+(`lexer.position`) only for what reports one: the `Pos` of each syntax
+node and a `ParseError`. The end-of-input token sits just past the last
+token, so an error there is reported on that token's line.
+
 The first error aborts parsing; there is no recovery. Keywords double as
 identifiers where that is unambiguous (path steps after a dot, field
 names, tree-literal keys), so data can have fields like `type`.
@@ -54,13 +60,11 @@ from .ast import (
     While,
 )
 from .errors import MonosliceError
-from .lexer import Token, TokenKind, tokenize
+from .lexer import Token, TokenKind, line_starts, position, tokenize
 from .values import Long
 
 _BASIC_NAMES = {t.value: t for t in BasicType}
 _EXECUTION_MODES = {m.value: m for m in ExecutionMode}
-# the binding of each operator token, 0 for every other kind of token
-_BINDING = {kind: PRECEDENCE.get(kind.value, 0) for kind in TokenKind}
 _T = TypeVar("_T")
 
 
@@ -80,28 +84,25 @@ def _describe(token: Token) -> str:
 
 
 class Parser:
-    def __init__(self, tokens: list[Token], source_name: str = "program"):
-        if tokens:
-            last = tokens[-1]
-            eof = Token(TokenKind.EOF, "", last.line, last.column + len(last.lexeme))
-        else:
-            eof = Token(TokenKind.EOF, "", 1, 1)
-        # The parser looks at most one token past the first EOF, so two EOFs
-        # let peek and advance index the list without a bounds check.
-        self.tokens = [*tokens, eof, eof]
+    def __init__(self, tokens: list[Token], starts: list[int], source_name: str = "program"):
+        end = tokens[-1].offset + len(tokens[-1].lexeme) if tokens else 0
+        # Every token is taken only once its kind is known not to be EOF, and
+        # lookahead stops at the first EOF, so one EOF ends the list.
+        self.tokens = [*tokens, Token(TokenKind.EOF, "", end)]
+        self.starts = starts
         self.source_name = source_name
         self.pos = 0
 
     # ------------------------------------------------------------------
     # token plumbing
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[self.pos + offset]
+    def peek(self, ahead: int = 0) -> Token:
+        return self.tokens[self.pos + ahead]
 
     def advance(self) -> Token:
+        """Take the next token, which the caller has seen is not EOF."""
         token = self.tokens[self.pos]
-        if token.kind is not TokenKind.EOF:
-            self.pos += 1
+        self.pos += 1
         return token
 
     def accept(self, kind: TokenKind) -> Token | None:
@@ -112,44 +113,41 @@ class Parser:
             return token
         return None
 
-    def error(self, expected: str, token: Token | None = None) -> ParseError:
-        token = token or self.peek()
-        return ParseError(token.line, token.column, expected, _describe(token))
-
     def expect(self, kind: TokenKind, expected: str | None = None) -> Token:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind is not kind:
             raise self.error(expected or f"'{kind.value}'")
-        return self.advance()
+        self.pos += 1
+        return token
+
+    def expect_name(self, expected: str, keyword_ok: bool = False) -> Token:
+        """An identifier, or with keyword_ok a keyword too."""
+        token = self.tokens[self.pos]
+        if token.kind is TokenKind.IDENT or keyword_ok and token.kind is TokenKind.KEYWORD:
+            self.pos += 1
+            return token
+        raise self.error(expected)
 
     def at(self, kind: TokenKind) -> bool:
-        return self.peek().kind is kind
+        return self.tokens[self.pos].kind is kind
 
-    def at_keyword(self, word: str) -> bool:
-        token = self.peek()
-        return token.kind is TokenKind.KEYWORD and token.lexeme == word
+    def at_word(self, word: str) -> bool:
+        """Whether the next token is this keyword or contextual word, the one token with that lexeme."""
+        return self.tokens[self.pos].lexeme == word
 
-    def at_lexeme(self, word: str) -> bool:
-        token = self.peek()
-        return token.kind is TokenKind.IDENT and token.lexeme == word
-
-    def expect_ident(self, expected: str = "identifier") -> Token:
-        return self.expect(TokenKind.IDENT, expected)
-
-    def expect_name(self, keyword_ok: bool = False, expected: str = "identifier") -> Token:
-        token = self.peek()
-        if token.kind is TokenKind.IDENT:
-            return self.advance()
-        if keyword_ok and token.kind is TokenKind.KEYWORD:
-            return self.advance()
-        raise self.error(expected)
+    def error(self, expected: str, token: Token | None = None) -> ParseError:
+        if token is None:
+            token = self.tokens[self.pos]
+        return ParseError(*position(self.starts, token.offset), expected, _describe(token))
 
     def braced(self, item: Callable[[], _T]) -> list[_T]:
         """`{ item* }`: the items read up to the closing brace."""
         self.expect(TokenKind.LBRACE)
         items: list[_T] = []
-        while not self.accept(TokenKind.RBRACE):
+        tokens = self.tokens
+        while tokens[self.pos].kind is not TokenKind.RBRACE:  # an item raises at EOF
             items.append(item())
+        self.pos += 1
         return items
 
     def parenthesized(self, item: Callable[[], _T]) -> _T:
@@ -179,9 +177,8 @@ class Parser:
 
         return self.braced(entry)
 
-    @staticmethod
-    def _pos(token: Token) -> Pos:
-        return Pos(token.line, token.column)
+    def _pos(self, token: Token) -> Pos:
+        return position(self.starts, token.offset)
 
     # ------------------------------------------------------------------
     # declarations
@@ -189,11 +186,11 @@ class Parser:
     def parse_program(self) -> SourceProgram:
         declarations: list[Declaration] = []
         while not self.at(TokenKind.EOF):
-            if self.at_keyword("type"):
+            if self.at_word("type"):
                 declarations.append(self.parse_type_decl())
-            elif self.at_keyword("interface"):
+            elif self.at_word("interface"):
                 declarations.append(self.parse_interface_decl())
-            elif self.at_keyword("service"):
+            elif self.at_word("service"):
                 declarations.append(self.parse_service_decl())
             else:
                 raise self.error("a declaration (type, interface, or service)")
@@ -201,7 +198,7 @@ class Parser:
 
     def parse_type_decl(self) -> TypeDecl:
         start = self.advance()  # 'type', which parse_program saw
-        name = self.expect_ident("type name")
+        name = self.expect_name("type name")
         root = BasicType.VOID
         if self.accept(TokenKind.COLON):
             token = self.peek()
@@ -217,7 +214,7 @@ class Parser:
         return self.braced(lambda: self.parse_field_decl(inline))
 
     def parse_field_decl(self, inline: bool) -> FieldDecl:
-        name = self.expect_name(keyword_ok=True, expected="field name")
+        name = self.expect_name("field name", keyword_ok=True)
         cardinality = Cardinality.ONE
         if self.accept(TokenKind.QUESTION):
             cardinality = Cardinality.OPTIONAL
@@ -244,18 +241,18 @@ class Parser:
 
     def parse_interface_decl(self) -> InterfaceDecl:
         start = self.advance()  # 'interface', which parse_program saw
-        name = self.expect_ident("interface name")
+        name = self.expect_name("interface name")
         request_responses: list[RequestResponseOp] = []
         one_ways: list[OneWayOp] = []
 
         def section() -> None:
-            with_response = self.at_keyword("RequestResponse")
-            if not with_response and not self.at_keyword("OneWay"):
+            with_response = self.at_word("RequestResponse")
+            if not with_response and not self.at_word("OneWay"):
                 raise self.error("'RequestResponse' or 'OneWay'")
             self.advance()
             self.expect(TokenKind.COLON)
             while True:
-                op = self.expect_ident("operation name")
+                op = self.expect_name("operation name")
                 request = self.parenthesized(self.parse_type_ref)
                 if with_response:
                     response = self.parenthesized(self.parse_type_ref)
@@ -272,7 +269,7 @@ class Parser:
 
     def parse_service_decl(self) -> ServiceDecl:
         start = self.advance()  # 'service', which parse_program saw
-        name = self.expect_ident("service name")
+        name = self.expect_name("service name")
         config = self.parenthesized(self._config_param) if self.at(TokenKind.LPAREN) else None
         seen: set[str] = set()
         execution = ExecutionMode.SINGLE
@@ -284,7 +281,7 @@ class Parser:
             nonlocal execution, behavior
             if self.accept(TokenKind.ELLIPSIS):
                 pass  # elided body, as printed in skeleton listings
-            elif self.at_keyword("execution"):
+            elif self.at_word("execution"):
                 self._once(seen, "at most one execution clause")
                 self.expect(TokenKind.COLON)
                 mode = self.peek()
@@ -292,11 +289,11 @@ class Parser:
                     raise self.error("an execution mode (concurrent, sequential, single)")
                 self.advance()
                 execution = _EXECUTION_MODES[mode.lexeme]
-            elif self.at_keyword("inputPort"):
+            elif self.at_word("inputPort"):
                 input_ports.append(self.parse_port_decl(PortKind.INPUT))
-            elif self.at_keyword("outputPort"):
+            elif self.at_word("outputPort"):
                 output_ports.append(self.parse_port_decl(PortKind.OUTPUT))
-            elif self.at_keyword("main"):
+            elif self.at_word("main"):
                 self._once(seen, "at most one main block")
                 behavior = self.parse_behavior()
             else:
@@ -316,41 +313,41 @@ class Parser:
     def _config_param(self) -> ConfigParam | None:
         if self.at(TokenKind.RPAREN):
             return None
-        param = self.expect_ident("configuration parameter name")
+        param = self.expect_name("configuration parameter name")
         type_name: str | None = None
         if self.accept(TokenKind.COLON):
-            type_name = self.expect_ident("configuration type name").lexeme
+            type_name = self.expect_name("configuration type name").lexeme
         return ConfigParam(param.lexeme, type_name, pos=self._pos(param))
 
     def parse_port_decl(self, kind: PortKind) -> PortDecl:
         start = self.advance()  # inputPort / outputPort keyword
-        name = self.expect_ident("port name")
+        name = self.expect_name("port name")
         seen: set[str] = set()
         location: Expr | None = None
         protocol: tuple[str, list[tuple[str, Expr]]] | None = None
         interfaces: list[Token] = []
 
         def protocol_parameter() -> str:
-            return self.expect_name(keyword_ok=True, expected="protocol parameter name").lexeme
+            return self.expect_name("protocol parameter name", keyword_ok=True).lexeme
 
         def clause() -> None:
             nonlocal location, protocol
-            if self.at_lexeme("location"):
+            if self.at_word("location"):
                 self._once(seen, "at most one location clause")
                 self.expect(TokenKind.COLON)
                 location = self.parse_expr()
-            elif self.at_lexeme("protocol"):
+            elif self.at_word("protocol"):
                 self._once(seen, "at most one protocol clause")
                 self.expect(TokenKind.COLON)
-                proto_name = self.expect_ident("protocol name").lexeme
+                proto_name = self.expect_name("protocol name").lexeme
                 params = self._entries(protocol_parameter) if self.at(TokenKind.LBRACE) else []
                 protocol = (proto_name, params)
-            elif self.at_lexeme("interfaces"):
+            elif self.at_word("interfaces"):
                 self._once(seen, "at most one interfaces clause")
                 self.expect(TokenKind.COLON)
-                interfaces.append(self.expect_ident("interface name"))
+                interfaces.append(self.expect_name("interface name"))
                 while self.accept(TokenKind.COMMA):
-                    interfaces.append(self.expect_ident("interface name"))
+                    interfaces.append(self.expect_name("interface name"))
             else:
                 raise self.error("'location', 'protocol', or 'interfaces'")
 
@@ -406,10 +403,10 @@ class Parser:
         return self.tokens[i + 1].kind in (TokenKind.LPAREN, TokenKind.LBRACE)
 
     def parse_branch(self) -> Branch:
-        name = self.expect_ident("operation name")
-        request_var = self.parenthesized(lambda: self.expect_ident("request variable").lexeme)
+        name = self.expect_name("operation name")
+        request_var = self.parenthesized(lambda: self.expect_name("request variable").lexeme)
         if self.at(TokenKind.LPAREN):
-            response_var = self.parenthesized(lambda: self.expect_ident("response variable").lexeme)
+            response_var = self.parenthesized(lambda: self.expect_name("response variable").lexeme)
             body = self.parse_block()
             return RequestResponseBranch(name.lexeme, request_var, response_var, body, pos=self._pos(name))
         body = self.parse_block()
@@ -429,22 +426,23 @@ class Parser:
 
     def parse_statement(self) -> Statement:
         token = self.peek()
-        if self.at_keyword("if"):
+        word = token.lexeme
+        if word == "if":
             self.advance()
             condition = self.parenthesized(self.parse_expr)
             then = self.parse_body()
             orelse: list[Statement] = []
-            if self.at_keyword("else"):
+            if self.at_word("else"):
                 self.advance()
                 orelse = self.parse_body()
             return If(condition, then, orelse, pos=self._pos(token))
-        if self.at_keyword("while"):
+        if word == "while":
             self.advance()
             condition = self.parenthesized(self.parse_expr)
             return While(condition, self.parse_body(), pos=self._pos(token))
-        if self.at_keyword("throw"):
+        if word == "throw":
             self.advance()
-            fault = self.parenthesized(lambda: self.expect_ident("fault name").lexeme)
+            fault = self.parenthesized(lambda: self.expect_name("fault name").lexeme)
             return Throw(fault, pos=self._pos(token))
         if token.kind is TokenKind.IDENT:
             after = self.peek(1)
@@ -460,9 +458,9 @@ class Parser:
         raise self.error("a statement")
 
     def parse_invocation(self) -> Statement:
-        name = self.expect_ident("operation name")
+        name = self.expect_name("operation name")
         self.expect(TokenKind.AT)
-        port = self.expect_ident("port name").lexeme
+        port = self.expect_name("port name").lexeme
         argument = self.parenthesized(self.parse_expr)
         if self.at(TokenKind.LPAREN):
             target = self.parenthesized(lambda: None if self.at(TokenKind.RPAREN) else self.parse_path())
@@ -473,10 +471,10 @@ class Parser:
     # expressions
 
     def parse_path(self, keyword_root: bool = False) -> Path:
-        first = self.expect_name(keyword_ok=keyword_root, expected="a variable path")
+        first = self.expect_name("a variable path", keyword_ok=keyword_root)
         steps = [PathStep(first.lexeme, self._maybe_index())]
         while self.accept(TokenKind.DOT):
-            name = self.expect_name(keyword_ok=True, expected="a path segment")
+            name = self.expect_name("a path segment", keyword_ok=True)
             steps.append(PathStep(name.lexeme, self._maybe_index()))
         return Path(steps, pos=self._pos(first))
 
@@ -494,28 +492,29 @@ class Parser:
         tighter than its own, so each level nests to the left.
         """
         left = self._parse_unary()
-        while (precedence := _BINDING[self.peek().kind]) >= least:
+        # only an operator token has an operator as its lexeme
+        while (precedence := PRECEDENCE.get(self.peek().lexeme, 0)) >= least:
             token = self.advance()
-            left = Binary(token.kind.value, left, self.parse_expr(precedence + 1), pos=self._pos(token))
+            left = Binary(token.lexeme, left, self.parse_expr(precedence + 1), pos=self._pos(token))
         return left
 
     def _parse_unary(self) -> Expr:
-        if token := self.accept(TokenKind.MINUS):
+        token = self.peek()
+        if token.kind is TokenKind.MINUS:
+            self.advance()
             operand = self._parse_unary()
             folded = _fold_negation(operand)
             if folded is not None:
                 return folded
             return Unary("-", operand, pos=self._pos(token))
-        if token := self.accept(TokenKind.BANG):
+        if token.kind is TokenKind.BANG:
+            self.advance()
             return Unary("!", self._parse_unary(), pos=self._pos(token))
         return self._parse_primary()
 
     def _parse_primary(self) -> Expr:
         token = self.peek()
-        if token.kind in (TokenKind.INT, TokenKind.LONG, TokenKind.DOUBLE, TokenKind.STRING):
-            self.advance()
-            return Literal(token.value, pos=self._pos(token))
-        if token.kind is TokenKind.KEYWORD and token.lexeme in ("true", "false"):
+        if token.value is not None:  # a number, a string, true or false
             self.advance()
             return Literal(token.value, pos=self._pos(token))
         if token.kind is TokenKind.LPAREN:
@@ -543,11 +542,6 @@ def _fold_negation(operand: Expr) -> Literal | None:
     return Literal(-value, pos=operand.pos)
 
 
-def parse_program(tokens: list[Token], source_name: str = "program") -> SourceProgram:
-    """Parse a token stream into a program."""
-    return Parser(tokens, source_name).parse_program()
-
-
 def parse_source(source: str, source_name: str = "program") -> SourceProgram:
     """Tokenize and parse source text in one step."""
-    return parse_program(tokenize(source), source_name)
+    return Parser(tokenize(source), line_starts(source), source_name).parse_program()

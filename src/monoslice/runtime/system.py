@@ -88,6 +88,8 @@ _SAFE_INT_BITS = 640 * 3
 MAX_NESTING = 900
 # what abort puts into a receive queue: the receive that takes it ends with Aborted
 _ABORT = object()
+# put on the reply queue of a caller queued behind a single service's one activation
+_STOPPED = object()
 
 
 class BindError(MonosliceError):
@@ -100,7 +102,7 @@ class BindError(MonosliceError):
 class _Work:
     info: OpInfo
     tree: ValueTree
-    reply: "queue.SimpleQueue[ValueTree | Fault] | None"  # where a waiting caller takes the outcome
+    reply: "queue.SimpleQueue[ValueTree | Fault | object] | None"  # where a waiting caller takes the outcome
 
 
 @dataclass
@@ -354,9 +356,9 @@ class ServiceInstance:
 
     def _serve(self, work: _Work, scope: ValueTree) -> None:
         if self.mode.value == "single" and self.stopped:
-            # a single service answers its first call only
+            # a single service answers its first call only; offer_rr raises for the others
             if work.reply is not None:
-                work.reply.put(Fault("TransportError", ValueTree(f"service {self.name} has stopped")))
+                work.reply.put(_STOPPED)
             return
         self._run_activation(work, scope)
         if self.mode.value == "single":
@@ -433,12 +435,15 @@ class ServiceInstance:
         if violations:
             self._refuse()
             return _violation_fault(violations)
-        reply: "queue.SimpleQueue[ValueTree | Fault]" = queue.SimpleQueue()
+        reply: "queue.SimpleQueue[ValueTree | Fault | object]" = queue.SimpleQueue()
         self._pool.submit(_Work(info, tree, reply))
         try:
-            return reply.get(timeout=timeout)
+            outcome = reply.get(timeout=timeout)
         except queue.Empty:
             return Fault("Timeout", ValueTree(f"no reply from {self.name}.{info.name}"))
+        if outcome is _STOPPED:  # the same refusal _Endpoint.offer raises once the service stopped
+            raise TransportError(f"service {self.name} has stopped")
+        return outcome
 
     def offer_ow(self, info: OpInfo, tree: ValueTree) -> None:
         tree, violations = _admit(tree, info.request, self.system.checked.type_table)

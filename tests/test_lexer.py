@@ -1,9 +1,15 @@
+import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from monoslice.lexer import LexError, TokenKind, tokenize
+import reference_lexer
+from monoslice.lexer import LexError, TokenKind, line_starts, position, tokenize
+from monoslice.render import render
 from monoslice.values import Long
+from proggen import random_behavior_program, random_program
 
 
 def kinds(source):
@@ -72,11 +78,14 @@ def test_ellipsis_token():
 
 
 def test_positions_are_one_based_line_and_column():
-    tokens = tokenize("type A\ninterface B")
-    assert (tokens[0].line, tokens[0].column) == (1, 1)
-    assert (tokens[1].line, tokens[1].column) == (1, 6)
-    assert (tokens[2].line, tokens[2].column) == (2, 1)
-    assert (tokens[3].line, tokens[3].column) == (2, 11)
+    source = "type A\ninterface B"
+    starts = line_starts(source)
+    tokens = tokenize(source)
+    assert [t.offset for t in tokens] == [0, 5, 7, 17]
+    assert position(starts, tokens[0].offset) == (1, 1)
+    assert position(starts, tokens[1].offset) == (1, 6)
+    assert position(starts, tokens[2].offset) == (2, 1)
+    assert position(starts, tokens[3].offset) == (2, 11)
 
 
 def test_string_escapes():
@@ -179,3 +188,97 @@ def test_keywords_versus_identifiers():
     assert tokens[1].kind is TokenKind.IDENT  # contextual
     assert tokens[2].kind is TokenKind.IDENT  # contextual
     assert tokens[3].kind is TokenKind.KEYWORD
+
+
+# ---------------------------------------------------------------------------
+# Differential: tokenize against the line-and-column tokenizer it replaced
+
+
+def _lexed(source: str, reference: bool):
+    """Every token's kind, lexeme, value, value type and (line, column), or the error."""
+    try:
+        if reference:
+            return [
+                (t.kind, t.lexeme, t.value, type(t.value), (t.line, t.column))
+                for t in reference_lexer.tokenize(source)
+            ]
+        starts = line_starts(source)
+        return [
+            (t.kind, t.lexeme, t.value, type(t.value), position(starts, t.offset))
+            for t in tokenize(source)
+        ]
+    except LexError as error:
+        return type(error), error.line, error.column, str(error)
+
+
+def _assert_lexed_alike(source: str) -> None:
+    assert _lexed(source, reference=False) == _lexed(source, reference=True)
+
+
+_COMMENT_TEXT = 'ab /*/ * // é"\\'
+
+
+def _separator(rng: random.Random) -> str:
+    """Whitespace and comments, which tokenize drops, of every form it knows."""
+    parts = []
+    for _ in range(rng.randint(1, 3)):
+        text = "".join(rng.choice(_COMMENT_TEXT) for _ in range(rng.randint(0, 6)))
+        unclosing = text.replace("*", "* ")  # no `*/` inside a block comment
+        parts.append(
+            rng.choice(
+                [
+                    rng.choice([" ", "\t", "\n", "\r\n", "  \n "]),
+                    f"//{text}\n",
+                    f"/*{unclosing}{'*' * rng.randint(1, 3)}/",
+                    f"/*{unclosing}\n*/",
+                ]
+            )
+        )
+    return "".join(parts)
+
+
+def _gaps(source: str) -> list[int]:
+    """The offsets between tokens of source, as the reference tokenizer reads it."""
+    starts = [0]
+    for text in source.split("\n"):
+        starts.append(starts[-1] + len(text) + 1)
+    gaps = []
+    for token in reference_lexer.tokenize(source):
+        start = starts[token.line - 1] + token.column - 1
+        gaps += [start, start + len(token.lexeme)]
+    return gaps
+
+
+# the example count comes from the loaded profile when it asks for more (tests/conftest.py)
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_tokenize_agrees_with_the_reference_on_generated_programs(seed, behaviors):
+    """A rendered generated program, with whitespace and comments put between its tokens."""
+    rng = random.Random(seed)
+    program = random_behavior_program(rng) if behaviors else random_program(rng, max_decls=8, max_services=2)
+    source = render(program)
+    pieces, last = [], 0
+    for gap in _gaps(source):
+        pieces.append(source[last:gap])
+        if rng.random() < 0.3:
+            pieces.append(_separator(rng))
+        last = gap
+    pieces.append(source[last:])
+    _assert_lexed_alike("".join(pieces))
+
+
+# The language's characters and fragments that start its cold paths: strings
+# and escapes, comments, number forms, and characters it refuses or takes
+# only inside a word.
+_PIECES = [
+    *"aZ_x09L.eE+-*/=!<>{}()[]:,@?", " ", "\t", "\n", "\r", "&&", "||", "...",
+    '"', "\\", "\\u", '"a b"', '"\\n\\t\\\\\\""', '"\\u00e9"', '"\\ud800"', '"\\q"', '"é²"',
+    "/*", "*/", "//", "1.5", "2e9", "1e999", "7L", "1.5L",
+    "²", "é", "١", "#", "true", "false", "type", "main",
+]
+
+
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join))
+def test_tokenize_agrees_with_the_reference_on_drawn_text(source):
+    _assert_lexed_alike(source)

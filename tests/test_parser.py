@@ -382,13 +382,9 @@ def test_parse_error_positions_and_texts(source, line, column, expected, found):
 def test_deleting_a_token_of_the_fixture_fails_cleanly_or_round_trips(fixture_source):
     """Each fourth token deleted in turn: a positioned error, or a program that
     renders, reparses equal and either resolves or fails to resolve cleanly."""
-    starts = [0]
-    for text in fixture_source.split("\n"):
-        starts.append(starts[-1] + len(text) + 1)
     tokens = tokenize(fixture_source)
     for token in tokens[::4]:
-        start = starts[token.line - 1] + token.column - 1
-        variant = fixture_source[:start] + fixture_source[start + len(token.lexeme):]
+        variant = fixture_source[: token.offset] + fixture_source[token.offset + len(token.lexeme) :]
         try:
             program = parse_source(variant)
         except (ParseError, LexError) as error:

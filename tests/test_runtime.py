@@ -1131,27 +1131,28 @@ def test_single_mode_serves_exactly_one_activation():
         first = system.invoke_rr("OneShot", "hit", ValueTree(1))
         assert first == ValueTree(2)
         time.sleep(0.2)
-        with pytest.raises(TransportError):
-            reply = system.invoke_rr("OneShot", "hit", ValueTree(2))
-            if isinstance(reply, Fault) and reply.name == "TransportError":
-                raise TransportError(reply.name)  # drained-queue variant of the same outcome
+        with pytest.raises(TransportError, match="service OneShot has stopped"):
+            system.invoke_rr("OneShot", "hit", ValueTree(2))
     finally:
         system.shutdown()
 
 
 def test_a_single_service_answers_a_caller_queued_behind_its_one_activation_that_it_stopped():
-    system = _start_on("local", ONE_SHOT, ["OneShot"])
-    instance = system.instances["OneShot"]
-    try:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            first = pool.submit(system.invoke_rr, "OneShot", "hit", ValueTree(Long(300_000)))
-            while not instance._live and not first.done():  # until the activation runs
-                time.sleep(0.001)
-            second = system.invoke_rr("OneShot", "hit", ValueTree(Long(1)))
-            assert first.result(timeout=60) == ValueTree(Long(300_001))
-        assert second == Fault("TransportError", ValueTree("service OneShot has stopped"))
-    finally:
-        system.shutdown()
+    """The queued caller is refused as one arriving later is, with TransportError
+    raised: over socket:// that is the server's 503."""
+    for transport in ("local", "socket"):
+        system = _start_on(transport, ONE_SHOT, ["OneShot"])
+        instance = system.instances["OneShot"]
+        try:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                first = pool.submit(system.invoke_rr, "OneShot", "hit", ValueTree(Long(300_000)))
+                while not instance._live and not first.done():  # until the activation runs
+                    time.sleep(0.001)
+                with pytest.raises(TransportError, match="service OneShot has stopped"):
+                    system.invoke_rr("OneShot", "hit", ValueTree(Long(1)))
+                assert first.result(timeout=60) == ValueTree(Long(300_001))
+        finally:
+            system.shutdown()
 
 
 def test_sequential_state_persists_across_activations():

@@ -338,6 +338,7 @@ def test_violations_are_named_root_first_then_field_by_field_then_undeclared():
             FieldDecl("one", Cardinality.ONE, BasicRef(BasicType.INT)),
             FieldDecl("xs", Cardinality.MANY, NamedRef("Item")),
             FieldDecl("opt", Cardinality.OPTIONAL, BasicRef(BasicType.BOOL)),
+            FieldDecl("box", Cardinality.ONE, InlineTreeRef([FieldDecl("b", Cardinality.ONE, BasicRef(BasicType.INT))])),
         ],
     )
     tree = ValueTree(
@@ -355,6 +356,7 @@ def test_violations_are_named_root_first_then_field_by_field_then_undeclared():
         "at 'xs[0].w': expected no such child, found 1 occurrence(s)",
         "at 'opt': expected at most one bool, found 2 occurrence(s)",
         "at 'opt[1]': expected root of kind bool, found string",
+        "at 'box': expected exactly one inline tree, found 0 occurrence(s)",
         "at 'zz': expected no such child, found 1 occurrence(s)",
     ]
 
