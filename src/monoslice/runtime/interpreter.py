@@ -1,14 +1,30 @@
-"""Closure-compiled interpreter for service behaviors.
+"""Code-generating interpreter for service behaviors.
 
-compile_block turns a statement list into a Block once: every statement
-and expression becomes a nested Python closure, with path steps,
-constant indices and operators fixed when the closure is built (Feeley
-and Lapalme, "Using closures for code generation", Computer Languages
-12(1), 1987). exec_statements runs a Block against an ExecutionContext,
-one exec_statement per statement executed, nested ones included. Each
-specialisation is chosen from the syntax tree alone: shapes such as a
-comparison with {}, a plain-variable index or store, and same-kind
-equality are compiled to direct tests, with the same faults.
+compile_block turns a statement list into a Block once: one generated
+Python function per statement, and a while or an if holds the functions
+of its body. The interpreter's dispatch is spent while the source is
+written, the first Futamura projection done by hand for each statement
+shape (Futamura, "Partial evaluation of computation process", 1971):
+inside a statement's function, path walks,
+variable and constant indices, tests with {}, equality of two roots of
+one kind, and + - * of two ints are inline bytecode. Everything else
+calls the helpers of this module: mixed-kind equality, the other
+operators, index and kind faults, padding and its undo, and the
+context's messages. So every fault has the name and message it had
+before the shape was inlined. Program text is data: identifiers and
+literals reach the generated code only as constants bound to names the
+generator makes, never as source. So the source of a statement depends
+on its shape alone, and _BUILDERS keeps what one compile() made of it
+for every statement of that shape. Each function has a compile() of its
+own: the parser's transient memory grows with the source it is given,
+and malloc keeps it per thread.
+
+exec_statements runs a Block against an ExecutionContext, one
+exec_statement per statement executed, nested ones included: a while or
+an if calls the functions of its body through exec_statement, which the
+generated code looks up in this module at each call. A while tests its
+condition inline and reads ctx.aborted on each iteration. The runtime
+compiles each branch once per checked program, on first use.
 
 A variable scope is itself a value tree whose children are the
 variables. Reads of missing paths yield an empty tree without mutating
@@ -39,8 +55,9 @@ them too.
 from __future__ import annotations
 
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, NoReturn
 
 from ..ast import (
     Assign,
@@ -51,10 +68,10 @@ from ..ast import (
     OneWaySend,
     Path,
     PathExpr,
+    PathStep,
     Receive,
     SolicitResponse,
     Statement,
-    Throw,
     TreeLiteral,
     Unary,
     While,
@@ -91,6 +108,11 @@ def fault(name: str, message: str | None = None) -> FaultSignal:
     return FaultSignal(Fault(name, data))
 
 
+def aborted_fault() -> FaultSignal:
+    """The fault of an activation the runtime aborted at shutdown."""
+    return fault("Aborted", "the system shut down before the activation ended")
+
+
 class ExecutionContext:
     """What a behavior needs from its surroundings.
 
@@ -124,16 +146,24 @@ class ExecutionContext:
 
 Step = Callable[[ExecutionContext], None]
 Block = tuple[Step, ...]
-_Eval = Callable[[ExecutionContext], object]
 
 
-# ---------------------------------------------------------------------------
-# statements
+def compile_block(
+    statements: list[Statement], output_ports: frozenset[str] = frozenset(), name: str = "<behavior>"
+) -> Block:
+    """Compile a statement list once; assignments to output_ports rebind them.
+
+    name is the file name of the generated code, as a traceback shows it.
+    """
+    return tuple(_statement(s, output_ports, name) for s in statements)
 
 
-def compile_block(statements: list[Statement], output_ports: frozenset[str] = frozenset()) -> Block:
-    """Compile a statement list once; assignments to output_ports rebind them."""
-    return tuple(_statement(s, output_ports) for s in statements)
+def compile_expr(expr: Expr) -> Callable[[ExecutionContext], ValueTree]:
+    """Compile an expression to its tree: a path read borrows the scope node."""
+    function = _Function(frozenset(), "<expression>", "Expr", "ctx")
+    function.line("scope = ctx.scope")
+    function.line(f"return {function.tree(expr)}")
+    return function.close()
 
 
 def exec_statements(block: Block, ctx: ExecutionContext) -> None:
@@ -145,112 +175,370 @@ def exec_statement(statement: Step, ctx: ExecutionContext) -> None:
     statement(ctx)
 
 
-def _statement(statement: Statement, ports: frozenset[str]) -> Step:
-    if isinstance(statement, Assign):
-        if statement.target.root in ports:
-            return _rebind(statement.target.root, statement.value)
-        store = _store(statement.target, statement.value)
-        return lambda ctx: store(ctx.scope, ctx)
-    if isinstance(statement, SolicitResponse):
-        return _solicit(statement)
-    if isinstance(statement, OneWaySend):
-        port, operation, argument = statement.port, statement.operation, compile_expr(statement.argument)
-        return lambda ctx: ctx.send_oneway(port, operation, argument(ctx))
-    if isinstance(statement, Receive):
-        operation, slot = statement.operation, _slot(statement.target)
-
-        def receive(ctx: ExecutionContext) -> None:
-            message = ctx.receive(operation)
-            seq, index = slot(ctx.scope, ctx)
-            seq[index] = message
-
-        return receive
-    if isinstance(statement, If):
-        condition = _root(statement.condition)
-        then = compile_block(statement.then, ports)
-        orelse = compile_block(statement.orelse, ports)
-
-        def if_(ctx: ExecutionContext) -> None:
-            c = condition(ctx)
-            if c is not True and c is not False:
-                _bool(c, "if condition")  # raises
-            for step in then if c is True else orelse:
-                exec_statement(step, ctx)
-
-        return if_
-    if isinstance(statement, While):
-        condition = _root(statement.condition)
-        body = compile_block(statement.body, ports)
-
-        def while_(ctx: ExecutionContext) -> None:
-            c = condition(ctx)
-            while c is True:
-                if ctx.aborted:  # a plain attribute: this loop is the interpreter's hot path
-                    raise fault("Aborted", "the system shut down before the activation ended")
-                for step in body:
-                    exec_statement(step, ctx)
-                c = condition(ctx)
-            if c is not False:
-                _bool(c, "while condition")  # raises
-
-        return while_
-    # a Throw, the last kind of statement
-    name = statement.fault
-
-    def throw(ctx: ExecutionContext) -> None:
-        raise FaultSignal(Fault(name))
-
-    return throw
-
-
-def _rebind(port: str, value: Expr) -> Step:
-    # resolve-time checks guarantee the shape Port.location
-    location = _root(value)
-
-    def rebind(ctx: ExecutionContext) -> None:
-        text = location(ctx)
-        if not isinstance(text, str):
-            raise fault("TypeMismatch", f"port location must be a string, found {kind_of(text)}")
-        ctx.rebind(port, text)
-
-    return rebind
-
-
-def _solicit(statement: SolicitResponse) -> Step:
-    port, operation, argument = statement.port, statement.operation, compile_expr(statement.argument)
-    if statement.target is None:
-        return lambda ctx: ctx.solicit(port, operation, argument(ctx))
-    slot = _slot(statement.target)
-
-    def solicit(ctx: ExecutionContext) -> None:
-        response = ctx.solicit(port, operation, argument(ctx))
-        seq, index = slot(ctx.scope, ctx)
-        seq[index] = response
-
-    return solicit
-
-
 # ---------------------------------------------------------------------------
-# paths
+# the generator
+
+# the Python operator of each comparison, and of each arithmetic operator that
+# takes two ints inline
+_INLINE = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "+": "+", "-": "-", "*": "*"}
+# how deep a generated function's blocks may nest before an expression is
+# written as a function of its own: Python refuses more than 20 nested try blocks
+_MAX_DEPTH = 12
+# (file name, source) -> the function that source defines, which takes the
+# constants and returns the statement's function. The source names no program
+# text, so every statement of one shape, in any program checked again, compiles once.
+_BUILDERS: dict[tuple[str, str], Callable] = {}
+_BUILDERS_LIMIT = 4096
 
 
-def _index(index: Expr | None) -> int | _Eval:
-    """A step's index: an int fixed now, or a closure that checks it on each use."""
+def _statement(statement: Statement, ports: frozenset[str], filename: str) -> Step:
+    function = _Function(ports, filename, type(statement).__name__, "ctx")
+    function.line("scope = ctx.scope")
+    function.statement(statement)
+    return function.close()
+
+
+class _Function:
+    """One generated function, written line by line, and the constants it reads.
+
+    The methods that write an expression return the name of a local or a
+    constant that holds its value once the lines written so far have run.
+    """
+
+    def __init__(self, ports: frozenset[str], filename: str, name: str, params: str):
+        self.ports = ports
+        self.filename = filename
+        self.name = name
+        self.lines = [f"def {name}({params}):"]
+        self.depth = 1
+        self.constants: list[object] = []
+        self._temps = 0
+
+    def line(self, text: str) -> None:
+        self.lines.append("    " * self.depth + text)
+
+    def temp(self) -> str:
+        self._temps += 1
+        return f"t{self._temps}"
+
+    def const(self, value: object) -> str:
+        """The name the generated code reads value by, one for each use."""
+        self.constants.append(value)
+        return f"k{len(self.constants) - 1}"
+
+    @contextmanager
+    def block(self, header: str) -> Iterator[None]:
+        self.line(header)
+        self.depth += 1
+        start = len(self.lines)
+        yield
+        if len(self.lines) == start:
+            self.line("pass")
+        self.depth -= 1
+
+    def close(self) -> Callable:
+        """Compile the function, with its constants bound, and return it."""
+        lines = self.lines
+        if self.constants:
+            lines.insert(0, "".join(f"k{i}, " for i in range(len(self.constants))) + "= K")
+        lines.append(f"return {self.name}")
+        key = (self.filename, "def _build(K):\n    " + "\n    ".join(lines))
+        build = _BUILDERS.get(key)
+        if build is None:
+            if len(_BUILDERS) >= _BUILDERS_LIMIT:
+                _BUILDERS.clear()
+            namespace: dict[str, Callable] = {}
+            # this module's globals: the code calls its helpers and exec_statement by name
+            exec(compile(key[1], self.filename, "exec"), globals(), namespace)
+            build = _BUILDERS[key] = namespace["_build"]
+        return build(tuple(self.constants))
+
+    def spill(self, expr: Expr) -> str:
+        """Write expr's root as a function of its own, so that the blocks here nest no deeper."""
+        function = _Function(self.ports, self.filename, "Expr", "scope")
+        function.line(f"return {function.root(expr)}")
+        result = self.temp()
+        self.line(f"{result} = {self.const(function.close())}(scope)")
+        return result
+
+    # -- statements ---------------------------------------------------------
+
+    def statement(self, statement: Statement) -> None:
+        if isinstance(statement, Assign):
+            if statement.target.root in self.ports:
+                # resolve-time checks guarantee the shape Port.location
+                location = self.root(statement.value)
+                self.line(f"ctx.rebind({self.const(statement.target.root)}, _location({location}))")
+            else:
+                self.store("scope", statement.target, statement.value)
+        elif isinstance(statement, SolicitResponse):
+            port, operation = self.const(statement.port), self.const(statement.operation)
+            call = f"ctx.solicit({port}, {operation}, {self.tree(statement.argument)})"
+            if statement.target is None:
+                self.line(call)
+            else:
+                self.bind(statement.target, call)
+        elif isinstance(statement, OneWaySend):
+            port, operation = self.const(statement.port), self.const(statement.operation)
+            self.line(f"ctx.send_oneway({port}, {operation}, {self.tree(statement.argument)})")
+        elif isinstance(statement, Receive):
+            self.bind(statement.target, f"ctx.receive({self.const(statement.operation)})")
+        elif isinstance(statement, If):
+            condition = self.root(statement.condition)
+            then = [self.step(s) for s in statement.then]
+            orelse = [self.step(s) for s in statement.orelse]
+            with self.block(f"if {condition} is True:"):
+                self.steps(then)
+            with self.block(f"elif {condition} is not False:"):
+                self.line(f'_not_a_bool({condition}, "if condition")')
+            if orelse:
+                with self.block("else:"):
+                    self.steps(orelse)
+        elif isinstance(statement, While):
+            body = [self.step(s) for s in statement.body]
+            with self.block("while True:"):
+                condition = self.root(statement.condition)
+                with self.block(f"if {condition} is not True:"):
+                    self.line(f'if {condition} is not False: _not_a_bool({condition}, "while condition")')
+                    self.line("return")
+                # a plain attribute: this loop is the interpreter's hot path
+                self.line("if ctx.aborted: raise aborted_fault()")
+                self.steps(body)
+        else:  # a Throw, the last kind of statement
+            self.line(f"raise FaultSignal(Fault({self.const(statement.fault)}))")
+
+    def step(self, statement: Statement) -> str:
+        """The constant that holds a nested statement's own function."""
+        return self.const(_statement(statement, self.ports, self.filename))
+
+    def steps(self, names: list[str]) -> None:
+        for name in names:
+            self.line(f"exec_statement({name}, ctx)")
+
+    def bind(self, target: Path, call: str) -> None:
+        """Store the message a call returns at target, replacing what is there."""
+        message = self.temp()
+        self.line(f"{message} = {call}")
+        seq, index = self.slot("scope", target)
+        self.line(f"{seq}[{index}] = {message}")
+
+    # -- stores -------------------------------------------------------------
+
+    def store(self, node: str, target: Path, value: Expr) -> None:
+        """Assign an expression to a path under a node, sharing a borrowed tree."""
+        if isinstance(value, (Literal, Unary, Binary)):  # always childless
+            root = self.root(value)
+            if not _is_variable(target):
+                self.set_root(*self.slot(node, target), root)
+                return
+            seq, name = self.temp(), self.const(target.root)
+            self.line(f"{seq} = {node}.children.get({name})")
+            self.line(f"if {seq} and not {seq}[0].shared: {seq}[0].root = {root}")
+            self.line(f"else: _set_variable({node}, {name}, {root})")
+            return
+        tree = self.tree(value)
+        # decide before the slot is made: making it may add children to a borrowed
+        # node, unless the mark makes the slot clone it
+        childless, root = self.temp(), self.temp()
+        self.line(f"{childless} = not {tree}.children")
+        if isinstance(value, PathExpr):
+            self.line(f"if not {childless}: {tree}.shared = True")
+        self.line(f"{root} = {tree}.root")
+        seq, index = self.slot(node, target)
+        with self.block(f"if {childless}:"):
+            self.set_root(seq, index, root)
+        self.line(f"else: {seq}[{index}] = {tree}")
+
+    def set_root(self, seq: str, index: str, root: str) -> None:
+        self.line(f"if {seq}[{index}].shared: {seq}[{index}] = {seq}[{index}].writable()")
+        self.line(f"{seq}[{index}].root = {root}")
+
+    def slot(self, node: str, path: Path) -> tuple[str, str]:
+        """The sequence and index a path names under a node, created on demand.
+
+        The node must not be shared; every shared node on the way down is
+        swapped for its writable clone, so the sequence may be changed. A
+        step that faults leaves the node as it was: _unpad cuts back the
+        first sequence the walk padded, and every later pad lies below it.
+        """
+        *parents, last = path.steps
+        seq = self.temp()
+        if not parents:
+            return seq, self.pad(node, seq, last)
+        walk = self.temp()
+        fixed = [_fixed(step.index) for step in path.steps]
+        if all(index is not None and index <= MAX_PAD for index in fixed):
+            # no step can fault: each pads to a constant index at most MAX_PAD out
+            return seq, self.descend(node, walk, seq, parents, last, "")
+        undo = self.temp()
+        self.line(f"{undo} = []")  # the first sequence padded, with its node and length before
+        with self.block("try:"):
+            index = self.descend(node, walk, seq, parents, last, f", {undo}")
+        with self.block("except FaultSignal:"):
+            self.line(f"_unpad({undo})")
+            self.line("raise")
+        return seq, index
+
+    def descend(self, node: str, walk: str, seq: str, parents: list[PathStep], last: PathStep, undo: str) -> str:
+        """Walk a slot's steps down from node, padding and cloning; returns the last index."""
+        for step in parents:
+            index, name = self.index(step.index), self.const(step.name)
+            self.line(f"{seq} = {node}.children.get({name})")
+            self.line(f"if {seq} is None or len({seq}) <= {index}: {seq} = _pad({node}, {name}, {index}{undo})")
+            self.line(f"{walk} = {seq}[{index}]")
+            self.line(f"if {walk}.shared: {walk} = {seq}[{index}] = {walk}.writable()")
+            node = walk
+        return self.pad(walk, seq, last)
+
+    def pad(self, node: str, seq: str, step: PathStep) -> str:
+        """A slot's last step: its sequence, padded up to its index, which this returns."""
+        index, name = self.index(step.index), self.const(step.name)
+        self.line(f"{seq} = {node}.children.get({name})")
+        # _pad refuses before it changes the node
+        self.line(f"if {seq} is None or len({seq}) <= {index}: {seq} = _pad({node}, {name}, {index})")
+        return index
+
+    # -- paths --------------------------------------------------------------
+
+    def index(self, index: Expr | None) -> str:
+        """A step's index: a constant, or a local checked where it is computed."""
+        fixed = _fixed(index)
+        if fixed is not None:
+            return "0" if fixed == 0 else self.const(fixed)
+        root = self.root(index)
+        checked = self.temp()
+        self.line(f"{checked} = {root} if type({root}) is int and {root} >= 0 else _checked_index({root})")
+        return checked
+
+    def locate(self, path: Path) -> str:
+        """The scope node a path names, itself and not a copy, or None if absent.
+
+        An index is computed only once the steps before it were found, and
+        before its own step is looked up, so its faults propagate.
+        """
+        node, seq = self.temp(), self.temp()
+        for number, step in enumerate(path.steps):
+            name = self.const(step.name)
+            if not number:
+                index = self.index(step.index)
+                self.line(f"{seq} = scope.children.get({name})")
+                self.take(node, seq, index)
+            elif _fixed(step.index) is not None:
+                index = self.index(step.index)
+                self.line(f"{seq} = {node}.children.get({name}) if {node} is not None else None")
+                self.take(node, seq, index)
+            else:
+                with self.block(f"if {node} is not None:"):
+                    index = self.index(step.index)
+                    self.line(f"{seq} = {node}.children.get({name})")
+                    self.take(node, seq, index)
+        return node
+
+    def take(self, node: str, seq: str, index: str) -> None:
+        if index == "0":  # a sequence is never empty
+            self.line(f"{node} = {seq}[0] if {seq} else None")
+        else:
+            self.line(f"{node} = {seq}[{index}] if {seq} is not None and {index} < len({seq}) else None")
+
+    # -- expressions --------------------------------------------------------
+
+    def tree(self, expr: Expr) -> str:
+        tree = self.temp()
+        if isinstance(expr, PathExpr):
+            node = self.locate(expr.path)
+            self.line(f"{tree} = ValueTree() if {node} is None else {node}")
+        elif isinstance(expr, TreeLiteral):
+            self.line(f"{tree} = ValueTree()")
+            for key, value in expr.entries:
+                self.store(tree, key, value)
+        else:
+            self.line(f"{tree} = ValueTree({self.root(expr)})")
+        return tree
+
+    def root(self, expr: Expr) -> str:
+        """An expression's root value alone, building no tree where it can."""
+        if isinstance(expr, Literal):
+            return self.const(expr.value)
+        if _is_nothing(expr):
+            return "None"
+        if self.depth > _MAX_DEPTH:  # every block opens while a root is written
+            return self.spill(expr)
+        root = self.temp()
+        if isinstance(expr, TreeLiteral):
+            self.line(f"{root} = {self.tree(expr)}.root")
+        elif isinstance(expr, PathExpr):
+            if _is_variable(expr.path):
+                self.line(f"{root} = scope.children.get({self.const(expr.path.root)})")
+                self.line(f"{root} = {root}[0].root if {root} else None")
+            else:
+                node = self.locate(expr.path)
+                self.line(f"{root} = None if {node} is None else {node}.root")
+        elif isinstance(expr, Unary):
+            operand = self.root(expr.operand)
+            if expr.op == "!":
+                what = repr("operand of '!'")
+                self.line(f"if type({operand}) is not bool: _not_a_bool({operand}, {what})")
+                self.line(f"{root} = not {operand}")
+            else:
+                self.line(f"{root} = _negate({operand})")
+        elif expr.op in ("&&", "||"):
+            what = repr(f"operand of '{expr.op}'")
+            left = self.root(expr.left)
+            self.line(f"if type({left}) is not bool: _not_a_bool({left}, {what})")
+            self.line(f"{root} = {left}")
+            # the right operand counts only when the left does not decide
+            with self.block(f"if {left}:" if expr.op == "&&" else f"if not {left}:"):
+                right = self.root(expr.right)
+                self.line(f"if type({right}) is not bool: _not_a_bool({right}, {what})")
+                self.line(f"{root} = {right}")
+        else:
+            self.binary(root, expr)
+        return root
+
+    def binary(self, result: str, expr: Binary) -> None:
+        op = expr.op
+        if op in ("==", "!=") and (_is_nothing(expr.left) or _is_nothing(expr.right)):  # a test for absence
+            other = self.root(expr.right if _is_nothing(expr.left) else expr.left)
+            self.line(f"{result} = {other} {'is' if op == '==' else 'is not'} None")
+            return
+        left, right = self.root(expr.left), self.root(expr.right)
+        if op in ("==", "!="):
+            same = f"type({left}) is type({right})"
+            if op == "==":
+                self.line(f"{result} = {left} == {right} if {same} else _equal_roots({left}, {right})")
+            else:
+                self.line(f"{result} = {left} != {right} if {same} else not _equal_roots({left}, {right})")
+            return
+        cold = f"{'_order' if op in _ORDER else '_arithmetic'}({op!r}, {left}, {right})"
+        sides = ((expr.left, left), (expr.right, right))
+        if op not in _INLINE or any(isinstance(e, Literal) and type(e.value) is not int for e, _ in sides):
+            self.line(f"{result} = {cold}")
+            return
+        # a literal's kind is known now
+        ints = " and ".join(f"type({name}) is int" for e, name in sides if not isinstance(e, Literal)) or "True"
+        self.line(f"{result} = {left} {_INLINE[op]} {right} if {ints} else {cold}")
+
+
+def _is_variable(path: Path) -> bool:
+    return len(path.steps) == 1 and path.steps[0].index is None
+
+
+def _is_nothing(expr: Expr) -> bool:
+    """Whether expr is {}, whose root is absent."""
+    return isinstance(expr, TreeLiteral) and not expr.entries
+
+
+def _fixed(index: Expr | None) -> int | None:
+    """A step's index when it is known without running anything: absent, or a literal in range."""
     if index is None:
         return 0
     if isinstance(index, Literal) and type(index.value) in (int, Long) and index.value >= 0:
         return int(index.value)
-    if isinstance(index, PathExpr) and _is_variable(index.path):
-        name = index.path.root
+    return None
 
-        def variable(ctx: ExecutionContext) -> int:
-            seq = ctx.scope.children.get(name)
-            root = seq[0].root if seq else None
-            return root if type(root) is int and root >= 0 else _checked_index(root)
 
-        return variable
-    value = _root(index)
-    return lambda ctx: _checked_index(value(ctx))
+# ---------------------------------------------------------------------------
+# the helpers the generated code calls: faults, padding, and the cold operators
 
 
 def _checked_index(root: Basic | None) -> int:
@@ -261,234 +549,59 @@ def _checked_index(root: Basic | None) -> int:
     return int(root)
 
 
-def _is_variable(path: Path) -> bool:
-    return len(path.steps) == 1 and path.steps[0].index is None
+def _pad(node: ValueTree, name: str, index: int, undo: list | None = None) -> list[ValueTree]:
+    """The node's sequence name, extended with empty nodes up to index, at most MAX_PAD past its end.
 
-
-def _steps(path: Path) -> list[tuple[str, int | _Eval]]:
-    return [(step.name, _index(step.index)) for step in path.steps]
-
-
-def _locate(path: Path) -> Callable[[ExecutionContext], ValueTree | None]:
-    """The scope node a path names, itself and not a copy, or None if absent."""
-    steps = _steps(path)
-    if all(type(index) is int for _, index in steps):
-
-        def fixed(ctx: ExecutionContext) -> ValueTree | None:
-            node = ctx.scope
-            try:
-                for name, index in steps:
-                    node = node.children[name][index]
-            except (KeyError, IndexError):  # indices are never negative: past the end
-                return None
-            return node
-
-        return fixed
-
-    def locate(ctx: ExecutionContext) -> ValueTree | None:
-        node = ctx.scope
-        for name, index in steps:
-            if type(index) is not int:
-                index = index(ctx)  # outside the try: its faults propagate
-            try:
-                node = node.children[name][index]
-            except (KeyError, IndexError):
-                return None
-        return node
-
-    return locate
-
-
-def _slot(path: Path) -> Callable[[ValueTree, ExecutionContext], tuple[list[ValueTree], int]]:
-    """The sequence and index a path names under a node, created on demand.
-
-    The node must not be shared; every shared node on the way down is
-    swapped for its writable clone, so the sequence may be changed. A step
-    that faults leaves the node as it was: the first sequence the walk
-    padded is cut back, and every later pad lies below it.
+    An empty undo list is given the node, the name and the sequence's length before.
     """
-    *parents, (last, last_index) = _steps(path)
-
-    def slot(node: ValueTree, ctx: ExecutionContext) -> tuple[list[ValueTree], int]:
-        first = None  # the node, name and length of the first sequence padded
-        try:
-            for name, index in parents:
-                if type(index) is not int:
-                    index = index(ctx)
-                seq = node.children.get(name)
-                if seq is None or len(seq) <= index:
-                    if first is None:
-                        first = node, name, 0 if seq is None else len(seq)
-                    seq = _pad(node, name, index)
-                node = seq[index]
-                if node.shared:
-                    node = seq[index] = node.writable()
-            index = last_index if type(last_index) is int else last_index(ctx)
-            seq = node.children.get(last)
-            if seq is None or len(seq) <= index:
-                seq = _pad(node, last, index)  # refuses before it changes the node
-            return seq, index
-        except FaultSignal:
-            if first is not None:
-                padded, name, length = first
-                if length:
-                    del padded.children[name][length:]
-                else:  # absent still if that pad was the step refused
-                    padded.children.pop(name, None)
-            raise
-
-    return slot
-
-
-def _pad(node: ValueTree, name: str, index: int) -> list[ValueTree]:
-    """The node's sequence name, extended with empty nodes up to index, at most MAX_PAD past its end."""
     seq = node.children.get(name, [])
     if index - len(seq) > MAX_PAD:  # refused before the scope changes
         raise fault("TypeMismatch", f"index {index} is more than {MAX_PAD} past the end of its sequence")
+    if undo is not None and not undo:
+        undo.append((node, name, len(seq)))
     seq.extend([ValueTree() for _ in range(index + 1 - len(seq))])
     node.children[name] = seq
     return seq
 
 
-def _store(target: Path, value: Expr) -> Callable[[ValueTree, ExecutionContext], None]:
-    """Assign an expression to a path under a node, sharing a borrowed tree."""
-    if isinstance(value, (Literal, Unary, Binary)):  # always childless
-        root = _root(value)
-        if _is_variable(target):
-            name = target.root
-
-            def store_variable(node: ValueTree, ctx: ExecutionContext) -> None:
-                result = root(ctx)
-                seq = node.children.get(name)
-                if not seq:
-                    node.children[name] = [ValueTree(result)]
-                    return
-                held = seq[0]
-                if held.shared:
-                    held = seq[0] = held.writable()
-                held.root = result
-
-            return store_variable
-        slot = _slot(target)
-
-        def store_root(node: ValueTree, ctx: ExecutionContext) -> None:
-            result = root(ctx)
-            seq, index = slot(node, ctx)
-            target = seq[index]
-            if target.shared:
-                target = seq[index] = target.writable()
-            target.root = result
-
-        return store_root
-    slot = _slot(target)
-    tree = compile_expr(value)
-    borrowed = isinstance(value, PathExpr)
-
-    def store(node: ValueTree, ctx: ExecutionContext) -> None:
-        result = tree(ctx)
-        # decide before the slot is made: making it may add children to a borrowed
-        # node, unless the mark makes the slot clone it
-        if result.children:
-            if borrowed:
-                result.shared = True
-            seq, index = slot(node, ctx)
-            seq[index] = result
-        else:
-            root = result.root
-            seq, index = slot(node, ctx)
-            target = seq[index]
-            if target.shared:
-                target = seq[index] = target.writable()
-            target.root = root
-
-    return store
+def _unpad(undo: list[tuple[ValueTree, str, int]]) -> None:
+    """Cut back the first sequence a faulted store padded, as _pad recorded it in undo."""
+    if undo:
+        padded, name, length = undo[0]
+        if length:
+            del padded.children[name][length:]
+        else:  # a sequence the store made
+            padded.children.pop(name)
 
 
-# ---------------------------------------------------------------------------
-# expressions
+def _set_variable(node: ValueTree, name: str, root: Basic | None) -> None:
+    """Set the root of the variable name under node that is absent or shared."""
+    seq = node.children.get(name)
+    if not seq:
+        node.children[name] = [ValueTree(root)]
+    else:
+        held = seq[0] = seq[0].writable()
+        held.root = root
 
 
-def compile_expr(expr: Expr) -> Callable[[ExecutionContext], ValueTree]:
-    """Compile an expression to its tree: a path read borrows the scope node."""
-    if isinstance(expr, PathExpr):
-        locate = _locate(expr.path)
-
-        def read(ctx: ExecutionContext) -> ValueTree:
-            node = locate(ctx)
-            return ValueTree() if node is None else node
-
-        return read
-    if isinstance(expr, TreeLiteral):
-        entries = [_store(key, value) for key, value in expr.entries]
-
-        def build(ctx: ExecutionContext) -> ValueTree:
-            tree = ValueTree()
-            for store in entries:
-                store(tree, ctx)
-            return tree
-
-        return build
-    root = _root(expr)
-    return lambda ctx: ValueTree(root(ctx))
-
-
-def _root(expr: Expr) -> _Eval:
-    """Compile an expression to its root value alone, building no tree where it can."""
-    if isinstance(expr, Literal):
-        value = expr.value
-        return lambda ctx: value
-    if isinstance(expr, PathExpr):
-        if _is_variable(expr.path):
-            name = expr.path.root
-
-            def variable(ctx: ExecutionContext) -> Basic | None:
-                seq = ctx.scope.children.get(name)
-                return seq[0].root if seq else None
-
-            return variable
-        locate = _locate(expr.path)
-
-        def read_root(ctx: ExecutionContext) -> Basic | None:
-            node = locate(ctx)
-            return None if node is None else node.root
-
-        return read_root
-    if isinstance(expr, Unary):
-        return _unary(expr.op, _root(expr.operand))
-    if isinstance(expr, Binary):
-        return _binary(expr.op, _root(expr.left), _root(expr.right))
-    # a TreeLiteral, the last kind of expression
-    if not expr.entries:
-        return _nothing
-    tree = compile_expr(expr)
-    return lambda ctx: tree(ctx).root
-
-
-def _nothing(ctx: ExecutionContext) -> None:
-    """The root of {}: _binary tells a comparison with {} by this closure."""
+def _location(text: Basic | None) -> str:
+    if not isinstance(text, str):
+        raise fault("TypeMismatch", f"port location must be a string, found {kind_of(text)}")
+    return text
 
 
 def _numeric(value: Basic | None) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _bool(value: Basic | None, what: str) -> bool:
-    if type(value) is not bool:
-        raise fault("TypeMismatch", f"{what} must be a bool, found {kind_of(value)}")
-    return value
+def _not_a_bool(value: Basic | None, what: str) -> NoReturn:
+    raise fault("TypeMismatch", f"{what} must be a bool, found {kind_of(value)}")
 
 
-def _unary(op: str, operand: _Eval) -> _Eval:
-    if op == "!":
-        return lambda ctx: not _bool(operand(ctx), "operand of '!'")
-
-    def minus(ctx: ExecutionContext) -> Basic:
-        root = operand(ctx)
-        if not _numeric(root):
-            raise fault("TypeMismatch", f"cannot negate {kind_of(root)}")
-        return Long(-int(root)) if isinstance(root, Long) else -root
-
-    return minus
+def _negate(root: Basic | None) -> Basic:
+    if not _numeric(root):
+        raise fault("TypeMismatch", f"cannot negate {kind_of(root)}")
+    return Long(-int(root)) if isinstance(root, Long) else -root
 
 
 def _divide(a, b):
@@ -509,50 +622,21 @@ def _equal_roots(a: Basic | None, b: Basic | None) -> bool:
     return _numeric(a) and _numeric(b) and a == b
 
 
-def _binary(op: str, left: _Eval, right: _Eval) -> _Eval:
-    if op == "&&":
-        return lambda ctx: _bool(left(ctx), "operand of '&&'") and _bool(right(ctx), "operand of '&&'")
-    if op == "||":
-        return lambda ctx: _bool(left(ctx), "operand of '||'") or _bool(right(ctx), "operand of '||'")
-    if op in ("==", "!=") and _nothing in (left, right):  # a test for absence
-        other = right if left is _nothing else left
-        if op == "==":
-            return lambda ctx: other(ctx) is None
-        return lambda ctx: other(ctx) is not None
-    if op in ("==", "!="):
-        negate = op == "!="
+def _order(op: str, a: Basic | None, b: Basic | None) -> bool:
+    if not _numeric(a) or not _numeric(b):
+        raise fault("TypeMismatch", f"cannot apply '{op}' to {kind_of(a)} and {kind_of(b)}")
+    return _ORDER[op](a, b)
 
-        def equal(ctx: ExecutionContext) -> bool:
-            a, b = left(ctx), right(ctx)
-            return (a == b if type(a) is type(b) else _equal_roots(a, b)) ^ negate
 
-        return equal
-    if op in _ORDER:
-        order = _ORDER[op]
-
-        def compare(ctx: ExecutionContext) -> bool:
-            a, b = left(ctx), right(ctx)
-            if not _numeric(a) or not _numeric(b):
-                raise fault("TypeMismatch", f"cannot apply '{op}' to {kind_of(a)} and {kind_of(b)}")
-            return order(a, b)
-
-        return compare
-    compute = _ARITHMETIC[op]
-    integral = op != "/"  # +, - and * of two ints need no checks
-
-    def arithmetic(ctx: ExecutionContext) -> Basic:
-        a, b = left(ctx), right(ctx)
-        if integral and type(a) is int and type(b) is int:
-            return compute(a, b)
-        if not _numeric(a) or not _numeric(b):
-            raise fault("TypeMismatch", f"cannot apply '{op}' to {kind_of(a)} and {kind_of(b)}")
-        if op == "/" and b == 0:
-            raise fault("DivisionByZero", "division by zero")
-        result = compute(a, b)
-        if isinstance(result, float):
-            return result
-        if isinstance(a, Long) or isinstance(b, Long):
-            return Long(result)
+def _arithmetic(op: str, a: Basic | None, b: Basic | None) -> Basic:
+    """a op b for + - * and /, with the checks the inline case of two ints needs not."""
+    if not _numeric(a) or not _numeric(b):
+        raise fault("TypeMismatch", f"cannot apply '{op}' to {kind_of(a)} and {kind_of(b)}")
+    if op == "/" and b == 0:
+        raise fault("DivisionByZero", "division by zero")
+    result = _ARITHMETIC[op](a, b)
+    if isinstance(result, float):
         return result
-
-    return arithmetic
+    if isinstance(a, Long) or isinstance(b, Long):
+        return Long(result)
+    return result

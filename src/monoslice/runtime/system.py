@@ -47,10 +47,10 @@ from math import isfinite
 from typing import Callable
 
 from ..ast import (
-    Branch,
     InputChoice,
     RequestResponseBranch,
     ServiceDecl,
+    Statement,
     TypeRef,
 )
 from ..config import (
@@ -67,12 +67,13 @@ from .interpreter import (
     ExecutionContext,
     Fault,
     FaultSignal,
+    aborted_fault,
     compile_block,
     exec_statements,
     fault,
 )
 from .pool import MAX_WORKERS, WorkerPool
-from .transport import HttpPortServer, TransportError, http_invoke_ow, http_invoke_rr
+from .transport import HttpPortServer, TransportError, Waiting, http_invoke_ow, http_invoke_rr
 
 log = logging.getLogger("monoslice.runtime")
 
@@ -90,6 +91,8 @@ MAX_NESTING = 900
 _ABORT = object()
 # put on the reply queue of a caller queued behind a single service's one activation
 _STOPPED = object()
+# held while a behavior compiles
+_COMPILING = threading.Lock()
 
 
 class BindError(MonosliceError):
@@ -114,17 +117,18 @@ class _Endpoint:
     location: Location
 
     def offer(
-        self, operation: str, tree: ValueTree, kind: str | None, timeout: float
+        self, operation: str, tree: ValueTree, kind: str | None, timeout: float, waiting: Waiting | None = None
     ) -> ValueTree | Fault | None:
         """Take one inbound call, whichever transport carried it.
 
         kind is "rr" or "ow", or None for the operation's declared kind
         (an HTTP post that does not say). A request-response call returns
         the reply tree or the fault, and a one-way call returns None once
-        the message is accepted. A call of the wrong kind is refused
-        before any handler runs: UnknownOperation for request-response,
-        TransportError for one-way. Raises TransportError when the
-        service has stopped.
+        the message is accepted. A request-response caller may pass
+        waiting, to be able to end its wait (ServiceInstance.offer_rr). A
+        call of the wrong kind is refused before any handler runs:
+        UnknownOperation for request-response, TransportError for one-way.
+        Raises TransportError when the service has stopped.
         """
         if self.instance.stopped:
             raise TransportError(f"service {self.instance.name} has stopped")
@@ -139,7 +143,7 @@ class _Endpoint:
                 ValueTree(f"no request-response operation '{operation}' at {self.location}"),
             )
         if kind == "rr":
-            return self.instance.offer_rr(info, tree, timeout)
+            return self.instance.offer_rr(info, tree, timeout, waiting)
         self.instance.offer_ow(info, tree)
         return None
 
@@ -237,16 +241,30 @@ def _wire_image(tree: ValueTree) -> ValueTree:
 
 
 class _ActivationContext(ExecutionContext):
+    wake: Callable[[], None] | None = None  # ends the reply wait of a call in progress
+
     def __init__(self, instance: "ServiceInstance", scope: ValueTree):
         self.instance = instance
         self.scope = scope
 
     def _call(self, port: str, operation: str, tree: ValueTree, kind: str) -> ValueTree | Fault | None:
         system = self.instance.system
+        location = self.instance.binding(port)
         try:
-            return system.call(self.instance.binding(port), operation, tree, kind, system.invoke_timeout)
+            return system.call(location, operation, tree, kind, system.invoke_timeout, self.waiting)
         except TransportError as exc:
+            if self.aborted:  # abort shut the connection down
+                raise aborted_fault() from exc
             raise fault("TransportError", str(exc)) from exc
+
+    def waiting(self, wake: Callable[[], None] | None) -> None:
+        """Keep how to end the reply wait this activation is in, or None once it is over.
+
+        An activation aborted before its wait began is woken at once.
+        """
+        self.wake = wake
+        if wake is not None and self.aborted:
+            wake()
 
     def solicit(self, port: str, operation: str, request: ValueTree) -> ValueTree:
         result = self._call(port, operation, request, "rr")
@@ -284,7 +302,6 @@ class ServiceInstance:
             else {}
         )
         self.input_locations: list[Location] = []
-        self._blocks: dict[str, Block] = {}  # compiled branch bodies, by operation
 
         self._bindings: dict[str, Location] = {}
         self._bindings_lock = threading.Lock()
@@ -335,10 +352,17 @@ class ServiceInstance:
             return len(self._live)
 
     def abort(self) -> None:
-        """End every running activation with the fault Aborted at its next loop iteration or receive."""
+        """End every running activation with the fault Aborted.
+
+        One in a loop ends at its next iteration; one blocked in receive or
+        in a solicit's wait for the reply is woken.
+        """
         with self._stats_lock:
             for ctx in self._live:
                 ctx.aborted = True
+                wake = ctx.wake
+                if wake is not None:
+                    wake()
         with self._receive_lock:
             self._aborted = True
             for waiting in self._receive_queues.values():
@@ -370,14 +394,14 @@ class ServiceInstance:
         # the request replaces the variable's first occurrence, as any message binding
         scope.children.setdefault(branch.request_var, [work.tree])[0] = work.tree
         response = None if work.reply is None else (branch.response_var, work.info.response)
-        outcome = self._run(self._block(branch), scope, work.info.name, response)
+        outcome = self._run(self._block(branch.operation, branch.body), scope, work.info.name, response)
         with self._stats_lock:
             self.served += 1
         if work.reply is not None:
             work.reply.put(outcome)
 
     def _run_executable(self) -> None:
-        block = compile_block(self.behavior.statements, self.output_port_names)
+        block = self._block("main", self.behavior.statements)
         self.exit_fault = self._run(block, self.seed_scope(), "main", None)
 
     def _run(
@@ -414,16 +438,29 @@ class ServiceInstance:
                     self.faults[outcome.name] += 1
         return outcome
 
-    def _block(self, branch: Branch) -> Block:
-        # compiled on first use; two workers racing here compile the same block twice
-        block = self._blocks.get(branch.operation)
+    def _block(self, operation: str, statements: list[Statement]) -> Block:
+        """The compiled behavior of an operation, or of "main": once per checked program, on first use."""
+        blocks = self.system.checked.behaviors
+        key = (self.name, operation)
+        block = blocks.get(key)
         if block is None:
-            block = self._blocks[branch.operation] = compile_block(branch.body, self.output_port_names)
+            with _COMPILING:  # one compile at a time, so no two workers compile one behavior
+                block = blocks.get(key)
+                if block is None:
+                    name = f"{self.name}.{operation}"
+                    block = blocks[key] = compile_block(statements, self.output_port_names, name)
         return block
 
     # -- inbound ---------------------------------------------------------
 
-    def offer_rr(self, info: OpInfo, tree: ValueTree, timeout: float) -> ValueTree | Fault:
+    def offer_rr(
+        self, info: OpInfo, tree: ValueTree, timeout: float, waiting: Waiting | None = None
+    ) -> ValueTree | Fault:
+        """Run one request-response call and wait for its outcome.
+
+        waiting, when given, is handed a function that ends the wait with
+        the fault Aborted, and then None once the wait is over.
+        """
         branch = self.branches.get(info.name)
         if not isinstance(branch, RequestResponseBranch):
             self._refuse()
@@ -437,10 +474,15 @@ class ServiceInstance:
             return _violation_fault(violations)
         reply: "queue.SimpleQueue[ValueTree | Fault | object]" = queue.SimpleQueue()
         self._pool.submit(_Work(info, tree, reply))
+        if waiting is not None:
+            waiting(lambda: reply.put(aborted_fault().fault))
         try:
             outcome = reply.get(timeout=timeout)
         except queue.Empty:
             return Fault("Timeout", ValueTree(f"no reply from {self.name}.{info.name}"))
+        finally:
+            if waiting is not None:
+                waiting(None)
         if outcome is _STOPPED:  # the same refusal _Endpoint.offer raises once the service stopped
             raise TransportError(f"service {self.name} has stopped")
         return outcome
@@ -484,7 +526,7 @@ class ServiceInstance:
         except queue.Empty:
             raise fault("Timeout", f"no '{operation}' message arrived") from None
         if message is _ABORT:
-            raise fault("Aborted", "the system shut down before the activation ended")
+            raise aborted_fault()
         return message
 
     # -- outbound ----------------------------------------------------------
@@ -546,6 +588,9 @@ class RunningSystem:
     """A set of service instances sharing one in-process transport."""
 
     def __init__(self, checked: CheckedProgram, config: ValueTree, invoke_timeout: float):
+        with _COMPILING:
+            if checked.behaviors is None:
+                checked.behaviors = {}
         self.checked = checked
         self.config = config
         self.invoke_timeout = invoke_timeout
@@ -558,7 +603,13 @@ class RunningSystem:
     # -- the call path -------------------------------------------------------
 
     def call(
-        self, location: Location, operation: str, tree: ValueTree, kind: str, timeout: float
+        self,
+        location: Location,
+        operation: str,
+        tree: ValueTree,
+        kind: str,
+        timeout: float,
+        waiting: Waiting | None = None,
     ) -> ValueTree | Fault | None:
         """Make one call of kind "rr" or "ow" over the transport the location names.
 
@@ -568,7 +619,9 @@ class RunningSystem:
         with a warning. A request-response call returns the reply tree or
         the fault, and a one-way call returns None once the target
         accepted the message. Raises TransportError when the target is
-        unreachable, has stopped, or refuses a one-way call.
+        unreachable, has stopped, or refuses a one-way call. A
+        request-response caller may pass waiting, to be able to end its
+        wait from another thread (ServiceInstance.offer_rr, http_invoke_rr).
         """
         tree, violation = _image(tree)
         if violation is not None:
@@ -580,9 +633,9 @@ class RunningSystem:
             endpoint = self._local.get(location.name or "")
             if endpoint is None:
                 raise TransportError(f"nothing listens at {location}")
-            return endpoint.offer(operation, tree, kind, timeout)
+            return endpoint.offer(operation, tree, kind, timeout, waiting)
         if kind == "rr":
-            return http_invoke_rr(location, operation, tree, timeout)
+            return http_invoke_rr(location, operation, tree, timeout, waiting)
         http_invoke_ow(location, operation, tree, timeout)
         return None
 
@@ -633,8 +686,9 @@ class RunningSystem:
         """Stop accepting, drain in-flight handlers up to the timeout, report.
 
         An activation still running at the deadline is reported aborted,
-        and ends with the fault Aborted at its next loop iteration or
-        receive; an aborted executable's verdict is Aborted.
+        and ends with the fault Aborted at its next loop iteration, or at
+        once if it waits in receive or for a solicit's reply; an aborted
+        executable's verdict is Aborted.
         """
         with self._lock:
             if self._report is not None:

@@ -32,7 +32,9 @@ server's own reader, within the same line and header limits, with a
 Content-Length that must be present and at most MAX_BODY_BYTES. A
 response that breaks them or ends early is a TransportError, and no
 response within the call's timeout plus REPLY_GRACE is the Timeout
-fault (TransportError for a one-way call). An operation name travels
+fault (TransportError for a one-way call). A request-response client
+can be handed a waiting callback, through which another thread ends its
+wait by shutting the connection down. An operation name travels
 percent-encoded as UTF-8, so an ASCII name is unchanged on the wire.
 """
 
@@ -42,6 +44,7 @@ import json
 import socket
 import socketserver
 import threading
+from functools import partial
 from http import HTTPStatus
 from http.client import HTTPConnection
 from typing import Callable
@@ -343,9 +346,13 @@ def _send(connection: socket.socket, status: int, body: bytes, keep: bool) -> bo
 # ---------------------------------------------------------------------------
 # client
 
+# waiting(wake) is told how another thread can end a caller's wait for its
+# reply, and waiting(None) once the wait is over
+Waiting = Callable[[Callable[[], None] | None], None]
+
 
 def http_invoke_rr(
-    location: Location, operation: str, request: ValueTree, timeout: float
+    location: Location, operation: str, request: ValueTree, timeout: float, waiting: Waiting | None = None
 ) -> ValueTree | Fault:
     """Call a request-response operation over HTTP.
 
@@ -354,9 +361,12 @@ def http_invoke_rr(
     the endpoint is unreachable and converts a client-side socket
     timeout into the Timeout fault as well. The request must already be
     its JSON image, as RunningSystem.call makes every message it sends.
+    waiting, when given, is handed a function that shuts the call's
+    connection down, so that another thread can end the wait with a
+    TransportError, and then None once the call is over.
     """
     try:
-        status, body = _post(location, operation, "rr", encode_json(request), timeout)
+        status, body = _post(location, operation, "rr", encode_json(request), timeout, waiting)
     except _TimeoutFault:
         return Fault("Timeout", ValueTree(f"no reply from {location} within {timeout}s"))
     if status == 200:
@@ -398,7 +408,7 @@ _REQUEST_HEAD = (
 
 
 def _post(
-    location: Location, operation: str, kind: str, body: bytes, timeout: float
+    location: Location, operation: str, kind: str, body: bytes, timeout: float, waiting: Waiting | None = None
 ) -> tuple[int, bytes]:
     """Post one encoded call on a connection of its own; returns the status and body.
 
@@ -419,6 +429,8 @@ def _post(
     connection = HTTPConnection(location.host, location.port, timeout=timeout + REPLY_GRACE)
     try:
         connection.connect()
+        if waiting is not None:
+            waiting(partial(_shut_down, connection.sock))
         connection.sock.sendall(head + body)
         status, reply = _read_response(_Reader(connection.sock))
     except socket.timeout:
@@ -430,11 +442,21 @@ def _post(
     except OSError as exc:
         raise TransportError(f"cannot reach {location}: {exc}") from exc
     finally:
+        if waiting is not None:
+            waiting(None)
         connection.close()
     if status == 503:
         reason = reply.decode("utf-8", errors="replace")
         raise TransportError(f"{location} refused the call: {reason}")
     return status, reply
+
+
+def _shut_down(sock: socket.socket) -> None:
+    """End a client's wait for its response: what it reads next is the end of the stream."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:  # the call ended and closed its socket first
+        pass
 
 
 # the status of the client's refusals, which it raises as TransportError whatever the status

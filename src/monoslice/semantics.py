@@ -106,7 +106,7 @@ class OpInfo:
 
 @dataclass
 class CheckedProgram:
-    """A resolved program. Immutable after construction."""
+    """A resolved program. Immutable after construction, but for the runtime's cache in behaviors."""
 
     program: SourceProgram
     type_table: dict[str, TypeDecl]
@@ -115,6 +115,10 @@ class CheckedProgram:
     port_interfaces: dict[tuple[str, str], list[InterfaceDecl]]
     port_ops: dict[tuple[str, str], dict[str, OpInfo]]
     warnings: list[str] = field(default_factory=list)
+    # each behavior the runtime compiled, by service and operation ("main" for
+    # an executable's), so every system started from this program shares them;
+    # None until a system starts, so a program that never runs holds no dict
+    behaviors: dict[tuple[str, str], object] | None = field(default=None, compare=False, repr=False)
 
     def check_value(self, tree: ValueTree, type_: TypeRef | TypeDecl) -> list["Violation"]:
         return check_value(tree, type_, self.type_table)

@@ -19,8 +19,11 @@ FIXTURES = Path(__file__).resolve().parent.parent / "src" / "monoslice" / "fixtu
 # CI's longer, seeded run of the interpreter differential; tests that set
 # their own max_examples keep it under this profile too
 settings.register_profile("ci", derandomize=True, max_examples=3000)
-if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
-    settings.load_profile("ci")
+# tests/line_audit.py's run: the default example counts, drawn the same way
+# on every run, with no example database to replay from
+settings.register_profile("line-audit", derandomize=True, database=None)
+if os.environ.get("HYPOTHESIS_PROFILE") in ("ci", "line-audit"):
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 # the directory holding the monoslice package this test process imported
 PACKAGE_ROOT = str(Path(monoslice.__file__).resolve().parent.parent)

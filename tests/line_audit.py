@@ -11,6 +11,12 @@ below module level that no test ran, and exits 1 if any of them is not in
 ALLOWED (or if a test failed). Module top level runs on import, so only the
 lines of functions, methods and class bodies are counted.
 
+Tier-1's Hypothesis tests run under the `line-audit` profile of
+`tests/conftest.py`: derandomized, with the default example counts and no
+example database. So they draw the same examples on every run, a line that
+only drawn examples reach is reached on every run or on none, and the audit
+gives the same verdict each time.
+
 ALLOWED holds only safety handlers that no in-process test can trigger and
 the interface declarations of `ExecutionContext`. An entry names a file and
 a line's stripped source text, so it survives edits elsewhere in the file.
@@ -157,7 +163,8 @@ def main() -> int:
         child_path = os.pathsep.join(filter(None, [child_dir, os.environ.get("PYTHONPATH")]))
         tracer.arm()
         try:
-            with mock.patch.dict(os.environ, PYTHONPATH=child_path):
+            # tests/conftest.py loads the profile
+            with mock.patch.dict(os.environ, PYTHONPATH=child_path, HYPOTHESIS_PROFILE="line-audit"):
                 status = pytest.main(["-q", "-p", "no:cacheprovider", str(tests)], plugins=[tracer])
         finally:
             sys.settrace(None)

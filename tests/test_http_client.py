@@ -317,3 +317,21 @@ def _responses(draw):
 def test_any_reply_gives_a_tree_a_fault_or_a_transport_error(fake, reply):
     result = call(fake, reply)
     assert isinstance(result, (ValueTree, Fault, TransportError)), result
+
+
+def test_waiting_is_handed_a_wake_that_ends_the_wait_and_is_harmless_once_the_call_is_over(fake):
+    wakes = []
+
+    def waiting(wake):
+        wakes.append(wake)
+        if wake is not None and len(wakes) == 1:
+            threading.Timer(0.1, wake).start()  # another thread ends the wait
+
+    fake.script(None, OPEN)  # the fake never answers
+    started = time.monotonic()
+    with pytest.raises(TransportError):
+        http_invoke_rr(fake.location, "echo", ValueTree(Long(7)), 5.0, waiting)
+    assert time.monotonic() - started < 4.0
+    assert fake.outcomes.get(timeout=15) == "closed"
+    assert wakes[1] is None  # told once the call was over
+    wakes[0]()  # a late wake finds the socket closed, and does nothing

@@ -1,4 +1,5 @@
 import pytest
+import reference_interpreter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -565,3 +566,238 @@ def test_compiled_expressions_agree_with_the_model(expr, x, y):
             scope.children[name] = [ValueTree(root)]
     compiled = compile_expr(expr)
     assert _outcome(lambda: compiled(Context(scope)).root) == _outcome(lambda: _model_root(expr, scope))
+
+
+# ---------------------------------------------------------------------------
+# generated statements against the closure compiler they replaced
+# (tests/reference_interpreter.py)
+
+def _pick(*strategies):
+    """One of strategies, each as likely as its share of the list: one_of would merge repeats."""
+    return st.sampled_from(strategies).flatmap(lambda strategy: strategy)
+
+
+def _path_text(root, index, steps):
+    text = root + (f"[{index}]" if index else "")
+    return text + "".join(f".{name}" + (f"[{i}]" if i else "") for name, i in steps)
+
+
+def _paths(indices, roots=("a", "b", "x", "y")):
+    steps = st.lists(st.tuples(st.sampled_from(["f", "g"]), st.none() | indices), max_size=2)
+    return st.builds(_path_text, st.sampled_from(roots), st.none() | indices, steps)
+
+
+# Most drawn statements cannot fault: their indices select, their arithmetic is
+# over numbers, and their conditions are bools. One in _DIFF_RISK is drawn from
+# a grammar that faults often: indices that are not integers, negative or too
+# far past the end to pad, any operator over roots of any kind, and throw.
+# Loops count c0 and c1, which nothing else writes.
+_DIFF_RISK = 8
+_DIFF_INDICES = st.sampled_from(["0", "1", "3", "c0", "c1", "2L"])
+_DIFF_PATHS = _paths(_DIFF_INDICES)
+_DIFF_NUMERIC = st.recursive(
+    st.sampled_from(["1", "2", "2L", "-3", "2.5", "0.0", "c0", "c1"]),
+    lambda inner: st.builds("({} {} {})".format, inner, st.sampled_from("+-*"), inner) | st.builds("-{}".format, inner),
+    max_leaves=3,
+)
+_DIFF_TESTS = st.recursive(
+    st.one_of(
+        st.builds("{} {} {}".format, _DIFF_NUMERIC, st.sampled_from(["==", "!=", "<", "<=", ">", ">="]), _DIFF_NUMERIC),
+        st.builds("{} {} {}".format, _DIFF_PATHS, st.sampled_from(["==", "!="]), _DIFF_PATHS | _DIFF_NUMERIC),
+        st.builds("{} {} {{}}".format, _DIFF_PATHS, st.sampled_from(["==", "!="])),
+        st.sampled_from(["true", "false"]),
+    ),
+    lambda inner: st.builds("({} {} {})".format, inner, st.sampled_from(["&&", "||"]), inner) | st.builds("!({})".format, inner),
+    max_leaves=3,
+)
+_DIFF_TREES = st.lists(
+    st.builds("{} = {}".format, _paths(_DIFF_INDICES, roots=("f", "g")), _DIFF_NUMERIC | _DIFF_PATHS),
+    min_size=1,
+    max_size=3,
+).map(lambda entries: "{ " + ", ".join(entries) + " }")
+_DIFF_ROOT_NAMES = st.sampled_from(["a", "b", "x", "y"])
+_DIFF_STORES = _pick(
+    st.builds("{} = {}".format, _DIFF_PATHS, _DIFF_NUMERIC | _DIFF_TESTS),
+    st.builds("{} = {}".format, _DIFF_PATHS, _DIFF_PATHS | _DIFF_TREES),
+    st.builds("{} = {}".format, _DIFF_PATHS, _DIFF_ROOT_NAMES),
+    # y = x shares x's tree, and a write through either must not show through the other
+    st.builds("{} = {} {} = {}".format, _DIFF_ROOT_NAMES, _DIFF_ROOT_NAMES, _DIFF_PATHS, _DIFF_NUMERIC | _DIFF_PATHS),
+    st.builds("{} = {} {} = {}".format, _DIFF_ROOT_NAMES, _DIFF_ROOT_NAMES, _DIFF_ROOT_NAMES, _DIFF_NUMERIC),
+)
+_RISKY_INDICES = st.sampled_from(["0", "c0", "a", "b", '"s"', "(0 - 1)", "100000", "2.5"])
+_RISKY_PATHS = _paths(_RISKY_INDICES)
+_RISKY_EXPRS = st.recursive(
+    st.one_of(st.sampled_from(["1", "2L", "2.5", '"s"', '""', "true", "{}", "a", "b"]), _RISKY_PATHS),
+    lambda inner: st.one_of(
+        st.builds(
+            "({} {} {})".format,
+            inner,
+            st.sampled_from(["+", "-", "*", "/", "==", "!=", "<", "<=", ">", ">=", "&&", "||"]),
+            inner,
+        ),
+        st.builds("!{}".format, inner),
+        st.builds("-{}".format, inner),
+    ),
+    max_leaves=4,
+)
+_DIFF_RISKY = st.one_of(
+    st.builds("{} = {}".format, _RISKY_PATHS, _RISKY_EXPRS | _DIFF_NUMERIC | _DIFF_TREES),
+    # a step that pads, then one whose index may fault
+    st.builds("{}[3].f[{}] = {}".format, _DIFF_ROOT_NAMES, _RISKY_INDICES, _DIFF_NUMERIC | _DIFF_TREES),
+    st.builds("{} = {}".format, _DIFF_PATHS, _RISKY_EXPRS),
+    st.just("throw( Boom )"),
+)
+_DIFF_SIMPLE = _pick(*[_DIFF_STORES] * _DIFF_RISK, _DIFF_RISKY)
+_DIFF_CONDITIONS = _pick(*[_DIFF_TESTS] * _DIFF_RISK, _RISKY_EXPRS)  # not a bool faults
+_DIFF_VALUES = st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(Long), st.sampled_from([0.0, -0.0, 2.5]), _ROOTS)
+
+
+def _diff_statements(depth):
+    """Statement lists whose loops at depth d count c{d} up to a small bound."""
+    if depth == 0:
+        return st.lists(_DIFF_SIMPLE, max_size=3).map(" ".join)
+    inner = _diff_statements(depth - 1)
+    counter = f"c{depth - 1}"
+    loop = st.builds(
+        lambda bound, extra, body: (
+            f"{counter} = 0 while( {extra}{counter} < {bound} ) {{ {body} {counter} = {counter} + 1 }}"
+        ),
+        st.integers(0, 3),
+        _pick(st.just(""), _DIFF_TESTS.map("{} && ".format)),
+        inner,
+    )
+    branch = st.builds("if( {} ) {{ {} }} else {{ {} }}".format, _DIFF_CONDITIONS, inner, inner)
+    return st.lists(_pick(_DIFF_SIMPLE, _DIFF_SIMPLE, loop, branch), min_size=1, max_size=3).map(" ".join)
+
+
+def _diff_scope(a, b, shared):
+    x = ValueTree.make(7, f=[ValueTree.make(g=1), ValueTree(2)])
+    x.shared = shared  # as the runtime stores trees others hold
+    scope = ValueTree.make(x=x)
+    for name, root in (("a", a), ("b", b)):
+        if root is not None:
+            scope.children[name] = [ValueTree(root)]
+    return scope
+
+
+def _kinds(tree):
+    """A tree as roots with their kinds: repr tells -0.0 from 0.0 and 1 from 1L."""
+    return (
+        kind_of(tree.root),
+        repr(tree.root),
+        {name: [_kinds(child) for child in seq] for name, seq in sorted(tree.children.items())},
+    )
+
+
+def _run_counted(module, statements, scope):
+    """Compile and run statements with module; returns the scope's kinds, the fault, and the statements run."""
+    counted = []
+    original = module.exec_statement
+
+    def counting(statement, ctx):
+        counted.append(statement)
+        original(statement, ctx)
+
+    module.exec_statement = counting
+    ctx = Context(scope)
+    try:
+        module.exec_statements(module.compile_block(statements), ctx)
+        outcome = None
+    except FaultSignal as exc:
+        outcome = exc.fault.name, None if exc.fault.data is None else exc.fault.data.root
+    finally:
+        module.exec_statement = original
+    return _kinds(ctx.scope), outcome, len(counted)
+
+
+def assert_same_as_reference(text, scope=None):
+    from monoslice.runtime import interpreter
+
+    statements = main_statements(text)
+    fresh = (lambda: scope.copy()) if scope is not None else ValueTree
+    generated = _run_counted(interpreter, statements, fresh())
+    assert generated == _run_counted(reference_interpreter, statements, fresh())
+    return generated
+
+
+@given(_diff_statements(2), _DIFF_VALUES, _DIFF_VALUES, st.booleans())
+# the example count comes from the loaded profile when it asks for more (tests/conftest.py)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+def test_generated_statements_agree_with_the_reference_interpreter(text, a, b, shared):
+    assert_same_as_reference("c0 = 0 c1 = 0 " + text, _diff_scope(a, b, shared))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a shared tree, then writes through each holder
+        "x.f = 1 y = x y.f[2].g = 3 x.f = y.f[2] y = 5",
+        # a faulting store after a pad at an earlier step, under a shared node
+        "y = x y.f[3].g[100000] = 1",
+        'x.f[2].g["s"] = 1',
+        # a loop whose condition walks a variable index, and breaks on a fault
+        'i = 0 while( x.f[i] != {} ) { x.f[i].seen = i i = i + 1 } k = x.f[i].g',
+        "i = 0 while( i < 3 ) { if( i == 1 ) { y = x } else { x.f[i] = i * 2L } i = i + 1 } throw( Done )",
+    ],
+)
+def test_statement_shapes_agree_with_the_reference_interpreter(text):
+    assert_same_as_reference(text, _diff_scope(Long(1), "s", True))
+
+
+# ---------------------------------------------------------------------------
+# program text reaches the generated code as data, never as source
+
+_TEXT = '"it\'s \\"quoted\\", \\"\\"\\" and \\\\ back\\nslash, {braces} }{ and café"'
+
+
+@pytest.mark.parametrize(
+    "text, names, outcome",
+    [
+        # a string literal, and a fault that names its kind
+        ("s = " + _TEXT + " t.u = s + 1", ["s"], ("TypeMismatch", "cannot apply '+' to string and int")),
+        ("café = " + _TEXT + " crème.brûlée[1] = café", ["café", "crème"], None),
+        # names the generated code uses for its own locals, constants and helpers
+        (
+            "scope = 1 ctx = 2 k0 = 3 t1 = k0 + ctx K = { _build = scope, exec_statement = t1 } Assign = K",
+            ["Assign", "K", "ctx", "k0", "scope", "t1"],
+            None,
+        ),
+        ("x.if = 1 x.while = x.if x.lambda.import = 2 x.__class__ = x.lambda x.def[1] = 3", ["x"], None),
+        ('x["it\'s"] = 1', [], ("TypeMismatch", "index must be an integer, found string")),
+        ("throw( Crème )", [], ("Crème", None)),
+    ],
+)
+def test_identifiers_and_literals_stay_data(text, names, outcome):
+    scope, fault, _ = assert_same_as_reference(text)
+    assert sorted(scope[2]) == names
+    assert fault == outcome
+
+
+def test_a_string_literal_keeps_its_text():
+    scope, _, _ = assert_same_as_reference("s = " + _TEXT)
+    assert scope[2]["s"][0][1] == repr("it's \"quoted\", \"\"\" and \\ back\nslash, {braces} }{ and café")
+
+
+def test_deeply_nested_expressions_compile_and_agree_with_the_reference_interpreter():
+    # one function of nested blocks would pass Python's 100 levels of indentation
+    conjunction = "true"
+    for _ in range(120):
+        conjunction = f"(x.f[i] == {{}} && {conjunction})"
+    index = "i"
+    for _ in range(25):
+        index = f"v[{index}]"
+    scope = ValueTree.make(i=0, v=[0, 1], x=ValueTree.make(f=[ValueTree.make(g=1)]))
+    _, outcome, _ = assert_same_as_reference(f"r = {conjunction} s = {index} x.f[{index}].g[{index}] = 5", scope)
+    assert outcome is None
+
+
+def test_a_full_code_cache_is_emptied_before_it_takes_more(monkeypatch):
+    from monoslice.runtime import interpreter
+
+    monkeypatch.setattr(interpreter, "_BUILDERS", {})
+    monkeypatch.setattr(interpreter, "_BUILDERS_LIMIT", 1)
+    block = compile_block(main_statements("x = 1 y = x + 2"), name="S.op")  # two shapes
+    assert len(interpreter._BUILDERS) == 1
+    ctx = Context()
+    exec_statements(block, ctx)
+    assert ctx.scope == ValueTree.make(x=1, y=3)

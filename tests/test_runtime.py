@@ -1,6 +1,7 @@
 import http.client
 import json
 import random
+import socket
 import sys
 import threading
 import time
@@ -300,6 +301,26 @@ def test_a_request_refused_for_its_type_or_for_want_of_a_handler_is_counted(tran
     assert desk.line() == "Desk: served=2 faults=0 refused=4"
 
 
+def test_a_behavior_compiles_once_per_checked_program_on_its_first_activation(monkeypatch):
+    checked = resolve(parse_source(DESK))
+    compiled = []
+    original = system_module.compile_block
+
+    def compile_block(statements, ports, name):
+        compiled.append(name)
+        return original(statements, ports, name)
+
+    monkeypatch.setattr(system_module, "compile_block", compile_block)
+    for restart in range(2):  # a system restarted from the same checked program
+        system = runtime.start(checked, local_tree_config(["Desk"]))
+        try:
+            assert compiled == (["Desk.ask"] if restart else [])  # start compiles nothing
+            assert system.invoke_rr("Desk", "ask", ValueTree(1)) == ValueTree(1)
+        finally:
+            system.shutdown()
+    assert compiled == ["Desk.ask"]
+
+
 def test_request_timeout_and_aborted_handler_reporting():
     checked = resolve(parse_source(SPINNER))
     system = runtime.start(checked, local_tree_config(["Spinner"]))
@@ -351,6 +372,92 @@ def test_shutdown_wakes_an_executable_blocked_in_receive():
     with pytest.raises(FaultSignal) as raised:
         system.instances["Waiter"].receive("later")
     assert raised.value.fault.name == "Aborted"
+
+
+ASKER = """
+interface Ask {
+    RequestResponse:
+        ask( int )( int )
+}
+
+service Asker( config ) {
+    execution: concurrent
+    inputPort In {
+        location: config.Asker.location
+        protocol: http { format = "json" }
+        interfaces: Ask
+    }
+    outputPort Sink {
+        location: config.Sink.location
+        protocol: http { format = "json" }
+        interfaces: Ask
+    }
+    main {
+        ask( x )( y ) {
+            ask@Sink( x )( y )
+        }
+    }
+}
+
+service Sink( config ) {
+    execution: concurrent
+    inputPort In {
+        location: config.Sink.location
+        protocol: http { format = "json" }
+        interfaces: Ask
+    }
+    main {
+        ask( x )( y ) {
+            y = x
+        }
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("transport", ["local", "socket"])
+def test_shutdown_wakes_an_activation_waiting_for_a_solicits_reply(transport):
+    checked = resolve(parse_source(ASKER))
+    # over socket://, a listener that accepts connections and never answers
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        if transport == "local":
+            system = runtime.start(checked, local_tree_config(["Asker", "Sink"]))
+            # Sink admits the call, and its pool drops the work: no reply ever comes
+            system.instances["Sink"]._pool.submit = lambda work: None
+        else:
+            port = listener.getsockname()[1]
+            config = decode_json(json.dumps({
+                "Asker": {"location": "local://asker"},
+                "Sink": {"location": f"socket://127.0.0.1:{port}"},
+            }))
+            system = runtime.start(checked, config, ["Asker"])
+        reply = system.invoke_rr("Asker", "ask", ValueTree(1), timeout=0.2)
+        assert isinstance(reply, Fault) and reply.name == "Timeout"
+        report = system.shutdown(timeout=0.3)
+    assert report.aborted_total() == 1
+    deadline = time.monotonic() + 1.0
+    for thread in threading.enumerate():
+        if thread.name == "Asker-worker":
+            thread.join(max(0.0, deadline - time.monotonic()))
+    assert not [t for t in threading.enumerate() if t.name == "Asker-worker" and t.is_alive()]
+    # the woken solicit ends in Aborted on both transports, not in TransportError
+    assert system.instances["Asker"].faults == {"Aborted": 1}
+
+
+def test_an_activation_aborted_before_its_solicit_waits_is_woken_at_once():
+    checked = resolve(parse_source(ASKER))
+    system = runtime.start(checked, local_tree_config(["Asker", "Sink"]))
+    try:
+        system.instances["Sink"]._pool.submit = lambda work: None
+        ctx = system_module._ActivationContext(system.instances["Asker"], ValueTree())
+        ctx.aborted = True
+        started = time.monotonic()
+        with pytest.raises(FaultSignal) as raised:
+            ctx.solicit("Sink", "ask", ValueTree(1))
+        assert raised.value.fault.name == "Aborted"
+        assert time.monotonic() - started < 1.0
+    finally:
+        system.shutdown(timeout=0.3)
 
 
 def test_an_executable_that_receives_nothing_in_time_ends_in_timeout(monkeypatch):
