@@ -543,5 +543,13 @@ def _fold_negation(operand: Expr) -> Literal | None:
 
 
 def parse_source(source: str, source_name: str = "program") -> SourceProgram:
-    """Tokenize and parse source text in one step."""
-    return Parser(tokenize(source), line_starts(source), source_name).parse_program()
+    """Tokenize and parse source text in one step.
+
+    Nesting deeper than Python's stack allows is a ParseError at the token
+    where parsing stood.
+    """
+    parser = Parser(tokenize(source), line_starts(source), source_name)
+    try:
+        return parser.parse_program()
+    except RecursionError:
+        raise parser.error("code nested less deeply") from None

@@ -1,7 +1,8 @@
 """The one worker model: a lazily grown pool of long-lived daemon threads.
 
 Service activations and the connections of each socket:// port both run
-on a WorkerPool. Jobs are taken in the order they were submitted; a
+on a WorkerPool; a port's workers also take turns to accept its
+connections. Jobs are taken in the order they were submitted; a
 thread starts only when none is idle, and never more than the pool's
 size, so further jobs wait in the queue. Each thread asks the pool's
 worker factory once for its job handler, so state a handler keeps, such

@@ -15,14 +15,19 @@ Content-Length over MAX_BODY_BYTES, and a reply that cannot be encoded
 get the TypeMismatch envelope, and a service that has stopped answers
 503.
 
-Each port's server runs an accept loop that hands every connection to
-a pool of at most MAX_WORKERS threads. A worker reads the requests of
-its connection one after another, parsing the request line and headers
-by hand within MAX_LINE_BYTES and MAX_HEADERS, and writes each response
-with one send. A connection stays open for the next request unless the
-client asks to close it or a request was refused; one that sends
-nothing for READ_TIMEOUT seconds is closed, so idle or stalled clients
-hold a worker for that long at most. Servers bind all interfaces on the
+The workers of each port's pool, at most MAX_WORKERS threads, take
+turns to accept: the worker holding the turn accepts one connection,
+passes the turn on to an idle worker or a new one, and serves the
+connection itself. So the server holds at most MAX_WORKERS accepted
+connections, and the rest wait in the listen backlog of
+2 * MAX_WORKERS. close() shuts the listener down, which ends a waiting
+accept at once. A worker reads the requests of its connection one after
+another, parsing the request line and headers by hand within
+MAX_LINE_BYTES and MAX_HEADERS, and writes each response with one send.
+A connection stays open for the next request unless the client asks to
+close it or a request was refused; one that sends nothing for
+READ_TIMEOUT seconds is closed, so idle or stalled clients hold a
+worker for that long at most. Servers bind all interfaces on the
 port; the host part of a location is for dialing.
 
 The clients open one connection per call, dialed by HTTPConnection,
@@ -42,7 +47,6 @@ from __future__ import annotations
 
 import json
 import socket
-import socketserver
 import threading
 from functools import partial
 from http import HTTPStatus
@@ -67,7 +71,8 @@ from .pool import MAX_WORKERS, WorkerPool
 CONTENT_TYPE = "application/json; charset=utf-8"
 KIND_HEADER = "Monoslice-Kind"
 _KIND_KEY = KIND_HEADER.lower().encode()  # as the server's header table holds it
-# how often the accept loop looks for a shutdown request, which bounds how long close() takes
+# how long a worker waits in accept before it looks again, which bounds how long
+# close() takes where shutting the listener down does not end the wait
 _POLL_SECONDS = 0.05
 
 # what one connection may send the server
@@ -118,39 +123,47 @@ class HttpPortServer:
     def __init__(self, port: int, offer: Offer, timeout: float):
         self.offer = offer
         self.timeout = timeout
-        self._pool = WorkerPool(f"http-port-{port}-worker", MAX_WORKERS, lambda: self._serve)
+        self._pool = WorkerPool(f"http-port-{port}-worker", MAX_WORKERS, lambda: self._take_turn)
         self._open: set[socket.socket] = set()  # accepted connections not yet closed
         self._open_lock = threading.Lock()
-        self._listener = _Listener(("", port), self._accept)
-        self._thread = threading.Thread(
-            target=self._listener.serve_forever,
-            args=(_POLL_SECONDS,),
-            name=f"http-port-{port}",
-            daemon=True,
-        )
+        self._closed = False
+        self._listener = socket.create_server(("", port), backlog=2 * MAX_WORKERS)
+        self._listener.settimeout(_POLL_SECONDS)
 
     def start(self) -> None:
-        self._thread.start()
+        self._pool.submit(self._listener)
 
     def close(self) -> None:
-        # shutdown() blocks forever unless serve_forever is actually running
-        if self._thread.is_alive():
-            self._listener.shutdown()
-        self._listener.server_close()
         # a worker waiting for a request reads the end of its connection at once,
         # while one still answering a request can send its response
         with self._open_lock:
+            self._closed = True
             for connection in self._open:
                 try:
                     connection.shutdown(socket.SHUT_RD)
                 except OSError:
                     pass
+        _shut_down(self._listener)
+        self._listener.close()
         self._pool.stop()
 
-    def _accept(self, connection: socket.socket) -> None:
+    def _take_turn(self, listener: socket.socket) -> None:
+        """Accept one connection, pass the turn to accept on, then serve the connection."""
+        while True:
+            try:
+                connection, _ = listener.accept()
+            except socket.timeout:  # look again, which finds the listener closed once close() ran
+                continue
+            except OSError:  # the port closed
+                return
+            break
         with self._open_lock:
+            if self._closed:  # accepted as the port closed: no answer, and no next turn
+                connection.close()
+                return
             self._open.add(connection)
-        self._pool.submit(connection)
+        self._pool.submit(listener)
+        self._serve(connection)
 
     def _serve(self, connection: socket.socket) -> None:
         try:
@@ -231,20 +244,6 @@ def _content_length(value: bytes) -> int:
     if length > MAX_BODY_BYTES:
         raise ValueError(f"Content-Length {length} is over the limit of {MAX_BODY_BYTES}")
     return length
-
-
-class _Listener(socketserver.TCPServer):
-    """The accept loop of one port; every accepted connection goes to on_accept."""
-
-    allow_reuse_address = True
-    request_queue_size = 2 * MAX_WORKERS
-
-    def __init__(self, address, on_accept: Callable[[socket.socket], None]):
-        self.on_accept = on_accept
-        super().__init__(address, None)
-
-    def process_request(self, request, client_address) -> None:
-        self.on_accept(request)
 
 
 class _Refused(Exception):
@@ -452,10 +451,10 @@ def _post(
 
 
 def _shut_down(sock: socket.socket) -> None:
-    """End a client's wait for its response: what it reads next is the end of the stream."""
+    """End a wait on sock: a client's read returns the end of the stream, a listener's accept fails."""
     try:
         sock.shutdown(socket.SHUT_RDWR)
-    except OSError:  # the call ended and closed its socket first
+    except OSError:  # the call ended and closed its socket first, or the platform refuses
         pass
 
 

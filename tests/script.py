@@ -98,6 +98,11 @@ def corrupted_fixture_source(fixture_source: str) -> str:
     return render(program)
 
 
+def nested_source(depth: int) -> str:
+    """A service whose main assigns `depth` parenthesized `&&` expressions, one inside the next."""
+    return "service S { main { r = " + "(x == {} && " * depth + "true" + ")" * depth + " } }"
+
+
 COLLECTOR = """
 type Msg : long
 
@@ -176,10 +181,10 @@ service Spinner( config ) {
         interfaces: Spin
     }
     main {
-        // long enough to outlive a 0.25 s call and a 0.5 s shutdown on a fast host
+        // never ends by itself: only shutdown's abort ends it, however fast the host
         spin( a )( b ) {
             i = 0
-            while( i < 2000000 )
+            while( i >= 0 )
                 i = i + 1
         }
     }

@@ -12,7 +12,7 @@ from monoslice.config import Location
 from monoslice.values import Long, ValueTree
 
 from conftest import call_once_serving, free_port
-from script import corrupted_fixture_source
+from script import corrupted_fixture_source, nested_source
 
 
 def tree_digest(root: Path) -> dict[str, str]:
@@ -69,6 +69,15 @@ def test_check_overflowing_double_is_a_diagnostic(tmp_path, capsys):
     bad.write_text("service S {\n  main { y = 1e999 }\n}\n", encoding="utf-8")
     assert main(["check", str(bad)]) == 2
     assert capsys.readouterr().err == f"{bad}:2:14: error: double literal out of range\n"
+
+
+def test_check_nesting_too_deep_is_one_positioned_diagnostic(tmp_path, capsys):
+    bad = tmp_path / "bad.ol"
+    bad.write_text(nested_source(200) + "\n", encoding="utf-8")
+    assert main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"{bad}:1:") and ": error: expected code nested less deeply, found '" in err
 
 
 def test_run_fixture_exits_zero_quickly(fixture_path, local_config_path, capsys):

@@ -207,7 +207,81 @@ def test_close_ends_the_workers_of_idle_connections(server):
         idle.close()
 
 
-LONG = b"a" * transport.MAX_LINE_BYTES
+def wait_for(condition, seconds=5):
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return condition()
+
+
+def test_connections_no_worker_is_free_to_accept_wait_in_the_backlog(server):
+    idle = [server.connect() for _ in range(32)]
+    flood = []
+    try:
+        assert wait_for(lambda: len(server.server._open) == 32)
+        for n in range(60):
+            flood.append(server.connect())
+            flood[-1].sendall(post(b"/echo", b"%d" % n, b"Connection: close"))
+        most = 0
+        deadline = time.monotonic() + 0.3
+        while time.monotonic() < deadline:
+            most = max(most, len(server.server._open))
+            time.sleep(0.005)
+        assert most <= 32
+        for connection in idle:
+            connection.close()
+        for n, connection in enumerate(flood):
+            assert parse_response(receive_all(connection)) == (200, b"%d" % n)
+    finally:
+        for connection in idle + flood:
+            connection.close()
+
+
+def test_close_ends_a_worker_waiting_to_accept_and_frees_the_port(server):
+    assert wait_for(lambda: len(server.workers()) == 1)
+    server.server.close()
+    assert wait_for(lambda: not server.workers(), seconds=1)
+    socket.create_server(("", server.port)).close()
+
+
+class _LateListener:
+    """A listener whose accept returns its one connection only once the server closed it."""
+
+    def __init__(self, connection):
+        self.connection = connection
+        self.closed = threading.Event()
+
+    def accept(self):
+        self.closed.wait(5)
+        return self.connection, None
+
+    def shutdown(self, how):
+        pass
+
+    def close(self):
+        self.closed.set()
+
+
+def test_a_connection_accepted_as_the_port_closes_is_closed_unanswered():
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        client = socket.create_connection(listener.getsockname(), timeout=5)
+        accepted, _ = listener.accept()
+    port = free_port()
+    server = transport.HttpPortServer(port, stub_offer, 5.0)
+    server._listener.close()
+    server._listener = _LateListener(accepted)
+    workers = lambda: [t for t in threading.enumerate() if t.name == f"http-port-{port}-worker"]
+    with client:
+        client.sendall(post(b"/echo", b"1"))
+        server.start()
+        assert wait_for(lambda: len(workers()) == 1)
+        server.close()
+        assert receive_all(client) == b""
+    assert wait_for(lambda: not workers(), seconds=1)
+    assert not server._open
+
+
+LONG =b"a" * transport.MAX_LINE_BYTES
 MANY_HEADERS = b"X: 1\r\n" * (transport.MAX_HEADERS + 1)
 REQUESTS = {
     "blank-line": (b"\r\n", 400),

@@ -25,10 +25,12 @@ from monoslice.ast import (
     Unary,
 )
 from monoslice.lexer import LexError, tokenize
-from monoslice.parser import ParseError, parse_source
+from monoslice.parser import ParseError, Parser, parse_source
 from monoslice.render import render
 from monoslice.semantics import CheckedProgram, ResolveFailure, resolve
 from monoslice.values import Long
+
+from script import nested_source
 
 # Reference listings the grammar must accept, kept verbatim.
 
@@ -377,6 +379,31 @@ def test_parse_error_positions_and_texts(source, line, column, expected, found):
     error = exc.value
     assert (error.line, error.column, error.expected, error.found) == (line, column, expected, found)
     assert str(error) == f"{line}:{column}: expected {expected}, found {found}"
+
+
+@pytest.mark.parametrize("depth", [200, 400])
+def test_nesting_deeper_than_the_stack_is_a_parse_error_where_parsing_stood(depth):
+    source = nested_source(depth)
+    with pytest.raises(ParseError) as exc:
+        parse_source(source)
+    error = exc.value
+    assert (error.line, error.expected) == (1, "code nested less deeply")
+    # how deep parsing got depends on the caller's stack, so only where the token is, is pinned
+    token = {token.offset: token for token in tokenize(source)}[error.column - 1]
+    assert error.found == f"'{token.lexeme}'"
+    assert source.index("(") < token.offset < source.index("true")
+
+
+def test_a_recursion_error_is_a_parse_error_at_the_current_token(monkeypatch):
+    # Parsing raises here at once: a line tracer, such as tests/line_audit.py's,
+    # stops when the recursion limit is reached.
+    def overflow(self):
+        raise RecursionError
+
+    monkeypatch.setattr(Parser, "parse_program", overflow)
+    with pytest.raises(ParseError) as exc:
+        parse_source("service S {}")
+    assert str(exc.value) == "1:1: expected code nested less deeply, found 'service'"
 
 
 def test_deleting_a_token_of_the_fixture_fails_cleanly_or_round_trips(fixture_source):
