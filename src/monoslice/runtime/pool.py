@@ -6,7 +6,9 @@ connections. Jobs are taken in the order they were submitted; a
 thread starts only when none is idle, and never more than the pool's
 size, so further jobs wait in the queue. Each thread asks the pool's
 worker factory once for its job handler, so state a handler keeps, such
-as a sequential service's scope, lives and dies with its thread.
+as a sequential service's scope, lives and dies with its thread. A job
+submitted after stop() may never run, so callers refuse a call before
+they submit it to a stopped pool (ServiceInstance._submit).
 """
 
 from __future__ import annotations

@@ -25,20 +25,22 @@ Each service runs its activations on a WorkerPool (pool.py), the kind
 of pool that also serves the connections of a socket:// port: at most
 32 workers for concurrent, where each activation gets a fresh scope,
 and one for sequential, which keeps one scope across activations (so a
-service can keep state across requests), and for single, which serves
-exactly one activation and then stops. A service whose main is a
-statement sequence is executable: it runs once to completion on its
-own thread after startup. Every activation, executable or not, runs
-through ServiceInstance._run, which records the fault it ends in. A
-request-response call hands the pool a queue of its own with its
-request, the worker puts the admitted reply or the fault on it, and the
-caller waits on it up to its timeout.
+service can keep state across requests), and for single, which takes
+one call only. A service whose main is a statement sequence is
+executable: it runs once to completion on its own thread after
+startup. Every activation, executable or not, runs through
+ServiceInstance._run, which records the fault it ends in. Every inbound
+call is admitted or refused in ServiceInstance._take and enters the
+pool in _submit. A request-response call hands the pool a queue of its
+own with its request, the worker puts the admitted reply or the fault
+on it, and the caller waits on it up to its timeout.
 """
 
 from __future__ import annotations
 
 import logging
 import queue
+import re
 import threading
 import time
 from collections import Counter
@@ -48,6 +50,7 @@ from typing import Callable
 
 from ..ast import (
     InputChoice,
+    OneWayBranch,
     RequestResponseBranch,
     ServiceDecl,
     Statement,
@@ -61,7 +64,7 @@ from ..config import (
 )
 from ..errors import MonosliceError, NoServices
 from ..semantics import CheckedProgram, OpInfo, check_value
-from ..values import NOT_FINITE, TOO_DEEP, TOO_MANY_DIGITS, Long, ValueTree
+from ..values import LONE_SURROGATE, NOT_FINITE, ROOT_KEY, TOO_DEEP, TOO_MANY_DIGITS, Long, ValueTree
 from .interpreter import (
     Block,
     ExecutionContext,
@@ -89,8 +92,8 @@ _SAFE_INT_BITS = 640 * 3
 MAX_NESTING = 900
 # what abort puts into a receive queue: the receive that takes it ends with Aborted
 _ABORT = object()
-# put on the reply queue of a caller queued behind a single service's one activation
-_STOPPED = object()
+# a surrogate code point: UTF-8 cannot encode one in a str, alone or paired
+_SURROGATE = re.compile("[\ud800-\udfff]")
 # held while a behavior compiles
 _COMPILING = threading.Lock()
 
@@ -105,7 +108,7 @@ class BindError(MonosliceError):
 class _Work:
     info: OpInfo
     tree: ValueTree
-    reply: "queue.SimpleQueue[ValueTree | Fault | object] | None"  # where a waiting caller takes the outcome
+    reply: "queue.SimpleQueue[ValueTree | Fault] | None"  # where a waiting caller takes the outcome
 
 
 @dataclass
@@ -176,10 +179,7 @@ def _admit(tree: ValueTree, type_: TypeRef, types: dict) -> tuple[ValueTree, lis
     tree, violation = _image(tree)
     if violation is not None:
         return tree, [violation]
-    try:
-        return tree, check_value(tree, type_, types)
-    except RecursionError:
-        return tree, [TOO_DEEP]
+    return tree, check_value(tree, type_, types)
 
 
 def _wire_image(tree: ValueTree) -> ValueTree:
@@ -189,8 +189,9 @@ def _wire_image(tree: ValueTree) -> ValueTree:
     every message crossing a boundary is taken to its wire image. A tree
     that already is its image is returned itself; otherwise the nodes on
     the path down to each plain int are copied and all others are shared.
-    An integer or a double the wire cannot carry, or nesting past
-    MAX_NESTING, raises _Unencodable.
+    An integer or a double the wire cannot carry, a string or child name
+    UTF-8 cannot encode, a child named "$", or nesting past MAX_NESTING
+    raises _Unencodable.
 
     Every node of the image is marked shared and admitted (the sender may
     hold it still, and the receiver keeps it), with its nesting, and an
@@ -216,10 +217,14 @@ def _wire_image(tree: ValueTree) -> ValueTree:
             image.root = Long(root)
     elif type(root) is float and not isfinite(root):
         raise _Unencodable(NOT_FINITE)
+    elif type(root) is str and not root.isascii() and _SURROGATE.search(root):
+        raise _Unencodable(LONE_SURROGATE)
     nesting = 0
     children = tree.children
     if children:  # most nodes are leaves; enumerate cost a third of the walk
         for name, seq in children.items():
+            if name == "$" or not name.isascii() and _SURROGATE.search(name):
+                raise _Unencodable(ROOT_KEY if name == "$" else LONE_SURROGATE)
             level = 1 if len(seq) == 1 else 2  # this node's object, and an array of the name's
             i = 0
             for child in seq:
@@ -241,7 +246,7 @@ def _wire_image(tree: ValueTree) -> ValueTree:
 
 
 class _ActivationContext(ExecutionContext):
-    wake: Callable[[], None] | None = None  # ends the reply wait of a call in progress
+    wake: Callable[[], None] | None = None  # ends the wait in progress: for a solicit's reply, or in receive
 
     def __init__(self, instance: "ServiceInstance", scope: ValueTree):
         self.instance = instance
@@ -258,7 +263,7 @@ class _ActivationContext(ExecutionContext):
             raise fault("TransportError", str(exc)) from exc
 
     def waiting(self, wake: Callable[[], None] | None) -> None:
-        """Keep how to end the reply wait this activation is in, or None once it is over.
+        """Keep how to end the wait this activation is in, or None once it is over.
 
         An activation aborted before its wait began is woken at once.
         """
@@ -276,7 +281,17 @@ class _ActivationContext(ExecutionContext):
         self._call(port, operation, message, "ow")
 
     def receive(self, operation: str) -> ValueTree:
-        return self.instance.receive(operation)
+        waiting = self.instance._receive_queues[operation]
+        self.waiting(lambda: waiting.put(_ABORT))
+        try:
+            message = waiting.get(timeout=DEFAULT_RECEIVE_TIMEOUT)
+        except queue.Empty:
+            raise fault("Timeout", f"no '{operation}' message arrived") from None
+        finally:
+            self.waiting(None)
+        if message is _ABORT:
+            raise aborted_fault()
+        return message
 
     def rebind(self, port: str, location_text: str) -> None:
         try:
@@ -305,10 +320,13 @@ class ServiceInstance:
 
         self._bindings: dict[str, Location] = {}
         self._bindings_lock = threading.Lock()
-        self._receive_queues: dict[str, "queue.SimpleQueue[ValueTree | object]"] = {}
-        self._receive_lock = threading.Lock()
-        self._aborted = False  # under _receive_lock: a queue made after abort starts with the mark
-        self._stopped = threading.Event()
+        # the one-way messages an executable's receive takes, a queue for each operation
+        ops = system.checked.port_ops
+        self._receive_queues: dict[str, "queue.SimpleQueue[ValueTree | object]"] = {
+            op: queue.SimpleQueue() for port in decl.input_ports for op in ops[(self.name, port.name)]
+        } if decl.is_executable else {}
+        self.stopped = False  # set under _stop_lock: no call enters the pool after it
+        self._stop_lock = threading.Lock()
         size = MAX_WORKERS if self.mode.value == "concurrent" else 1
         self._pool = WorkerPool(f"{self.name}-worker", size, self._worker)
         self._executable_thread: threading.Thread | None = None
@@ -321,10 +339,6 @@ class ServiceInstance:
         self.exit_fault: Fault | None = None
 
     # -- lifecycle -----------------------------------------------------
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped.is_set()
 
     def seed_scope(self) -> ValueTree:
         scope = ValueTree()
@@ -340,8 +354,9 @@ class ServiceInstance:
         thread.start()
 
     def request_stop(self) -> None:
-        self._stopped.set()
-        self._pool.stop()
+        with self._stop_lock:
+            self.stopped = True
+            self._pool.stop()
 
     def join(self, deadline: float) -> int:
         """Join the threads until the monotonic deadline; returns the still-running activations."""
@@ -354,8 +369,8 @@ class ServiceInstance:
     def abort(self) -> None:
         """End every running activation with the fault Aborted.
 
-        One in a loop ends at its next iteration; one blocked in receive or
-        in a solicit's wait for the reply is woken.
+        One in a loop ends at its next iteration; one waiting in receive or
+        for a solicit's reply is woken (_ActivationContext.waiting).
         """
         with self._stats_lock:
             for ctx in self._live:
@@ -363,30 +378,16 @@ class ServiceInstance:
                 wake = ctx.wake
                 if wake is not None:
                     wake()
-        with self._receive_lock:
-            self._aborted = True
-            for waiting in self._receive_queues.values():
-                waiting.put(_ABORT)
 
     # -- activations -------------------------------------------------------
 
     def _worker(self) -> Callable[[_Work], None]:
         """The job handler of one pool thread."""
-        if self.mode.value == "concurrent":
+        if self.mode.value != "sequential":
             return lambda work: self._run_activation(work, self.seed_scope())
-        # the one worker of a sequential or single service keeps one scope
+        # the one worker of a sequential service keeps one scope
         scope = self.seed_scope()
-        return lambda work: self._serve(work, scope)
-
-    def _serve(self, work: _Work, scope: ValueTree) -> None:
-        if self.mode.value == "single" and self.stopped:
-            # a single service answers its first call only; offer_rr raises for the others
-            if work.reply is not None:
-                work.reply.put(_STOPPED)
-            return
-        self._run_activation(work, scope)
-        if self.mode.value == "single":
-            self._stopped.set()
+        return lambda work: self._run_activation(work, scope)
 
     def _run_activation(self, work: _Work, scope: ValueTree) -> None:
         """Run one request-response or one-way activation and hand a waiting caller its outcome."""
@@ -456,78 +457,61 @@ class ServiceInstance:
     def offer_rr(
         self, info: OpInfo, tree: ValueTree, timeout: float, waiting: Waiting | None = None
     ) -> ValueTree | Fault:
-        """Run one request-response call and wait for its outcome.
+        """Take one request-response call (_take), run it and wait for its outcome.
 
         waiting, when given, is handed a function that ends the wait with
         the fault Aborted, and then None once the wait is over.
         """
-        branch = self.branches.get(info.name)
-        if not isinstance(branch, RequestResponseBranch):
-            self._refuse()
-            return Fault(
-                "UnknownOperation",
-                ValueTree(f"service {self.name} has no handler for '{info.name}'"),
-            )
-        tree, violations = _admit(tree, info.request, self.system.checked.type_table)
-        if violations:
-            self._refuse()
-            return _violation_fault(violations)
-        reply: "queue.SimpleQueue[ValueTree | Fault | object]" = queue.SimpleQueue()
-        self._pool.submit(_Work(info, tree, reply))
+        request = self._take(info, tree)
+        if isinstance(request, Fault):
+            return request
+        reply: "queue.SimpleQueue[ValueTree | Fault]" = queue.SimpleQueue()
+        self._submit(_Work(info, request, reply))
         if waiting is not None:
             waiting(lambda: reply.put(aborted_fault().fault))
         try:
-            outcome = reply.get(timeout=timeout)
+            return reply.get(timeout=timeout)
         except queue.Empty:
             return Fault("Timeout", ValueTree(f"no reply from {self.name}.{info.name}"))
         finally:
             if waiting is not None:
                 waiting(None)
-        if outcome is _STOPPED:  # the same refusal _Endpoint.offer raises once the service stopped
-            raise TransportError(f"service {self.name} has stopped")
-        return outcome
 
     def offer_ow(self, info: OpInfo, tree: ValueTree) -> None:
-        tree, violations = _admit(tree, info.request, self.system.checked.type_table)
-        if violations:
-            self._refuse()
-            log.warning(
-                "dropping one-way %s to %s: %s",
-                info.name,
-                self.name,
-                "; ".join(str(v) for v in violations),
-            )
-            return
-        if self.decl.is_executable:
-            self._receive_queue(info.name).put(tree)
-            return
-        if info.name not in self.branches:
-            self._refuse()
-            log.warning("dropping one-way %s: no handler in %s", info.name, self.name)
-            return
-        self._pool.submit(_Work(info, tree, None))
+        """Take one one-way message (_take); one it refuses is dropped with a warning."""
+        message = self._take(info, tree)
+        if isinstance(message, Fault):
+            log.warning("dropping one-way %s to %s: %s", info.name, self.name, message.data.root)
+        elif self.decl.is_executable:
+            self._receive_queues[info.name].put(message)
+        else:
+            self._submit(_Work(info, message, None))
 
-    def _refuse(self) -> None:
+    def _take(self, info: OpInfo, tree: ValueTree) -> ValueTree | Fault:
+        """The request as the port admits it, or the counted refusal: UnknownOperation
+        without a handler of the call's kind, or TypeMismatch for a type violation.
+        """
+        wanted = RequestResponseBranch if info.kind == "rr" else OneWayBranch
+        handled = isinstance(self.branches.get(info.name), wanted)
+        if handled or wanted is OneWayBranch and self.decl.is_executable:
+            tree, violations = _admit(tree, info.request, self.system.checked.type_table)
+            if not violations:
+                return tree
+            refusal = _violation_fault(violations)
+        else:
+            reason = f"service {self.name} has no handler for '{info.name}'"
+            refusal = Fault("UnknownOperation", ValueTree(reason))
         with self._stats_lock:
             self.refused += 1
+        return refusal
 
-    def _receive_queue(self, operation: str) -> "queue.SimpleQueue[ValueTree | object]":
-        with self._receive_lock:
-            waiting = self._receive_queues.get(operation)
-            if waiting is None:
-                waiting = self._receive_queues[operation] = queue.SimpleQueue()
-                if self._aborted:
-                    waiting.put(_ABORT)
-            return waiting
-
-    def receive(self, operation: str) -> ValueTree:
-        try:
-            message = self._receive_queue(operation).get(timeout=DEFAULT_RECEIVE_TIMEOUT)
-        except queue.Empty:
-            raise fault("Timeout", f"no '{operation}' message arrived") from None
-        if message is _ABORT:
-            raise aborted_fault()
-        return message
+    def _submit(self, work: _Work) -> None:
+        """Hand an admitted call to the pool; raises TransportError once the service has stopped."""
+        with self._stop_lock:
+            if self.stopped:
+                raise TransportError(f"service {self.name} has stopped")
+            self.stopped = self.mode.value == "single"  # a single service takes this call only
+            self._pool.submit(work)
 
     # -- outbound ----------------------------------------------------------
 

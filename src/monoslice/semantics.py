@@ -420,8 +420,10 @@ def check_value(
 
     A conforming tree costs one walk of a predicate compiled once per
     (type, table) pair, each named type once per table; only a failing
-    tree is walked again, without recursion, to name its violations. The
-    table must not change once a type was checked with it.
+    tree is walked again, without recursion, to name its violations, and
+    so is one too deep for the predicate on the caller's stack, so the
+    verdict never depends on how deep the caller is. The table must not
+    change once a type was checked with it.
 
     The walk stops at a node whose admitted mark holds the very predicate
     it would run there, and a node that passes keeps that predicate in
@@ -430,8 +432,12 @@ def check_value(
     port admitted is walked whole each time and keeps no verdict.
     """
     types = _NO_TYPES if types is None else types
-    if _conformance(type_, types)(tree):
-        return []
+    conforms = _conformance(type_, types)
+    try:
+        if conforms(tree):
+            return []
+    except RecursionError:
+        pass
     violations: list[Violation] = []
     _check_ref(tree, type_, types, "", violations)
     return violations

@@ -256,6 +256,8 @@ def from_json_value(obj: Any) -> ValueTree:
 TOO_DEEP = "payload nests too deeply"
 TOO_MANY_DIGITS = "integer has too many digits for JSON"
 NOT_FINITE = "double is not finite, which JSON cannot carry"
+LONE_SURROGATE = "text holds a lone surrogate, which UTF-8 cannot encode"
+ROOT_KEY = 'a child is named "$", which JSON keeps for the root'
 
 
 def encode_json(tree: ValueTree) -> bytes:

@@ -9,15 +9,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from monoslice import runtime
+from monoslice import runtime, semantics
 from monoslice.config import LocationCollision
 from monoslice.errors import MonosliceError, NoServices
 from monoslice.parser import parse_source
 from monoslice.runtime import BindError, Fault, TransportError
 from monoslice.runtime import system as system_module
 from monoslice.runtime.interpreter import FaultSignal
-from monoslice.semantics import resolve
-from monoslice.values import TOO_DEEP, Long, ValueTree, decode_json
+from monoslice.semantics import check_value, resolve
+from monoslice.values import LONE_SURROGATE, ROOT_KEY, TOO_DEEP, Long, ValueTree, decode_json
 
 from conftest import loopback_config
 from script import (
@@ -368,10 +368,14 @@ def test_shutdown_wakes_an_executable_blocked_in_receive():
         if thread.name == "Waiter-main":
             thread.join(max(0.0, deadline - time.monotonic()))
     assert not [t for t in threading.enumerate() if t.name == "Waiter-main" and t.is_alive()]
-    # a receive that makes its queue after the abort finds the mark as well
+    # an activation aborted before its receive waits is woken at once, as one in solicit is
+    ctx = system_module._ActivationContext(system.instances["Waiter"], ValueTree())
+    ctx.aborted = True
+    started = time.monotonic()
     with pytest.raises(FaultSignal) as raised:
-        system.instances["Waiter"].receive("later")
+        ctx.receive("note")
     assert raised.value.fault.name == "Aborted"
+    assert time.monotonic() - started < 1.0
 
 
 ASKER = """
@@ -472,6 +476,50 @@ def test_an_executable_that_receives_nothing_in_time_ends_in_timeout(monkeypatch
 
 # ---------------------------------------------------------------------------
 # one-way semantics
+
+
+BOTH_KINDS = """
+interface Ask {
+    RequestResponse:
+        op( long )( long )
+}
+
+interface Tell {
+    OneWay:
+        op( long )
+}
+
+service Twice( config ) {
+    execution: concurrent
+    inputPort Asked {
+        location: config.Twice.location
+        protocol: http { format = "json" }
+        interfaces: Ask
+    }
+    inputPort Told {
+        location: config.Told.location
+        protocol: http { format = "json" }
+        interfaces: Tell
+    }
+    main {
+        op( x )( y ) {
+            y = x
+        }
+    }
+}
+"""
+
+
+def test_a_one_way_message_to_an_operation_handled_as_request_response_is_dropped(caplog):
+    system = runtime.start(resolve(parse_source(BOTH_KINDS)), local_tree_config(["Twice", "Told"]))
+    try:
+        with caplog.at_level("WARNING", logger="monoslice.runtime"):
+            assert system.invoke_ow("local://told", "op", ValueTree(1)) is None
+        assert "dropping one-way op to Twice: service Twice has no handler for 'op'" in caplog.text
+        assert system.invoke_rr("local://twice", "op", ValueTree(1)) == ValueTree(Long(1))
+    finally:
+        report = system.shutdown()
+    assert (report.services[0].served, report.services[0].refused) == (1, 1)
 
 
 def test_one_way_to_unbound_local_name_is_a_transport_error(fixture_checked, local_config):
@@ -825,16 +873,48 @@ def test_a_walk_that_runs_out_of_stack_refuses_its_message_as_too_deep(monkeypat
     # A caller already deep in its own stack leaves the imaging walk or the
     # check too little room. The walks raise here at once: a line tracer, such
     # as tests/line_audit.py's, stops when the recursion limit is reached.
+    # The imaging walk is the sender's, and its overflow means too deep on both
+    # transports; the check's predicate hands over to the naming walk, which
+    # does not recurse, so the verdict is the one a shallow caller gets.
     types = resolve(parse_source(CHAIN)).type_table
     tree = _chain(3)
+    bad = _chain(3)
+    bad.children["b"] = [ValueTree(Long(1))]
+    violations = check_value(bad, types["Chain"], types)
+    assert violations
 
     def overflow(*args):
         raise RecursionError
 
-    monkeypatch.setattr(system_module, "check_value", overflow)
-    assert system_module._admit(tree, types["Chain"], types) == (tree, [TOO_DEEP])
+    monkeypatch.setattr(semantics, "_conformance", lambda type_, types: overflow)
+    assert system_module._admit(tree, types["Chain"], types) == (tree, [])
+    assert system_module._admit(bad, types["Chain"], types) == (bad, violations)
     monkeypatch.setattr(system_module, "_wire_image", overflow)
     assert system_module._admit(tree, types["Chain"], types) == (tree, [TOO_DEEP])
+
+
+def _at_depth(depth, call):
+    """call() from a frame this many frames deep in the calling thread."""
+    frame, frames = sys._getframe(), 0
+    while frame is not None:
+        frame, frames = frame.f_back, frames + 1
+
+    def descend(more):
+        return call() if more <= 0 else descend(more - 1)
+
+    return descend(depth - frames - 1)
+
+
+def test_a_message_within_max_nesting_is_admitted_however_deep_its_caller_is():
+    # over local:// the receiving port checks a message on its caller's stack;
+    # this caller leaves it 100 frames, less than the message's 900 levels
+    types = resolve(parse_source(CHAIN)).type_table
+    chain, violation = system_module._image(_chain(system_module.MAX_NESTING))
+    assert violation is None
+    admitted, violations = _at_depth(
+        sys.getrecursionlimit() - 100, lambda: system_module._admit(chain, types["Chain"], types)
+    )
+    assert admitted is chain and violations == []
 
 
 @pytest.mark.parametrize("transport", ["local", "socket"])
@@ -1262,6 +1342,54 @@ def test_a_single_service_answers_a_caller_queued_behind_its_one_activation_that
             system.shutdown()
 
 
+@pytest.mark.parametrize("transport", ["local", "socket"])
+def test_a_single_service_refuses_every_call_after_the_one_it_took_at_once(transport):
+    system = _start_on(transport, ONE_SHOT, ["OneShot"])
+    callers = 8
+    barrier = threading.Barrier(callers)
+
+    def call(_):
+        barrier.wait(timeout=10)
+        started = time.monotonic()
+        try:
+            outcome = system.invoke_rr("OneShot", "hit", ValueTree(Long(300_000)))
+        except TransportError as exc:
+            outcome = exc
+        ended = time.monotonic()
+        return outcome, ended - started, ended
+
+    try:
+        with ThreadPoolExecutor(max_workers=callers) as pool:
+            outcomes = list(pool.map(call, range(callers)))
+    finally:
+        report = system.shutdown()
+    assert report.services[0].served == 1
+    replies = [result for result in outcomes if isinstance(result[0], ValueTree)]
+    refused = [result for result in outcomes if not isinstance(result[0], ValueTree)]
+    assert [outcome for outcome, _, _ in replies] == [ValueTree(Long(300_001))]
+    assert len(refused) == callers - 1
+    answered = replies[0][2]
+    for outcome, took, ended in refused:
+        # while the one activation still runs, not after it
+        assert isinstance(outcome, TransportError) and "has stopped" in str(outcome)
+        assert took < 1.0 and ended < answered
+
+
+def test_a_call_that_reaches_the_pool_after_the_service_stopped_is_refused_at_once():
+    system = _start_on("local", GROWER, ["Grower"])
+    instance = system.instances["Grower"]
+    info = system.checked.port_ops[("Grower", "In")]["small"]
+    try:
+        # the call passed _Endpoint.offer's check just before shutdown stopped the service
+        instance.request_stop()
+        started = time.monotonic()
+        with pytest.raises(TransportError, match="service Grower has stopped"):
+            instance.offer_rr(info, ValueTree(), timeout=5)
+        assert time.monotonic() - started < 1.0
+    finally:
+        system.shutdown()
+
+
 def test_sequential_state_persists_across_activations():
     system, _ = start_source(COLLECTOR)
     try:
@@ -1443,6 +1571,20 @@ def test_a_body_too_deep_to_check_gets_the_type_mismatch_envelope():
         system.shutdown()
 
 
+@pytest.mark.parametrize(
+    "operation, body", [("text", b'"\\ud800"'), ("anything", b'{"\\udfff":1}')], ids=["root", "child-name"]
+)
+def test_a_body_holding_a_lone_surrogate_gets_the_type_mismatch_envelope(operation, body):
+    system, ports = start_source(ECHO)
+    try:
+        status, _, reply = _post_raw(ports["Echo"], operation, body)
+        assert status == 500
+        assert json.loads(reply) == {"fault": "TypeMismatch", "data": LONE_SURROGATE}
+    finally:
+        report = system.shutdown()
+    assert (report.services[0].served, report.services[0].refused) == (0, 1)
+
+
 def _start_on(transport, source, names, **kwargs):
     checked = resolve(parse_source(source))
     if transport == "local":
@@ -1515,6 +1657,62 @@ def test_a_request_json_cannot_carry_is_refused_before_its_operation_is_looked_u
         assert system.invoke_rr("Collector", "drain", ValueTree()) == ValueTree()
     finally:
         system.shutdown()
+
+
+ECHO = """
+interface Echo {
+    RequestResponse:
+        text( string )( string ),
+        anything( any )( any )
+    OneWay:
+        note( any )
+}
+
+service Echo( config ) {
+    execution: concurrent
+    inputPort In {
+        location: config.Echo.location
+        protocol: http { format = "json" }
+        interfaces: Echo
+    }
+    main {
+        text( a )( b ) {
+            b = a
+        }
+        anything( a )( b ) {
+            b = a
+        }
+        note( a ) {
+            b = a
+        }
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("transport", ["local", "socket"])
+@pytest.mark.parametrize(
+    "operation, message, violation",
+    [
+        ("text", ValueTree("\ud800"), LONE_SURROGATE),
+        ("anything", ValueTree(children={"x\udfff": [ValueTree(Long(1))]}), LONE_SURROGATE),
+        ("anything", ValueTree(children={"$": [ValueTree(Long(1))]}), ROOT_KEY),
+    ],
+    ids=["surrogate", "surrogate-name", "root-key-name"],
+)
+def test_text_or_a_child_name_json_cannot_carry_is_a_type_mismatch(
+    transport, operation, message, violation, caplog
+):
+    system = _start_on(transport, ECHO, ["Echo"])
+    try:
+        assert system.invoke_rr("Echo", operation, message) == Fault("TypeMismatch", ValueTree(violation))
+        with caplog.at_level("WARNING", logger="monoslice.runtime"):
+            assert system.invoke_ow("Echo", "note", message) is None
+        assert "dropping one-way note" in caplog.text and violation in caplog.text
+        assert system.invoke_rr("Echo", "text", ValueTree("é")) == ValueTree("é")
+    finally:
+        report = system.shutdown()
+    assert report.services[0].served == 1
 
 
 PADDER = """
