@@ -1,20 +1,26 @@
 """Syntax tree for the service-definition language.
 
-Positions are carried for diagnostics but excluded from structural
-equality, so a reparsed rendering compares equal to the original tree.
+Each syntax node keeps the source offset of the token it starts at, an
+int, for diagnostics. Offsets are excluded from structural equality and
+repr, so a reparsed rendering compares equal to the original tree. The
+program holds its source's table of line starts, and an offset becomes
+a line and column (`SourceProgram.position`) only where a diagnostic
+reports one; a program that parses and resolves builds no position.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum, unique
+from itertools import accumulate
 from typing import NamedTuple, Union
 
 from .values import Basic
 
 
 class Pos(NamedTuple):
-    """A 1-based line and column; a tuple, since one is built per syntax node."""
+    """A 1-based line and column."""
 
     line: int
     column: int
@@ -23,7 +29,18 @@ class Pos(NamedTuple):
         return f"{self.line}:{self.column}"
 
 
-def _pos_field():
+def line_starts(source: str) -> list[int]:
+    """The offset at which each line of source begins (and one past its end)."""
+    return [0, *accumulate(len(text) + 1 for text in source.split("\n"))]
+
+
+def position(starts: list[int], offset: int) -> Pos:
+    """The 1-based line and column of a source offset, given its line_starts."""
+    line = bisect_right(starts, offset)
+    return Pos(line, offset - starts[line - 1] + 1)
+
+
+def _offset_field():
     return field(default=None, compare=False, repr=False)
 
 
@@ -55,19 +72,19 @@ class Cardinality(Enum):
 @dataclass
 class BasicRef:
     basic: BasicType
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
 
 @dataclass
 class NamedRef:
     name: str
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
 
 @dataclass
 class InlineTreeRef:
     fields: list["FieldDecl"]
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
 
 TypeRef = Union[BasicRef, NamedRef, InlineTreeRef]
@@ -86,7 +103,7 @@ class PathStep:
 @dataclass
 class Path:
     steps: list[PathStep]
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
     @property
     def root(self) -> str:
@@ -96,7 +113,7 @@ class Path:
 @dataclass
 class Literal:
     value: Basic
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
     def __eq__(self, other: object) -> bool:
         # bool/int/long/double literals must not collapse into each other
@@ -110,14 +127,14 @@ class Literal:
 @dataclass
 class PathExpr:
     path: Path
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
 
 @dataclass
 class Unary:
     op: str  # "-" or "!"
     operand: "Expr"
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
 
 @dataclass
@@ -125,7 +142,7 @@ class Binary:
     op: str  # + - * / == != < <= > >= && ||
     left: "Expr"
     right: "Expr"
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
 
 # How tightly each binary operator binds, the loosest first; the parser and
@@ -144,7 +161,7 @@ UNARY_PRECEDENCE = 6
 @dataclass
 class TreeLiteral:
     entries: list[tuple[Path, "Expr"]]
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
 
 Expr = Union[Literal, PathExpr, Unary, Binary, TreeLiteral]
@@ -160,7 +177,7 @@ class Assign:
 
     target: Path
     value: Expr
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
 
 @dataclass
@@ -171,7 +188,7 @@ class SolicitResponse:
     port: str
     argument: Expr
     target: Path | None
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
 
 @dataclass
@@ -181,7 +198,7 @@ class OneWaySend:
     operation: str
     port: str
     argument: Expr
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
 
 @dataclass
@@ -190,7 +207,7 @@ class Receive:
 
     operation: str
     target: Path
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
 
 @dataclass
@@ -198,20 +215,20 @@ class If:
     condition: Expr
     then: list["Statement"]
     orelse: list["Statement"]
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
 
 @dataclass
 class While:
     condition: Expr
     body: list["Statement"]
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
 
 @dataclass
 class Throw:
     fault: str
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
 
 Statement = Union[Assign, SolicitResponse, OneWaySend, Receive, If, While, Throw]
@@ -227,7 +244,7 @@ class RequestResponseBranch:
     request_var: str
     response_var: str
     body: list[Statement]
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
 
 @dataclass
@@ -235,7 +252,7 @@ class OneWayBranch:
     operation: str
     request_var: str
     body: list[Statement]
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
 
 Branch = Union[RequestResponseBranch, OneWayBranch]
@@ -244,13 +261,13 @@ Branch = Union[RequestResponseBranch, OneWayBranch]
 @dataclass
 class InputChoice:
     branches: list[Branch]
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
 
 @dataclass
 class StatementSequence:
     statements: list[Statement]
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
 
 Behavior = Union[InputChoice, StatementSequence]
@@ -265,7 +282,7 @@ class FieldDecl:
     name: str
     cardinality: Cardinality
     type: TypeRef
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
 
 @dataclass
@@ -273,7 +290,7 @@ class TypeDecl:
     name: str
     root: BasicType = BasicType.VOID
     fields: list[FieldDecl] = field(default_factory=list)
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
 
 @dataclass
@@ -281,14 +298,14 @@ class RequestResponseOp:
     name: str
     request: TypeRef
     response: TypeRef
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
 
 @dataclass
 class OneWayOp:
     name: str
     request: TypeRef
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
 
 @dataclass
@@ -296,7 +313,7 @@ class InterfaceDecl:
     name: str
     request_responses: list[RequestResponseOp] = field(default_factory=list)
     one_ways: list[OneWayOp] = field(default_factory=list)
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
     def operations(self) -> list[RequestResponseOp | OneWayOp]:
         return [*self.request_responses, *self.one_ways]
@@ -316,13 +333,14 @@ class PortDecl:
     protocol_name: str
     protocol_params: list[tuple[str, Expr]]
     interfaces: list[str]
-    interface_positions: list[Pos | None] = field(default_factory=list, compare=False, repr=False)
-    pos: Pos | None = _pos_field()
+    interface_offsets: list[int] = field(default_factory=list, compare=False, repr=False)
+    offset: int | None = _offset_field()
 
-    def interface_pos(self, index: int) -> Pos | None:
-        if index < len(self.interface_positions):
-            return self.interface_positions[index]
-        return self.pos
+    def interface_offset(self, index: int) -> int | None:
+        """The offset of the index-th interface name, or the port's own in a port built without them."""
+        if index < len(self.interface_offsets):
+            return self.interface_offsets[index]
+        return self.offset
 
 
 @unique
@@ -336,7 +354,7 @@ class ExecutionMode(Enum):
 class ConfigParam:
     name: str
     type_name: str | None = None
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
 
 @dataclass
@@ -347,7 +365,7 @@ class ServiceDecl:
     input_ports: list[PortDecl] = field(default_factory=list)
     output_ports: list[PortDecl] = field(default_factory=list)
     behavior: Behavior = field(default_factory=lambda: StatementSequence([]))
-    pos: Pos | None = _pos_field()
+    offset: int | None = _offset_field()
 
     def ports(self) -> list[PortDecl]:
         return [*self.input_ports, *self.output_ports]
@@ -364,6 +382,15 @@ Declaration = Union[TypeDecl, InterfaceDecl, ServiceDecl]
 class SourceProgram:
     declarations: list[Declaration]
     source_name: str = "program"
+    # the line starts of the source its nodes' offsets point into: a slice
+    # holds its monolith's; None for a program built without a source
+    line_starts: list[int] | None = field(default=None, compare=False, repr=False)
+
+    def position(self, offset: int | None) -> Pos | None:
+        """The line and column of a node's offset, or None where there is none."""
+        if offset is None or self.line_starts is None:
+            return None
+        return position(self.line_starts, offset)
 
     def of_kind(self, kind: type) -> list:
         return [d for d in self.declarations if isinstance(d, kind)]

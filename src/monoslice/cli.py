@@ -39,8 +39,9 @@ def _diag(path: str, message: str) -> None:
 
 
 def _positioned(program_path: str, error: MonosliceError) -> None:
-    # lexer, parser and resolver errors read "line:column: message": every
-    # node of a parsed program has a position
+    # lexer, parser and resolver errors read "line:column: message": each
+    # made its position from an offset, and every node of a parsed program
+    # has one
     position, _, message = str(error).partition(": ")
     _diag(f"{program_path}:{position}", f"error: {message}")
 

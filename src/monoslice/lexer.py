@@ -3,9 +3,10 @@
 One compiled pattern, run by `finditer`, matches each token together with
 the whitespace and comments after it, so its matches tile the source from
 the first token to the end. Each token carries its start offset, not a
-line and column: `position` works those out, from the source's table of
-line starts (`line_starts`) and a binary search, only where a position is
-reported, in a `LexError` here and in the parser's errors and syntax tree.
+line and column: `position` (from `ast`, beside `Pos`) works those out,
+from the source's table of line starts (`line_starts`) and a binary
+search, only where a position is reported, in a `LexError` here and in
+the parser's and resolver's errors.
 
 Keywords, identifiers written in ASCII and punctuation take their kind
 from one dict lookup. Numbers, strings, other words and every character
@@ -20,12 +21,10 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_right
 from enum import Enum, unique
-from itertools import accumulate
 from typing import NamedTuple, NoReturn
 
-from .ast import Pos
+from .ast import line_starts, position
 from .errors import MonosliceError
 from .values import Basic, Long
 
@@ -124,18 +123,7 @@ _TOKEN = re.compile(
     re.VERBOSE,
 )
 _LEADING = re.compile(_SKIP)
-_new = tuple.__new__  # builds a Token or Pos without a Python-level __new__
-
-
-def line_starts(source: str) -> list[int]:
-    """The offset at which each line of source begins (and one past its end)."""
-    return [0, *accumulate(len(text) + 1 for text in source.split("\n"))]
-
-
-def position(starts: list[int], offset: int) -> Pos:
-    """The 1-based line and column of a source offset, given its line_starts."""
-    line = bisect_right(starts, offset)
-    return _new(Pos, (line, offset - starts[line - 1] + 1))
+_new = tuple.__new__  # builds a Token without a Python-level __new__
 
 
 def _error(source: str, offset: int, message: str) -> NoReturn:

@@ -1,10 +1,11 @@
 """Recursive descent parser building syntax trees from token streams.
 
-Tokens carry their source offsets. The parser holds the source's table
-of line starts and turns an offset into a line and column
-(`lexer.position`) only for what reports one: the `Pos` of each syntax
-node and a `ParseError`. The end-of-input token sits just past the last
-token, so an error there is reported on that token's line.
+Tokens carry their source offsets, and each syntax node keeps the offset
+of the token it starts at. The parser computes the source's table of line
+starts once and hands it to the program it builds; it turns an offset
+into a line and column (`position`) only for a `ParseError`. The
+end-of-input token sits just past the last token, so an error there is
+reported on that token's line.
 
 The first error aborts parsing; there is no recovery. Keywords double as
 identifiers where that is unambiguous (path steps after a dot, field
@@ -43,7 +44,6 @@ from .ast import (
     PathStep,
     PortDecl,
     PortKind,
-    Pos,
     Receive,
     RequestResponseBranch,
     RequestResponseOp,
@@ -177,9 +177,6 @@ class Parser:
 
         return self.braced(entry)
 
-    def _pos(self, token: Token) -> Pos:
-        return position(self.starts, token.offset)
-
     # ------------------------------------------------------------------
     # declarations
 
@@ -194,7 +191,7 @@ class Parser:
                 declarations.append(self.parse_service_decl())
             else:
                 raise self.error("a declaration (type, interface, or service)")
-        return SourceProgram(declarations, self.source_name)
+        return SourceProgram(declarations, self.source_name, self.starts)
 
     def parse_type_decl(self) -> TypeDecl:
         start = self.advance()  # 'type', which parse_program saw
@@ -208,7 +205,7 @@ class Parser:
         fields: list[FieldDecl] = []
         if self.at(TokenKind.LBRACE):
             fields = self.parse_field_block()
-        return TypeDecl(name.lexeme, root, fields, pos=self._pos(start))
+        return TypeDecl(name.lexeme, root, fields, offset=start.offset)
 
     def parse_field_block(self, inline: bool = False) -> list[FieldDecl]:
         return self.braced(lambda: self.parse_field_decl(inline))
@@ -222,21 +219,21 @@ class Parser:
             cardinality = Cardinality.MANY
         self.expect(TokenKind.COLON)
         ref = self.parse_type_ref(inline_forbidden=inline)
-        return FieldDecl(name.lexeme, cardinality, ref, pos=self._pos(name))
+        return FieldDecl(name.lexeme, cardinality, ref, offset=name.offset)
 
     def parse_type_ref(self, inline_forbidden: bool = False) -> TypeRef:
         token = self.peek()
         if token.kind is TokenKind.KEYWORD and token.lexeme in _BASIC_NAMES:
             self.advance()
-            return BasicRef(_BASIC_NAMES[token.lexeme], pos=self._pos(token))
+            return BasicRef(_BASIC_NAMES[token.lexeme], offset=token.offset)
         if token.kind is TokenKind.IDENT:
             self.advance()
-            return NamedRef(token.lexeme, pos=self._pos(token))
+            return NamedRef(token.lexeme, offset=token.offset)
         if token.kind is TokenKind.LBRACE:
             if inline_forbidden:
                 raise self.error("a basic or named type (inline trees do not nest)")
             fields = self.parse_field_block(inline=True)
-            return InlineTreeRef(fields, pos=self._pos(token))
+            return InlineTreeRef(fields, offset=token.offset)
         raise self.error("a type reference")
 
     def parse_interface_decl(self) -> InterfaceDecl:
@@ -257,15 +254,15 @@ class Parser:
                 if with_response:
                     response = self.parenthesized(self.parse_type_ref)
                     request_responses.append(
-                        RequestResponseOp(op.lexeme, request, response, pos=self._pos(op))
+                        RequestResponseOp(op.lexeme, request, response, offset=op.offset)
                     )
                 else:
-                    one_ways.append(OneWayOp(op.lexeme, request, pos=self._pos(op)))
+                    one_ways.append(OneWayOp(op.lexeme, request, offset=op.offset))
                 if not self.accept(TokenKind.COMMA):
                     return
 
         self.braced(section)
-        return InterfaceDecl(name.lexeme, request_responses, one_ways, pos=self._pos(start))
+        return InterfaceDecl(name.lexeme, request_responses, one_ways, offset=start.offset)
 
     def parse_service_decl(self) -> ServiceDecl:
         start = self.advance()  # 'service', which parse_program saw
@@ -307,7 +304,7 @@ class Parser:
             input_ports=input_ports,
             output_ports=output_ports,
             behavior=behavior,
-            pos=self._pos(start),
+            offset=start.offset,
         )
 
     def _config_param(self) -> ConfigParam | None:
@@ -317,7 +314,7 @@ class Parser:
         type_name: str | None = None
         if self.accept(TokenKind.COLON):
             type_name = self.expect_name("configuration type name").lexeme
-        return ConfigParam(param.lexeme, type_name, pos=self._pos(param))
+        return ConfigParam(param.lexeme, type_name, offset=param.offset)
 
     def parse_port_decl(self, kind: PortKind) -> PortDecl:
         start = self.advance()  # inputPort / outputPort keyword
@@ -365,18 +362,18 @@ class Parser:
             protocol[0],
             protocol[1],
             [token.lexeme for token in interfaces],
-            interface_positions=[self._pos(token) for token in interfaces],
-            pos=self._pos(start),
+            interface_offsets=[token.offset for token in interfaces],
+            offset=start.offset,
         )
 
     # ------------------------------------------------------------------
     # behaviors
 
     def parse_behavior(self) -> Behavior:
-        pos = self._pos(self.peek())
+        offset = self.peek().offset
         if self._behavior_is_choice():
-            return InputChoice(self.braced(self.parse_branch), pos=pos)
-        return StatementSequence(self.parse_block(), pos=pos)
+            return InputChoice(self.braced(self.parse_branch), offset=offset)
+        return StatementSequence(self.parse_block(), offset=offset)
 
     def _behavior_is_choice(self) -> bool:
         # Past the `{`, a branch looks like `op( v )( v ) {` or `op( v ) {`; a
@@ -408,9 +405,9 @@ class Parser:
         if self.at(TokenKind.LPAREN):
             response_var = self.parenthesized(lambda: self.expect_name("response variable").lexeme)
             body = self.parse_block()
-            return RequestResponseBranch(name.lexeme, request_var, response_var, body, pos=self._pos(name))
+            return RequestResponseBranch(name.lexeme, request_var, response_var, body, offset=name.offset)
         body = self.parse_block()
-        return OneWayBranch(name.lexeme, request_var, body, pos=self._pos(name))
+        return OneWayBranch(name.lexeme, request_var, body, offset=name.offset)
 
     # ------------------------------------------------------------------
     # statements
@@ -435,26 +432,26 @@ class Parser:
             if self.at_word("else"):
                 self.advance()
                 orelse = self.parse_body()
-            return If(condition, then, orelse, pos=self._pos(token))
+            return If(condition, then, orelse, offset=token.offset)
         if word == "while":
             self.advance()
             condition = self.parenthesized(self.parse_expr)
-            return While(condition, self.parse_body(), pos=self._pos(token))
+            return While(condition, self.parse_body(), offset=token.offset)
         if word == "throw":
             self.advance()
             fault = self.parenthesized(lambda: self.expect_name("fault name").lexeme)
-            return Throw(fault, pos=self._pos(token))
+            return Throw(fault, offset=token.offset)
         if token.kind is TokenKind.IDENT:
             after = self.peek(1)
             if after.kind is TokenKind.AT:
                 return self.parse_invocation()
             if after.kind is TokenKind.LPAREN:
                 self.advance()
-                return Receive(token.lexeme, self.parenthesized(self.parse_path), pos=self._pos(token))
+                return Receive(token.lexeme, self.parenthesized(self.parse_path), offset=token.offset)
             target = self.parse_path()
             self.expect(TokenKind.ASSIGN)
             value = self.parse_expr()
-            return Assign(target, value, pos=self._pos(token))
+            return Assign(target, value, offset=token.offset)
         raise self.error("a statement")
 
     def parse_invocation(self) -> Statement:
@@ -464,8 +461,8 @@ class Parser:
         argument = self.parenthesized(self.parse_expr)
         if self.at(TokenKind.LPAREN):
             target = self.parenthesized(lambda: None if self.at(TokenKind.RPAREN) else self.parse_path())
-            return SolicitResponse(name.lexeme, port, argument, target, pos=self._pos(name))
-        return OneWaySend(name.lexeme, port, argument, pos=self._pos(name))
+            return SolicitResponse(name.lexeme, port, argument, target, offset=name.offset)
+        return OneWaySend(name.lexeme, port, argument, offset=name.offset)
 
     # ------------------------------------------------------------------
     # expressions
@@ -476,7 +473,7 @@ class Parser:
         while self.accept(TokenKind.DOT):
             name = self.expect_name("a path segment", keyword_ok=True)
             steps.append(PathStep(name.lexeme, self._maybe_index()))
-        return Path(steps, pos=self._pos(first))
+        return Path(steps, offset=first.offset)
 
     def _maybe_index(self) -> Expr | None:
         if not self.accept(TokenKind.LBRACKET):
@@ -495,7 +492,7 @@ class Parser:
         # only an operator token has an operator as its lexeme
         while (precedence := PRECEDENCE.get(self.peek().lexeme, 0)) >= least:
             token = self.advance()
-            left = Binary(token.lexeme, left, self.parse_expr(precedence + 1), pos=self._pos(token))
+            left = Binary(token.lexeme, left, self.parse_expr(precedence + 1), offset=token.offset)
         return left
 
     def _parse_unary(self) -> Expr:
@@ -506,29 +503,29 @@ class Parser:
             folded = _fold_negation(operand)
             if folded is not None:
                 return folded
-            return Unary("-", operand, pos=self._pos(token))
+            return Unary("-", operand, offset=token.offset)
         if token.kind is TokenKind.BANG:
             self.advance()
-            return Unary("!", self._parse_unary(), pos=self._pos(token))
+            return Unary("!", self._parse_unary(), offset=token.offset)
         return self._parse_primary()
 
     def _parse_primary(self) -> Expr:
         token = self.peek()
         if token.value is not None:  # a number, a string, true or false
             self.advance()
-            return Literal(token.value, pos=self._pos(token))
+            return Literal(token.value, offset=token.offset)
         if token.kind is TokenKind.LPAREN:
             return self.parenthesized(self.parse_expr)
         if token.kind is TokenKind.LBRACE:
             return self.parse_tree_literal()
         if token.kind is TokenKind.IDENT:
             path = self.parse_path()
-            return PathExpr(path, pos=path.pos)
+            return PathExpr(path, offset=path.offset)
         raise self.error("an expression")
 
     def parse_tree_literal(self) -> TreeLiteral:
-        pos = self._pos(self.peek())
-        return TreeLiteral(self._entries(lambda: self.parse_path(keyword_root=True)), pos=pos)
+        offset = self.peek().offset
+        return TreeLiteral(self._entries(lambda: self.parse_path(keyword_root=True)), offset=offset)
 
 
 def _fold_negation(operand: Expr) -> Literal | None:
@@ -538,8 +535,8 @@ def _fold_negation(operand: Expr) -> Literal | None:
     if isinstance(value, bool) or isinstance(value, str):
         return None
     if isinstance(value, Long):
-        return Literal(Long(-int(value)), pos=operand.pos)
-    return Literal(-value, pos=operand.pos)
+        return Literal(Long(-int(value)), offset=operand.offset)
+    return Literal(-value, offset=operand.offset)
 
 
 def parse_source(source: str, source_name: str = "program") -> SourceProgram:

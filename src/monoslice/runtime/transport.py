@@ -40,7 +40,9 @@ response within the call's timeout plus REPLY_GRACE is the Timeout
 fault (TransportError for a one-way call). A request-response client
 can be handed a waiting callback, through which another thread ends its
 wait by shutting the connection down. An operation name travels
-percent-encoded as UTF-8, so an ASCII name is unchanged on the wire.
+percent-encoded as UTF-8, so an ASCII name is unchanged on the wire; a
+name UTF-8 cannot encode, which no service declares, is refused before
+anything is sent, as local:// refuses an unknown operation.
 """
 
 from __future__ import annotations
@@ -368,6 +370,9 @@ def http_invoke_rr(
         status, body = _post(location, operation, "rr", encode_json(request), timeout, waiting)
     except _TimeoutFault:
         return Fault("Timeout", ValueTree(f"no reply from {location} within {timeout}s"))
+    except _Unnamable:
+        reason = f"no request-response operation '{operation}' at {location}"
+        return Fault("UnknownOperation", ValueTree(reason))
     if status == 200:
         try:
             return decode_json(body)
@@ -388,6 +393,8 @@ def http_invoke_ow(location: Location, operation: str, message: ValueTree, timeo
         status, _ = _post(location, operation, "ow", encode_json(message), timeout)
     except _TimeoutFault:
         raise TransportError(f"{location} did not accept the message in time") from None
+    except _Unnamable:
+        raise TransportError(f"no one-way operation '{operation}' at {location}") from None
     if status == 202:
         return
     raise TransportError(f"unexpected status {status} from {location}")
@@ -395,6 +402,10 @@ def http_invoke_ow(location: Location, operation: str, message: ValueTree, timeo
 
 class _TimeoutFault(Exception):
     pass
+
+
+class _Unnamable(Exception):
+    """An operation name UTF-8 cannot encode (a lone surrogate), which no declared operation has."""
 
 
 _REQUEST_HEAD = (
@@ -412,13 +423,18 @@ def _post(
     """Post one encoded call on a connection of its own; returns the status and body.
 
     Raises _TimeoutFault when no reply comes within timeout plus
-    REPLY_GRACE, and TransportError when the target cannot be reached,
-    answers outside the protocol or its limits, or refuses the call with
-    503.
+    REPLY_GRACE, _Unnamable, before anything is sent, for an operation
+    name that cannot travel, and TransportError when the target cannot be
+    reached, answers outside the protocol or its limits, or refuses the
+    call with 503.
     """
+    try:
+        target = quote(operation, safe="").encode("ascii")
+    except UnicodeEncodeError:
+        raise _Unnamable() from None
     host = location.host.encode("idna")
     head = _REQUEST_HEAD % (
-        quote(operation, safe="").encode("ascii"),
+        target,
         b"[%s]" % host if b":" in host else host,
         location.port,
         len(body),

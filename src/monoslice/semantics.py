@@ -3,7 +3,9 @@
 resolve() validates a parsed program and produces a CheckedProgram, the
 substrate for slicing and interpretation. Name and arity checking is
 static; message shapes are enforced dynamically at port boundaries with
-check_value().
+check_value(). An error takes the line and column of the node it names
+from the program's offsets when it is made, so a program that resolves
+builds no position.
 """
 
 from __future__ import annotations
@@ -134,6 +136,8 @@ def _operations_of(interface: InterfaceDecl) -> Iterator[OpInfo]:
 class _Resolver:
     def __init__(self, program: SourceProgram):
         self.program = program
+        # an error's position, from a node's offset
+        self._pos = program.position
         self.errors: list[SemanticError] = []
         self.warnings: list[str] = []
         self.types: dict[str, TypeDecl] = {}
@@ -171,13 +175,13 @@ class _Resolver:
             else:
                 table, what = self.services, "service"
             if decl.name in table:
-                self.errors.append(DuplicateDeclaration(what, decl.name, decl.pos))
+                self.errors.append(DuplicateDeclaration(what, decl.name, self._pos(decl.offset)))
             else:
                 table[decl.name] = decl
 
     def _check_type_ref(self, ref: TypeRef) -> None:
         if isinstance(ref, NamedRef) and ref.name not in self.types:
-            self.errors.append(UndefinedType(ref.name, ref.pos))
+            self.errors.append(UndefinedType(ref.name, self._pos(ref.offset)))
         elif isinstance(ref, InlineTreeRef):
             self._check_fields(ref.fields, "inline type")
 
@@ -185,7 +189,9 @@ class _Resolver:
         seen: set[str] = set()
         for f in fields:
             if f.name in seen:
-                self.errors.append(DuplicateDeclaration(f"field in {owner}", f.name, f.pos))
+                self.errors.append(
+                    DuplicateDeclaration(f"field in {owner}", f.name, self._pos(f.offset))
+                )
             seen.add(f.name)
             self._check_type_ref(f.type)
 
@@ -197,7 +203,9 @@ class _Resolver:
         for op in decl.operations():
             if op.name in seen:
                 self.errors.append(
-                    DuplicateDeclaration(f"operation in interface {decl.name}", op.name, op.pos)
+                    DuplicateDeclaration(
+                        f"operation in interface {decl.name}", op.name, self._pos(op.offset)
+                    )
                 )
             seen.add(op.name)
             self._check_type_ref(op.request)
@@ -220,7 +228,9 @@ class _Resolver:
         for port in decl.ports():
             if port.name in port_names:
                 self.errors.append(
-                    DuplicateDeclaration(f"port in service {decl.name}", port.name, port.pos)
+                    DuplicateDeclaration(
+                        f"port in service {decl.name}", port.name, self._pos(port.offset)
+                    )
                 )
                 continue
             port_names.add(port.name)
@@ -229,7 +239,8 @@ class _Resolver:
             for index, iface_name in enumerate(port.interfaces):
                 iface = self.interfaces.get(iface_name)
                 if iface is None:
-                    self.errors.append(UndefinedInterface(iface_name, port.interface_pos(index)))
+                    at = self._pos(port.interface_offset(index))
+                    self.errors.append(UndefinedInterface(iface_name, at))
                     continue
                 resolved.append(iface)
                 for info in _operations_of(iface):
@@ -248,12 +259,14 @@ class _Resolver:
                 if branch.operation in seen:
                     self.errors.append(
                         DuplicateDeclaration(
-                            f"input branch in service {decl.name}", branch.operation, branch.pos
+                            f"input branch in service {decl.name}",
+                            branch.operation,
+                            self._pos(branch.offset),
                         )
                     )
                 seen.add(branch.operation)
                 wanted = "rr" if isinstance(branch, RequestResponseBranch) else "ow"
-                self._check_inbound_op(decl, branch.operation, wanted, branch.pos)
+                self._check_inbound_op(decl, branch.operation, wanted, branch.offset)
                 self._check_statements(decl, branch.body, executable=False)
         else:
             self._check_statements(decl, behavior.statements, executable=True)
@@ -265,17 +278,20 @@ class _Resolver:
                 return info
         return None
 
-    def _check_inbound_op(self, decl: ServiceDecl, operation: str, wanted: str, pos: Pos | None) -> None:
+    def _check_inbound_op(
+        self, decl: ServiceDecl, operation: str, wanted: str, offset: int | None
+    ) -> None:
         where = f"any input port of service {decl.name}"
-        self._check_kind(self._inbound_info(decl, operation), wanted, operation, where, pos)
+        self._check_kind(self._inbound_info(decl, operation), wanted, operation, where, offset)
 
     def _check_kind(
-        self, info: OpInfo | None, wanted: str, operation: str, where: str, pos: Pos | None
+        self, info: OpInfo | None, wanted: str, operation: str, where: str, offset: int | None
     ) -> None:
         """Report an operation that the ports where names do not offer as wanted ("rr" or "ow")."""
         if info is None or info.kind != wanted:
             kind_name = "request-response" if wanted == "rr" else "one-way"
-            self.errors.append(UnknownOperation(operation, f"{where} as {kind_name}", pos))
+            at = self._pos(offset)
+            self.errors.append(UnknownOperation(operation, f"{where} as {kind_name}", at))
 
     def _check_statements(self, decl: ServiceDecl, statements: list[Statement], executable: bool) -> None:
         port_names = {p.name for p in decl.ports()}
@@ -292,7 +308,10 @@ class _Resolver:
                 root = expr.path.root
                 if root != config_name and root in port_names:
                     self.errors.append(
-                        BehaviorError(f"port name '{root}' cannot be read as a variable", expr.path.pos)
+                        BehaviorError(
+                            f"port name '{root}' cannot be read as a variable",
+                            self._pos(expr.path.offset),
+                        )
                     )
                 check_indices(expr.path)
             elif isinstance(expr, Unary):
@@ -305,11 +324,11 @@ class _Resolver:
                     check_indices(key)
                     check_expr(value)
 
-        def check_write_path(path: Path, pos: Pos | None) -> None:
+        def check_write_path(path: Path, offset: int | None) -> None:
             root = path.root
             if root == config_name:
                 self.errors.append(
-                    BehaviorError(f"config parameter '{root}' is read-only", pos)
+                    BehaviorError(f"config parameter '{root}' is read-only", self._pos(offset))
                 )
                 return
             if root in output_names:
@@ -322,35 +341,36 @@ class _Resolver:
                 if not is_rebind:
                     self.errors.append(
                         BehaviorError(
-                            f"only '{root}.location' may be assigned on output port '{root}'", pos
+                            f"only '{root}.location' may be assigned on output port '{root}'",
+                            self._pos(offset),
                         )
                     )
                 return
             if root in port_names:
                 self.errors.append(
-                    BehaviorError(f"input port name '{root}' cannot be assigned", pos)
+                    BehaviorError(f"input port name '{root}' cannot be assigned", self._pos(offset))
                 )
                 return
             check_indices(path)
 
         def check_outbound(statement: SolicitResponse | OneWaySend, wanted: str) -> None:
             if statement.port not in output_names:
-                self.errors.append(UnknownPort(statement.port, decl.name, statement.pos))
+                self.errors.append(UnknownPort(statement.port, decl.name, self._pos(statement.offset)))
                 return
             info = self.port_ops.get((decl.name, statement.port), {}).get(statement.operation)
             where = f"output port {statement.port}"
-            self._check_kind(info, wanted, statement.operation, where, statement.pos)
+            self._check_kind(info, wanted, statement.operation, where, statement.offset)
 
         def walk(stmts: list[Statement]) -> None:
             for statement in stmts:
                 if isinstance(statement, Assign):
-                    check_write_path(statement.target, statement.pos)
+                    check_write_path(statement.target, statement.offset)
                     check_expr(statement.value)
                 elif isinstance(statement, SolicitResponse):
                     check_outbound(statement, "rr")
                     check_expr(statement.argument)
                     if statement.target is not None:
-                        check_write_path(statement.target, statement.pos)
+                        check_write_path(statement.target, statement.offset)
                 elif isinstance(statement, OneWaySend):
                     check_outbound(statement, "ow")
                     check_expr(statement.argument)
@@ -360,11 +380,11 @@ class _Resolver:
                             BehaviorError(
                                 "inline receive is only valid in an executable service "
                                 "(a main that is a statement sequence)",
-                                statement.pos,
+                                self._pos(statement.offset),
                             )
                         )
-                    self._check_inbound_op(decl, statement.operation, "ow", statement.pos)
-                    check_write_path(statement.target, statement.pos)
+                    self._check_inbound_op(decl, statement.operation, "ow", statement.offset)
+                    check_write_path(statement.target, statement.offset)
                 elif isinstance(statement, If):
                     check_expr(statement.condition)
                     walk(statement.then)

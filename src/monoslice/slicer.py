@@ -99,7 +99,8 @@ def slice_service(checked: CheckedProgram, service_name: str) -> SourceProgram:
         elif isinstance(decl, InterfaceDecl) and decl.name in deps.interfaces:
             declarations.append(decl)
     declarations.append(checked.service_table[service_name])
-    return SourceProgram(declarations, source_name=service_name)
+    # the nodes' offsets point into the monolith's source, so the slice reports its positions
+    return SourceProgram(declarations, service_name, checked.program.line_starts)
 
 
 def slice_all(checked: CheckedProgram) -> dict[str, SourceProgram]:

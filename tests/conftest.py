@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import socket
@@ -68,10 +69,17 @@ def deploy_config_path() -> Path:
     return FIXTURES / "deploy.json"
 
 
-def free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
+def free_ports(count: int) -> list[int]:
+    """Distinct loopback ports that were free a moment ago.
+
+    Every probe socket stays bound until all the ports are read, so that
+    no two of them get the same port.
+    """
+    with contextlib.ExitStack() as stack:
+        sockets = [stack.enter_context(socket.socket()) for _ in range(count)]
+        for sock in sockets:
+            sock.bind(("127.0.0.1", 0))
+        return [sock.getsockname()[1] for sock in sockets]
 
 
 def call_once_serving(process, location, operation, request):
@@ -95,8 +103,10 @@ def call_once_serving(process, location, operation, request):
 
 
 def loopback_config(service_names, ports=None):
-    """A socket:// config on 127.0.0.1 with fresh ports for each service."""
-    ports = ports or {name: free_port() for name in service_names}
+    """A socket:// config on 127.0.0.1 with a distinct fresh port for each service."""
+    if not ports:
+        names = list(service_names)
+        ports = dict(zip(names, free_ports(len(names))))
     obj = {name: {"location": f"socket://127.0.0.1:{port}"} for name, port in ports.items()}
     return decode_json(json.dumps(obj)), ports
 

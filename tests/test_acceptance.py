@@ -26,7 +26,7 @@ from monoslice.semantics import resolve
 from monoslice.slicer import slice_all
 from monoslice.values import Long, ValueTree, decode_json, encode_json
 
-from conftest import FIXTURES, call_once_serving, free_port
+from conftest import FIXTURES, call_once_serving, free_ports
 from oracle import removable_declarations
 from proggen import random_program
 from script import COLLECTOR, area, corrupted_fixture_source, run_script
@@ -158,7 +158,8 @@ def test_criterion_4_transport_transparency(fixture_checked, tmp_path):
     assert verdict_a is None
 
     # (b) four sliced codebases, one OS process each, loopback HTTP
-    ports = {name: free_port() for name in ("QuerySide", "CommandSide", "EventStore", "TestClient")}
+    names = ("QuerySide", "CommandSide", "EventStore", "TestClient")
+    ports = dict(zip(names, free_ports(len(names))))
     config_path = tmp_path / "loopback.json"
     config_path.write_text(
         json.dumps(

@@ -11,7 +11,7 @@ from monoslice.cli import main
 from monoslice.config import Location
 from monoslice.values import Long, ValueTree
 
-from conftest import call_once_serving, free_port
+from conftest import call_once_serving, free_ports
 from script import corrupted_fixture_source, nested_source
 
 
@@ -126,12 +126,12 @@ def test_the_program_then_the_config_must_load(command, fixture_path, tmp_path, 
 
 
 def test_run_single_service_serves_until_terminated(fixture_path, tmp_path):
-    port = free_port()
+    port, event_store_port = free_ports(2)
     config = tmp_path / "solo.json"
     config.write_text(json.dumps(
         {
             "CommandSide": {"location": f"socket://127.0.0.1:{port}"},
-            "EventStore": {"location": f"socket://127.0.0.1:{free_port()}"},
+            "EventStore": {"location": f"socket://127.0.0.1:{event_store_port}"},
         }
     ))
     # leaving the with block closes the pipes and reaps the child
@@ -276,7 +276,8 @@ def test_slice_onto_a_file_path_is_a_clean_error(
 
 def test_generated_dockerfile_cmd_serves_its_service(fixture_path, tmp_path):
     # reproduce a container: slice, cd into the service folder, run the CMD argv
-    ports = {name: free_port() for name in ("QuerySide", "CommandSide", "EventStore", "TestClient")}
+    names = ("QuerySide", "CommandSide", "EventStore", "TestClient")
+    ports = dict(zip(names, free_ports(len(names))))
     config = tmp_path / "loopback.json"
     config.write_text(json.dumps(
         {name: {"location": f"socket://127.0.0.1:{port}"} for name, port in ports.items()}

@@ -16,7 +16,7 @@ from monoslice.config import Location
 from monoslice.runtime import Fault, TransportError, http_invoke_rr, transport
 from monoslice.values import Long, ValueTree
 
-from conftest import free_port
+from conftest import free_ports
 
 STATUSES = {200, 202, 400, 405, 408, 411, 414, 431, 500, 501, 503, 505}
 
@@ -36,7 +36,7 @@ def stub_offer(operation, tree, kind, timeout):
 
 class Server:
     def __init__(self):
-        self.port = free_port()
+        [self.port] = free_ports(1)
         self.server = transport.HttpPortServer(self.port, stub_offer, 5.0)
         self.server.start()
         self.location = Location.parse(f"socket://127.0.0.1:{self.port}")
@@ -266,7 +266,7 @@ def test_a_connection_accepted_as_the_port_closes_is_closed_unanswered():
     with socket.create_server(("127.0.0.1", 0)) as listener:
         client = socket.create_connection(listener.getsockname(), timeout=5)
         accepted, _ = listener.accept()
-    port = free_port()
+    [port] = free_ports(1)
     server = transport.HttpPortServer(port, stub_offer, 5.0)
     server._listener.close()
     server._listener = _LateListener(accepted)

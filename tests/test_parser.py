@@ -1,4 +1,9 @@
+import random
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoslice.ast import (
     BasicRef,
@@ -30,7 +35,9 @@ from monoslice.render import render
 from monoslice.semantics import CheckedProgram, ResolveFailure, resolve
 from monoslice.values import Long
 
+from proggen import random_program
 from script import nested_source
+from test_lexer import _gaps, _separator
 
 # Reference listings the grammar must accept, kept verbatim.
 
@@ -294,8 +301,37 @@ def test_duplicate_execution_clause_rejected():
 
 def test_declaration_positions_retained():
     program = parse_source("type A\n\nservice B {}")
-    assert (program.declarations[0].pos.line, program.declarations[0].pos.column) == (1, 1)
-    assert program.declarations[1].pos.line == 3
+    first = program.position(program.declarations[0].offset)
+    assert (first.line, first.column) == (1, 1)
+    assert program.position(program.declarations[1].offset).line == 3
+
+
+_KEYWORDS = {TypeDecl: "type", InterfaceDecl: "interface", ServiceDecl: "service"}
+
+
+# the example count comes from the loaded profile when it asks for more (tests/conftest.py)
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_declaration_positions_point_at_their_keywords(seed):
+    """A rendered generated program, with whitespace and comments put between its tokens."""
+    rng = random.Random(seed)
+    source = render(random_program(rng, max_decls=8, max_services=2))
+    pieces, last = [], 0
+    for gap in _gaps(source):
+        pieces.append(source[last:gap])
+        if rng.random() < 0.3:
+            pieces.append(_separator(rng))
+        last = gap
+    pieces.append(source[last:])
+    source = "".join(pieces)
+    program = parse_source(source)
+    lines = source.split("\n")
+    for decl in program.declarations:
+        pos = program.position(decl.offset)
+        assert re.match(rf"{_KEYWORDS[type(decl)]}\b", lines[pos.line - 1][pos.column - 1 :]), (
+            decl.name,
+            pos,
+        )
 
 
 def test_first_error_aborts():

@@ -38,6 +38,16 @@ def start_source(source, names=None, **kwargs):
     return runtime.start(checked, config, **kwargs), ports
 
 
+def test_loopback_config_gives_each_service_its_own_port():
+    names = [f"S{i}" for i in range(6)]
+    config, ports = loopback_config(names)
+    assert list(ports) == names
+    assert len(set(ports.values())) == 6
+    assert {name: config.children[name][0].children["location"][0].root for name in names} == {
+        name: f"socket://127.0.0.1:{port}" for name, port in ports.items()
+    }
+
+
 def local_tree_config(names):
     obj = {name: {"location": f"local://{name.lower()}"} for name in names}
     return decode_json(json.dumps(obj))
@@ -1590,6 +1600,23 @@ def _start_on(transport, source, names, **kwargs):
     if transport == "local":
         return runtime.start(checked, local_tree_config(names), names, **kwargs)
     return runtime.start(checked, loopback_config(names)[0], names, **kwargs)
+
+
+@pytest.mark.parametrize("transport", ["local", "socket"])
+def test_an_operation_name_utf8_cannot_encode_is_refused_as_unknown(transport):
+    # a lone surrogate: percent-encoding it as UTF-8 fails, and no service declares such a name
+    system = _start_on(transport, GROWER, ["Grower"])
+    try:
+        reply = system.invoke_rr("Grower", "x\ud800", ValueTree())
+        assert isinstance(reply, Fault) and reply.name == "UnknownOperation"
+        assert "no request-response operation" in reply.data.root
+        with pytest.raises(TransportError, match="no one-way operation"):
+            system.invoke_ow("Grower", "x\ud800", ValueTree())
+        assert system.invoke_rr("Grower", "small", ValueTree()) == ValueTree(Long(10))
+    finally:
+        report = system.shutdown()
+    # neither call reached the service
+    assert (report.services[0].served, report.services[0].refused) == (1, 0)
 
 
 @pytest.mark.skipif(

@@ -71,7 +71,7 @@ def test_deleting_an_interface_is_reported_at_the_interfaces_clause(fixture_prog
     errors = [e for e in exc.value.errors if isinstance(e, UndefinedInterface)]
     assert errors, "expected UndefinedInterface"
     command_side = next(s for s in program.services if s.name == "CommandSide")
-    clause_pos = command_side.input_ports[0].interface_pos(0)
+    clause_pos = program.position(command_side.input_ports[0].interface_offset(0))
     assert any(e.pos == clause_pos for e in errors)
 
 

@@ -1,13 +1,21 @@
+import dataclasses
+import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+from monoslice import ast, lexer, parser
 from monoslice.ast import ServiceDecl
+from monoslice.config import load_config
+from monoslice.deploy import DeployOptions, plan_deployment
 from monoslice.errors import NoServices
 from monoslice.parser import parse_source
 from monoslice.render import render
-from monoslice.semantics import resolve
+from monoslice.semantics import ResolveFailure, UndefinedType, resolve
 from monoslice.slicer import UnknownService, compute_dependencies, slice_all, slice_service
+from monoslice.values import decode_json
 
 from oracle import removable_declarations
 from proggen import random_program
@@ -156,3 +164,64 @@ def test_generated_slices_are_sound_and_minimal(seed):
         deps = compute_dependencies(checked, name)
         for decl in sliced.declarations[:-1]:
             assert decl.name in deps.types | deps.interfaces
+
+
+def monolith(source: str, copies: int):
+    """copies of source, every declared name suffixed with its copy's number, and a config for all their services."""
+    names = re.findall(r"^(?:type|interface|service)\s+(\w+)", source, flags=re.MULTILINE)
+    pattern = re.compile(r"\b(" + "|".join(map(re.escape, names)) + r")\b")
+    text = "\n".join(
+        pattern.sub(lambda m: f"{m.group(1)}_{copy}", source) for copy in range(1, copies + 1)
+    )
+    services = re.findall(r"^service\s+(\w+)", source, flags=re.MULTILINE)
+    locations = {
+        f"{name}_{copy}": {"location": f"socket://{name.lower()}-{copy}:8080"}
+        for copy in range(1, copies + 1)
+        for name in services
+    }
+    return text, decode_json(json.dumps(locations))
+
+
+def line_column(text: str, index: int) -> str:
+    return f"{text.count(chr(10), 0, index) + 1}:{index - text.rfind(chr(10), 0, index)}"
+
+
+def test_parsing_resolving_slicing_and_planning_build_no_position(
+    fixture_source, deploy_config_path, monkeypatch
+):
+    def refuse(starts, offset):
+        raise AssertionError("a position was built")
+
+    for module in (ast, lexer, parser):
+        monkeypatch.setattr(module, "position", refuse)
+    options = DeployOptions(output_root=Path("out"), config_bytes=b"{}")
+    for source, config in [
+        (fixture_source, load_config(deploy_config_path)),
+        monolith(fixture_source, 3),
+    ]:
+        checked = resolve(parse_source(source))
+        plan = plan_deployment(slice_all(checked), config, options)
+        assert [e.service_name for e in plan.entries] == [s.name for s in checked.program.services]
+    # the names patched are the ones a diagnostic goes through
+    with pytest.raises(AssertionError, match="a position was built"):
+        parse_source("type")
+    with pytest.raises(AssertionError, match="a position was built"):
+        resolve(parse_source("type A { x:Missing }"))
+
+
+@pytest.mark.parametrize("copies, service", [(1, "QuerySide"), (3, "QuerySide_2")])
+def test_a_slice_reports_positions_in_its_monolith(fixture_source, copies, service):
+    text = fixture_source if copies == 1 else monolith(fixture_source, copies)[0]
+    missing = "ChargingSpeed" if copies == 1 else "ChargingSpeed_2"
+    sliced = slice_all(resolve(parse_source(text)))[service]
+    broken = dataclasses.replace(
+        sliced, declarations=[d for d in sliced.declarations if d.name != missing]
+    )
+    with pytest.raises(ResolveFailure) as exc:
+        resolve(broken)
+    [error] = exc.value.errors
+    assert isinstance(error, UndefinedType) and error.name == missing
+    reference = text.index(f"chargingSpeed:{missing}\n") + len("chargingSpeed:")
+    assert str(error.pos) == line_column(text, reference)
+    if copies == 1:
+        assert str(error) == "17:16: undefined type 'ChargingSpeed'"
