@@ -1,14 +1,13 @@
 """The one worker model: a lazily grown pool of long-lived daemon threads.
 
-Service activations and the connections of each socket:// port both run
-on a WorkerPool; a port's workers also take turns to accept its
-connections. Jobs are taken in the order they were submitted; a
-thread starts only when none is idle, and never more than the pool's
-size, so further jobs wait in the queue. Each thread asks the pool's
-worker factory once for its job handler, so state a handler keeps, such
-as a sequential service's scope, lives and dies with its thread. A job
-submitted after stop() may never run, so callers refuse a call before
-they submit it to a stopped pool (ServiceInstance._submit).
+Service activations, an executable's main (its pool's one job) and the
+connections of each socket:// port all run on a WorkerPool; a port's
+workers also take turns to accept its connections. Jobs are taken in
+the order they were submitted; a thread starts only when none is idle,
+and never more than the pool's size, so further jobs wait in the queue.
+Every thread runs the pool's one handler. A job submitted after stop()
+may never run, so callers refuse a call before they submit it to a
+stopped pool (ServiceInstance._submit).
 """
 
 from __future__ import annotations
@@ -25,12 +24,12 @@ MAX_WORKERS = 32
 
 
 class WorkerPool:
-    """At most `size` threads named `name`, each running `worker()(job)` on submitted jobs."""
+    """At most `size` threads named `name`, each running `handle(job)` on submitted jobs."""
 
-    def __init__(self, name: str, size: int, worker: Callable[[], Callable[[Any], None]]):
+    def __init__(self, name: str, size: int, handle: Callable[[Any], None]):
         self.name = name
         self.size = size
-        self._worker = worker
+        self._handle = handle
         self._queue: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
         self._threads: list[threading.Thread] = []
         self._idle = 0  # threads waiting for a job that no submitted job has claimed
@@ -47,10 +46,9 @@ class WorkerPool:
         self._queue.put(job)
 
     def _run(self) -> None:
-        handle = self._worker()
         while (job := self._queue.get()) is not None:
             try:
-                handle(job)
+                self._handle(job)
             except Exception:  # a job's bug must not cost the pool a thread
                 log.exception("unhandled error in %s", self.name)
             with self._lock:
@@ -62,7 +60,8 @@ class WorkerPool:
         for _ in range(self.size):
             self._queue.put(None)
 
-    def join(self, deadline: float) -> None:
-        """Wait for the threads until the monotonic deadline."""
+    def join(self, deadline: float | None) -> bool:
+        """Wait for the threads until the monotonic deadline, or None for no limit; True once all ended."""
         for thread in list(self._threads):
-            thread.join(max(0.0, deadline - time.monotonic()))
+            thread.join(None if deadline is None else max(0.0, deadline - time.monotonic()))
+        return not any(thread.is_alive() for thread in self._threads)

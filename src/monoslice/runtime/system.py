@@ -27,7 +27,7 @@ of pool that also serves the connections of a socket:// port: at most
 and one for sequential, which keeps one scope across activations (so a
 service can keep state across requests), and for single, which takes
 one call only. A service whose main is a statement sequence is
-executable: it runs once to completion on its own thread after
+executable: its main is the one job of a one-thread pool, submitted at
 startup. Every activation, executable or not, runs through
 ServiceInstance._run, which records the fault it ends in. Every inbound
 call is admitted or refused in ServiceInstance._take and enters the
@@ -90,8 +90,6 @@ _SAFE_INT_BITS = 640 * 3
 # decoding and the port's walks recurse once per level, against Python's
 # recursion limit of 1000, so this leaves the calling thread 100 frames
 MAX_NESTING = 900
-# what abort puts into a receive queue: the receive that takes it ends with Aborted
-_ABORT = object()
 # a surrogate code point: UTF-8 cannot encode one in a str, alone or paired
 _SURROGATE = re.compile("[\ud800-\udfff]")
 # held while a behavior compiles
@@ -282,15 +280,15 @@ class _ActivationContext(ExecutionContext):
 
     def receive(self, operation: str) -> ValueTree:
         waiting = self.instance._receive_queues[operation]
-        self.waiting(lambda: waiting.put(_ABORT))
+        self.waiting(lambda: waiting.put(aborted_fault().fault))
         try:
             message = waiting.get(timeout=DEFAULT_RECEIVE_TIMEOUT)
         except queue.Empty:
             raise fault("Timeout", f"no '{operation}' message arrived") from None
         finally:
             self.waiting(None)
-        if message is _ABORT:
-            raise aborted_fault()
+        if isinstance(message, Fault):  # put there by abort
+            raise FaultSignal(message)
         return message
 
     def rebind(self, port: str, location_text: str) -> None:
@@ -322,14 +320,18 @@ class ServiceInstance:
         self._bindings_lock = threading.Lock()
         # the one-way messages an executable's receive takes, a queue for each operation
         ops = system.checked.port_ops
-        self._receive_queues: dict[str, "queue.SimpleQueue[ValueTree | object]"] = {
+        self._receive_queues: dict[str, "queue.SimpleQueue[ValueTree | Fault]"] = {
             op: queue.SimpleQueue() for port in decl.input_ports for op in ops[(self.name, port.name)]
         } if decl.is_executable else {}
         self.stopped = False  # set under _stop_lock: no call enters the pool after it
         self._stop_lock = threading.Lock()
-        size = MAX_WORKERS if self.mode.value == "concurrent" else 1
-        self._pool = WorkerPool(f"{self.name}-worker", size, self._worker)
-        self._executable_thread: threading.Thread | None = None
+        # the one scope of a sequential service, kept across its activations
+        self._scope = self.seed_scope() if self.mode.value == "sequential" else None
+        if decl.is_executable:
+            self._pool = WorkerPool(f"{self.name}-main", 1, self._run_executable)
+        else:
+            size = MAX_WORKERS if self.mode.value == "concurrent" else 1
+            self._pool = WorkerPool(f"{self.name}-worker", size, self._run_activation)
 
         self._stats_lock = threading.Lock()
         self.served = 0
@@ -347,11 +349,10 @@ class ServiceInstance:
         return scope
 
     def start_executable(self) -> None:
-        if not self.decl.is_executable:
-            return
-        thread = threading.Thread(target=self._run_executable, name=f"{self.name}-main", daemon=True)
-        self._executable_thread = thread
-        thread.start()
+        """Run an executable's main as its pool's one job."""
+        if self.decl.is_executable:
+            self._pool.submit(self.behavior.statements)
+            self._pool.stop()
 
     def request_stop(self) -> None:
         with self._stop_lock:
@@ -360,9 +361,10 @@ class ServiceInstance:
 
     def join(self, deadline: float) -> int:
         """Join the threads until the monotonic deadline; returns the still-running activations."""
-        self._pool.join(deadline)
-        if self._executable_thread is not None:
-            self._executable_thread.join(max(0.0, deadline - time.monotonic()))
+        if self._pool.join(deadline):
+            # no activation can run now: free a sequential scope at once, not
+            # once the cycle collector reaches the instance
+            self._scope = None
         with self._stats_lock:
             return len(self._live)
 
@@ -381,17 +383,10 @@ class ServiceInstance:
 
     # -- activations -------------------------------------------------------
 
-    def _worker(self) -> Callable[[_Work], None]:
-        """The job handler of one pool thread."""
-        if self.mode.value != "sequential":
-            return lambda work: self._run_activation(work, self.seed_scope())
-        # the one worker of a sequential service keeps one scope
-        scope = self.seed_scope()
-        return lambda work: self._run_activation(work, scope)
-
-    def _run_activation(self, work: _Work, scope: ValueTree) -> None:
+    def _run_activation(self, work: _Work) -> None:
         """Run one request-response or one-way activation and hand a waiting caller its outcome."""
         branch = self.branches[work.info.name]
+        scope = self._scope if self._scope is not None else self.seed_scope()
         # the request replaces the variable's first occurrence, as any message binding
         scope.children.setdefault(branch.request_var, [work.tree])[0] = work.tree
         response = None if work.reply is None else (branch.response_var, work.info.response)
@@ -401,8 +396,8 @@ class ServiceInstance:
         if work.reply is not None:
             work.reply.put(outcome)
 
-    def _run_executable(self) -> None:
-        block = self._block("main", self.behavior.statements)
+    def _run_executable(self, main: list[Statement]) -> None:
+        block = self._block("main", main)
         self.exit_fault = self._run(block, self.seed_scope(), "main", None)
 
     def _run(
@@ -572,9 +567,6 @@ class RunningSystem:
     """A set of service instances sharing one in-process transport."""
 
     def __init__(self, checked: CheckedProgram, config: ValueTree, invoke_timeout: float):
-        with _COMPILING:
-            if checked.behaviors is None:
-                checked.behaviors = {}
         self.checked = checked
         self.config = config
         self.invoke_timeout = invoke_timeout
@@ -658,13 +650,16 @@ class RunningSystem:
     # -- lifecycle -------------------------------------------------------------
 
     def wait_executables(self, timeout: float | None = None) -> dict[str, Fault | None]:
-        """Block until executable services finish; returns their exit faults."""
-        results: dict[str, Fault | None] = {}
-        for instance in self.instances.values():
-            if instance._executable_thread is not None:
-                instance._executable_thread.join(timeout)
-                results[instance.name] = instance.exit_fault
-        return results
+        """Block until the executables finish, all within one timeout; returns their exit faults.
+
+        Raises TimeoutError naming every executable still running at the deadline.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        executables = [i for i in self.instances.values() if i.decl.is_executable]
+        running = [i.name for i in executables if not i._pool.join(deadline)]
+        if running:
+            raise TimeoutError(f"executables still running: {', '.join(running)}")
+        return {i.name: i.exit_fault for i in executables}
 
     def shutdown(self, timeout: float = DEFAULT_SHUTDOWN_TIMEOUT) -> SystemReport:
         """Stop accepting, drain in-flight handlers up to the timeout, report.

@@ -125,7 +125,7 @@ class HttpPortServer:
     def __init__(self, port: int, offer: Offer, timeout: float):
         self.offer = offer
         self.timeout = timeout
-        self._pool = WorkerPool(f"http-port-{port}-worker", MAX_WORKERS, lambda: self._take_turn)
+        self._pool = WorkerPool(f"http-port-{port}-worker", MAX_WORKERS, self._take_turn)
         self._open: set[socket.socket] = set()  # accepted connections not yet closed
         self._open_lock = threading.Lock()
         self._closed = False

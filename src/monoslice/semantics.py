@@ -118,9 +118,8 @@ class CheckedProgram:
     port_ops: dict[tuple[str, str], dict[str, OpInfo]]
     warnings: list[str] = field(default_factory=list)
     # each behavior the runtime compiled, by service and operation ("main" for
-    # an executable's), so every system started from this program shares them;
-    # None until a system starts, so a program that never runs holds no dict
-    behaviors: dict[tuple[str, str], object] | None = field(default=None, compare=False, repr=False)
+    # an executable's), so every system started from this program shares them
+    behaviors: dict[tuple[str, str], object] = field(default_factory=dict, compare=False, repr=False)
 
     def check_value(self, tree: ValueTree, type_: TypeRef | TypeDecl) -> list["Violation"]:
         return check_value(tree, type_, self.type_table)

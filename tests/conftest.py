@@ -1,5 +1,6 @@
 import contextlib
 import json
+import logging
 import os
 import socket
 import time
@@ -42,6 +43,25 @@ def child_pythonpath():
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("PYTHONPATH", os.pathsep.join(entries))
         yield
+
+
+@pytest.fixture(autouse=True)
+def no_runtime_error(request):
+    """Fail a test in which the `monoslice` logger emits an ERROR record.
+
+    A test that expects one requests caplog and checks the record there;
+    such a test is left to do so.
+    """
+    handler = logging.Handler(logging.ERROR)
+    records = []
+    handler.emit = records.append
+    logger = logging.getLogger("monoslice")
+    logger.addHandler(handler)
+    yield
+    logger.removeHandler(handler)
+    if records and "caplog" not in request.fixturenames:
+        formatter = logging.Formatter("%(name)s: %(message)s")
+        pytest.fail("\n".join(formatter.format(record) for record in records), pytrace=False)
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,7 @@ from monoslice.parser import parse_source
 from monoslice.runtime import BindError, Fault, TransportError
 from monoslice.runtime import system as system_module
 from monoslice.runtime.interpreter import FaultSignal
+from monoslice.runtime.pool import WorkerPool
 from monoslice.semantics import check_value, resolve
 from monoslice.values import LONE_SURROGATE, ROOT_KEY, TOO_DEEP, Long, ValueTree, decode_json
 
@@ -311,6 +312,51 @@ def test_a_request_refused_for_its_type_or_for_want_of_a_handler_is_counted(tran
     assert desk.line() == "Desk: served=2 faults=0 refused=4"
 
 
+@pytest.mark.parametrize("transport", ["local", "socket"])
+def test_an_activation_that_raises_past_the_interpreter_is_an_internal_error(transport, monkeypatch, caplog):
+    def broken(block, ctx):
+        raise RuntimeError("broken interpreter")
+
+    monkeypatch.setattr(system_module, "exec_statements", broken)
+    system = _start_on(transport, COUNTED, ["Counted"])
+    try:
+        with caplog.at_level("ERROR", logger="monoslice.runtime"):
+            reply = system.invoke_rr("Counted", "echo", ValueTree(Long(1)))
+    finally:
+        report = system.shutdown()
+    assert reply == Fault("InternalError", ValueTree("broken interpreter"))
+    assert report.services[0].faults == {"InternalError": 1}
+    [record] = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert record.getMessage() == "internal error in Counted.echo"
+    assert record.exc_info[0] is RuntimeError
+
+
+def test_a_pool_job_that_raises_is_logged_and_its_thread_runs_the_next_job(caplog):
+    ran = []
+    release = threading.Event()
+
+    def handle(job):
+        ran.append((job, threading.current_thread()))
+        if job == "bad":
+            raise RuntimeError("bad job")
+        release.wait(10)
+
+    pool = WorkerPool("Jobs", 1, handle)
+    with caplog.at_level("ERROR", logger="monoslice.runtime"):
+        pool.submit("bad")
+        pool.submit("good")
+        pool.stop()
+        # the good job holds the thread until released
+        assert pool.join(time.monotonic() + 0.2) is False
+        release.set()
+        assert pool.join(None) is True
+    assert [job for job, _ in ran] == ["bad", "good"]
+    assert ran[0][1] is ran[1][1]
+    [record] = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert record.getMessage() == "unhandled error in Jobs"
+    assert record.exc_info[0] is RuntimeError
+
+
 def test_a_behavior_compiles_once_per_checked_program_on_its_first_activation(monkeypatch):
     checked = resolve(parse_source(DESK))
     compiled = []
@@ -482,6 +528,27 @@ def test_an_executable_that_receives_nothing_in_time_ends_in_timeout(monkeypatch
     finally:
         system.shutdown()
     assert faults == {"Waiter": Fault("Timeout", ValueTree("no 'note' message arrived"))}
+
+
+TWO_WAITERS = WAITER + WAITER[WAITER.index("service Waiter("):].replace("Waiter", "Waiter2")
+
+
+def test_wait_executables_has_one_deadline_and_names_every_executable_still_running():
+    system = runtime.start(resolve(parse_source(TWO_WAITERS)), local_tree_config(["Waiter", "Waiter2"]))
+    try:
+        started = time.monotonic()
+        with pytest.raises(TimeoutError, match="running: Waiter, Waiter2$"):
+            system.wait_executables(timeout=0.5)
+        # one deadline for the whole wait, not one for each executable
+        assert time.monotonic() - started < 1.0
+        system.invoke_ow("local://waiter", "note", ValueTree("x"))
+        with pytest.raises(TimeoutError, match="running: Waiter2$"):
+            system.wait_executables(timeout=0.5)
+        system.invoke_ow("local://waiter2", "note", ValueTree("x"))
+        assert system.wait_executables(timeout=10) == {"Waiter": None, "Waiter2": None}
+    finally:
+        report = system.shutdown(timeout=0.3)
+    assert report.executable_faults() == {"Waiter": None, "Waiter2": None}
 
 
 # ---------------------------------------------------------------------------
@@ -1412,6 +1479,17 @@ def test_sequential_state_persists_across_activations():
         assert [int(t.root) for t in second.children["items"]] == [3, 1, 4, 1]
     finally:
         system.shutdown()
+
+
+def test_shutdown_lets_go_of_a_sequential_scope_once_its_worker_has_ended():
+    # a stopped system may live on until the cycle collector runs; its state need not
+    system, _ = start_source(COLLECTOR)
+    system.invoke_ow("Collector", "put", ValueTree(3))
+    assert system.invoke_rr("Collector", "drain", ValueTree()).children["items"][0] == ValueTree(Long(3))
+    collector = system.instances["Collector"]
+    assert collector._scope is not None
+    system.shutdown()
+    assert collector._scope is None
 
 
 # ---------------------------------------------------------------------------
