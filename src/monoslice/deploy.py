@@ -9,6 +9,7 @@ with `docker stack deploy`.
 
 from __future__ import annotations
 
+import re
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +18,9 @@ from .ast import SourceProgram
 from .config import resolve_location
 from .errors import MonosliceError, NoServices
 from .render import render
-from .semantics import resolve
+# not called here: perfbench/measure.py wraps deploy.resolve by name
+from .semantics import resolve  # noqa: F401
+from .slicer import UnknownService
 from .values import ValueTree
 
 DEFAULT_BASE_IMAGE = "monoslice-runtime"
@@ -29,12 +32,24 @@ COPY deploy.json .
 CMD ["{runner}", "--config", "deploy.json", "--service", "{service}", "{service}.ol"]
 """
 
+# the service names the compose file format accepts (compose-spec's schema)
+COMPOSE_SERVICE_NAME = re.compile(r"[a-zA-Z0-9._-]+")
+
 
 class FolderNameCollision(MonosliceError):
     def __init__(self, folder: str, services: list[str]):
         self.folder = folder
         super().__init__(
             f"services {', '.join(services)} collide on output folder '{folder}'"
+        )
+
+
+class UnusableFolderName(MonosliceError):
+    def __init__(self, folder: str, service: str):
+        self.folder = folder
+        super().__init__(
+            f"service {service}: output folder '{folder}' is not a Docker Compose service name "
+            "(ASCII letters, digits, '.', '_' and '-' only)"
         )
 
 
@@ -86,9 +101,15 @@ def plan_deployment(
 ) -> DeploymentPlan:
     """Build the deterministic deployment plan for the included services.
 
-    Each slice is re-resolved standalone here, which both validates the
-    slicer output and yields the port declarations used for exposure.
+    Each slice is taken as slice_service made it: it resolves standalone,
+    and its last declaration is its service, whose input ports give the
+    port to expose. Nothing is resolved again here. An excluded name that
+    is no service of the program, and a folder name that Docker Compose
+    cannot use as a service name, are errors.
     """
+    unknown = sorted(options.exclude_services - slices.keys())
+    if unknown:
+        raise UnknownService(unknown[0])
     included = {
         name: program
         for name, program in slices.items()
@@ -103,10 +124,11 @@ def plan_deployment(
         folder = name.lower()
         if folder in folders:
             raise FolderNameCollision(folder, [folders[folder], name])
+        if not COMPOSE_SERVICE_NAME.fullmatch(folder):
+            raise UnusableFolderName(folder, name)
         folders[folder] = name
 
-        checked = resolve(program)
-        decl = checked.service_table[name]
+        decl = program.declarations[-1]
         param = decl.config.name if decl.config else None
         exposed: int | None = None
         for port in decl.input_ports:

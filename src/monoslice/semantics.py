@@ -266,9 +266,9 @@ class _Resolver:
                 seen.add(branch.operation)
                 wanted = "rr" if isinstance(branch, RequestResponseBranch) else "ow"
                 self._check_inbound_op(decl, branch.operation, wanted, branch.offset)
-                self._check_statements(decl, branch.body, executable=False)
+                _StatementChecker(self, decl, executable=False).walk(branch.body)
         else:
-            self._check_statements(decl, behavior.statements, executable=True)
+            _StatementChecker(self, decl, executable=True).walk(behavior.statements)
 
     def _inbound_info(self, decl: ServiceDecl, operation: str) -> OpInfo | None:
         for port in decl.input_ports:
@@ -292,109 +292,109 @@ class _Resolver:
             at = self._pos(offset)
             self.errors.append(UnknownOperation(operation, f"{where} as {kind_name}", at))
 
-    def _check_statements(self, decl: ServiceDecl, statements: list[Statement], executable: bool) -> None:
-        port_names = {p.name for p in decl.ports()}
-        output_names = {p.name for p in decl.output_ports}
-        config_name = decl.config.name if decl.config else None
 
-        def check_indices(path: Path) -> None:
-            for step in path.steps:
-                if step.index is not None:
-                    check_expr(step.index)
+class _StatementChecker:
+    """The checks of one behavior's statements against its service's ports and config.
 
-        def check_expr(expr: Expr) -> None:
-            if isinstance(expr, PathExpr):
-                root = expr.path.root
-                if root != config_name and root in port_names:
-                    self.errors.append(
-                        BehaviorError(
-                            f"port name '{root}' cannot be read as a variable",
-                            self._pos(expr.path.offset),
-                        )
+    Methods of an object, not closures that call one another: such closures
+    sit in a reference cycle that holds the resolver, and with it the whole
+    program, until the cycle collector runs. The checker holds the
+    resolver, and nothing holds the checker once its walk is done.
+    """
+
+    def __init__(self, resolver: _Resolver, decl: ServiceDecl, executable: bool):
+        self.resolver = resolver
+        self.decl = decl
+        self.executable = executable
+        self.port_names = {p.name for p in decl.ports()}
+        self.output_names = {p.name for p in decl.output_ports}
+        self.config_name = decl.config.name if decl.config else None
+
+    def error(self, message: str, offset: int | None) -> None:
+        self.resolver.errors.append(BehaviorError(message, self.resolver._pos(offset)))
+
+    def check_indices(self, path: Path) -> None:
+        for step in path.steps:
+            if step.index is not None:
+                self.check_expr(step.index)
+
+    def check_expr(self, expr: Expr) -> None:
+        if isinstance(expr, PathExpr):
+            root = expr.path.root
+            if root != self.config_name and root in self.port_names:
+                self.error(f"port name '{root}' cannot be read as a variable", expr.path.offset)
+            self.check_indices(expr.path)
+        elif isinstance(expr, Unary):
+            self.check_expr(expr.operand)
+        elif isinstance(expr, Binary):
+            self.check_expr(expr.left)
+            self.check_expr(expr.right)
+        elif isinstance(expr, TreeLiteral):
+            for key, value in expr.entries:
+                self.check_indices(key)
+                self.check_expr(value)
+
+    def check_write_path(self, path: Path, offset: int | None) -> None:
+        root = path.root
+        if root == self.config_name:
+            self.error(f"config parameter '{root}' is read-only", offset)
+            return
+        if root in self.output_names:
+            is_rebind = (
+                len(path.steps) == 2
+                and path.steps[1].name == "location"
+                and path.steps[0].index is None
+                and path.steps[1].index is None
+            )
+            if not is_rebind:
+                self.error(f"only '{root}.location' may be assigned on output port '{root}'", offset)
+            return
+        if root in self.port_names:
+            self.error(f"input port name '{root}' cannot be assigned", offset)
+            return
+        self.check_indices(path)
+
+    def check_outbound(self, statement: SolicitResponse | OneWaySend, wanted: str) -> None:
+        decl = self.decl
+        if statement.port not in self.output_names:
+            at = self.resolver._pos(statement.offset)
+            self.resolver.errors.append(UnknownPort(statement.port, decl.name, at))
+            return
+        info = self.resolver.port_ops.get((decl.name, statement.port), {}).get(statement.operation)
+        where = f"output port {statement.port}"
+        self.resolver._check_kind(info, wanted, statement.operation, where, statement.offset)
+
+    def walk(self, statements: list[Statement]) -> None:
+        for statement in statements:
+            if isinstance(statement, Assign):
+                self.check_write_path(statement.target, statement.offset)
+                self.check_expr(statement.value)
+            elif isinstance(statement, SolicitResponse):
+                self.check_outbound(statement, "rr")
+                self.check_expr(statement.argument)
+                if statement.target is not None:
+                    self.check_write_path(statement.target, statement.offset)
+            elif isinstance(statement, OneWaySend):
+                self.check_outbound(statement, "ow")
+                self.check_expr(statement.argument)
+            elif isinstance(statement, Receive):
+                if not self.executable:
+                    self.error(
+                        "inline receive is only valid in an executable service "
+                        "(a main that is a statement sequence)",
+                        statement.offset,
                     )
-                check_indices(expr.path)
-            elif isinstance(expr, Unary):
-                check_expr(expr.operand)
-            elif isinstance(expr, Binary):
-                check_expr(expr.left)
-                check_expr(expr.right)
-            elif isinstance(expr, TreeLiteral):
-                for key, value in expr.entries:
-                    check_indices(key)
-                    check_expr(value)
-
-        def check_write_path(path: Path, offset: int | None) -> None:
-            root = path.root
-            if root == config_name:
-                self.errors.append(
-                    BehaviorError(f"config parameter '{root}' is read-only", self._pos(offset))
-                )
-                return
-            if root in output_names:
-                is_rebind = (
-                    len(path.steps) == 2
-                    and path.steps[1].name == "location"
-                    and path.steps[0].index is None
-                    and path.steps[1].index is None
-                )
-                if not is_rebind:
-                    self.errors.append(
-                        BehaviorError(
-                            f"only '{root}.location' may be assigned on output port '{root}'",
-                            self._pos(offset),
-                        )
-                    )
-                return
-            if root in port_names:
-                self.errors.append(
-                    BehaviorError(f"input port name '{root}' cannot be assigned", self._pos(offset))
-                )
-                return
-            check_indices(path)
-
-        def check_outbound(statement: SolicitResponse | OneWaySend, wanted: str) -> None:
-            if statement.port not in output_names:
-                self.errors.append(UnknownPort(statement.port, decl.name, self._pos(statement.offset)))
-                return
-            info = self.port_ops.get((decl.name, statement.port), {}).get(statement.operation)
-            where = f"output port {statement.port}"
-            self._check_kind(info, wanted, statement.operation, where, statement.offset)
-
-        def walk(stmts: list[Statement]) -> None:
-            for statement in stmts:
-                if isinstance(statement, Assign):
-                    check_write_path(statement.target, statement.offset)
-                    check_expr(statement.value)
-                elif isinstance(statement, SolicitResponse):
-                    check_outbound(statement, "rr")
-                    check_expr(statement.argument)
-                    if statement.target is not None:
-                        check_write_path(statement.target, statement.offset)
-                elif isinstance(statement, OneWaySend):
-                    check_outbound(statement, "ow")
-                    check_expr(statement.argument)
-                elif isinstance(statement, Receive):
-                    if not executable:
-                        self.errors.append(
-                            BehaviorError(
-                                "inline receive is only valid in an executable service "
-                                "(a main that is a statement sequence)",
-                                self._pos(statement.offset),
-                            )
-                        )
-                    self._check_inbound_op(decl, statement.operation, "ow", statement.offset)
-                    check_write_path(statement.target, statement.offset)
-                elif isinstance(statement, If):
-                    check_expr(statement.condition)
-                    walk(statement.then)
-                    walk(statement.orelse)
-                elif isinstance(statement, While):
-                    check_expr(statement.condition)
-                    walk(statement.body)
-                elif isinstance(statement, Throw):
-                    pass
-
-        walk(statements)
+                self.resolver._check_inbound_op(self.decl, statement.operation, "ow", statement.offset)
+                self.check_write_path(statement.target, statement.offset)
+            elif isinstance(statement, If):
+                self.check_expr(statement.condition)
+                self.walk(statement.then)
+                self.walk(statement.orelse)
+            elif isinstance(statement, While):
+                self.check_expr(statement.condition)
+                self.walk(statement.body)
+            elif isinstance(statement, Throw):
+                pass
 
 
 def resolve(program: SourceProgram) -> CheckedProgram:

@@ -180,6 +180,21 @@ def test_slice_writes_expected_tree(fixture_path, deploy_config_path, tmp_path, 
         }
 
 
+def test_slice_refuses_an_excluded_name_that_is_no_service(
+    fixture_path, deploy_config_path, tmp_path, capsys
+):
+    out = tmp_path / "sliced"
+    code = main(
+        [
+            "slice", "--config", str(deploy_config_path),
+            "--exclude", "TestClent", "--output", str(out), str(fixture_path),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: unknown service 'TestClent'\n"
+    assert not out.exists()
+
+
 def test_slice_refuses_overwrite_without_force(fixture_path, deploy_config_path, tmp_path, capsys):
     out = tmp_path / "sliced"
     argv = [

@@ -10,13 +10,14 @@ from monoslice.deploy import (
     FolderNameCollision,
     MissingLocation,
     RefusingToOverwrite,
+    UnusableFolderName,
     plan_deployment,
     write_deployment,
 )
 from monoslice.errors import NoServices
 from monoslice.parser import parse_source
 from monoslice.semantics import resolve
-from monoslice.slicer import slice_all
+from monoslice.slicer import UnknownService, slice_all
 
 
 @pytest.fixture()
@@ -124,6 +125,30 @@ def test_folder_name_collision_detected(tmp_path):
             ValueTree(),
             make_options(tmp_path, b"{}", exclude=set()),
         )
+
+
+def test_a_folder_name_compose_cannot_use_is_refused(tmp_path):
+    source = (
+        "interface I { RequestResponse: op( int )( int ) }"
+        'service Café { inputPort In { location: "local://cafe" protocol: http interfaces: I } main { op( a )( b ) { b = 1 } } }'
+    )
+    from monoslice.values import ValueTree
+
+    with pytest.raises(UnusableFolderName) as exc:
+        plan_deployment(
+            slice_all(resolve(parse_source(source))),
+            ValueTree(),
+            make_options(tmp_path, b"{}", exclude=set()),
+        )
+    assert exc.value.folder == "café"
+    assert str(exc.value).startswith("service Café: output folder 'café' is not a Docker Compose service name")
+
+
+def test_excluding_a_name_that_is_no_service_is_an_error(fixture_plan_inputs, tmp_path):
+    slices, config, raw = fixture_plan_inputs
+    with pytest.raises(UnknownService) as exc:
+        plan_deployment(slices, config, make_options(tmp_path, raw, exclude={"TestClent"}))
+    assert exc.value.name == "TestClent"
 
 
 def test_everything_excluded_is_an_error(fixture_plan_inputs, tmp_path):

@@ -1,21 +1,24 @@
 import dataclasses
+import gc
 import json
 import random
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from monoslice import ast, lexer, parser
+from monoslice import ast, deploy, lexer, parser, semantics
 from monoslice.ast import ServiceDecl
-from monoslice.config import load_config
+from monoslice.config import load_config, resolve_location
 from monoslice.deploy import DeployOptions, plan_deployment
 from monoslice.errors import NoServices
 from monoslice.parser import parse_source
 from monoslice.render import render
 from monoslice.semantics import ResolveFailure, UndefinedType, resolve
 from monoslice.slicer import UnknownService, compute_dependencies, slice_all, slice_service
-from monoslice.values import decode_json
+from monoslice.values import ValueTree, decode_json
 
 from oracle import removable_declarations
 from proggen import random_program
@@ -225,3 +228,80 @@ def test_a_slice_reports_positions_in_its_monolith(fixture_source, copies, servi
     assert str(error.pos) == line_column(text, reference)
     if copies == 1:
         assert str(error) == "17:16: undefined type 'ChargingSpeed'"
+
+
+def test_planning_resolves_nothing(fixture_source, deploy_config_path, monkeypatch):
+    def refuse(program):
+        raise AssertionError("a program was resolved")
+
+    options = DeployOptions(output_root=Path("out"), config_bytes=b"{}")
+    for source, config in [
+        (fixture_source, load_config(deploy_config_path)),
+        monolith(fixture_source, 3),
+    ]:
+        slices = slice_all(resolve(parse_source(source)))
+        with monkeypatch.context() as patch:
+            for module in (deploy, semantics):
+                patch.setattr(module, "resolve", refuse)
+            plan = plan_deployment(slices, config, options)
+        assert [e.service_name for e in plan.entries] == list(slices)
+
+
+def test_parsing_resolving_slicing_and_planning_leave_no_cyclic_garbage(
+    fixture_source, deploy_config_path
+):
+    options = DeployOptions(output_root=Path("out"), config_bytes=b"{}")
+    inputs = [(fixture_source, load_config(deploy_config_path)), monolith(fixture_source, 3)]
+    gc.collect()
+    gc.disable()
+    try:
+        for source, config in inputs:
+            plan_deployment(slice_all(resolve(parse_source(source))), config, options)
+            # reference counting alone freed all that the calls made
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def assert_planned_as_resolved_standalone(slices, config) -> None:
+    """Each plan entry is what its slice, resolved on its own, gives."""
+    reference = {}
+    for name, sliced in slices.items():
+        decl = resolve(sliced).service_table[name]
+        param = decl.config.name if decl.config else None
+        locations = [resolve_location(config, port.location, param) for port in decl.input_ports]
+        exposed = next((loc.port for loc in locations if loc.scheme == "socket"), None)
+        reference[name] = (name.lower(), render(sliced), exposed)
+    options = DeployOptions(output_root=Path("out"), config_bytes=b"{}")
+    plan = plan_deployment(slices, config, options)
+    assert {e.service_name: (e.folder_name, e.program_text, e.exposed_port) for e in plan.entries} == reference
+
+
+def test_fixture_and_monolith_plans_match_their_slices_resolved_standalone(
+    fixture_source, deploy_config_path
+):
+    for source, config in [
+        (fixture_source, load_config(deploy_config_path)),
+        monolith(fixture_source, 3),
+    ]:
+        assert_planned_as_resolved_standalone(slice_all(resolve(parse_source(source))), config)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_generated_plans_match_their_slices_resolved_standalone(seed):
+    checked = resolve(random_program(random.Random(seed)))
+    if checked.program.services:
+        assert_planned_as_resolved_standalone(slice_all(checked), ValueTree())
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_generated_slices_are_sound_minimal_and_planned_as_resolved_standalone(seed):
+    checked = resolve(random_program(random.Random(seed)))
+    if not checked.program.services:
+        return
+    slices = slice_all(checked)
+    for name, sliced in slices.items():
+        resolve(sliced)  # soundness: no dangling references
+        assert removable_declarations(sliced) == [], name
+    assert_planned_as_resolved_standalone(slices, ValueTree())
