@@ -81,7 +81,12 @@ def _load(args: argparse.Namespace) -> tuple[CheckedProgram, ValueTree] | None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    return 0 if _load_checked(args.program) is not None else 2
+    checked = _load_checked(args.program)
+    if checked is None:
+        return 2
+    for warning in checked.warnings:
+        _diag(args.program, f"warning: {warning}")
+    return 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 
-from .ast import Expr, Literal, PathExpr, PortKind
+from .ast import Expr, Literal, PortKind
 from .errors import MonosliceError
 from .semantics import CheckedProgram
 from .values import ValueTree, decode_json
@@ -103,45 +103,26 @@ def load_config(path: str | FsPath) -> ConfigTree:
     return decode_json(data)
 
 
-def resolve_location(config: ConfigTree, location_expr: Expr, param_name: str | None = None) -> Location:
-    """Evaluate a port's location expression against the configuration.
+def resolve_location(config: ConfigTree, location_expr: Expr) -> Location:
+    """Evaluate a port's location against the configuration.
 
-    The expression must be a string literal or a path rooted at the
-    service's config parameter (any single identifier root is accepted
-    when param_name is None).
+    The resolver admits only a string literal or an index-free path
+    rooted at the service's config parameter (semantics._Resolver), so a
+    literal is parsed and a path is walked from the configuration's root.
     """
-    if isinstance(location_expr, Literal) and isinstance(location_expr.value, str):
+    if isinstance(location_expr, Literal):
         return Location.parse(location_expr.value)
-    if isinstance(location_expr, PathExpr):
-        steps = location_expr.path.steps
-        if any(step.index is not None for step in steps):
-            raise BadLocationSyntax(
-                _expr_text(location_expr), "indices are not allowed in config paths"
-            )
-        if param_name is not None and steps[0].name != param_name:
-            raise BadLocationSyntax(
-                _expr_text(location_expr),
-                f"location path must be rooted at config parameter '{param_name}'",
-            )
-        dotted = ".".join(step.name for step in steps[1:]) or steps[0].name
-        node = config
-        for step in steps[1:]:
-            nxt = node.child(step.name)
-            if nxt is None:
-                raise MissingConfigPath(dotted)
-            node = nxt
-        if not isinstance(node.root, str):
+    steps = location_expr.path.steps
+    dotted = ".".join(step.name for step in steps[1:]) or steps[0].name
+    node = config
+    for step in steps[1:]:
+        nxt = node.child(step.name)
+        if nxt is None:
             raise MissingConfigPath(dotted)
-        return Location.parse(node.root)
-    raise BadLocationSyntax(
-        _expr_text(location_expr), "location must be a string literal or a config path"
-    )
-
-
-def _expr_text(expr: Expr) -> str:
-    from .render import render_expr
-
-    return render_expr(expr)
+        node = nxt
+    if not isinstance(node.root, str):
+        raise MissingConfigPath(dotted)
+    return Location.parse(node.root)
 
 
 def validate_config(
@@ -160,10 +141,9 @@ def validate_config(
     bound: dict[str, str] = {}
     for service_name in names:
         decl = checked.service_table[service_name]
-        param = decl.config.name if decl.config else None
         for port in decl.ports():
             try:
-                location = resolve_location(config, port.location, param)
+                location = resolve_location(config, port.location)
             except (MissingConfigPath, BadLocationSyntax) as issue:
                 issues.append(issue)
                 continue

@@ -129,11 +129,10 @@ def plan_deployment(
         folders[folder] = name
 
         decl = program.declarations[-1]
-        param = decl.config.name if decl.config else None
         exposed: int | None = None
         for port in decl.input_ports:
             try:
-                location = resolve_location(config, port.location, param)
+                location = resolve_location(config, port.location)
             except MonosliceError as exc:
                 raise MissingLocation(name, str(exc)) from exc
             if location.scheme == "socket" and exposed is None:

@@ -60,11 +60,6 @@ def render(program: SourceProgram) -> str:
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
-def render_expr(expr: Expr) -> str:
-    """Render one expression (used for diagnostics and location clauses)."""
-    return _expr(expr, 0)
-
-
 def _render_declaration(decl: Declaration) -> str:
     if isinstance(decl, TypeDecl):
         return _type_decl(decl)

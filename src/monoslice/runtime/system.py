@@ -81,7 +81,6 @@ from .transport import HttpPortServer, TransportError, Waiting, http_invoke_ow, 
 log = logging.getLogger("monoslice.runtime")
 
 DEFAULT_INVOKE_TIMEOUT = 30.0
-DEFAULT_RECEIVE_TIMEOUT = 30.0
 DEFAULT_SHUTDOWN_TIMEOUT = 5.0
 # an int no wider than this has fewer decimal digits than the smallest limit
 # Python may set on int-to-text conversion (640), so only wider ones are converted
@@ -127,26 +126,52 @@ class _Endpoint:
         the reply tree or the fault, and a one-way call returns None once
         the message is accepted. A request-response caller may pass
         waiting, to be able to end its wait (ServiceInstance.offer_rr). A
-        call of the wrong kind is refused before any handler runs:
-        UnknownOperation for request-response, TransportError for one-way.
-        Raises TransportError when the service has stopped.
+        call of the wrong kind, or naming no operation, is refused and
+        counted before any handler runs (_no_operation). Raises
+        TransportError when the service has stopped.
         """
-        if self.instance.stopped:
-            raise TransportError(f"service {self.instance.name} has stopped")
+        instance = self.instance
+        if instance.stopped:
+            raise TransportError(f"service {instance.name} has stopped")
         info = self.ops.get(operation)
         if kind is None and info is not None:
             kind = info.kind
         if info is None or info.kind != kind:
-            if kind == "ow":
-                raise TransportError(f"no one-way operation '{operation}' at {self.location}")
-            return Fault(
-                "UnknownOperation",
-                ValueTree(f"no request-response operation '{operation}' at {self.location}"),
-            )
+            with instance._stats_lock:
+                instance.refused += 1
+            return _no_operation(operation, kind, self.location)
         if kind == "rr":
-            return self.instance.offer_rr(info, tree, timeout, waiting)
-        self.instance.offer_ow(info, tree)
+            return instance.offer_rr(info, tree, timeout, waiting)
+        instance.offer_ow(info, tree)
         return None
+
+
+def _no_operation(operation: str, kind: str | None, location: Location) -> Fault:
+    """The refusal of a call naming no operation of its kind at location:
+    UnknownOperation for request-response, TransportError raised for one-way.
+    """
+    if kind == "ow":
+        raise TransportError(f"no one-way operation '{operation}' at {location}")
+    return Fault("UnknownOperation", ValueTree(f"no request-response operation '{operation}' at {location}"))
+
+
+def _wait(
+    box: "queue.SimpleQueue[ValueTree | Fault]", timeout: float, waiting: Waiting | None, late: str
+) -> ValueTree | Fault:
+    """What is put on box within timeout, or the fault Timeout whose data is late.
+
+    waiting, when given, is handed a function that ends the wait with the
+    fault Aborted, and then None once the wait is over.
+    """
+    if waiting is not None:
+        waiting(lambda: box.put(aborted_fault().fault))
+    try:
+        return box.get(timeout=timeout)
+    except queue.Empty:
+        return Fault("Timeout", ValueTree(late))
+    finally:
+        if waiting is not None:
+            waiting(None)
 
 
 def _violation_fault(violations) -> Fault:
@@ -279,15 +304,10 @@ class _ActivationContext(ExecutionContext):
         self._call(port, operation, message, "ow")
 
     def receive(self, operation: str) -> ValueTree:
-        waiting = self.instance._receive_queues[operation]
-        self.waiting(lambda: waiting.put(aborted_fault().fault))
-        try:
-            message = waiting.get(timeout=DEFAULT_RECEIVE_TIMEOUT)
-        except queue.Empty:
-            raise fault("Timeout", f"no '{operation}' message arrived") from None
-        finally:
-            self.waiting(None)
-        if isinstance(message, Fault):  # put there by abort
+        messages = self.instance._receive_queues[operation]
+        timeout = self.instance.system.invoke_timeout
+        message = _wait(messages, timeout, self.waiting, f"no '{operation}' message arrived")
+        if isinstance(message, Fault):  # Timeout, or Aborted put there by abort
             raise FaultSignal(message)
         return message
 
@@ -335,7 +355,7 @@ class ServiceInstance:
 
         self._stats_lock = threading.Lock()
         self.served = 0
-        self.refused = 0  # requests refused before any activation: a type violation or no handler
+        self.refused = 0  # requests refused before any activation: no such operation, no handler, or its type
         self.faults: Counter[str] = Counter()  # how often the service ended an activation in each fault
         self._live: set[_ActivationContext] = set()  # the activations running now
         self.exit_fault: Fault | None = None
@@ -452,25 +472,13 @@ class ServiceInstance:
     def offer_rr(
         self, info: OpInfo, tree: ValueTree, timeout: float, waiting: Waiting | None = None
     ) -> ValueTree | Fault:
-        """Take one request-response call (_take), run it and wait for its outcome.
-
-        waiting, when given, is handed a function that ends the wait with
-        the fault Aborted, and then None once the wait is over.
-        """
+        """Take one request-response call (_take), run it and wait for its outcome (_wait)."""
         request = self._take(info, tree)
         if isinstance(request, Fault):
             return request
         reply: "queue.SimpleQueue[ValueTree | Fault]" = queue.SimpleQueue()
         self._submit(_Work(info, request, reply))
-        if waiting is not None:
-            waiting(lambda: reply.put(aborted_fault().fault))
-        try:
-            return reply.get(timeout=timeout)
-        except queue.Empty:
-            return Fault("Timeout", ValueTree(f"no reply from {self.name}.{info.name}"))
-        finally:
-            if waiting is not None:
-                waiting(None)
+        return _wait(reply, timeout, waiting, f"no reply from {self.name}.{info.name}")
 
     def offer_ow(self, info: OpInfo, tree: ValueTree) -> None:
         """Take one one-way message (_take); one it refuses is dropped with a warning."""
@@ -592,12 +600,15 @@ class RunningSystem:
         The message is taken to its JSON image first, on either transport,
         so one JSON cannot carry is never delivered: a request-response
         call gets the TypeMismatch fault and a one-way message is dropped
-        with a warning. A request-response call returns the reply tree or
-        the fault, and a one-way call returns None once the target
-        accepted the message. Raises TransportError when the target is
-        unreachable, has stopped, or refuses a one-way call. A
-        request-response caller may pass waiting, to be able to end its
-        wait from another thread (ServiceInstance.offer_rr, http_invoke_rr).
+        with a warning. An operation name UTF-8 cannot encode, which no
+        transport carries, is refused here as one no service offers
+        (_no_operation), and no service counts it. A request-response call
+        returns the reply tree or the fault, and a one-way call returns
+        None once the target accepted the message. Raises TransportError
+        when the target is unreachable, has stopped, or refuses a one-way
+        call. A request-response caller may pass waiting, to be able to
+        end its wait from another thread (ServiceInstance.offer_rr,
+        http_invoke_rr).
         """
         tree, violation = _image(tree)
         if violation is not None:
@@ -605,6 +616,8 @@ class RunningSystem:
                 return Fault("TypeMismatch", ValueTree(violation))
             log.warning("dropping one-way %s to %s: %s", operation, location, violation)
             return None
+        if not operation.isascii() and _SURROGATE.search(operation):
+            return _no_operation(operation, kind, location)
         if location.scheme == "local":
             endpoint = self._local.get(location.name or "")
             if endpoint is None:
@@ -718,8 +731,8 @@ def start(
 ) -> RunningSystem:
     """Start the selected services (all by default) and return the system.
 
-    Startup is all-or-nothing: any bind failure tears down everything
-    already bound and raises BindError.
+    Startup is all-or-nothing: any bind failure shuts down everything
+    already started and raises BindError.
     """
     all_names = [s.name for s in checked.program.services]
     if services is None:
@@ -741,12 +754,11 @@ def start(
     try:
         for name in names:
             decl = checked.service_table[name]
-            param = decl.config.name if decl.config else None
             instance = ServiceInstance(system, decl, config_tree)
             for port in decl.output_ports:
-                instance.set_binding(port.name, resolve_location(config, port.location, param))
+                instance.set_binding(port.name, resolve_location(config, port.location))
             for port in decl.input_ports:
-                location = resolve_location(config, port.location, param)
+                location = resolve_location(config, port.location)
                 endpoint = _Endpoint(instance, checked.port_ops[(name, port.name)], location)
                 if location.scheme == "local":  # validate_config refused two ports on one name
                     system._local[location.name] = endpoint
@@ -763,10 +775,6 @@ def start(
         for instance in system.instances.values():
             instance.start_executable()
     except BaseException:
-        for server in system._servers:
-            try:
-                server.close()
-            except Exception:
-                pass
+        system.shutdown()
         raise
     return system

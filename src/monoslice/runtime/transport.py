@@ -361,7 +361,8 @@ def http_invoke_rr(
     comes back as the fault named Timeout. Raises TransportError when
     the endpoint is unreachable and converts a client-side socket
     timeout into the Timeout fault as well. The request must already be
-    its JSON image, as RunningSystem.call makes every message it sends.
+    its JSON image, and the operation a name UTF-8 can encode, as
+    RunningSystem.call makes every call it sends.
     waiting, when given, is handed a function that shuts the call's
     connection down, so that another thread can end the wait with a
     TransportError, and then None once the call is over.
@@ -370,9 +371,6 @@ def http_invoke_rr(
         status, body = _post(location, operation, "rr", encode_json(request), timeout, waiting)
     except _TimeoutFault:
         return Fault("Timeout", ValueTree(f"no reply from {location} within {timeout}s"))
-    except _Unnamable:
-        reason = f"no request-response operation '{operation}' at {location}"
-        return Fault("UnknownOperation", ValueTree(reason))
     if status == 200:
         try:
             return decode_json(body)
@@ -386,15 +384,13 @@ def http_invoke_rr(
 def http_invoke_ow(location: Location, operation: str, message: ValueTree, timeout: float) -> None:
     """Send a one-way message over HTTP; returns once the target accepts it.
 
-    The message must already be its JSON image, as RunningSystem.call
-    makes every message it sends.
+    The message must already be its JSON image, and the operation a name
+    UTF-8 can encode, as RunningSystem.call makes every call it sends.
     """
     try:
         status, _ = _post(location, operation, "ow", encode_json(message), timeout)
     except _TimeoutFault:
         raise TransportError(f"{location} did not accept the message in time") from None
-    except _Unnamable:
-        raise TransportError(f"no one-way operation '{operation}' at {location}") from None
     if status == 202:
         return
     raise TransportError(f"unexpected status {status} from {location}")
@@ -402,10 +398,6 @@ def http_invoke_ow(location: Location, operation: str, message: ValueTree, timeo
 
 class _TimeoutFault(Exception):
     pass
-
-
-class _Unnamable(Exception):
-    """An operation name UTF-8 cannot encode (a lone surrogate), which no declared operation has."""
 
 
 _REQUEST_HEAD = (
@@ -423,15 +415,11 @@ def _post(
     """Post one encoded call on a connection of its own; returns the status and body.
 
     Raises _TimeoutFault when no reply comes within timeout plus
-    REPLY_GRACE, _Unnamable, before anything is sent, for an operation
-    name that cannot travel, and TransportError when the target cannot be
+    REPLY_GRACE, and TransportError when the target cannot be
     reached, answers outside the protocol or its limits, or refuses the
     call with 503.
     """
-    try:
-        target = quote(operation, safe="").encode("ascii")
-    except UnicodeEncodeError:
-        raise _Unnamable() from None
+    target = quote(operation, safe="").encode("ascii")
     host = location.host.encode("idna")
     head = _REQUEST_HEAD % (
         target,

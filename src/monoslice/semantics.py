@@ -25,6 +25,7 @@ from .ast import (
     InlineTreeRef,
     InputChoice,
     InterfaceDecl,
+    Literal,
     NamedRef,
     OneWaySend,
     Path,
@@ -89,6 +90,13 @@ class BehaviorError(SemanticError):
     """Misuse of a port or config name inside a behavior."""
 
 
+class BadLocationExpr(SemanticError):
+    """A port location that is neither a string literal nor a config path."""
+
+    def __init__(self, reason: str, pos: Pos | None):
+        super().__init__(f"bad location: {reason}", pos)
+
+
 class ResolveFailure(MonosliceError):
     """Raised by resolve() with the complete list of semantic errors."""
 
@@ -103,7 +111,6 @@ class OpInfo:
     kind: str  # "rr" or "ow"
     request: TypeRef
     response: TypeRef | None
-    interface: str
 
 
 @dataclass
@@ -114,7 +121,6 @@ class CheckedProgram:
     type_table: dict[str, TypeDecl]
     interface_table: dict[str, InterfaceDecl]
     service_table: dict[str, ServiceDecl]
-    port_interfaces: dict[tuple[str, str], list[InterfaceDecl]]
     port_ops: dict[tuple[str, str], dict[str, OpInfo]]
     warnings: list[str] = field(default_factory=list)
     # each behavior the runtime compiled, by service and operation ("main" for
@@ -127,9 +133,9 @@ class CheckedProgram:
 
 def _operations_of(interface: InterfaceDecl) -> Iterator[OpInfo]:
     for op in interface.request_responses:
-        yield OpInfo(op.name, "rr", op.request, op.response, interface.name)
+        yield OpInfo(op.name, "rr", op.request, op.response)
     for op in interface.one_ways:
-        yield OpInfo(op.name, "ow", op.request, None, interface.name)
+        yield OpInfo(op.name, "ow", op.request, None)
 
 
 class _Resolver:
@@ -142,7 +148,6 @@ class _Resolver:
         self.types: dict[str, TypeDecl] = {}
         self.interfaces: dict[str, InterfaceDecl] = {}
         self.services: dict[str, ServiceDecl] = {}
-        self.port_interfaces: dict[tuple[str, str], list[InterfaceDecl]] = {}
         self.port_ops: dict[tuple[str, str], dict[str, OpInfo]] = {}
 
     def run(self) -> CheckedProgram:
@@ -160,7 +165,6 @@ class _Resolver:
             self.types,
             self.interfaces,
             self.services,
-            self.port_interfaces,
             self.port_ops,
             self.warnings,
         )
@@ -233,7 +237,7 @@ class _Resolver:
                 )
                 continue
             port_names.add(port.name)
-            resolved: list[InterfaceDecl] = []
+            self._check_location(decl, port.location)
             ops: dict[str, OpInfo] = {}
             for index, iface_name in enumerate(port.interfaces):
                 iface = self.interfaces.get(iface_name)
@@ -241,12 +245,26 @@ class _Resolver:
                     at = self._pos(port.interface_offset(index))
                     self.errors.append(UndefinedInterface(iface_name, at))
                     continue
-                resolved.append(iface)
                 for info in _operations_of(iface):
                     ops.setdefault(info.name, info)
-            self.port_interfaces[(decl.name, port.name)] = resolved
             self.port_ops[(decl.name, port.name)] = ops
         self._check_behavior(decl)
+
+    def _check_location(self, decl: ServiceDecl, location: Expr) -> None:
+        """Report a location that is no string literal nor an index-free path from the config parameter."""
+        if isinstance(location, Literal) and isinstance(location.value, str):
+            return
+        if not isinstance(location, PathExpr):
+            reason = "location must be a string literal or a config path"
+        elif any(step.index is not None for step in location.path.steps):
+            reason = "indices are not allowed in config paths"
+        elif decl.config is None:
+            reason = f"service {decl.name} has no config parameter, so a location must be a string literal"
+        elif location.path.root != decl.config.name:
+            reason = f"location path must be rooted at config parameter '{decl.config.name}'"
+        else:
+            return
+        self.errors.append(BadLocationExpr(reason, self._pos(location.offset)))
 
     # -- behavior ----------------------------------------------------------
 

@@ -42,10 +42,6 @@ from pathlib import Path
 # (file under the package, stripped source line) -> why no test reaches it
 ALLOWED = {
     # safety handlers: each catches what no code path in the package is known to raise
-    ("runtime/system.py", "except Exception:"):
-        "a server that fails to close while start unwinds a failed bind",
-    ("runtime/system.py", "pass"):
-        "the same handler",
     ("runtime/transport.py", "except OSError:"):
         "a connection already gone when close shuts its reading side",
     ("runtime/transport.py", "except OSError:  # the client went away, or stopped reading its response"):

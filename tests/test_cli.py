@@ -23,10 +23,60 @@ def tree_digest(root: Path) -> dict[str, str]:
     }
 
 
-def test_check_clean_fixture_prints_nothing(fixture_path, capsys):
+def test_check_fixture_prints_only_its_warnings(fixture_path, capsys):
     assert main(["check", str(fixture_path)]) == 0
     captured = capsys.readouterr()
+    assert captured.out == ""
+    untyped = "config parameter 'config' is untyped and treated as unconstrained"
+    assert captured.err.splitlines() == [
+        f"{fixture_path}: warning: service QuerySide: {untyped}",
+        f"{fixture_path}: warning: service CommandSide: config type 'Configuration' is not declared; "
+        "the parameter is treated as unconstrained",
+        f"{fixture_path}: warning: service EventStore: {untyped}",
+        f"{fixture_path}: warning: service TestClient: {untyped}",
+    ]
+
+
+def test_check_a_program_without_warnings_prints_nothing(tmp_path, capsys):
+    clean = tmp_path / "clean.ol"
+    clean.write_text("type C { S:void }\nservice S( config:C ) {\n  main { x = 1 }\n}\n")
+    assert main(["check", str(clean)]) == 0
+    captured = capsys.readouterr()
     assert captured.out == "" and captured.err == ""
+
+
+# a port location that no configuration can make good: one error at line 3, column 28
+BAD_LOCATIONS = {
+    "binary": ("1 + 2", "3:30", "location must be a string literal or a config path"),
+    "indexed": ("config.S[0].location", "3:28", "indices are not allowed in config paths"),
+    "foreign": ("anything.S.location", "3:28", "location path must be rooted at config parameter 'config'"),
+    "no-parameter": (
+        "config.S.location", "3:28", "service S has no config parameter, so a location must be a string literal"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "run", "slice"])
+@pytest.mark.parametrize("shape", sorted(BAD_LOCATIONS))
+def test_a_malformed_location_is_a_positioned_error_of_every_command(command, shape, tmp_path, capsys):
+    location, where, reason = BAD_LOCATIONS[shape]
+    param = "" if shape == "no-parameter" else "( config )"
+    bad = tmp_path / "bad.ol"
+    bad.write_text(
+        "interface I { RequestResponse: op( int )( int ) }\n"
+        f"service S {param} {{\n"
+        f"  inputPort In {{ location: {location} protocol: http interfaces: I }}\n"
+        "  main { op( a )( b ) { b = 1 } }\n"
+        "}\n"
+    )
+    config = tmp_path / "config.json"
+    config.write_text('{"S": {"location": "local://s"}}')
+    out = tmp_path / "sliced"
+    args = [] if command == "check" else ["--config", str(config)]
+    args += ["--output", str(out)] if command == "slice" else []
+    assert main([command, *args, str(bad)]) == 2
+    assert capsys.readouterr().err == f"{bad}:{where}: error: bad location: {reason}\n"
+    assert not out.exists()
 
 
 def test_check_missing_file(capsys):

@@ -84,7 +84,7 @@ def _path_expr(dotted):
 
 
 def test_resolve_location_walks_config_paths():
-    location = resolve_location(_config(), _path_expr("config.CommandSide.location"), "config")
+    location = resolve_location(_config(), _path_expr("config.CommandSide.location"))
     assert location == Location.socket("localhost", 9002)
 
 
@@ -94,22 +94,11 @@ def test_resolve_location_accepts_literals():
 
 def test_resolve_location_missing_path():
     with pytest.raises(MissingConfigPath) as exc:
-        resolve_location(_config(), _path_expr("config.QuerySide.location"), "config")
+        resolve_location(_config(), _path_expr("config.QuerySide.location"))
     assert exc.value.path == "QuerySide.location"
     with pytest.raises(MissingConfigPath) as exc:  # present, but holding no string
-        resolve_location(_config(), _path_expr("config.CommandSide"), "config")
+        resolve_location(_config(), _path_expr("config.CommandSide"))
     assert exc.value.path == "CommandSide"
-
-
-def test_resolve_location_rejects_foreign_roots():
-    with pytest.raises(BadLocationSyntax):
-        resolve_location(_config(), _path_expr("other.CommandSide.location"), "config")
-
-
-def test_resolve_location_rejects_indices():
-    with pytest.raises(BadLocationSyntax) as exc:
-        resolve_location(_config(), _path_expr("config.CommandSide[0].location"), "config")
-    assert "indices are not allowed in config paths" in str(exc.value)
 
 
 def test_validate_fixture_against_bundled_configs(fixture_checked, local_config):
@@ -143,16 +132,20 @@ def test_same_port_on_different_hosts_is_no_collision(fixture_checked, deploy_co
     assert issues == []
 
 
-def test_unsupported_location_expressions_are_reported():
+def test_a_literal_or_configured_location_is_parsed_when_a_configuration_is_applied():
     source = (
         "interface I { RequestResponse: op( int )( int ) }"
-        "service S { inputPort In { location: 1 + 2 protocol: http interfaces: I } "
+        'service A { inputPort In { location: "socket://host" protocol: http interfaces: I } '
+        "main { op( a )( b ) { b = 1 } } }"
+        "service B( config ) { inputPort In { location: config.B.location protocol: http interfaces: I } "
         "main { op( a )( b ) { b = 1 } } }"
     )
     checked = resolve(parse_source(source))
-    issues = validate_config(checked, ValueTree())
-    assert len(issues) == 1
-    assert isinstance(issues[0], BadLocationSyntax)
+    issues = validate_config(checked, decode_json('{"B": {"location": "local://"}}'))
+    assert [(type(issue), issue.text) for issue in issues] == [
+        (BadLocationSyntax, "socket://host"),
+        (BadLocationSyntax, "local://"),
+    ]
 
 
 def test_validate_respects_service_subset(fixture_checked):

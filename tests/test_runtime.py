@@ -313,6 +313,29 @@ def test_a_request_refused_for_its_type_or_for_want_of_a_handler_is_counted(tran
 
 
 @pytest.mark.parametrize("transport", ["local", "socket"])
+def test_a_call_the_port_refuses_is_counted_as_refused(fixture_checked, transport):
+    names = ["QuerySide", "EventStore"]
+    config = local_tree_config(names) if transport == "local" else loopback_config(names)[0]
+    system = runtime.start(fixture_checked, config, ["QuerySide"])
+    try:
+        # an operation the port does not offer, one of the wrong kind, and a request of the wrong type
+        assert system.invoke_rr("QuerySide", "noSuchOp", ValueTree()).name == "UnknownOperation"
+        with pytest.raises(TransportError, match="no one-way operation 'hasParkingArea'"):
+            system.invoke_ow("QuerySide", "hasParkingArea", ValueTree(Long(1)))
+        assert system.invoke_rr("QuerySide", "hasParkingArea", ValueTree("x")).name == "TypeMismatch"
+        endpoint = system._local.get("queryside")
+    finally:
+        report = system.shutdown()
+    [query] = report.services
+    assert (query.served, query.refused, query.faults.total()) == (0, 3, 0)
+    assert query.line() == "QuerySide: served=0 faults=0 refused=3"
+    if endpoint is not None:  # a call refused because the service stopped is not counted
+        with pytest.raises(TransportError, match="has stopped"):
+            endpoint.offer("noSuchOp", ValueTree(), "rr", 1.0)
+        assert system.instances["QuerySide"].refused == 3
+
+
+@pytest.mark.parametrize("transport", ["local", "socket"])
 def test_an_activation_that_raises_past_the_interpreter_is_an_internal_error(transport, monkeypatch, caplog):
     def broken(block, ctx):
         raise RuntimeError("broken interpreter")
@@ -520,9 +543,9 @@ def test_an_activation_aborted_before_its_solicit_waits_is_woken_at_once():
         system.shutdown(timeout=0.3)
 
 
-def test_an_executable_that_receives_nothing_in_time_ends_in_timeout(monkeypatch):
-    monkeypatch.setattr(system_module, "DEFAULT_RECEIVE_TIMEOUT", 0.1)
-    system = runtime.start(resolve(parse_source(WAITER)), local_tree_config(["Waiter"]))
+def test_an_executable_that_receives_nothing_in_time_ends_in_timeout():
+    # receive waits the invoke timeout, as a call does
+    system = runtime.start(resolve(parse_source(WAITER)), local_tree_config(["Waiter"]), invoke_timeout=0.1)
     try:
         faults = system.wait_executables(timeout=10)
     finally:

@@ -13,10 +13,12 @@ from monoslice.ast import (
     NamedRef,
     TypeDecl,
 )
+from monoslice.config import Location, MissingConfigPath, resolve_location, validate_config
 from monoslice.parser import parse_source
 from monoslice.runtime.interpreter import ExecutionContext, compile_block, exec_statements
 from monoslice.runtime.system import _admit
 from monoslice.semantics import (
+    BadLocationExpr,
     BehaviorError,
     DuplicateDeclaration,
     ResolveFailure,
@@ -41,13 +43,8 @@ def resolve_errors(source):
 def test_fixture_resolves_with_expected_bindings(fixture_checked):
     checked = fixture_checked
     assert set(checked.service_table) == {"QuerySide", "CommandSide", "EventStore", "TestClient"}
-    command_ports = {
-        port: [i.name for i in checked.port_interfaces[("CommandSide", port)]]
-        for port in ("InputCommands", "EventStore")
-    }
-    assert command_ports == {
-        "InputCommands": ["CommandSideInterface"],
-        "EventStore": ["EventStoreInterface"],
+    assert set(checked.port_ops[("CommandSide", "EventStore")]) == {
+        "subscribe", "unsubscribe", "publish", "lookup"
     }
     ops = checked.port_ops[("CommandSide", "InputCommands")]
     assert set(ops) == {"createParkingArea", "updateParkingArea", "deleteParkingArea"}
@@ -202,6 +199,101 @@ def test_inline_receive_only_in_executable_services():
         "main { tick( m ) } }"
     )
     resolve(parse_source(executable))
+
+
+# a port's location expression starts at line 3, column 28
+LOCATED = (
+    "interface I {{ RequestResponse: op( int )( int ) }}\n"
+    "service S{param} {{\n"
+    "  inputPort In {{ location: {location} protocol: http interfaces: I }}\n"
+    "  main {{ op( a )( b ) {{ b = 1 }} }}\n"
+    "}}\n"
+)
+
+
+def located(location, param=" ( config )"):
+    return LOCATED.format(param=param, location=location)
+
+
+def test_resolve_location_rejects_foreign_roots():
+    assert [str(e) for e in resolve_errors(located("other.S.location"))] == [
+        "3:28: bad location: location path must be rooted at config parameter 'config'"
+    ]
+
+
+def test_resolve_location_rejects_indices():
+    assert [str(e) for e in resolve_errors(located("config.S[0].location"))] == [
+        "3:28: bad location: indices are not allowed in config paths"
+    ]
+
+
+def test_unsupported_location_expressions_are_reported():
+    # a binary expression is positioned at its operator, a literal at itself
+    assert [str(e) for e in resolve_errors(located("1 + 2"))] == [
+        "3:30: bad location: location must be a string literal or a config path"
+    ]
+    assert [str(e) for e in resolve_errors(located("5"))] == [
+        "3:28: bad location: location must be a string literal or a config path"
+    ]
+
+
+def test_a_service_without_a_config_parameter_takes_only_literal_locations():
+    errors = resolve_errors(located("anything.S.location", param=""))
+    assert [type(e) for e in errors] == [BadLocationExpr]
+    assert str(errors[0]) == (
+        "3:28: bad location: service S has no config parameter, so a location must be a string literal"
+    )
+    assert resolve(parse_source(located('"local://s"', param="")))
+
+
+@st.composite
+def _located_services(draw):
+    """A service with or without a config parameter, and a port location of a drawn shape."""
+    param = draw(st.sampled_from([None, "config", "cfg"]))
+    shape = draw(st.sampled_from(["literal", "rooted", "foreign", "indexed", "binary"]))
+    names = draw(st.lists(st.from_regex(r"[A-Z][a-z]{0,3}", fullmatch=True), min_size=1, max_size=3))
+    steps = [param or "config", *names]
+    if shape == "literal":
+        location = '"local://s"'
+    elif shape == "foreign":
+        location = ".".join(["other", *names])
+    elif shape == "indexed":
+        at = draw(st.integers(0, len(steps) - 1))
+        location = ".".join(f"{step}[0]" if i == at else step for i, step in enumerate(steps))
+    elif shape == "binary":
+        location = draw(st.sampled_from(['"local://" + "s"', ".".join(steps) + " + 1"]))
+    else:
+        location = ".".join(steps)
+    source = located(location, param=f" ( {param} )" if param else "")
+    legal = shape == "literal" or shape == "rooted" and param is not None
+    return source, names, shape, legal
+
+
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(_located_services(), st.from_regex(r"[a-z]{1,8}", fullmatch=True))
+def test_a_location_resolves_exactly_when_its_shape_is_legal(drawn, name):
+    source, names, shape, legal = drawn
+    program = parse_source(source)
+    [port] = program.services[0].input_ports
+    if not legal:
+        errors = resolve_errors(source)
+        assert [type(e) for e in errors] == [BadLocationExpr]
+        assert errors[0].pos == program.position(port.location.offset)
+        return
+    checked = resolve(program)
+    if shape == "literal":
+        assert validate_config(checked, ValueTree()) == []
+        return
+    # an accepted path walks the configuration from its root, past the parameter's name
+    config = ValueTree()
+    node = config
+    for step in names:
+        node = node.children.setdefault(step, [ValueTree()])[0]
+    node.root = f"local://{name}"
+    assert validate_config(checked, config) == []
+    assert resolve_location(config, port.location) == Location.local(name)
+    [missing] = validate_config(checked, ValueTree())
+    assert isinstance(missing, MissingConfigPath) and missing.path == ".".join(names)
 
 
 def test_config_warnings(fixture_checked):

@@ -268,8 +268,7 @@ def assert_planned_as_resolved_standalone(slices, config) -> None:
     reference = {}
     for name, sliced in slices.items():
         decl = resolve(sliced).service_table[name]
-        param = decl.config.name if decl.config else None
-        locations = [resolve_location(config, port.location, param) for port in decl.input_ports]
+        locations = [resolve_location(config, port.location) for port in decl.input_ports]
         exposed = next((loc.port for loc in locations if loc.scheme == "socket"), None)
         reference[name] = (name.lower(), render(sliced), exposed)
     options = DeployOptions(output_root=Path("out"), config_bytes=b"{}")
