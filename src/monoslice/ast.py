@@ -11,11 +11,11 @@ reports one; a program that parses and resolves builds no position.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from enum import Enum, unique
 from itertools import accumulate
 from typing import NamedTuple, Union
 
+from .records import field, record
 from .values import Basic
 
 
@@ -69,19 +69,19 @@ class Cardinality(Enum):
 # Type references
 
 
-@dataclass
+@record
 class BasicRef:
     basic: BasicType
     offset: int | None = _offset_field()
 
 
-@dataclass
+@record
 class NamedRef:
     name: str
     offset: int | None = _offset_field()
 
 
-@dataclass
+@record
 class InlineTreeRef:
     fields: list["FieldDecl"]
     offset: int | None = _offset_field()
@@ -94,13 +94,13 @@ TypeRef = Union[BasicRef, NamedRef, InlineTreeRef]
 # Expressions
 
 
-@dataclass
+@record
 class PathStep:
     name: str
     index: "Expr | None" = None
 
 
-@dataclass
+@record
 class Path:
     steps: list[PathStep]
     offset: int | None = _offset_field()
@@ -110,7 +110,7 @@ class Path:
         return self.steps[0].name
 
 
-@dataclass
+@record
 class Literal:
     value: Basic
     offset: int | None = _offset_field()
@@ -124,20 +124,20 @@ class Literal:
         return self.value == other.value
 
 
-@dataclass
+@record
 class PathExpr:
     path: Path
     offset: int | None = _offset_field()
 
 
-@dataclass
+@record
 class Unary:
     op: str  # "-" or "!"
     operand: "Expr"
     offset: int | None = _offset_field()
 
 
-@dataclass
+@record
 class Binary:
     op: str  # + - * / == != < <= > >= && ||
     left: "Expr"
@@ -158,7 +158,7 @@ PRECEDENCE = {
 UNARY_PRECEDENCE = 6
 
 
-@dataclass
+@record
 class TreeLiteral:
     entries: list[tuple[Path, "Expr"]]
     offset: int | None = _offset_field()
@@ -171,7 +171,7 @@ Expr = Union[Literal, PathExpr, Unary, Binary, TreeLiteral]
 # Statements
 
 
-@dataclass
+@record
 class Assign:
     """`path = expr`. Also covers output-port rebinding `Port.location = expr`."""
 
@@ -180,7 +180,7 @@ class Assign:
     offset: int | None = _offset_field()
 
 
-@dataclass
+@record
 class SolicitResponse:
     """`op@Port( arg )( target )`; target may be omitted to discard the reply."""
 
@@ -191,7 +191,7 @@ class SolicitResponse:
     offset: int | None = _offset_field()
 
 
-@dataclass
+@record
 class OneWaySend:
     """`op@Port( arg )`."""
 
@@ -201,7 +201,7 @@ class OneWaySend:
     offset: int | None = _offset_field()
 
 
-@dataclass
+@record
 class Receive:
     """Inline one-way receive `op( target )`, valid in executable services."""
 
@@ -210,7 +210,7 @@ class Receive:
     offset: int | None = _offset_field()
 
 
-@dataclass
+@record
 class If:
     condition: Expr
     then: list["Statement"]
@@ -218,14 +218,14 @@ class If:
     offset: int | None = _offset_field()
 
 
-@dataclass
+@record
 class While:
     condition: Expr
     body: list["Statement"]
     offset: int | None = _offset_field()
 
 
-@dataclass
+@record
 class Throw:
     fault: str
     offset: int | None = _offset_field()
@@ -238,7 +238,7 @@ Statement = Union[Assign, SolicitResponse, OneWaySend, Receive, If, While, Throw
 # Behaviors
 
 
-@dataclass
+@record
 class RequestResponseBranch:
     operation: str
     request_var: str
@@ -247,7 +247,7 @@ class RequestResponseBranch:
     offset: int | None = _offset_field()
 
 
-@dataclass
+@record
 class OneWayBranch:
     operation: str
     request_var: str
@@ -258,13 +258,13 @@ class OneWayBranch:
 Branch = Union[RequestResponseBranch, OneWayBranch]
 
 
-@dataclass
+@record
 class InputChoice:
     branches: list[Branch]
     offset: int | None = _offset_field()
 
 
-@dataclass
+@record
 class StatementSequence:
     statements: list[Statement]
     offset: int | None = _offset_field()
@@ -277,7 +277,7 @@ Behavior = Union[InputChoice, StatementSequence]
 # Declarations
 
 
-@dataclass
+@record
 class FieldDecl:
     name: str
     cardinality: Cardinality
@@ -285,7 +285,7 @@ class FieldDecl:
     offset: int | None = _offset_field()
 
 
-@dataclass
+@record
 class TypeDecl:
     name: str
     root: BasicType = BasicType.VOID
@@ -293,7 +293,7 @@ class TypeDecl:
     offset: int | None = _offset_field()
 
 
-@dataclass
+@record
 class RequestResponseOp:
     name: str
     request: TypeRef
@@ -301,14 +301,14 @@ class RequestResponseOp:
     offset: int | None = _offset_field()
 
 
-@dataclass
+@record
 class OneWayOp:
     name: str
     request: TypeRef
     offset: int | None = _offset_field()
 
 
-@dataclass
+@record
 class InterfaceDecl:
     name: str
     request_responses: list[RequestResponseOp] = field(default_factory=list)
@@ -325,7 +325,7 @@ class PortKind(Enum):
     OUTPUT = "outputPort"
 
 
-@dataclass
+@record
 class PortDecl:
     kind: PortKind
     name: str
@@ -350,14 +350,14 @@ class ExecutionMode(Enum):
     SINGLE = "single"
 
 
-@dataclass
+@record
 class ConfigParam:
     name: str
     type_name: str | None = None
     offset: int | None = _offset_field()
 
 
-@dataclass
+@record
 class ServiceDecl:
     name: str
     config: ConfigParam | None = None
@@ -378,7 +378,7 @@ class ServiceDecl:
 Declaration = Union[TypeDecl, InterfaceDecl, ServiceDecl]
 
 
-@dataclass
+@record
 class SourceProgram:
     declarations: list[Declaration]
     source_name: str = "program"

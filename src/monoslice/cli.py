@@ -17,7 +17,6 @@ import sys
 import time
 from pathlib import Path
 
-from . import runtime
 from .config import load_config, validate_config
 from .deploy import (
     DEFAULT_BASE_IMAGE,
@@ -95,6 +94,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     checked, config = loaded
     services = args.service or None
+    # the runtime, with the HTTP, socket and logging modules it needs, is
+    # imported only to run: check and slice start faster without it
+    from . import runtime
+
     try:
         system = runtime.start(checked, config, services)
     except MonosliceError as exc:

@@ -9,13 +9,16 @@ Locations are `socket://host:port` (network) or `local://name`
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path as FsPath
+from typing import TYPE_CHECKING
 
 from .ast import Expr, Literal, PortKind
 from .errors import MonosliceError
-from .semantics import CheckedProgram
+from .records import record
 from .values import ValueTree, decode_json
+
+if TYPE_CHECKING:  # semantics imports this module to parse literal locations
+    from .semantics import CheckedProgram
 
 # a configuration is an ordinary value tree decoded from JSON
 ConfigTree = ValueTree
@@ -27,6 +30,7 @@ _BAD_HOST_CHARACTER = re.compile(r"[\s\x00-\x1f\x7f-\x9f]")
 class BadLocationSyntax(MonosliceError):
     def __init__(self, text: str, reason: str):
         self.text = text
+        self.reason = reason
         super().__init__(f"bad location {text!r}: {reason}")
 
 
@@ -42,7 +46,7 @@ class LocationCollision(MonosliceError):
         super().__init__(f"input location {location} bound by both {first} and {second}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Location:
     """A transport address. scheme is "socket" (host, port) or "local" (name)."""
 
@@ -125,17 +129,19 @@ def resolve_location(config: ConfigTree, location_expr: Expr) -> Location:
     return Location.parse(node.root)
 
 
-def validate_config(
+def resolve_locations(
     checked: CheckedProgram,
     config: ConfigTree,
     services: list[str] | None = None,
-) -> list[MonosliceError]:
-    """Check that every port location of the selected services resolves.
+) -> tuple[dict[tuple[str, str], Location], list[MonosliceError]]:
+    """Resolve every port location of the selected services, by (service, port) name.
 
     Also rejects input-port location collisions: two input ports may not
-    share a socket host:port or a local name. Returns the full issue
-    list; empty means the configuration is usable.
+    share a socket host:port or a local name. Returns the locations that
+    resolved and the full issue list; no issue means the configuration
+    is usable and every port has its location.
     """
+    locations: dict[tuple[str, str], Location] = {}
     issues: list[MonosliceError] = []
     names = services if services is not None else [s.name for s in checked.program.services]
     bound: dict[str, str] = {}
@@ -147,6 +153,7 @@ def validate_config(
             except (MissingConfigPath, BadLocationSyntax) as issue:
                 issues.append(issue)
                 continue
+            locations[(service_name, port.name)] = location
             if port.kind is PortKind.INPUT:
                 key = str(location)
                 owner = f"{service_name}.{port.name}"
@@ -154,4 +161,13 @@ def validate_config(
                     issues.append(LocationCollision(key, bound[key], owner))
                 else:
                     bound[key] = owner
-    return issues
+    return locations, issues
+
+
+def validate_config(
+    checked: CheckedProgram,
+    config: ConfigTree,
+    services: list[str] | None = None,
+) -> list[MonosliceError]:
+    """Every issue of the selected services' port locations (resolve_locations); empty means usable."""
+    return resolve_locations(checked, config, services)[1]

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import re
 import shutil
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .ast import SourceProgram
 from .config import resolve_location
 from .errors import MonosliceError, NoServices
+from .records import field, record
 from .render import render
 # not called here: perfbench/measure.py wraps deploy.resolve by name
 from .semantics import resolve  # noqa: F401
@@ -65,7 +65,7 @@ class RefusingToOverwrite(MonosliceError):
         super().__init__(f"output directory {path} exists and is not empty (use --force)")
 
 
-@dataclass
+@record
 class DeployOptions:
     output_root: Path
     config_bytes: bytes
@@ -75,7 +75,7 @@ class DeployOptions:
     expose_ports: bool = False
 
 
-@dataclass
+@record
 class PlanEntry:
     service_name: str
     folder_name: str
@@ -85,7 +85,7 @@ class PlanEntry:
     exposed_port: int | None
 
 
-@dataclass
+@record
 class DeploymentPlan:
     output_root: Path
     entries: list[PlanEntry]

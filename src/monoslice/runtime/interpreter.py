@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import operator
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable, Iterator, NoReturn
 
 from ..ast import (
@@ -76,6 +75,7 @@ from ..ast import (
     Unary,
     While,
 )
+from ..records import record
 from ..values import Basic, Long, ValueTree, kind_of
 
 # the most empty nodes a store may add past the end of one sequence, so that one
@@ -83,7 +83,7 @@ from ..values import Basic, Long, ValueTree, kind_of
 MAX_PAD = 65536
 
 
-@dataclass
+@record
 class Fault:
     """A named application fault, optionally carrying a data tree."""
 

@@ -44,7 +44,6 @@ import re
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from math import isfinite
 from typing import Callable
 
@@ -59,10 +58,10 @@ from ..ast import (
 from ..config import (
     BadLocationSyntax,
     Location,
-    resolve_location,
-    validate_config,
+    resolve_locations,
 )
 from ..errors import MonosliceError, NoServices
+from ..records import field, record
 from ..semantics import CheckedProgram, OpInfo, check_value
 from ..values import LONE_SURROGATE, NOT_FINITE, ROOT_KEY, TOO_DEEP, TOO_MANY_DIGITS, Long, ValueTree
 from .interpreter import (
@@ -101,14 +100,14 @@ class BindError(MonosliceError):
         super().__init__(f"cannot bind {location}: {reason}")
 
 
-@dataclass
+@record
 class _Work:
     info: OpInfo
     tree: ValueTree
     reply: "queue.SimpleQueue[ValueTree | Fault] | None"  # where a waiting caller takes the outcome
 
 
-@dataclass
+@record
 class _Endpoint:
     """One bound input port: the owning instance plus the port's operations."""
 
@@ -531,7 +530,7 @@ class ServiceInstance:
 # reports
 
 
-@dataclass
+@record
 class ServiceReport:
     name: str
     served: int
@@ -553,7 +552,7 @@ class ServiceReport:
         return " ".join(parts)
 
 
-@dataclass
+@record
 class SystemReport:
     services: list[ServiceReport] = field(default_factory=list)
 
@@ -745,7 +744,7 @@ def start(
     if not names:
         raise NoServices("no services selected")
 
-    issues = validate_config(checked, config, names)
+    locations, issues = resolve_locations(checked, config, names)
     if issues:
         raise issues[0]
 
@@ -756,11 +755,11 @@ def start(
             decl = checked.service_table[name]
             instance = ServiceInstance(system, decl, config_tree)
             for port in decl.output_ports:
-                instance.set_binding(port.name, resolve_location(config, port.location))
+                instance.set_binding(port.name, locations[(name, port.name)])
             for port in decl.input_ports:
-                location = resolve_location(config, port.location)
+                location = locations[(name, port.name)]
                 endpoint = _Endpoint(instance, checked.port_ops[(name, port.name)], location)
-                if location.scheme == "local":  # validate_config refused two ports on one name
+                if location.scheme == "local":  # resolve_locations refused two ports on one name
                     system._local[location.name] = endpoint
                 else:
                     try:

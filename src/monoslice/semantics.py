@@ -11,7 +11,6 @@ builds no position.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping
 
 from .ast import (
@@ -45,7 +44,9 @@ from .ast import (
     Unary,
     While,
 )
+from .config import BadLocationSyntax, Location
 from .errors import MonosliceError
+from .records import field, record
 from .values import Long, ValueTree, kind_of
 
 
@@ -91,7 +92,7 @@ class BehaviorError(SemanticError):
 
 
 class BadLocationExpr(SemanticError):
-    """A port location that is neither a string literal nor a config path."""
+    """A port location that is neither a well-formed string literal nor a config path."""
 
     def __init__(self, reason: str, pos: Pos | None):
         super().__init__(f"bad location: {reason}", pos)
@@ -105,7 +106,7 @@ class ResolveFailure(MonosliceError):
         super().__init__("; ".join(str(e) for e in errors))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OpInfo:
     name: str
     kind: str  # "rr" or "ow"
@@ -113,7 +114,7 @@ class OpInfo:
     response: TypeRef | None
 
 
-@dataclass
+@record
 class CheckedProgram:
     """A resolved program. Immutable after construction, but for the runtime's cache in behaviors."""
 
@@ -251,10 +252,15 @@ class _Resolver:
         self._check_behavior(decl)
 
     def _check_location(self, decl: ServiceDecl, location: Expr) -> None:
-        """Report a location that is no string literal nor an index-free path from the config parameter."""
+        """Report a location that is no well-formed string literal nor an index-free path from the config parameter."""
         if isinstance(location, Literal) and isinstance(location.value, str):
-            return
-        if not isinstance(location, PathExpr):
+            try:
+                Location.parse(location.value)
+            except BadLocationSyntax as exc:
+                reason = exc.reason
+            else:
+                return
+        elif not isinstance(location, PathExpr):
             reason = "location must be a string literal or a config path"
         elif any(step.index is not None for step in location.path.steps):
             reason = "indices are not allowed in config paths"
@@ -428,7 +434,7 @@ def resolve(program: SourceProgram) -> CheckedProgram:
 # value conformance
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Violation:
     path: str
     expected: str

@@ -9,7 +9,6 @@ and the analysis is exact, not heuristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
 from .ast import (
     InlineTreeRef,
@@ -21,6 +20,7 @@ from .ast import (
     TypeRef,
 )
 from .errors import MonosliceError, NoServices
+from .records import field, record
 from .semantics import CheckedProgram
 
 
@@ -30,7 +30,7 @@ class UnknownService(MonosliceError):
         super().__init__(f"unknown service '{name}'")
 
 
-@dataclass
+@record
 class DependencySet:
     service_name: str
     types: set[str] = field(default_factory=set)

@@ -50,6 +50,7 @@ BAD_LOCATIONS = {
     "binary": ("1 + 2", "3:30", "location must be a string literal or a config path"),
     "indexed": ("config.S[0].location", "3:28", "indices are not allowed in config paths"),
     "foreign": ("anything.S.location", "3:28", "location path must be rooted at config parameter 'config'"),
+    "literal": ('"socket://host"', "3:28", "expected socket://host:port"),
     "no-parameter": (
         "config.S.location", "3:28", "service S has no config parameter, so a location must be a string literal"
     ),
@@ -77,6 +78,21 @@ def test_a_malformed_location_is_a_positioned_error_of_every_command(command, sh
     assert main([command, *args, str(bad)]) == 2
     assert capsys.readouterr().err == f"{bad}:{where}: error: bad location: {reason}\n"
     assert not out.exists()
+
+
+def test_check_and_slice_never_import_the_runtime(fixture_path, deploy_config_path, tmp_path):
+    # the runtime pulls in http.client, socket and logging, which only run needs
+    code = (
+        "import sys\n"
+        "from monoslice import cli\n"
+        "assert cli.main(['check', sys.argv[1]]) == 0\n"
+        "assert cli.main(['slice', '--config', sys.argv[2], '--output', sys.argv[3], sys.argv[1]]) == 0\n"
+        "print([m for m in ('monoslice.runtime', 'http.client') if m in sys.modules])\n"
+    )
+    argv = [str(fixture_path), str(deploy_config_path), str(tmp_path / "sliced")]
+    result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_check_missing_file(capsys):

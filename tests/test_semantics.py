@@ -246,6 +246,22 @@ def test_a_service_without_a_config_parameter_takes_only_literal_locations():
     assert resolve(parse_source(located('"local://s"', param="")))
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("socket://host", "expected socket://host:port"),
+        ("socket://host:0", "port 0 out of range 1-65535"),
+        ("local://", "expected local://name"),
+        ("http://host:1", "unknown scheme (use socket:// or local://)"),
+    ],
+)
+def test_a_literal_location_that_does_not_parse_is_a_positioned_error(text, reason):
+    for param in ("", " ( config )"):
+        errors = resolve_errors(located(f'"{text}"', param=param))
+        assert [type(e) for e in errors] == [BadLocationExpr]
+        assert str(errors[0]) == f"3:28: bad location: {reason}"
+
+
 @st.composite
 def _located_services(draw):
     """A service with or without a config parameter, and a port location of a drawn shape."""

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import random
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoslice import ast, deploy, lexer, parser, semantics
-from monoslice.ast import ServiceDecl
+from monoslice.ast import ServiceDecl, SourceProgram
 from monoslice.config import load_config, resolve_location
 from monoslice.deploy import DeployOptions, plan_deployment
 from monoslice.errors import NoServices
@@ -217,8 +216,8 @@ def test_a_slice_reports_positions_in_its_monolith(fixture_source, copies, servi
     text = fixture_source if copies == 1 else monolith(fixture_source, copies)[0]
     missing = "ChargingSpeed" if copies == 1 else "ChargingSpeed_2"
     sliced = slice_all(resolve(parse_source(text)))[service]
-    broken = dataclasses.replace(
-        sliced, declarations=[d for d in sliced.declarations if d.name != missing]
+    broken = SourceProgram(
+        [d for d in sliced.declarations if d.name != missing], sliced.source_name, sliced.line_starts
     )
     with pytest.raises(ResolveFailure) as exc:
         resolve(broken)
