@@ -5,9 +5,11 @@ connections of each socket:// port all run on a WorkerPool; a port's
 workers also take turns to accept its connections. Jobs are taken in
 the order they were submitted; a thread starts only when none is idle,
 and never more than the pool's size, so further jobs wait in the queue.
-Every thread runs the pool's one handler. A job submitted after stop()
-may never run, so callers refuse a call before they submit it to a
-stopped pool (ServiceInstance._submit).
+Each job comes with the function that handles it, so a pool holds
+nothing of its owner but the jobs still queued, and an owner that holds
+its pool makes no reference cycle. A job submitted after stop() may
+never run, so callers refuse a call before they submit it to a stopped
+pool (ServiceInstance._submit).
 """
 
 from __future__ import annotations
@@ -24,18 +26,17 @@ MAX_WORKERS = 32
 
 
 class WorkerPool:
-    """At most `size` threads named `name`, each running `handle(job)` on submitted jobs."""
+    """At most `size` threads named `name`, each running `handle(job)` for the submitted pairs."""
 
-    def __init__(self, name: str, size: int, handle: Callable[[Any], None]):
+    def __init__(self, name: str, size: int):
         self.name = name
         self.size = size
-        self._handle = handle
-        self._queue: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
+        self._queue: "queue.SimpleQueue[tuple[Callable[[Any], None], Any] | None]" = queue.SimpleQueue()
         self._threads: list[threading.Thread] = []
         self._idle = 0  # threads waiting for a job that no submitted job has claimed
         self._lock = threading.Lock()
 
-    def submit(self, job: Any) -> None:
+    def submit(self, handle: Callable[[Any], None], job: Any) -> None:
         with self._lock:
             if self._idle:
                 self._idle -= 1
@@ -43,14 +44,15 @@ class WorkerPool:
                 thread = threading.Thread(target=self._run, name=self.name, daemon=True)
                 self._threads.append(thread)
                 thread.start()
-        self._queue.put(job)
+        self._queue.put((handle, job))
 
     def _run(self) -> None:
-        while (job := self._queue.get()) is not None:
+        while (item := self._queue.get()) is not None:
+            handle, job = item
             try:
-                self._handle(job)
+                handle(job)
             except Exception:  # a job's bug must not cost the pool a thread
-                log.exception("unhandled error in %s", self.name)
+                log.exception("unhandled error in %s: %s", self.name, handle.__name__)
             with self._lock:
                 self._idle += 1
 

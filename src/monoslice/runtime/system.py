@@ -3,7 +3,7 @@
 start() runs any subset of a checked program's services in one process.
 Input ports with local:// locations register in an in-process registry;
 socket:// ports get an HTTP server. Every outbound call goes through
-RunningSystem.call, the only place that picks a transport, and every
+call, the only place that picks a transport, and every
 inbound call, local or HTTP, goes through _Endpoint.offer, which checks
 the operation and the call kind before anything runs. The two
 transports are observationally equivalent: a message crossing a
@@ -15,7 +15,7 @@ its image crosses as it is. Each node a port admits is marked admitted
 as well (ValueTree.admitted): a later crossing does not walk it again
 and reuses its conformance verdict, so a crossing costs the nodes a
 sender added or wrote along, not the size of the message. The sender
-images, the receiver checks: RunningSystem.call takes every message to
+images, the receiver checks: call takes every message to
 its image before it picks a transport, and the receiving port checks
 it against its type. Python callers do not honour the marks, so
 invoke_rr and invoke_ow copy their requests in, and invoke_rr copies
@@ -34,6 +34,14 @@ call is admitted or refused in ServiceInstance._take and enters the
 pool in _submit. A request-response call hands the pool a queue of its
 own with its request, the worker puts the admitted reply or the fault
 on it, and the caller waits on it up to its timeout.
+
+The runtime's references form a tree: the system holds its instances
+and servers, each of those its pool, and a pool no handler, as each job
+comes with the function that runs it. An instance keeps the checked
+program, the invoke timeout and the local:// registry its calls go
+through, not the system. shutdown empties that registry, the one loop
+(registry, endpoint, instance), so a stopped system is freed by
+reference counting alone.
 """
 
 from __future__ import annotations
@@ -267,6 +275,50 @@ def _wire_image(tree: ValueTree) -> ValueTree:
     return image
 
 
+def call(
+    local: dict[str, _Endpoint],
+    location: Location,
+    operation: str,
+    tree: ValueTree,
+    kind: str,
+    timeout: float,
+    waiting: Waiting | None = None,
+) -> ValueTree | Fault | None:
+    """Make one call of kind "rr" or "ow" over the transport the location names.
+
+    A local:// location is looked up in local, the registry of the
+    system's local:// endpoints. The message is taken to its JSON image
+    first, on either transport, so one JSON cannot carry is never
+    delivered: a request-response call gets the TypeMismatch fault and a
+    one-way message is dropped with a warning. An operation name UTF-8
+    cannot encode, which no transport carries, is refused here as one no
+    service offers (_no_operation), and no service counts it. A
+    request-response call returns the reply tree or the fault, and a
+    one-way call returns None once the target accepted the message.
+    Raises TransportError when the target is unreachable, has stopped, or
+    refuses a one-way call. A request-response caller may pass waiting, to
+    be able to end its wait from another thread (ServiceInstance.offer_rr,
+    http_invoke_rr).
+    """
+    tree, violation = _image(tree)
+    if violation is not None:
+        if kind == "rr":
+            return Fault("TypeMismatch", ValueTree(violation))
+        log.warning("dropping one-way %s to %s: %s", operation, location, violation)
+        return None
+    if not operation.isascii() and _SURROGATE.search(operation):
+        return _no_operation(operation, kind, location)
+    if location.scheme == "local":
+        endpoint = local.get(location.name or "")
+        if endpoint is None:
+            raise TransportError(f"nothing listens at {location}")
+        return endpoint.offer(operation, tree, kind, timeout, waiting)
+    if kind == "rr":
+        return http_invoke_rr(location, operation, tree, timeout, waiting)
+    http_invoke_ow(location, operation, tree, timeout)
+    return None
+
+
 class _ActivationContext(ExecutionContext):
     wake: Callable[[], None] | None = None  # ends the wait in progress: for a solicit's reply, or in receive
 
@@ -275,10 +327,10 @@ class _ActivationContext(ExecutionContext):
         self.scope = scope
 
     def _call(self, port: str, operation: str, tree: ValueTree, kind: str) -> ValueTree | Fault | None:
-        system = self.instance.system
-        location = self.instance.binding(port)
+        instance = self.instance
+        location = instance.binding(port)
         try:
-            return system.call(location, operation, tree, kind, system.invoke_timeout, self.waiting)
+            return call(instance.local, location, operation, tree, kind, instance.invoke_timeout, self.waiting)
         except TransportError as exc:
             if self.aborted:  # abort shut the connection down
                 raise aborted_fault() from exc
@@ -304,7 +356,7 @@ class _ActivationContext(ExecutionContext):
 
     def receive(self, operation: str) -> ValueTree:
         messages = self.instance._receive_queues[operation]
-        timeout = self.instance.system.invoke_timeout
+        timeout = self.instance.invoke_timeout
         message = _wait(messages, timeout, self.waiting, f"no '{operation}' message arrived")
         if isinstance(message, Fault):  # Timeout, or Aborted put there by abort
             raise FaultSignal(message)
@@ -319,8 +371,17 @@ class _ActivationContext(ExecutionContext):
 
 
 class ServiceInstance:
-    def __init__(self, system: "RunningSystem", decl: ServiceDecl, config_tree: ValueTree):
-        self.system = system
+    def __init__(
+        self,
+        checked: CheckedProgram,
+        decl: ServiceDecl,
+        config_tree: ValueTree,
+        invoke_timeout: float,
+        local: dict[str, _Endpoint],
+    ):
+        self.checked = checked
+        self.invoke_timeout = invoke_timeout
+        self.local = local  # the system's local:// endpoints, which its calls go through
         self.decl = decl
         self.name = decl.name
         self.mode = decl.execution
@@ -338,7 +399,7 @@ class ServiceInstance:
         self._bindings: dict[str, Location] = {}
         self._bindings_lock = threading.Lock()
         # the one-way messages an executable's receive takes, a queue for each operation
-        ops = system.checked.port_ops
+        ops = checked.port_ops
         self._receive_queues: dict[str, "queue.SimpleQueue[ValueTree | Fault]"] = {
             op: queue.SimpleQueue() for port in decl.input_ports for op in ops[(self.name, port.name)]
         } if decl.is_executable else {}
@@ -347,10 +408,10 @@ class ServiceInstance:
         # the one scope of a sequential service, kept across its activations
         self._scope = self.seed_scope() if self.mode.value == "sequential" else None
         if decl.is_executable:
-            self._pool = WorkerPool(f"{self.name}-main", 1, self._run_executable)
+            self._pool = WorkerPool(f"{self.name}-main", 1)
         else:
             size = MAX_WORKERS if self.mode.value == "concurrent" else 1
-            self._pool = WorkerPool(f"{self.name}-worker", size, self._run_activation)
+            self._pool = WorkerPool(f"{self.name}-worker", size)
 
         self._stats_lock = threading.Lock()
         self.served = 0
@@ -370,7 +431,7 @@ class ServiceInstance:
     def start_executable(self) -> None:
         """Run an executable's main as its pool's one job."""
         if self.decl.is_executable:
-            self._pool.submit(self.behavior.statements)
+            self._pool.submit(self._run_executable, self.behavior.statements)
             self._pool.stop()
 
     def request_stop(self) -> None:
@@ -380,10 +441,7 @@ class ServiceInstance:
 
     def join(self, deadline: float) -> int:
         """Join the threads until the monotonic deadline; returns the still-running activations."""
-        if self._pool.join(deadline):
-            # no activation can run now: free a sequential scope at once, not
-            # once the cycle collector reaches the instance
-            self._scope = None
+        self._pool.join(deadline)
         with self._stats_lock:
             return len(self._live)
 
@@ -438,7 +496,7 @@ class ServiceInstance:
                 var, type_ = response
                 reply = scope.child(var)
                 reply, violations = _admit(
-                    reply if reply is not None else ValueTree(), type_, self.system.checked.type_table
+                    reply if reply is not None else ValueTree(), type_, self.checked.type_table
                 )
                 outcome = _violation_fault(violations) if violations else reply
         except FaultSignal as signal:
@@ -455,7 +513,7 @@ class ServiceInstance:
 
     def _block(self, operation: str, statements: list[Statement]) -> Block:
         """The compiled behavior of an operation, or of "main": once per checked program, on first use."""
-        blocks = self.system.checked.behaviors
+        blocks = self.checked.behaviors
         key = (self.name, operation)
         block = blocks.get(key)
         if block is None:
@@ -496,7 +554,7 @@ class ServiceInstance:
         wanted = RequestResponseBranch if info.kind == "rr" else OneWayBranch
         handled = isinstance(self.branches.get(info.name), wanted)
         if handled or wanted is OneWayBranch and self.decl.is_executable:
-            tree, violations = _admit(tree, info.request, self.system.checked.type_table)
+            tree, violations = _admit(tree, info.request, self.checked.type_table)
             if not violations:
                 return tree
             refusal = _violation_fault(violations)
@@ -513,7 +571,7 @@ class ServiceInstance:
             if self.stopped:
                 raise TransportError(f"service {self.name} has stopped")
             self.stopped = self.mode.value == "single"  # a single service takes this call only
-            self._pool.submit(work)
+            self._pool.submit(self._run_activation, work)
 
     # -- outbound ----------------------------------------------------------
 
@@ -583,50 +641,6 @@ class RunningSystem:
         self._report: SystemReport | None = None
         self._lock = threading.Lock()
 
-    # -- the call path -------------------------------------------------------
-
-    def call(
-        self,
-        location: Location,
-        operation: str,
-        tree: ValueTree,
-        kind: str,
-        timeout: float,
-        waiting: Waiting | None = None,
-    ) -> ValueTree | Fault | None:
-        """Make one call of kind "rr" or "ow" over the transport the location names.
-
-        The message is taken to its JSON image first, on either transport,
-        so one JSON cannot carry is never delivered: a request-response
-        call gets the TypeMismatch fault and a one-way message is dropped
-        with a warning. An operation name UTF-8 cannot encode, which no
-        transport carries, is refused here as one no service offers
-        (_no_operation), and no service counts it. A request-response call
-        returns the reply tree or the fault, and a one-way call returns
-        None once the target accepted the message. Raises TransportError
-        when the target is unreachable, has stopped, or refuses a one-way
-        call. A request-response caller may pass waiting, to be able to
-        end its wait from another thread (ServiceInstance.offer_rr,
-        http_invoke_rr).
-        """
-        tree, violation = _image(tree)
-        if violation is not None:
-            if kind == "rr":
-                return Fault("TypeMismatch", ValueTree(violation))
-            log.warning("dropping one-way %s to %s: %s", operation, location, violation)
-            return None
-        if not operation.isascii() and _SURROGATE.search(operation):
-            return _no_operation(operation, kind, location)
-        if location.scheme == "local":
-            endpoint = self._local.get(location.name or "")
-            if endpoint is None:
-                raise TransportError(f"nothing listens at {location}")
-            return endpoint.offer(operation, tree, kind, timeout, waiting)
-        if kind == "rr":
-            return http_invoke_rr(location, operation, tree, timeout, waiting)
-        http_invoke_ow(location, operation, tree, timeout)
-        return None
-
     # -- client API ----------------------------------------------------------
 
     def _resolve_target(self, target: "str | Location") -> Location:
@@ -652,12 +666,12 @@ class RunningSystem:
         """
         timeout = timeout if timeout is not None else self.invoke_timeout
         # the caller keeps and may change its trees, which call marks and services may share
-        result = self.call(self._resolve_target(target), operation, request.copy(), "rr", timeout)
+        result = call(self._local, self._resolve_target(target), operation, request.copy(), "rr", timeout)
         return result.copy() if isinstance(result, ValueTree) and result.shared else result
 
     def invoke_ow(self, target: "str | Location", operation: str, message: ValueTree) -> None:
         """Send a one-way message; returns once the target accepted it."""
-        self.call(self._resolve_target(target), operation, message.copy(), "ow", self.invoke_timeout)
+        call(self._local, self._resolve_target(target), operation, message.copy(), "ow", self.invoke_timeout)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -674,7 +688,7 @@ class RunningSystem:
         return {i.name: i.exit_fault for i in executables}
 
     def shutdown(self, timeout: float = DEFAULT_SHUTDOWN_TIMEOUT) -> SystemReport:
-        """Stop accepting, drain in-flight handlers up to the timeout, report.
+        """Stop accepting, drain in-flight handlers and the ports' workers up to the timeout, report.
 
         An activation still running at the deadline is reported aborted,
         and ends with the fault Aborted at its next loop iteration, or at
@@ -712,6 +726,8 @@ class RunningSystem:
                         aborted=aborted,
                     )
                 )
+            for server in self._servers:
+                server.join(deadline)
             self._report = report
             return report
 
@@ -753,7 +769,7 @@ def start(
     try:
         for name in names:
             decl = checked.service_table[name]
-            instance = ServiceInstance(system, decl, config_tree)
+            instance = ServiceInstance(checked, decl, config_tree, invoke_timeout, system._local)
             for port in decl.output_ports:
                 instance.set_binding(port.name, locations[(name, port.name)])
             for port in decl.input_ports:

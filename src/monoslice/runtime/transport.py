@@ -125,7 +125,7 @@ class HttpPortServer:
     def __init__(self, port: int, offer: Offer, timeout: float):
         self.offer = offer
         self.timeout = timeout
-        self._pool = WorkerPool(f"http-port-{port}-worker", MAX_WORKERS, self._take_turn)
+        self._pool = WorkerPool(f"http-port-{port}-worker", MAX_WORKERS)
         self._open: set[socket.socket] = set()  # accepted connections not yet closed
         self._open_lock = threading.Lock()
         self._closed = False
@@ -133,7 +133,7 @@ class HttpPortServer:
         self._listener.settimeout(_POLL_SECONDS)
 
     def start(self) -> None:
-        self._pool.submit(self._listener)
+        self._pool.submit(self._take_turn, self._listener)
 
     def close(self) -> None:
         # a worker waiting for a request reads the end of its connection at once,
@@ -148,6 +148,10 @@ class HttpPortServer:
         _shut_down(self._listener)
         self._listener.close()
         self._pool.stop()
+
+    def join(self, deadline: float) -> None:
+        """Wait for the port's workers, once closed, until the monotonic deadline."""
+        self._pool.join(deadline)
 
     def _take_turn(self, listener: socket.socket) -> None:
         """Accept one connection, pass the turn to accept on, then serve the connection."""
@@ -164,7 +168,7 @@ class HttpPortServer:
                 connection.close()
                 return
             self._open.add(connection)
-        self._pool.submit(listener)
+        self._pool.submit(self._take_turn, listener)
         self._serve(connection)
 
     def _serve(self, connection: socket.socket) -> None:
@@ -362,7 +366,7 @@ def http_invoke_rr(
     the endpoint is unreachable and converts a client-side socket
     timeout into the Timeout fault as well. The request must already be
     its JSON image, and the operation a name UTF-8 can encode, as
-    RunningSystem.call makes every call it sends.
+    system.call makes every call it sends.
     waiting, when given, is handed a function that shuts the call's
     connection down, so that another thread can end the wait with a
     TransportError, and then None once the call is over.
@@ -385,7 +389,7 @@ def http_invoke_ow(location: Location, operation: str, message: ValueTree, timeo
     """Send a one-way message over HTTP; returns once the target accepts it.
 
     The message must already be its JSON image, and the operation a name
-    UTF-8 can encode, as RunningSystem.call makes every call it sends.
+    UTF-8 can encode, as system.call makes every call it sends.
     """
     try:
         status, _ = _post(location, operation, "ow", encode_json(message), timeout)

@@ -597,49 +597,54 @@ def _never(tree: ValueTree) -> bool:
 def _compile_conformance(type_, types: Mapping[str, TypeDecl]) -> Callable[[ValueTree], bool]:
     compiled = _NAMED.setdefault(id(types), (types, {}))[1]
     named = dict(compiled)  # published only once the whole type has compiled
-
-    def ref(type_) -> Callable[[ValueTree], bool]:
-        if not isinstance(type_, NamedRef):
-            return node(*_shape(type_, types))
-        name = type_.name
-        if name not in named:
-            shape = _shape(type_, types)
-            named[name] = _never if shape is None else node(*shape, name)
-        return named[name]
-
-    def node(root: BasicType, fields, name: str | None = None) -> Callable[[ValueTree], bool]:
-        root_ok = _ROOT_TESTS[root]
-        declared = frozenset(f.name for f in fields)
-        checks: list[tuple[str, int, float, Callable[[ValueTree], bool]]] = []
-
-        def conforms(tree: ValueTree) -> bool:
-            # only a node a port admitted, which never changes, keeps a verdict
-            mark = tree.admitted
-            if mark is conforms:
-                return True
-            if not root_ok(tree.root):
-                return False
-            children = tree.children
-            if not declared.issuperset(children):
-                return False
-            for name, least, most, sub in checks:
-                seq = children.get(name, ())
-                if not least <= len(seq) <= most:
-                    return False
-                for item in seq:
-                    if not sub(item):
-                        return False
-            if mark is not None:
-                tree.admitted = conforms
-            return True
-
-        if name is not None:
-            # named before its fields compile, so a recursive type calls itself
-            # directly: one frame per level of the tree it checks
-            named[name] = conforms
-        checks.extend((f.name, *_BOUNDS[f.cardinality], ref(f.type)) for f in fields)
-        return conforms
-
-    predicate = ref(type_)
+    # module functions, not nested closures that call one another: those would
+    # form a reference cycle, left to the cycle collector after every compile
+    predicate = _compile_ref(type_, types, named)
     compiled.update(named)
     return predicate
+
+
+def _compile_ref(type_, types: Mapping[str, TypeDecl], named: dict) -> Callable[[ValueTree], bool]:
+    if not isinstance(type_, NamedRef):
+        return _compile_node(types, named, *_shape(type_, types))
+    name = type_.name
+    if name not in named:
+        shape = _shape(type_, types)
+        named[name] = _never if shape is None else _compile_node(types, named, *shape, name)
+    return named[name]
+
+
+def _compile_node(
+    types: Mapping[str, TypeDecl], named: dict, root: BasicType, fields, name: str | None = None
+) -> Callable[[ValueTree], bool]:
+    root_ok = _ROOT_TESTS[root]
+    declared = frozenset(f.name for f in fields)
+    checks: list[tuple[str, int, float, Callable[[ValueTree], bool]]] = []
+
+    def conforms(tree: ValueTree) -> bool:
+        # only a node a port admitted, which never changes, keeps a verdict
+        mark = tree.admitted
+        if mark is conforms:
+            return True
+        if not root_ok(tree.root):
+            return False
+        children = tree.children
+        if not declared.issuperset(children):
+            return False
+        for name, least, most, sub in checks:
+            seq = children.get(name, ())
+            if not least <= len(seq) <= most:
+                return False
+            for item in seq:
+                if not sub(item):
+                    return False
+        if mark is not None:
+            tree.admitted = conforms
+        return True
+
+    if name is not None:
+        # named before its fields compile, so a recursive type calls itself
+        # directly: one frame per level of the tree it checks
+        named[name] = conforms
+    checks.extend((f.name, *_BOUNDS[f.cardinality], _compile_ref(f.type, types, named)) for f in fields)
+    return conforms

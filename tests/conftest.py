@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import json
 import logging
 import os
@@ -87,6 +88,22 @@ def local_config():
 @pytest.fixture(scope="session")
 def deploy_config_path() -> Path:
     return FIXTURES / "deploy.json"
+
+
+@contextlib.contextmanager
+def no_cyclic_garbage():
+    """Fail unless reference counting alone frees all that the block made.
+
+    The cycle collector runs first and is off during the block, so a
+    collection at its end finds exactly the cycles the block left behind.
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def free_ports(count: int) -> list[int]:

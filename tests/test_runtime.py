@@ -20,7 +20,7 @@ from monoslice.runtime.pool import WorkerPool
 from monoslice.semantics import check_value, resolve
 from monoslice.values import LONE_SURROGATE, ROOT_KEY, TOO_DEEP, Long, ValueTree, decode_json
 
-from conftest import loopback_config
+from conftest import loopback_config, no_cyclic_garbage
 from script import (
     CAFE,
     COLLECTOR,
@@ -364,10 +364,10 @@ def test_a_pool_job_that_raises_is_logged_and_its_thread_runs_the_next_job(caplo
             raise RuntimeError("bad job")
         release.wait(10)
 
-    pool = WorkerPool("Jobs", 1, handle)
+    pool = WorkerPool("Jobs", 1)
     with caplog.at_level("ERROR", logger="monoslice.runtime"):
-        pool.submit("bad")
-        pool.submit("good")
+        pool.submit(handle, "bad")
+        pool.submit(handle, "good")
         pool.stop()
         # the good job holds the thread until released
         assert pool.join(time.monotonic() + 0.2) is False
@@ -376,7 +376,7 @@ def test_a_pool_job_that_raises_is_logged_and_its_thread_runs_the_next_job(caplo
     assert [job for job, _ in ran] == ["bad", "good"]
     assert ran[0][1] is ran[1][1]
     [record] = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert record.getMessage() == "unhandled error in Jobs"
+    assert record.getMessage() == "unhandled error in Jobs: handle"
     assert record.exc_info[0] is RuntimeError
 
 
@@ -506,7 +506,7 @@ def test_shutdown_wakes_an_activation_waiting_for_a_solicits_reply(transport):
         if transport == "local":
             system = runtime.start(checked, local_tree_config(["Asker", "Sink"]))
             # Sink admits the call, and its pool drops the work: no reply ever comes
-            system.instances["Sink"]._pool.submit = lambda work: None
+            system.instances["Sink"]._pool.submit = lambda handle, work: None
         else:
             port = listener.getsockname()[1]
             config = decode_json(json.dumps({
@@ -531,7 +531,7 @@ def test_an_activation_aborted_before_its_solicit_waits_is_woken_at_once():
     checked = resolve(parse_source(ASKER))
     system = runtime.start(checked, local_tree_config(["Asker", "Sink"]))
     try:
-        system.instances["Sink"]._pool.submit = lambda work: None
+        system.instances["Sink"]._pool.submit = lambda handle, work: None
         ctx = system_module._ActivationContext(system.instances["Asker"], ValueTree())
         ctx.aborted = True
         started = time.monotonic()
@@ -1134,7 +1134,7 @@ def test_a_message_crossing_a_local_port_is_not_changed_for_its_sender():
         # plain int to a long in a copy of the path to it, not in the sender's tree
         message = ValueTree.make(count=5, big=ValueTree.make(deep="sent"))
         keeper = system.instances["Keeper"].input_locations[0]
-        assert system.call(keeper, "keep", message, "rr", 10) == ValueTree()
+        assert system_module.call(system._local, keeper, "keep", message, "rr", 10) == ValueTree()
         assert type(message.child("count").root) is int
         kept = system.invoke_rr("Keeper", "give", ValueTree())
         assert kept == ValueTree.make(count=Long(5), big=ValueTree.make(deep="sent"))
@@ -1505,14 +1505,104 @@ def test_sequential_state_persists_across_activations():
 
 
 def test_shutdown_lets_go_of_a_sequential_scope_once_its_worker_has_ended():
-    # a stopped system may live on until the cycle collector runs; its state need not
     system, _ = start_source(COLLECTOR)
     system.invoke_ow("Collector", "put", ValueTree(3))
     assert system.invoke_rr("Collector", "drain", ValueTree()).children["items"][0] == ValueTree(Long(3))
-    collector = system.instances["Collector"]
-    assert collector._scope is not None
+    scope = system.instances["Collector"]._scope
+    assert scope is not None
     system.shutdown()
-    assert collector._scope is None
+    del system
+    # dropping the stopped system freed the instance, the scope's one other holder
+    # (getrefcount counts its own argument as well)
+    assert sys.getrefcount(scope) == 2
+
+
+TALLY = """
+type Tally {
+    total : long
+}
+
+interface Count {
+    RequestResponse:
+        add( long )( Tally )
+}
+
+service Counter( config ) {
+    execution: sequential
+    inputPort In {
+        location: config.Counter.location
+        protocol: http { format = "json" }
+        interfaces: Count
+    }
+    main {
+        add( n )( t ) {
+            if( state.total == {} )
+                state.total = 0L
+            state.total = state.total + n
+            t.total = state.total
+        }
+    }
+}
+
+service Once( config ) {
+    execution: single
+    inputPort In {
+        location: config.Once.location
+        protocol: http { format = "json" }
+        interfaces: Count
+    }
+    outputPort Counter {
+        location: config.Counter.location
+        protocol: http { format = "json" }
+        interfaces: Count
+    }
+    main {
+        add( n )( t ) {
+            add@Counter( n )( t )
+        }
+    }
+}
+
+service Starter( config ) {
+    outputPort Counter {
+        location: config.Counter.location
+        protocol: http { format = "json" }
+        interfaces: Count
+    }
+    main {
+        add@Counter( 1L )( t )
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("transport", ["local", "socket"])
+def test_a_stopped_system_is_freed_by_reference_counting(transport):
+    with no_cyclic_garbage():
+        system = _start_on(transport, TALLY, ["Counter", "Once", "Starter"])
+        try:
+            assert system.wait_executables(timeout=10) == {"Starter": None}
+            assert system.invoke_rr("Once", "add", ValueTree(Long(2))) == ValueTree.make(total=Long(3))
+        finally:
+            system.shutdown()
+        del system
+
+
+def test_no_port_worker_is_alive_once_shutdown_returns():
+    system, ports = start_source(ONE_SHOT)
+    workers = lambda: [
+        t for t in threading.enumerate() if t.name == f"http-port-{ports['OneShot']}-worker" and t.is_alive()
+    ]
+    with ThreadPoolExecutor(max_workers=1) as caller:
+        reply = caller.submit(system.invoke_rr, "OneShot", "hit", ValueTree(Long(100_000)))
+        deadline = time.monotonic() + 5
+        while not system.instances["OneShot"]._live and time.monotonic() < deadline:
+            time.sleep(0.001)
+        # shutdown drains the activation, and then the port's worker still sends its reply
+        report = system.shutdown()
+        assert not workers()
+        assert reply.result(timeout=10) == ValueTree(Long(100_001))
+    assert report.services[0].served == 1 and report.aborted_total() == 0
 
 
 # ---------------------------------------------------------------------------

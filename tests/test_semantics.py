@@ -33,6 +33,8 @@ from monoslice.semantics import (
 )
 from monoslice.values import Long, ValueTree, decode_json, encode_json
 
+from conftest import no_cyclic_garbage
+
 
 def resolve_errors(source):
     with pytest.raises(ResolveFailure) as exc:
@@ -700,3 +702,9 @@ def test_a_named_type_is_one_predicate_under_every_type_that_holds_it():
     assert violations == []
     assert image.admitted is _conformance(NamedRef("Pair"), ADMIT_TYPES)
     assert image.child("left").admitted is _conformance(NamedRef("Node"), ADMIT_TYPES)
+
+
+def test_compiling_the_predicates_of_a_table_leaves_no_cyclic_garbage():
+    types = dict(ADMIT_TYPES)  # a table of its own, so its predicates compile in the block
+    with no_cyclic_garbage():
+        assert check_value(ValueTree.make(left=ValueTree.make(label="a")), NamedRef("Pair"), types) == []

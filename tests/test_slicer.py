@@ -1,4 +1,3 @@
-import gc
 import json
 import random
 import re
@@ -19,6 +18,7 @@ from monoslice.semantics import ResolveFailure, UndefinedType, resolve
 from monoslice.slicer import UnknownService, compute_dependencies, slice_all, slice_service
 from monoslice.values import ValueTree, decode_json
 
+from conftest import no_cyclic_garbage
 from oracle import removable_declarations
 from proggen import random_program
 
@@ -251,15 +251,9 @@ def test_parsing_resolving_slicing_and_planning_leave_no_cyclic_garbage(
 ):
     options = DeployOptions(output_root=Path("out"), config_bytes=b"{}")
     inputs = [(fixture_source, load_config(deploy_config_path)), monolith(fixture_source, 3)]
-    gc.collect()
-    gc.disable()
-    try:
-        for source, config in inputs:
+    for source, config in inputs:
+        with no_cyclic_garbage():
             plan_deployment(slice_all(resolve(parse_source(source))), config, options)
-            # reference counting alone freed all that the calls made
-            assert gc.collect() == 0
-    finally:
-        gc.enable()
 
 
 def assert_planned_as_resolved_standalone(slices, config) -> None:
