@@ -81,7 +81,11 @@ class Location:
             try:
                 port = int(port_text)
             except ValueError:
-                raise BadLocationSyntax(text, f"port {port_text!r} is not an integer") from None
+                port = None
+            # int() also takes a sign, spaces, underscores, leading zeros and
+            # non-ASCII digits, which would print back as another text
+            if port is None or str(port) != port_text:
+                raise BadLocationSyntax(text, f"port {port_text!r} is not written in plain decimal")
             if not 1 <= port <= 65535:
                 raise BadLocationSyntax(text, f"port {port} out of range 1-65535")
             return cls.socket(host, port)

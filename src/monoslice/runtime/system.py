@@ -614,12 +614,6 @@ class ServiceReport:
 class SystemReport:
     services: list[ServiceReport] = field(default_factory=list)
 
-    def executable_faults(self) -> dict[str, str | None]:
-        return {r.name: r.executable_fault for r in self.services if r.executable}
-
-    def aborted_total(self) -> int:
-        return sum(r.aborted for r in self.services)
-
     def __str__(self) -> str:
         return "\n".join(r.line() for r in self.services)
 

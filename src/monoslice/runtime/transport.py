@@ -2,8 +2,9 @@
 
 Everything is POST. A request-response call posts the encoded request
 tree to /<operation> and gets 200 with the encoded response, or 500
-with a fault envelope {"fault": name, "data": encoded-or-null}. A
-one-way posts the same way and gets 202 with an empty body once the
+with a fault envelope {"fault": name, "data": encoded-or-null}, which
+encode_json itself writes as the value tree {fault, data}. A one-way
+posts the same way and gets 202 with an empty body once the
 message is accepted. The clients mark each post with the kind of call
 they make in the Monoslice-Kind header, "rr" or "ow". The server hands
 every post to the same inbound step that local:// calls go through,
@@ -21,9 +22,11 @@ passes the turn on to an idle worker or a new one, and serves the
 connection itself. So the server holds at most MAX_WORKERS accepted
 connections, and the rest wait in the listen backlog of
 2 * MAX_WORKERS. close() shuts the listener down, which ends a waiting
-accept at once. A worker reads the requests of its connection one after
-another, parsing the request line and headers by hand within
-MAX_LINE_BYTES and MAX_HEADERS, and writes each response with one send.
+accept at once where the platform allows it; elsewhere the worker sees
+the closed listener when its accept times out, within _POLL_SECONDS. A
+worker reads the requests of its connection one after another, parsing
+the request line and headers by hand within MAX_LINE_BYTES and
+MAX_HEADERS, and writes each response with one send.
 A connection stays open for the next request unless the client asks to
 close it or a request was refused; one that sends nothing for
 READ_TIMEOUT seconds is closed, so idle or stalled clients hold a
@@ -47,7 +50,6 @@ anything is sent, as local:// refuses an unknown operation.
 
 from __future__ import annotations
 
-import json
 import socket
 import threading
 from functools import partial
@@ -58,15 +60,7 @@ from urllib.parse import quote, unquote
 
 from ..config import Location
 from ..errors import MonosliceError
-from ..values import (
-    JsonError,
-    ValueTree,
-    decode_json,
-    encode_json,
-    from_json_value,
-    load_json,
-    to_json_value,
-)
+from ..values import JsonError, ValueTree, decode_json, encode_json, from_json_value, load_json
 from .interpreter import Fault
 from .pool import MAX_WORKERS, WorkerPool
 
@@ -92,12 +86,9 @@ class TransportError(MonosliceError):
 
 
 def encode_fault(fault: Fault) -> bytes:
-    envelope = {
-        "fault": fault.name,
-        "data": to_json_value(fault.data) if fault.data is not None else None,
-    }
-    text = json.dumps(envelope, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
-    return text.encode("utf-8")
+    # an empty tree is written null, so absent data is "data":null
+    data = ValueTree() if fault.data is None else fault.data
+    return encode_json(ValueTree(children={"fault": [ValueTree(fault.name)], "data": [data]}))
 
 
 def decode_fault(body: bytes) -> Fault:
@@ -262,7 +253,7 @@ class _Refused(Exception):
     def __init__(self, status: int, reason: str, body: bytes | None = None):
         super().__init__(reason)
         self.status = status
-        self.body = json.dumps(reason).encode() if body is None else body
+        self.body = encode_json(ValueTree(reason)) if body is None else body
 
 
 _VERSIONS = (b"HTTP/1.1", b"HTTP/1.0")

@@ -128,9 +128,6 @@ class CheckedProgram:
     # an executable's), so every system started from this program shares them
     behaviors: dict[tuple[str, str], object] = field(default_factory=dict, compare=False, repr=False)
 
-    def check_value(self, tree: ValueTree, type_: TypeRef | TypeDecl) -> list["Violation"]:
-        return check_value(tree, type_, self.type_table)
-
 
 def _operations_of(interface: InterfaceDecl) -> Iterator[OpInfo]:
     for op in interface.request_responses:

@@ -171,10 +171,6 @@ class ValueTree:
             return None
         return seq[index]
 
-    @property
-    def is_empty(self) -> bool:
-        return self.root is None and not self.children
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ValueTree):
             return NotImplemented
@@ -199,7 +195,7 @@ class ValueTree:
         return f"ValueTree({', '.join(parts)})"
 
 
-def to_json_value(tree: ValueTree) -> Any:
+def _to_json_value(tree: ValueTree) -> Any:
     """Convert a tree into a json-serializable object per the wire mapping."""
     if not tree.children:
         return tree.root
@@ -208,9 +204,9 @@ def to_json_value(tree: ValueTree) -> Any:
         obj["$"] = tree.root
     for name, seq in tree.children.items():
         if len(seq) == 1:
-            obj[name] = to_json_value(seq[0])
+            obj[name] = _to_json_value(seq[0])
         else:
-            obj[name] = [to_json_value(t) for t in seq]
+            obj[name] = [_to_json_value(t) for t in seq]
     return obj
 
 
@@ -267,7 +263,7 @@ def encode_json(tree: ValueTree) -> bytes:
     with more digits than int-to-text conversion allows.
     """
     return json.dumps(
-        to_json_value(tree), separators=(",", ":"), ensure_ascii=False, allow_nan=False
+        _to_json_value(tree), separators=(",", ":"), ensure_ascii=False, allow_nan=False
     ).encode("utf-8")
 
 

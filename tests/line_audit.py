@@ -1,4 +1,5 @@
-"""Line audit: every executable line of `monoslice` is run by a test, or is allowed.
+"""Line audit: every executable line of `monoslice` is run by a test, or is allowed,
+and every definition in it is used by the package itself, or is an entry point.
 
 Run from the repository root:
 
@@ -28,12 +29,23 @@ is what reaches the recursion limit, and Python unsets a tracer that raises:
 the lines a thread runs after a RecursionError from deep recursion are not
 seen until the next test re-arms it. Tests reach such handlers with a stub
 that raises RecursionError at once.
+
+A line only tests call counts as reached, so the audit also reads the
+package's source and prints each function, class or method that nothing in
+the package refers to, and exits 1 if any of them is not in ENTRY_POINTS or
+if an ENTRY_POINTS entry names a definition that is gone or that the package
+now uses. A function or class is used when a name, an import or an attribute
+uses its name, or a string constant other than a docstring holds it as a
+word: the interpreter's generated code calls its helpers from source text. A
+method is used when an attribute uses its name, or a string constant holds
+it after a dot. Dunder methods are exempt.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import os
+import re
 import sys
 import tempfile
 import threading
@@ -55,6 +67,19 @@ ALLOWED = {
     # interface declarations: the runtime and the tests supply their own contexts
     ("runtime/interpreter.py", "raise NotImplementedError"):
         "ExecutionContext's solicit, send_oneway, receive and rebind",
+}
+
+# (file under the package, qualified name) -> why it is kept though nothing in
+# the package uses it: the callers outside the package it is for
+ENTRY_POINTS = {
+    ("runtime/system.py", "RunningSystem.invoke_rr"):
+        "the Python caller's request-response call into a running system (tests, perfbench)",
+    ("runtime/system.py", "RunningSystem.invoke_ow"):
+        "the Python caller's one-way call into a running system (tests)",
+    ("values.py", "ValueTree.make"):
+        "builds a message from Python values in one expression, as tests write theirs",
+    ("runtime/interpreter.py", "compile_expr"):
+        "compiles one expression alone, which the interpreter's differential against its model runs",
 }
 
 # a child's sitecustomize.py, which Python imports at startup from the first
@@ -117,6 +142,58 @@ def executable_lines(path: Path) -> set[int]:
         lines.update(line for _, _, line in code.co_lines() if line is not None)
         pending.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
     return lines
+
+
+def uncalled_definitions(package: Path) -> dict[tuple[str, str], int]:
+    """(file, qualified name) -> line, of each definition nothing in the package uses."""
+    import ast  # here, not at the top: every traced child loads this file too
+
+    definitions = []  # (file, qualified name, line, name, whether a method)
+    names: set[str] = set()  # used by a name or an import
+    attributes: set[str] = set()
+    texts = []  # every string constant but the docstrings
+    for path in sorted(package.rglob("*.py")):
+        relative = path.relative_to(package).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and ast.get_docstring(node, clean=False) is not None
+        }
+        pending = [(tree, "", False)]  # (node, qualified prefix, whether in a class body)
+        while pending:
+            node, prefix, in_class = pending.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    is_class = isinstance(child, ast.ClassDef)
+                    name = prefix + child.name
+                    definitions.append((relative, name, child.lineno, child.name, in_class and not is_class))
+                    pending.append((child, name + ".", is_class))
+                else:
+                    pending.append((child, prefix, in_class))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if id(node) not in docstrings:
+                    texts.append(node.value)
+    text = "\n".join(texts)
+    uncalled = {}
+    for relative, qualified, line, name, is_method in definitions:
+        if name.startswith("__") and name.endswith("__") or name in attributes:
+            continue
+        if is_method:
+            used = re.search(rf"\.{re.escape(name)}\b", text)
+        else:
+            used = name in names or re.search(rf"\b{re.escape(name)}\b", text)
+        if not used:
+            uncalled[relative, qualified] = line
+    return uncalled
 
 
 def read_child_hits(directory: str) -> set[tuple[str, int]]:
@@ -187,10 +264,26 @@ def main() -> int:
             stale += 1
             print(f"stale: no line of {relative} reads {text!r}")
     print(f"line audit: {unreached} unreached line(s) outside ALLOWED, {allowed} allowed, {stale} stale")
+
+    uncalled = uncalled_definitions(package)
+    outside = 0
+    for (relative, name), line in sorted(uncalled.items()):
+        if (relative, name) not in ENTRY_POINTS:
+            outside += 1
+            where = (package / relative).relative_to(package.parent.parent)
+            print(f"{where}:{line}: nothing in the package uses {name}")
+    entry_stale = 0
+    for relative, name in sorted(ENTRY_POINTS.keys() - uncalled.keys()):
+        entry_stale += 1
+        print(f"stale: {relative} defines no {name}, or the package uses it")
+    print(
+        f"definition audit: {outside} uncalled definition(s) outside ENTRY_POINTS, "
+        f"{len(ENTRY_POINTS) - entry_stale} entry point(s), {entry_stale} stale"
+    )
     if status != 0:
         print(f"line audit: pytest exited {int(status)}", file=sys.stderr)
         return 1
-    return 1 if unreached or stale else 0
+    return 1 if unreached or stale or outside or entry_stale else 0
 
 
 if __name__ == "__main__":

@@ -39,6 +39,12 @@ def test_location_round_trip(text):
         "socket://h:0",
         "socket://h:65536",
         "socket://h:12x",
+        # ports int() reads but that print back as another text
+        "socket://h:+80",
+        "socket://h: 80",
+        "socket://h:8_080",
+        "socket://h:\u0668\u0660",  # Arabic-Indic digits
+        "socket://h:080",
         "local://",
         "local://a/b",
         "socket://h:1/path",

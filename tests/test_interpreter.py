@@ -61,7 +61,7 @@ def test_index_past_end_extends_with_empty_nodes():
     scope = run_main("x.a[2] = 1")
     seq = scope.children["x"][0].children["a"]
     assert len(seq) == 3
-    assert seq[0].is_empty and seq[1].is_empty
+    assert seq[0] == seq[1] == ValueTree()
     assert seq[2].root == 1
 
 
@@ -78,7 +78,7 @@ def test_a_store_pads_at_most_max_pad_nodes_past_a_sequences_end(statement):
     exec_statements(block, ctx)
     seq = ctx.scope.children[name]
     assert len(seq) == end + MAX_PAD + 1
-    assert all(node.is_empty for node in seq[end:-1]) and not seq[-1].is_empty
+    assert all(node == ValueTree() for node in seq[end:-1]) and seq[-1] != ValueTree()
     ctx = Context(scope(end + MAX_PAD + 1))
     fault, message = fault_of(lambda: exec_statements(block, ctx))
     assert fault == "TypeMismatch" and f"more than {MAX_PAD} past the end" in message
@@ -123,7 +123,7 @@ def test_assignment_copies_no_aliasing():
 def test_reads_of_missing_paths_do_not_mutate():
     scope = ValueTree()
     result = evaluate("ghost.child[4].deeper", scope)
-    assert result.is_empty
+    assert result == ValueTree()
     assert scope.children == {}
 
 
@@ -196,7 +196,7 @@ def test_tree_literal_builds_nested_paths():
     msg = scope.children["msg"][0]
     assert msg.children["location"][0].root == "here"
     topics = msg.children["topics"]
-    assert len(topics) == 2 and topics[0].is_empty and topics[1].root == "B"
+    assert len(topics) == 2 and topics[0] == ValueTree() and topics[1].root == "B"
     assert msg.children["nest"][0].children["deep"][0].root == 4
 
 
@@ -376,7 +376,7 @@ def test_sharing_stores_give_the_scope_copying_stores_give(statements):
 def test_a_read_through_an_absent_name_or_past_the_end_is_empty_and_changes_nothing(expression):
     scope = ValueTree.make(x=ValueTree.make(7, a=1), i=1)
     before = scope.copy()
-    assert evaluate(expression, scope).is_empty
+    assert evaluate(expression, scope) == ValueTree()
     assert scope == before
 
 

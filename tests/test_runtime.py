@@ -8,6 +8,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoslice import runtime, semantics
 from monoslice.config import LocationCollision
@@ -18,7 +20,16 @@ from monoslice.runtime import system as system_module
 from monoslice.runtime.interpreter import FaultSignal
 from monoslice.runtime.pool import WorkerPool
 from monoslice.semantics import check_value, resolve
-from monoslice.values import LONE_SURROGATE, ROOT_KEY, TOO_DEEP, Long, ValueTree, decode_json
+from monoslice.values import (
+    LONE_SURROGATE,
+    ROOT_KEY,
+    TOO_DEEP,
+    JsonError,
+    Long,
+    ValueTree,
+    decode_json,
+    encode_json,
+)
 
 from conftest import loopback_config, no_cyclic_garbage
 from script import (
@@ -55,6 +66,15 @@ def local_tree_config(names):
 
 
 SERVICE_NAMES = ["QuerySide", "CommandSide", "EventStore", "TestClient"]
+
+
+def executable_faults(report):
+    """Each executable's verdict in a run report: its fault's name, or None."""
+    return {r.name: r.executable_fault for r in report.services if r.executable}
+
+
+def aborted_total(report):
+    return sum(r.aborted for r in report.services)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +168,7 @@ def test_fixture_integration_over_local_transport(fixture_checked, local_config)
         faults = system.wait_executables(timeout=15)
         assert faults == {"TestClient": None}
         report = system.shutdown()
-        assert report.executable_faults() == {"TestClient": None}
+        assert executable_faults(report) == {"TestClient": None}
 
 
 def test_fixture_integration_over_loopback_http(fixture_checked):
@@ -407,7 +427,7 @@ def test_request_timeout_and_aborted_handler_reporting():
     assert isinstance(reply, Fault)
     assert reply.name == "Timeout"
     report = system.shutdown(timeout=0.5)
-    assert report.aborted_total() >= 1
+    assert aborted_total(report) >= 1
     # an aborted activation stops at its loop's next iteration, and its worker with it
     deadline = time.monotonic() + 1.0
     for thread in threading.enumerate():
@@ -439,8 +459,8 @@ service Waiter( config ) {
 def test_shutdown_wakes_an_executable_blocked_in_receive():
     system = runtime.start(resolve(parse_source(WAITER)), local_tree_config(["Waiter"]))
     report = system.shutdown(timeout=0.3)
-    assert report.aborted_total() == 1
-    assert report.executable_faults() == {"Waiter": "Aborted"}
+    assert aborted_total(report) == 1
+    assert executable_faults(report) == {"Waiter": "Aborted"}
     assert "executable=Aborted" in str(report)
     deadline = time.monotonic() + 1.0
     for thread in threading.enumerate():
@@ -517,7 +537,7 @@ def test_shutdown_wakes_an_activation_waiting_for_a_solicits_reply(transport):
         reply = system.invoke_rr("Asker", "ask", ValueTree(1), timeout=0.2)
         assert isinstance(reply, Fault) and reply.name == "Timeout"
         report = system.shutdown(timeout=0.3)
-    assert report.aborted_total() == 1
+    assert aborted_total(report) == 1
     deadline = time.monotonic() + 1.0
     for thread in threading.enumerate():
         if thread.name == "Asker-worker":
@@ -571,7 +591,7 @@ def test_wait_executables_has_one_deadline_and_names_every_executable_still_runn
         assert system.wait_executables(timeout=10) == {"Waiter": None, "Waiter2": None}
     finally:
         report = system.shutdown(timeout=0.3)
-    assert report.executable_faults() == {"Waiter": None, "Waiter2": None}
+    assert executable_faults(report) == {"Waiter": None, "Waiter2": None}
 
 
 # ---------------------------------------------------------------------------
@@ -1015,6 +1035,57 @@ def test_a_message_within_max_nesting_is_admitted_however_deep_its_caller_is():
         sys.getrecursionlimit() - 100, lambda: system_module._admit(chain, types["Chain"], types)
     )
     assert admitted is chain and violations == []
+
+
+# text with a lone surrogate, which Hypothesis's default text never holds
+_SURROGATE_TEXT = st.builds(
+    lambda before, surrogate, after: before + surrogate + after,
+    st.text(max_size=2),
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+    st.text(max_size=2),
+)
+_WIRE_ROOTS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers().map(Long),
+    # as many digits as int-to-text conversion allows by default, and one more
+    st.builds(lambda sign, zeros: sign * 10**zeros, st.sampled_from([1, -1]), st.sampled_from([4299, 4300])),
+    st.floats(),  # nan and both infinities among them
+    st.text(max_size=4),
+    _SURROGATE_TEXT,
+)
+_WIRE_NAMES = st.one_of(st.text(max_size=4), _SURROGATE_TEXT, st.just("$"))
+_WIRE_TREES = st.recursive(
+    st.builds(ValueTree, _WIRE_ROOTS),
+    lambda children: st.builds(
+        ValueTree,
+        _WIRE_ROOTS,
+        st.dictionaries(_WIRE_NAMES, st.lists(children, min_size=1, max_size=3), max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+def _typed(tree):
+    """The tree with each root's type and exact text, so 5 differs from 5L and 0.0 from -0.0."""
+    return repr(tree.root), {name: [_typed(t) for t in seq] for name, seq in tree.children.items()}
+
+
+@given(_WIRE_TREES)
+# the example count comes from the loaded profile when it asks for more (tests/conftest.py)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+def test_the_wire_image_agrees_with_the_json_codec(tree):
+    try:
+        encoded = encode_json(tree)
+        carried = decode_json(encoded) == tree
+    except (ValueError, JsonError):
+        encoded, carried = None, False
+    image, violation = system_module._image(tree)
+    assert (violation is None) == carried, violation
+    if violation is None:
+        assert encode_json(image) == encoded
+        assert _typed(decode_json(encoded)) == _typed(image)
 
 
 @pytest.mark.parametrize("transport", ["local", "socket"])
@@ -1602,7 +1673,7 @@ def test_no_port_worker_is_alive_once_shutdown_returns():
         report = system.shutdown()
         assert not workers()
         assert reply.result(timeout=10) == ValueTree(Long(100_001))
-    assert report.services[0].served == 1 and report.aborted_total() == 0
+    assert report.services[0].served == 1 and aborted_total(report) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,7 @@ def test_a_service_without_a_config_parameter_takes_only_literal_locations():
     [
         ("socket://host", "expected socket://host:port"),
         ("socket://host:0", "port 0 out of range 1-65535"),
+        ("socket://host:+80", "port '+80' is not written in plain decimal"),
         ("local://", "expected local://name"),
         ("http://host:1", "unknown scheme (use socket:// or local://)"),
     ],
@@ -344,7 +345,7 @@ def paid():
 
 
 def test_long_root_conforms_to_paid(fixture_checked):
-    assert fixture_checked.check_value(ValueTree(Long(123)), NamedRef("PAID")) == []
+    assert check_value(ValueTree(Long(123)), NamedRef("PAID"), fixture_checked.type_table) == []
 
 
 def test_void_accepts_valueless_childless_tree():
@@ -359,7 +360,7 @@ def test_missing_required_field_reports_path(fixture_checked):
         chargingSpeed=ValueTree("FAST"),
         geolocation=ValueTree.make(latitude=1.0, longitude=2.0),
     )
-    problems = fixture_checked.check_value(tree, NamedRef("ParkingAreaInformation"))
+    problems = check_value(tree, NamedRef("ParkingAreaInformation"), fixture_checked.type_table)
     assert [p.path for p in problems] == ["name"]
     assert "exactly one" in problems[0].expected
     assert "0 occurrence" in problems[0].found
