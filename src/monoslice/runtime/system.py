@@ -38,10 +38,11 @@ on it, and the caller waits on it up to its timeout.
 The runtime's references form a tree: the system holds its instances
 and servers, each of those its pool, and a pool no handler, as each job
 comes with the function that runs it. An instance keeps the checked
-program, the invoke timeout and the local:// registry its calls go
-through, not the system. shutdown empties that registry, the one loop
-(registry, endpoint, instance), so a stopped system is freed by
-reference counting alone.
+program, the invoke timeout, and the local:// registry and the pool of
+client connections (transport.ConnectionPool) its calls go through, not
+the system. shutdown empties that registry, the one loop (registry,
+endpoint, instance), and closes the pool's idle connections, so a
+stopped system is freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ from .interpreter import (
     fault,
 )
 from .pool import MAX_WORKERS, WorkerPool
-from .transport import HttpPortServer, TransportError, Waiting, http_invoke_ow, http_invoke_rr
+from .transport import ConnectionPool, HttpPortServer, TransportError, Waiting, http_invoke_ow, http_invoke_rr
 
 log = logging.getLogger("monoslice.runtime")
 
@@ -238,7 +239,7 @@ def _wire_image(tree: ValueTree) -> ValueTree:
     if isinstance(root, int) and not isinstance(root, bool):
         if root.bit_length() > _SAFE_INT_BITS:
             try:
-                str(root)
+                int.__repr__(root)  # as JSON writes it: str() of a Long is its repr, which prints any width
             except ValueError:
                 raise _Unencodable(TOO_MANY_DIGITS) from None
         if type(root) is not Long:
@@ -277,6 +278,7 @@ def _wire_image(tree: ValueTree) -> ValueTree:
 
 def call(
     local: dict[str, _Endpoint],
+    connections: ConnectionPool,
     location: Location,
     operation: str,
     tree: ValueTree,
@@ -287,18 +289,19 @@ def call(
     """Make one call of kind "rr" or "ow" over the transport the location names.
 
     A local:// location is looked up in local, the registry of the
-    system's local:// endpoints. The message is taken to its JSON image
-    first, on either transport, so one JSON cannot carry is never
-    delivered: a request-response call gets the TypeMismatch fault and a
-    one-way message is dropped with a warning. An operation name UTF-8
-    cannot encode, which no transport carries, is refused here as one no
-    service offers (_no_operation), and no service counts it. A
-    request-response call returns the reply tree or the fault, and a
-    one-way call returns None once the target accepted the message.
-    Raises TransportError when the target is unreachable, has stopped, or
-    refuses a one-way call. A request-response caller may pass waiting, to
-    be able to end its wait from another thread (ServiceInstance.offer_rr,
-    http_invoke_rr).
+    system's local:// endpoints, and a socket:// call goes on a connection
+    of connections, the system's pool of client connections. The message
+    is taken to its JSON image first, on either transport, so one JSON
+    cannot carry is never delivered: a request-response call gets the
+    TypeMismatch fault and a one-way message is dropped with a warning. An
+    operation name UTF-8 cannot encode, which no transport carries, is
+    refused here as one no service offers (_no_operation), and no service
+    counts it. A request-response call returns the reply tree or the
+    fault, and a one-way call returns None once the target accepted the
+    message. Raises TransportError when the target is unreachable, has
+    stopped, or refuses a one-way call. A request-response caller may pass
+    waiting, to be able to end its wait from another thread
+    (ServiceInstance.offer_rr, http_invoke_rr).
     """
     tree, violation = _image(tree)
     if violation is not None:
@@ -314,8 +317,8 @@ def call(
             raise TransportError(f"nothing listens at {location}")
         return endpoint.offer(operation, tree, kind, timeout, waiting)
     if kind == "rr":
-        return http_invoke_rr(location, operation, tree, timeout, waiting)
-    http_invoke_ow(location, operation, tree, timeout)
+        return http_invoke_rr(connections, location, operation, tree, timeout, waiting)
+    http_invoke_ow(connections, location, operation, tree, timeout)
     return None
 
 
@@ -329,8 +332,9 @@ class _ActivationContext(ExecutionContext):
     def _call(self, port: str, operation: str, tree: ValueTree, kind: str) -> ValueTree | Fault | None:
         instance = self.instance
         location = instance.binding(port)
+        timeout = instance.invoke_timeout
         try:
-            return call(instance.local, location, operation, tree, kind, instance.invoke_timeout, self.waiting)
+            return call(instance.local, instance.connections, location, operation, tree, kind, timeout, self.waiting)
         except TransportError as exc:
             if self.aborted:  # abort shut the connection down
                 raise aborted_fault() from exc
@@ -378,10 +382,13 @@ class ServiceInstance:
         config_tree: ValueTree,
         invoke_timeout: float,
         local: dict[str, _Endpoint],
+        connections: ConnectionPool,
     ):
         self.checked = checked
         self.invoke_timeout = invoke_timeout
-        self.local = local  # the system's local:// endpoints, which its calls go through
+        # the system's local:// endpoints and client connections, which its calls go through
+        self.local = local
+        self.connections = connections
         self.decl = decl
         self.name = decl.name
         self.mode = decl.execution
@@ -631,6 +638,7 @@ class RunningSystem:
         self.invoke_timeout = invoke_timeout
         self.instances: dict[str, ServiceInstance] = {}
         self._local: dict[str, _Endpoint] = {}
+        self._connections = ConnectionPool()
         self._servers: list[HttpPortServer] = []
         self._report: SystemReport | None = None
         self._lock = threading.Lock()
@@ -660,12 +668,14 @@ class RunningSystem:
         """
         timeout = timeout if timeout is not None else self.invoke_timeout
         # the caller keeps and may change its trees, which call marks and services may share
-        result = call(self._local, self._resolve_target(target), operation, request.copy(), "rr", timeout)
+        location = self._resolve_target(target)
+        result = call(self._local, self._connections, location, operation, request.copy(), "rr", timeout)
         return result.copy() if isinstance(result, ValueTree) and result.shared else result
 
     def invoke_ow(self, target: "str | Location", operation: str, message: ValueTree) -> None:
         """Send a one-way message; returns once the target accepted it."""
-        call(self._local, self._resolve_target(target), operation, message.copy(), "ow", self.invoke_timeout)
+        location = self._resolve_target(target)
+        call(self._local, self._connections, location, operation, message.copy(), "ow", self.invoke_timeout)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -695,6 +705,9 @@ class RunningSystem:
             for server in self._servers:
                 server.close()
             self._local.clear()
+            # before any abort: a connection a call gives back from now on is
+            # closed, so no wake outlives its call on a pooled connection
+            self._connections.close()
             for instance in self.instances.values():
                 instance.request_stop()
             deadline = time.monotonic() + timeout
@@ -763,7 +776,7 @@ def start(
     try:
         for name in names:
             decl = checked.service_table[name]
-            instance = ServiceInstance(checked, decl, config_tree, invoke_timeout, system._local)
+            instance = ServiceInstance(checked, decl, config_tree, invoke_timeout, system._local, system._connections)
             for port in decl.output_ports:
                 instance.set_binding(port.name, locations[(name, port.name)])
             for port in decl.input_ports:

@@ -17,41 +17,67 @@ get the TypeMismatch envelope, and a service that has stopped answers
 503.
 
 The workers of each port's pool, at most MAX_WORKERS threads, take
-turns to accept: the worker holding the turn accepts one connection,
-passes the turn on to an idle worker or a new one, and serves the
-connection itself. So the server holds at most MAX_WORKERS accepted
-connections, and the rest wait in the listen backlog of
-2 * MAX_WORKERS. close() shuts the listener down, which ends a waiting
-accept at once where the platform allows it; elsewhere the worker sees
-the closed listener when its accept times out, within _POLL_SECONDS. A
-worker reads the requests of its connection one after another, parsing
-the request line and headers by hand within MAX_LINE_BYTES and
-MAX_HEADERS, and writes each response with one send.
-A connection stays open for the next request unless the client asks to
-close it or a request was refused; one that sends nothing for
-READ_TIMEOUT seconds is closed, so idle or stalled clients hold a
-worker for that long at most. Servers bind all interfaces on the
-port; the host part of a location is for dialing.
+turns to wait on the port's selector, which holds the listener and the
+parked connections. The worker holding the turn takes one new
+connection, or one parked connection with bytes waiting, passes the
+turn on to an idle worker or a new one, and serves the connection
+itself. So the server serves at most MAX_WORKERS connections at once,
+and new connections wait in the listen backlog of 2 * MAX_WORKERS.
+A worker reads the requests of its connection one after another,
+parsing the request line and headers by hand within MAX_LINE_BYTES and
+MAX_HEADERS, and writes each response with one send. A connection stays
+open for the next request unless the client asks to close it, a
+request was refused, or it has had MAX_REQUESTS answers: the last one
+carries Connection: close, so a long-lived caller dials again now and
+then (a traced perfbench query-socket run expects to count a connect in
+its window). A balancer that routes per connection could then spread
+that caller's traffic over a slice's replicas, but every deployment
+here runs one replica. Once a connection has been answered and no byte
+of a next request waits, its worker parks it in the selector and is
+free: an idle connection costs a descriptor, not a worker. A port
+keeps at most MAX_PARKED connections parked, and parking one more
+closes the oldest. The turn holder closes a connection parked for
+READ_TIMEOUT seconds; a connection that sends nothing, or stalls in a
+request, while a worker reads it is closed after READ_TIMEOUT too. An
+accept that fails for want of a descriptor or of memory makes the turn
+holder pause _POLL_SECONDS before it looks again, rather than spin on
+a listener that stays readable.
+close() closes the parked connections and shuts the listener down,
+which ends the turn holder's wait at once where the platform allows it;
+elsewhere it sees the port closed within _POLL_SECONDS. Servers bind
+all interfaces on the port; the host part of a location is for dialing.
 
-The clients open one connection per call, dialed by HTTPConnection,
-and frame the call by hand: the request head, with Connection: close,
+The clients take their connections from a ConnectionPool, which the
+caller owns and closes: a RunningSystem has one, which shutdown closes.
+A call reuses an idle connection to its (host, port), or dials a new
+one with HTTPConnection, and frames the call by hand: the request head
 and the body go out in one send, and the response is read by the
 server's own reader, within the same line and header limits, with a
 Content-Length that must be present and at most MAX_BODY_BYTES. A
 response that breaks them or ends early is a TransportError, and no
 response within the call's timeout plus REPLY_GRACE is the Timeout
-fault (TransportError for a one-way call). A request-response client
-can be handed a waiting callback, through which another thread ends its
-wait by shutting the connection down. An operation name travels
-percent-encoded as UTF-8, so an ASCII name is unchanged on the wire; a
-name UTF-8 cannot encode, which no service declares, is refused before
-anything is sent, as local:// refuses an unknown operation.
+fault (TransportError for a one-way call). A connection goes back to
+the pool, which keeps at most MAX_IDLE per (host, port), only after a
+call that ended normally on a response that leaves it open; a
+TransportError, a timeout and a woken wait close it. A connection idle
+for more than READ_TIMEOUT / 2, or readable while idle (its server
+closed it), is closed instead of reused. A call is never sent twice: a
+failure once the request went out is a TransportError and is not
+retried. A request-response client can be handed a waiting callback,
+through which another thread ends its wait by shutting the connection
+down. An operation name travels percent-encoded as UTF-8, so an ASCII
+name is unchanged on the wire; a name UTF-8 cannot encode, which no
+service declares, is refused before anything is sent, as local://
+refuses an unknown operation.
 """
 
 from __future__ import annotations
 
+import select
+import selectors
 import socket
 import threading
+import time
 from functools import partial
 from http import HTTPStatus
 from http.client import HTTPConnection
@@ -67,8 +93,8 @@ from .pool import MAX_WORKERS, WorkerPool
 CONTENT_TYPE = "application/json; charset=utf-8"
 KIND_HEADER = "Monoslice-Kind"
 _KIND_KEY = KIND_HEADER.lower().encode()  # as the server's header table holds it
-# how long a worker waits in accept before it looks again, which bounds how long
-# close() takes where shutting the listener down does not end the wait
+# how long the turn holder waits on the selector before it looks again, which bounds
+# how long close() takes where shutting the listener down does not end the wait
 _POLL_SECONDS = 0.05
 
 # what one connection may send the server
@@ -76,6 +102,14 @@ MAX_LINE_BYTES = 8192  # the request line and each header line
 MAX_HEADERS = 100
 MAX_BODY_BYTES = 4 * 1024 * 1024
 READ_TIMEOUT = 10.0  # seconds a connection may wait for its client's next bytes
+# requests one connection is answered, as Apache's MaxKeepAliveRequests and
+# nginx's keepalive_requests (before 1.19.10) default to, so that a busy
+# caller still dials now and then
+MAX_REQUESTS = 100
+# connections a port keeps parked; parking one more closes the oldest, so that idle
+# clients cannot take every descriptor (nginx's worker_connections defaults to 512)
+MAX_PARKED = 512
+MAX_IDLE = 8  # idle connections a client keeps to one (host, port)
 # how much longer than the call's timeout a client waits for the reply, so that
 # a server-side Timeout fault arrives before the client gives up
 REPLY_GRACE = 2.0
@@ -117,25 +151,36 @@ class HttpPortServer:
         self.offer = offer
         self.timeout = timeout
         self._pool = WorkerPool(f"http-port-{port}-worker", MAX_WORKERS)
-        self._open: set[socket.socket] = set()  # accepted connections not yet closed
-        self._open_lock = threading.Lock()
+        self._open: set[socket.socket] = set()  # connections a worker serves
+        # parked connections, oldest first, to the monotonic time the turn holder closes them
+        self._parked: dict[socket.socket, float] = {}
+        self._lock = threading.Lock()
         self._closed = False
         self._listener = socket.create_server(("", port), backlog=2 * MAX_WORKERS)
         self._listener.settimeout(_POLL_SECONDS)
+        # made by start and closed by the last turn; workers register and unregister
+        # connections under _lock while the turn holder waits in select, as epoll
+        # and kqueue, the selectors of Linux and the BSDs, allow
+        self._selector: selectors.BaseSelector | None = None
 
     def start(self) -> None:
-        self._pool.submit(self._take_turn, self._listener)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._pool.submit(self._take_turn, self._selector)
 
     def close(self) -> None:
         # a worker waiting for a request reads the end of its connection at once,
-        # while one still answering a request can send its response
-        with self._open_lock:
+        # while one still answering a request can send its response; a parked
+        # connection has no worker, so it closes here
+        with self._lock:
             self._closed = True
             for connection in self._open:
                 try:
                     connection.shutdown(socket.SHUT_RD)
                 except OSError:
                     pass
+            for connection in list(self._parked):
+                self._drop(connection)
         _shut_down(self._listener)
         self._listener.close()
         self._pool.stop()
@@ -144,36 +189,93 @@ class HttpPortServer:
         """Wait for the port's workers, once closed, until the monotonic deadline."""
         self._pool.join(deadline)
 
-    def _take_turn(self, listener: socket.socket) -> None:
-        """Accept one connection, pass the turn to accept on, then serve the connection."""
+    def _take_turn(self, selector: selectors.BaseSelector) -> None:
+        """Wait for a new connection or a parked one with bytes waiting, pass the turn on, then serve it."""
         while True:
-            try:
-                connection, _ = listener.accept()
-            except socket.timeout:  # look again, which finds the listener closed once close() ran
-                continue
-            except OSError:  # the port closed
-                return
-            break
-        with self._open_lock:
-            if self._closed:  # accepted as the port closed: no answer, and no next turn
-                connection.close()
-                return
-            self._open.add(connection)
-        self._pool.submit(self._take_turn, listener)
-        self._serve(connection)
+            ready = selector.select(_POLL_SECONDS)
+            with self._lock:
+                if self._closed:  # close() closed the parked connections: no next turn
+                    selector.close()
+                    return
+                reader = next((key.data for key, _ in ready if key.data is not None), None)
+                if reader is not None:
+                    selector.unregister(reader.connection)
+                    del self._parked[reader.connection]
+                    self._open.add(reader.connection)
+                self._close_expired()
+            if reader is None and ready:  # only the listener is ready
+                reader = self._accept()
+            if reader is not None:
+                break
+        self._pool.submit(self._take_turn, selector)
+        self._serve(reader)
 
-    def _serve(self, connection: socket.socket) -> None:
+    def _close_expired(self) -> None:
+        """Close the connections parked past their time; the caller holds _lock."""
+        now = time.monotonic()
+        expired = []
+        for connection, until in self._parked.items():
+            if until > now:
+                break
+            expired.append(connection)
+        for connection in expired:
+            self._drop(connection)
+
+    def _drop(self, connection: socket.socket) -> None:
+        """Close a parked connection; the caller holds _lock."""
+        del self._parked[connection]
+        self._selector.unregister(connection)
+        connection.close()
+
+    def _accept(self) -> "_Reader | None":
+        """The connection the listener has waiting, or None when there is none or the port closed.
+
+        An accept that fails for want of a descriptor or of memory leaves
+        the listener readable, so it pauses _POLL_SECONDS before the turn
+        holder looks again, rather than spin.
+        """
         try:
-            connection.settimeout(READ_TIMEOUT)
-            reader = _Reader(connection)
-            while self._answer(reader):
-                pass
+            connection, _ = self._listener.accept()
+        except (ConnectionAbortedError, socket.timeout):  # the client gave up, or nothing waits
+            return None
+        except OSError:  # the port closed, or EMFILE, ENFILE, ENOBUFS or ENOMEM
+            if not self._closed:
+                time.sleep(_POLL_SECONDS)
+            return None
+        connection.settimeout(READ_TIMEOUT)
+        with self._lock:
+            if self._closed:  # accepted as the port closed: no answer
+                connection.close()
+                return None
+            self._open.add(connection)
+        return _Reader(connection)
+
+    def _park(self, reader: "_Reader") -> bool:
+        """Leave an answered connection to the selector until it sends again; False once the port closed."""
+        connection = reader.connection
+        with self._lock:
+            if self._closed:
+                return False
+            self._open.discard(connection)
+            if len(self._parked) >= MAX_PARKED:
+                self._drop(next(iter(self._parked)))  # the oldest
+            self._parked[connection] = time.monotonic() + READ_TIMEOUT
+            self._selector.register(connection, selectors.EVENT_READ, reader)
+        return True
+
+    def _serve(self, reader: "_Reader") -> None:
+        """Answer a connection's requests until it is idle, and park it, or until it ends."""
+        parked = False
+        try:
+            while not parked and self._answer(reader):
+                parked = not reader.buffer and self._park(reader)
         except OSError:  # the client went away, or stopped reading its response
             pass
         finally:
-            with self._open_lock:
-                self._open.discard(connection)
-            connection.close()
+            if not parked:
+                with self._lock:
+                    self._open.discard(reader.connection)
+                reader.connection.close()
 
     def _answer(self, reader: "_Reader") -> bool:
         """Read one request and answer it; returns whether to read another."""
@@ -186,6 +288,8 @@ class HttpPortServer:
                 return False
             status = 408 if isinstance(exc, socket.timeout) else 400
             return _send(reader.connection, status, b'"incomplete request"', False)
+        reader.requests += 1
+        keep = keep and reader.requests < MAX_REQUESTS
         try:
             result = self.offer(operation, request, kind, self.timeout)
         except TransportError as exc:
@@ -224,13 +328,18 @@ def _read_request(reader: "_Reader") -> tuple[str, ValueTree, str | None, bool]:
         # the connection closes: the unread rest of the body is no request
         raise _Refused(500, str(exc), _mismatch(str(exc))) from None
     kind = headers.get(_KIND_KEY)
-    connection = headers.get(b"connection", b"").lower()
     return (
         unquote(target.decode("utf-8", "replace").lstrip("/")),
         request,
         None if kind is None else kind.decode("latin-1"),
-        connection != b"close" if version == b"HTTP/1.1" else connection == b"keep-alive",
+        _keep_alive(version, headers),
     )
+
+
+def _keep_alive(version: bytes, headers: dict[bytes, bytes]) -> bool:
+    """Whether a message of this HTTP version and these headers leaves its connection open."""
+    connection = headers.get(b"connection", b"").lower()
+    return connection != b"close" if version == b"HTTP/1.1" else connection == b"keep-alive"
 
 
 def _content_length(value: bytes) -> int:
@@ -266,6 +375,7 @@ class _Reader:
         self.connection = connection
         self.buffer = b""
         self.started = False  # whether any byte of the current request arrived
+        self.requests = 0  # requests read from the connection so far
 
     def _recv(self, size: int) -> bytes:
         chunk = self.connection.recv(size)
@@ -347,10 +457,68 @@ def _send(connection: socket.socket, status: int, body: bytes, keep: bool) -> bo
 Waiting = Callable[[Callable[[], None] | None], None]
 
 
+class ConnectionPool:
+    """A caller's idle client connections, at most MAX_IDLE to each (host, port).
+
+    Once closed, it closes every connection given back to it.
+    """
+
+    def __init__(self):
+        self._idle: dict[tuple[str, int], list[tuple[socket.socket, float]]] = {}
+        self._lock = threading.Lock()
+        self._closed = False
+
+    def take(self, key: tuple[str, int]) -> socket.socket | None:
+        """The most recently used idle connection to key that is fit to carry a call, or None.
+
+        A connection idle for more than READ_TIMEOUT / 2, which its server
+        may be about to close, or readable while idle, which its server
+        closed (urllib3's is_connection_dropped), is closed instead.
+        """
+        while True:
+            with self._lock:
+                idle = self._idle.get(key)
+                if not idle:
+                    return None
+                sock, since = idle.pop()
+            if time.monotonic() - since <= READ_TIMEOUT / 2 and not _readable(sock):
+                return sock
+            sock.close()
+
+    def give(self, key: tuple[str, int], sock: socket.socket) -> None:
+        """Keep a connection that ended a call normally for the next call to key."""
+        with self._lock:
+            idle = self._idle.setdefault(key, [])
+            if not self._closed and len(idle) < MAX_IDLE:
+                idle.append((sock, time.monotonic()))
+                return
+        sock.close()
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, {}
+        for connections in idle.values():
+            for sock, _ in connections:
+                sock.close()
+
+
+def _readable(sock: socket.socket) -> bool:
+    """Whether bytes, or the end of the stream, wait to be read from sock."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
 def http_invoke_rr(
-    location: Location, operation: str, request: ValueTree, timeout: float, waiting: Waiting | None = None
+    connections: ConnectionPool,
+    location: Location,
+    operation: str,
+    request: ValueTree,
+    timeout: float,
+    waiting: Waiting | None = None,
 ) -> ValueTree | Fault:
-    """Call a request-response operation over HTTP.
+    """Call a request-response operation over HTTP, on a connection of the pool.
 
     Returns the response tree or the remote fault; a server-side timeout
     comes back as the fault named Timeout. Raises TransportError when
@@ -363,32 +531,23 @@ def http_invoke_rr(
     TransportError, and then None once the call is over.
     """
     try:
-        status, body = _post(location, operation, "rr", encode_json(request), timeout, waiting)
+        return _post(connections, location, operation, "rr", encode_json(request), timeout, waiting)
     except _TimeoutFault:
         return Fault("Timeout", ValueTree(f"no reply from {location} within {timeout}s"))
-    if status == 200:
-        try:
-            return decode_json(body)
-        except JsonError as exc:
-            raise TransportError(f"undecodable response from {location}: {exc}") from exc
-    if status == 500:
-        return decode_fault(body)
-    raise TransportError(f"unexpected status {status} from {location}")
 
 
-def http_invoke_ow(location: Location, operation: str, message: ValueTree, timeout: float) -> None:
-    """Send a one-way message over HTTP; returns once the target accepts it.
+def http_invoke_ow(
+    connections: ConnectionPool, location: Location, operation: str, message: ValueTree, timeout: float
+) -> None:
+    """Send a one-way message over HTTP, on a connection of the pool; returns once the target accepts it.
 
     The message must already be its JSON image, and the operation a name
     UTF-8 can encode, as system.call makes every call it sends.
     """
     try:
-        status, _ = _post(location, operation, "ow", encode_json(message), timeout)
+        _post(connections, location, operation, "ow", encode_json(message), timeout)
     except _TimeoutFault:
         raise TransportError(f"{location} did not accept the message in time") from None
-    if status == 202:
-        return
-    raise TransportError(f"unexpected status {status} from {location}")
 
 
 class _TimeoutFault(Exception):
@@ -400,19 +559,27 @@ _REQUEST_HEAD = (
     + CONTENT_TYPE.encode()
     + b"\r\nContent-Length: %d\r\n"
     + KIND_HEADER.encode()
-    + b": %s\r\nConnection: close\r\n\r\n"
+    + b": %s\r\n\r\n"
 )
 
 
 def _post(
-    location: Location, operation: str, kind: str, body: bytes, timeout: float, waiting: Waiting | None = None
-) -> tuple[int, bytes]:
-    """Post one encoded call on a connection of its own; returns the status and body.
+    connections: ConnectionPool,
+    location: Location,
+    operation: str,
+    kind: str,
+    body: bytes,
+    timeout: float,
+    waiting: Waiting | None = None,
+) -> ValueTree | Fault | None:
+    """Post one encoded call of kind "rr" or "ow"; returns what the response says (_outcome).
 
-    Raises _TimeoutFault when no reply comes within timeout plus
-    REPLY_GRACE, and TransportError when the target cannot be
-    reached, answers outside the protocol or its limits, or refuses the
-    call with 503.
+    The call goes on an idle connection of the pool, or on a new one, and
+    the connection goes back to the pool only when the call ends
+    normally and the response leaves it open. Raises _TimeoutFault when
+    no reply comes within timeout plus REPLY_GRACE, and TransportError
+    when the target cannot be reached, answers outside the protocol or
+    its limits, or refuses the call with 503.
     """
     target = quote(operation, safe="").encode("ascii")
     host = location.host.encode("idna")
@@ -423,14 +590,21 @@ def _post(
         len(body),
         kind.encode("ascii"),
     )
-    # HTTPConnection only dials: it resolves the host, sets the timeout and TCP_NODELAY
-    connection = HTTPConnection(location.host, location.port, timeout=timeout + REPLY_GRACE)
+    key = (location.host, location.port)
+    sock = connections.take(key)
+    if sock is None:
+        sock = _dial(location, timeout + REPLY_GRACE)
+    else:
+        sock.settimeout(timeout + REPLY_GRACE)
+    reusable = False
     try:
-        connection.connect()
         if waiting is not None:
-            waiting(partial(_shut_down, connection.sock))
-        connection.sock.sendall(head + body)
-        status, reply = _read_response(_Reader(connection.sock))
+            waiting(partial(_shut_down, sock))
+        sock.sendall(head + body)
+        reader = _Reader(sock)
+        status, reply, keep = _read_response(reader)
+        outcome = _outcome(location, kind, status, reply)
+        reusable = keep and not reader.buffer
     except socket.timeout:
         raise _TimeoutFault() from None
     except EOFError:
@@ -442,11 +616,44 @@ def _post(
     finally:
         if waiting is not None:
             waiting(None)
+        if reusable:
+            connections.give(key, sock)
+        else:
+            sock.close()
+    return outcome
+
+
+def _dial(location: Location, timeout: float) -> socket.socket:
+    """A new connection to location; TransportError when it cannot be made."""
+    # HTTPConnection only dials: it resolves the host, sets the timeout and TCP_NODELAY
+    connection = HTTPConnection(location.host, location.port, timeout=timeout)
+    try:
+        connection.connect()
+    except OSError as exc:
         connection.close()
+        raise TransportError(f"cannot reach {location}: {exc}") from exc
+    return connection.sock
+
+
+def _outcome(location: Location, kind: str, status: int, body: bytes) -> ValueTree | Fault | None:
+    """The reply tree or fault of a request-response call, or None for an accepted one-way.
+
+    Raises TransportError for a refusal (503), a status the call's kind
+    does not get, or a body that does not decode.
+    """
+    if kind == "rr" and status == 200:
+        try:
+            return decode_json(body)
+        except JsonError as exc:
+            raise TransportError(f"undecodable response from {location}: {exc}") from exc
+    if kind == "rr" and status == 500:
+        return decode_fault(body)
+    if kind == "ow" and status == 202:
+        return None
     if status == 503:
-        reason = reply.decode("utf-8", errors="replace")
+        reason = body.decode("utf-8", errors="replace")
         raise TransportError(f"{location} refused the call: {reason}")
-    return status, reply
+    raise TransportError(f"unexpected status {status} from {location}")
 
 
 def _shut_down(sock: socket.socket) -> None:
@@ -461,17 +668,18 @@ def _shut_down(sock: socket.socket) -> None:
 _BAD_RESPONSE = 502
 
 
-def _read_response(reader: _Reader) -> tuple[int, bytes]:
-    """The status and body of the response to a post, within the server's limits."""
+def _read_response(reader: _Reader) -> tuple[int, bytes, bool]:
+    """The status, body and keep-alive of the response to a post, within the server's limits."""
     version, _, rest = reader.line(_BAD_RESPONSE).partition(b" ")
     code = rest[:3]
     if version not in _VERSIONS or not code.isdigit() or rest[3:4] not in (b"", b" "):
         raise _Refused(_BAD_RESPONSE, "malformed status line")
-    length = reader.headers().get(b"content-length")
+    headers = reader.headers()
+    length = headers.get(b"content-length")
     if length is None:
         raise _Refused(_BAD_RESPONSE, "no Content-Length")
     try:
         size = _content_length(length)
     except ValueError as exc:
         raise _Refused(_BAD_RESPONSE, str(exc)) from None
-    return int(code), reader.read(size)
+    return int(code), reader.read(size), _keep_alive(version, headers)

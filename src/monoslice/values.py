@@ -36,7 +36,15 @@ class Long(int):
     __slots__ = ()
 
     def __repr__(self) -> str:
-        return f"{int(self)}L"
+        return f"{_int_repr(self)}L"
+
+
+def _int_repr(value: int) -> str:
+    """An int's decimal text, or, for one wider than Python converts to text, its width in bits."""
+    try:
+        return int.__repr__(value)
+    except ValueError:
+        return f"<int of {value.bit_length()} bits>"
 
 
 Basic = bool | int | float | str
@@ -188,8 +196,11 @@ class ValueTree:
 
     def __repr__(self) -> str:
         parts: list[str] = []
-        if self.root is not None:
-            parts.append(repr(self.root))
+        root = self.root
+        if type(root) is int:
+            parts.append(_int_repr(root))
+        elif root is not None:
+            parts.append(repr(root))
         for name, seq in self.children.items():
             parts.append(f"{name}={seq!r}" if len(seq) > 1 else f"{name}={seq[0]!r}")
         return f"ValueTree({', '.join(parts)})"

@@ -14,6 +14,7 @@ import monoslice
 from monoslice.config import load_config
 from monoslice.parser import parse_source
 from monoslice.runtime import TransportError, http_invoke_rr
+from monoslice.runtime.transport import ConnectionPool
 from monoslice.semantics import resolve
 from monoslice.values import decode_json
 
@@ -119,6 +120,15 @@ def free_ports(count: int) -> list[int]:
         return [sock.getsockname()[1] for sock in sockets]
 
 
+def http_call(location, operation, request, timeout):
+    """http_invoke_rr on a connection pool of its own, closed once the call is over."""
+    connections = ConnectionPool()
+    try:
+        return http_invoke_rr(connections, location, operation, request, timeout)
+    finally:
+        connections.close()
+
+
 def call_once_serving(process, location, operation, request):
     """Call `operation` as soon as the child `process` serves `location`.
 
@@ -133,7 +143,7 @@ def call_once_serving(process, location, operation, request):
                 + process.stderr.read().decode(errors="replace")
             )
         try:
-            return http_invoke_rr(location, operation, request, 5)
+            return http_call(location, operation, request, 5)
         except TransportError:
             time.sleep(0.1)
     return None

@@ -21,12 +21,12 @@ from monoslice.ast import Literal
 from monoslice.config import Location
 from monoslice.parser import parse_source
 from monoslice.render import render
-from monoslice.runtime import Fault, http_invoke_rr
+from monoslice.runtime import Fault
 from monoslice.semantics import resolve
 from monoslice.slicer import slice_all
 from monoslice.values import Long, ValueTree, decode_json, encode_json
 
-from conftest import FIXTURES, call_once_serving, free_ports
+from conftest import FIXTURES, call_once_serving, free_ports, http_call
 from oracle import removable_declarations
 from proggen import random_program
 from script import COLLECTOR, area, corrupted_fixture_source, run_script
@@ -198,7 +198,7 @@ def test_criterion_4_transport_transparency(fixture_checked, tmp_path):
                     test_client.kill()
 
             def invoke(service, operation, request):
-                return http_invoke_rr(
+                return http_call(
                     Location.socket("127.0.0.1", ports[service]), operation, request, 30
                 )
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from monoslice.config import Location
 from monoslice.runtime import Fault, TransportError, http_invoke_rr, transport
-from monoslice.runtime.transport import http_invoke_ow
+from monoslice.runtime.transport import MAX_IDLE, ConnectionPool, http_invoke_ow
 from monoslice.values import Long, ValueTree, encode_json
 
 # how the fake server ends its side after the reply
@@ -19,10 +19,15 @@ OPEN, SHUT = "open", "shut"
 
 
 class FakeServer:
-    """Reads one request per connection, sends the scripted reply and waits for the client to close.
+    """Answers every request with the scripted reply, one connection at a time.
 
-    For every connection, outcomes receives "closed" once the client's end
-    is closed, or "open" if it is still open after 10 s.
+    After a reply that ends SHUT, or no reply, it waits for the client to
+    close; after one that leaves the connection OPEN, it reads the next
+    request on it. It sends each reply `delay` seconds after its request,
+    as scripted when the request arrived. It counts the connections it
+    accepts and keeps every request it reads. For every connection,
+    outcomes receives "closed" once the client's end is closed, or "open"
+    if it is still open after 10 s without a request.
     """
 
     def __init__(self):
@@ -31,14 +36,16 @@ class FakeServer:
         self.location = Location.parse(f"socket://127.0.0.1:{self.listener.getsockname()[1]}")
         self.reply: bytes | None = b""  # None: never answer
         self.end = SHUT
+        self.delay = 0.0
+        self.connections = 0
         self.requests: list[bytes] = []
         self.outcomes: "queue.Queue[str]" = queue.Queue()
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
 
-    def script(self, reply, end=SHUT):
-        self.reply, self.end = reply, end
+    def script(self, reply, end=SHUT, delay=0.0):
+        self.reply, self.end, self.delay = reply, end, delay
 
     def close(self):
         self._stop.set()
@@ -51,19 +58,25 @@ class FakeServer:
                 connection, _ = self.listener.accept()
             except socket.timeout:
                 continue
+            self.connections += 1
             with connection:
                 connection.settimeout(10)
                 self.outcomes.put(self._answer(connection))
 
     def _answer(self, connection):
         try:
-            self.requests.append(read_request(connection))
-            if self.reply is not None:
-                connection.sendall(self.reply)
-            if self.end == SHUT:
-                connection.shutdown(socket.SHUT_WR)
-            while connection.recv(65536):
-                pass
+            while request := read_request(connection):
+                self.requests.append(request)
+                reply, end, delay = self.reply, self.end, self.delay
+                if reply is not None:
+                    time.sleep(delay)
+                    connection.sendall(reply)
+                if reply is None or end == SHUT:
+                    if reply is not None:
+                        connection.shutdown(socket.SHUT_WR)
+                    while connection.recv(65536):
+                        pass
+                    break
         except socket.timeout:
             return "open"
         except ConnectionResetError:  # the client closed with some of the reply unread
@@ -104,15 +117,46 @@ def fake():
         server.close()
 
 
-def call(fake, reply, end=SHUT, operation="echo", request=ValueTree(Long(7)), timeout=5.0):
-    """http_invoke_rr against fake's scripted reply; returns the result, or the TransportError."""
-    fake.script(reply, end)
+@pytest.fixture()
+def fresh():
+    """A fake server of the test's own, whose counts start at 0."""
+    server = FakeServer()
     try:
-        return http_invoke_rr(fake.location, operation, request, timeout)
+        yield server
+    finally:
+        server.close()
+
+
+@pytest.fixture()
+def connections():
+    pool = ConnectionPool()
+    try:
+        yield pool
+    finally:
+        pool.close()
+
+
+def call(fake, reply, end=SHUT, operation="echo", request=ValueTree(Long(7)), timeout=5.0):
+    """http_invoke_rr against fake's scripted reply, on a pool of its own; returns the result, or the TransportError.
+
+    A call that ended normally, on a tree or a fault other than Timeout,
+    may leave its connection in the pool, so the pool is closed before
+    the fake must see the connection closed; after any other end, the
+    client itself must have closed it while the pool is still open.
+    """
+    fake.script(reply, end)
+    pool = ConnectionPool()
+    result = None
+    try:
+        result = http_invoke_rr(pool, fake.location, operation, request, timeout)
+        return result
     except TransportError as exc:
         return exc
     finally:
+        if isinstance(result, ValueTree) or isinstance(result, Fault) and result.name != "Timeout":
+            pool.close()
         assert fake.outcomes.get(timeout=15) == "closed"
+        pool.close()
 
 
 def response(status, body, *headers):
@@ -188,21 +232,21 @@ def test_a_server_that_never_answers_gives_the_timeout_fault(fake, monkeypatch):
 @pytest.mark.parametrize(
     "reply, timeout", [(response(200, b"1"), 5.0), (None, 0.3)], ids=["status-200", "no-reply"]
 )
-def test_a_one_way_post_not_accepted_with_202_is_a_transport_error(fake, monkeypatch, reply, timeout):
+def test_a_one_way_post_not_accepted_with_202_is_a_transport_error(fake, connections, monkeypatch, reply, timeout):
     monkeypatch.setattr(transport, "REPLY_GRACE", 0.0)
     fake.script(reply, OPEN)
     try:
         with pytest.raises(TransportError):
-            http_invoke_ow(fake.location, "note", ValueTree(Long(7)), timeout)
+            http_invoke_ow(connections, fake.location, "note", ValueTree(Long(7)), timeout)
     finally:
         assert fake.outcomes.get(timeout=15) == "closed"
 
 
-def test_nothing_listening_is_a_transport_error():
+def test_nothing_listening_is_a_transport_error(connections):
     with socket.create_server(("127.0.0.1", 0)) as placeholder:
         location = Location.parse(f"socket://127.0.0.1:{placeholder.getsockname()[1]}")
     with pytest.raises(TransportError):
-        http_invoke_rr(location, "echo", ValueTree(), 5)
+        http_invoke_rr(connections, location, "echo", ValueTree(), 5)
 
 
 class _RecordingSocket:
@@ -251,7 +295,6 @@ def test_a_call_is_one_well_formed_post_in_one_send(fake, sends):
         b"Content-Type": b"application/json; charset=utf-8",
         b"Content-Length": b"%d" % len(body),
         b"Monoslice-Kind": b"rr",
-        b"Connection": b"close",
     }
     assert body == encode_json(request)
 
@@ -259,6 +302,135 @@ def test_a_call_is_one_well_formed_post_in_one_send(fake, sends):
 def test_an_operation_name_outside_ascii_is_percent_encoded(fake, sends):
     assert call(fake, response(200, b"1"), operation="café") == ValueTree(Long(1))
     assert sends[0].startswith(b"POST /caf%C3%A9 HTTP/1.1\r\n")
+
+
+# ---------------------------------------------------------------------------
+# pooled connections
+
+
+def rr(connections, fake, timeout=5.0):
+    """One echo call through connections; returns the result, or the TransportError."""
+    try:
+        return http_invoke_rr(connections, fake.location, "echo", ValueTree(Long(7)), timeout)
+    except TransportError as exc:
+        return exc
+
+
+def closed_after(fake, connections):
+    """Close the pool, and the fake's outcome for each connection it accepted."""
+    connections.close()
+    return [fake.outcomes.get(timeout=15) for _ in range(fake.connections)]
+
+
+def test_a_call_that_ended_normally_leaves_its_connection_to_the_next(fresh, connections):
+    fresh.script(response(200, b"1"), OPEN)
+    assert [rr(connections, fresh) for _ in range(3)] == [ValueTree(Long(1))] * 3
+    fresh.script(response(500, b'{"fault":"F"}'), OPEN)
+    assert rr(connections, fresh) == Fault("F")
+    assert rr(connections, fresh) == Fault("F")
+    assert (fresh.connections, len(fresh.requests)) == (1, 5)
+    assert closed_after(fresh, connections) == ["closed"]
+
+
+@pytest.mark.parametrize(
+    "reply, end",
+    [(response(200, b"1"), SHUT), (response(200, b"1") + b"HTTP/1.1 200 OK\r\n", OPEN)],
+    ids=["closed-by-the-server", "stray-bytes"],
+)
+def test_a_connection_readable_while_idle_is_closed_and_a_new_one_dialed(fresh, connections, reply, end):
+    fresh.script(reply, end)
+    assert rr(connections, fresh) == ValueTree(Long(1))
+    time.sleep(0.1)  # the server's end, or its stray bytes, arrive
+    fresh.script(response(200, b"2"), OPEN)
+    assert rr(connections, fresh) == ValueTree(Long(2))
+    assert (fresh.connections, len(fresh.requests)) == (2, 2)
+    assert closed_after(fresh, connections) == ["closed", "closed"]
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [response(200, b"1", b"Connection: close"), b"HTTP/1.0 200 OK\r\nContent-Length: 1\r\n\r\n1"],
+    ids=["connection-close", "http-1.0"],
+)
+def test_a_response_that_closes_its_connection_leaves_it_out_of_the_pool(fresh, connections, reply):
+    fresh.script(reply, OPEN)  # the fake would read a next request all the same
+    assert rr(connections, fresh) == ValueTree(Long(1))
+    assert fresh.outcomes.get(timeout=15) == "closed"  # the pool still open
+    assert rr(connections, fresh) == ValueTree(Long(1))
+    assert (fresh.connections, len(fresh.requests)) == (2, 2)
+    connections.close()
+    assert fresh.outcomes.get(timeout=15) == "closed"
+
+
+def test_a_connection_idle_for_half_the_read_timeout_is_not_reused(fresh, connections, monkeypatch):
+    monkeypatch.setattr(transport, "READ_TIMEOUT", 0.4)
+    fresh.script(response(200, b"1"), OPEN)
+    assert rr(connections, fresh) == ValueTree(Long(1))
+    assert rr(connections, fresh) == ValueTree(Long(1))
+    time.sleep(0.25)
+    assert rr(connections, fresh) == ValueTree(Long(1))
+    assert (fresh.connections, len(fresh.requests)) == (2, 3)
+    assert closed_after(fresh, connections) == ["closed", "closed"]
+
+
+def test_a_reused_connection_that_fails_after_the_request_went_out_is_not_retried(fresh, connections):
+    fresh.script(response(200, b"1"), OPEN)
+    assert rr(connections, fresh) == ValueTree(Long(1))
+    fresh.script(b"", SHUT)  # the server reads the request and closes without a reply
+    assert isinstance(rr(connections, fresh), TransportError)
+    assert (fresh.connections, len(fresh.requests)) == (1, 2)
+    fresh.script(response(200, b"3"), OPEN)
+    assert rr(connections, fresh) == ValueTree(Long(3))  # on a new connection, the failed one closed
+    assert (fresh.connections, len(fresh.requests)) == (2, 3)
+    assert closed_after(fresh, connections) == ["closed", "closed"]
+
+
+@pytest.mark.parametrize(
+    "reply", [response(503, b'"stopped"'), response(200, b"[1]"), response(404, b"")], ids=["503", "hostile", "404"]
+)
+def test_a_call_ending_in_a_transport_error_closes_its_connection(fresh, connections, reply):
+    fresh.script(reply, OPEN)
+    assert isinstance(rr(connections, fresh), TransportError)
+    assert fresh.outcomes.get(timeout=15) == "closed"  # the pool still open
+    fresh.script(response(200, b"1"), OPEN)
+    assert rr(connections, fresh) == ValueTree(Long(1))
+    assert (fresh.connections, len(fresh.requests)) == (2, 2)
+    connections.close()
+    assert fresh.outcomes.get(timeout=15) == "closed"
+
+
+def test_a_call_after_a_timed_out_call_gets_its_own_reply(fresh, connections, monkeypatch):
+    monkeypatch.setattr(transport, "REPLY_GRACE", 0.0)
+    fresh.script(response(200, b"1"), OPEN, delay=0.5)  # the reply comes after the caller gave up
+    reply = rr(connections, fresh, timeout=0.2)
+    assert isinstance(reply, Fault) and reply.name == "Timeout"
+    fresh.script(response(200, b"2"), OPEN)
+    assert rr(connections, fresh) == ValueTree(Long(2))
+    assert (fresh.connections, len(fresh.requests)) == (2, 2)
+    assert closed_after(fresh, connections)[0] == "closed"
+
+
+def test_the_pool_keeps_at_most_max_idle_connections_to_a_port():
+    assert MAX_IDLE == 8
+    pairs = [socket.socketpair() for _ in range(MAX_IDLE + 2)]
+    pool = ConnectionPool()
+    try:
+        for ours, _ in pairs:
+            pool.give(("somewhere", 1), ours)
+        assert pool.take(("elsewhere", 1)) is None
+        taken = [pool.take(("somewhere", 1)) for _ in range(MAX_IDLE + 1)]
+        assert taken == [ours for ours, _ in reversed(pairs[:MAX_IDLE])] + [None]
+        assert [ours.fileno() == -1 for ours, _ in pairs] == [False] * MAX_IDLE + [True] * 2
+        pool.give(("somewhere", 1), taken[0])
+        pool.close()
+        assert taken[0].fileno() == -1
+        pool.give(("somewhere", 1), taken[1])  # given back after close: closed at once
+        assert taken[1].fileno() == -1
+    finally:
+        pool.close()
+        for pair in pairs:
+            for sock in pair:
+                sock.close()
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +491,7 @@ def test_any_reply_gives_a_tree_a_fault_or_a_transport_error(fake, reply):
     assert isinstance(result, (ValueTree, Fault, TransportError)), result
 
 
-def test_waiting_is_handed_a_wake_that_ends_the_wait_and_is_harmless_once_the_call_is_over(fake):
+def test_waiting_is_handed_a_wake_that_ends_the_wait_and_is_harmless_once_the_call_is_over(fake, connections):
     wakes = []
 
     def waiting(wake):
@@ -330,7 +502,7 @@ def test_waiting_is_handed_a_wake_that_ends_the_wait_and_is_harmless_once_the_ca
     fake.script(None, OPEN)  # the fake never answers
     started = time.monotonic()
     with pytest.raises(TransportError):
-        http_invoke_rr(fake.location, "echo", ValueTree(Long(7)), 5.0, waiting)
+        http_invoke_rr(connections, fake.location, "echo", ValueTree(Long(7)), 5.0, waiting)
     assert time.monotonic() - started < 4.0
     assert fake.outcomes.get(timeout=15) == "closed"
     assert wakes[1] is None  # told once the call was over

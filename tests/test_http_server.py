@@ -1,8 +1,10 @@
 """The HTTP server of a socket:// port, driven over raw sockets against a stub service."""
 
+import errno
 import http.client
 import io
 import json
+import math
 import socket
 import threading
 import time
@@ -13,10 +15,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from monoslice.config import Location
-from monoslice.runtime import Fault, TransportError, http_invoke_rr, transport
+from monoslice.runtime import Fault, TransportError, transport
 from monoslice.values import Long, ValueTree
 
-from conftest import free_ports
+from conftest import free_ports, http_call
 
 STATUSES = {200, 202, 400, 405, 408, 411, 414, 431, 500, 501, 503, 505}
 
@@ -137,7 +139,7 @@ def test_a_body_over_the_cap_is_refused_before_it_is_read(server):
         status, body = parse_response(receive_all(connection))
     assert status == 500
     assert json.loads(body)["fault"] == "TypeMismatch"
-    assert http_invoke_rr(server.location, "echo", ValueTree(Long(3)), 5) == ValueTree(Long(3))
+    assert http_call(server.location, "echo", ValueTree(Long(3)), 5) == ValueTree(Long(3))
 
 
 def test_forty_callers_are_served_by_at_most_32_connection_threads(server):
@@ -154,7 +156,7 @@ def test_forty_callers_are_served_by_at_most_32_connection_threads(server):
 
     def call(n):
         start.wait(timeout=10)
-        return http_invoke_rr(server.location, "slow", ValueTree(Long(n)), 10)
+        return http_call(server.location, "slow", ValueTree(Long(n)), 10)
 
     watcher = threading.Thread(target=watch)
     watcher.start()
@@ -179,7 +181,7 @@ def test_idle_connections_hold_the_workers_no_longer_than_the_read_timeout(serve
             time.sleep(0.01)
         assert len(server.workers()) == 32
         started = time.monotonic()
-        assert http_invoke_rr(server.location, "echo", ValueTree(Long(1)), 5) == ValueTree(Long(1))
+        assert http_call(server.location, "echo", ValueTree(Long(1)), 5) == ValueTree(Long(1))
         # the call waited for an idle connection to time out, and not much longer
         assert time.monotonic() - opened >= 0.5
         assert time.monotonic() - started < 0.5 + 2.0
@@ -189,6 +191,120 @@ def test_idle_connections_hold_the_workers_no_longer_than_the_read_timeout(serve
     finally:
         for connection in idle:
             connection.close()
+
+
+def answered(server, n=1):
+    """A keep-alive connection to the server that has had n answers and is idle."""
+    connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+    for _ in range(n):
+        connection.request("POST", "/echo", body=b"1")
+        response = connection.getresponse()
+        assert (response.status, response.read()) == (200, b"1")
+    return connection
+
+
+def test_idle_keep_alive_connections_hold_no_worker(server):
+    idle = [answered(server) for _ in range(32)]
+    try:
+        started = time.monotonic()
+        assert http_call(server.location, "echo", ValueTree(Long(1)), 5) == ValueTree(Long(1))
+        assert time.monotonic() - started < 0.5
+        assert wait_for(lambda: len(server.server._parked) == 32)  # the call's own connection closed
+    finally:
+        for connection in idle:
+            connection.close()
+
+
+def test_idle_keep_alive_connections_start_no_thread(server):
+    idle = [answered(server) for _ in range(20)]
+    try:
+        threads = threading.active_count()
+        idle += [answered(server) for _ in range(200)]
+        # one more worker may start when a hand-off finds the last one not yet idle
+        assert threading.active_count() <= threads + 1
+        assert wait_for(lambda: len(server.server._parked) == 220)
+        # and each is still served
+        assert all(answered_again(connection) for connection in idle[::22])
+    finally:
+        for connection in idle:
+            connection.close()
+
+
+def answered_again(connection):
+    connection.request("POST", "/echo", body=b"2")
+    response = connection.getresponse()
+    return (response.status, response.read()) == (200, b"2")
+
+
+def test_a_parked_connection_silent_past_the_read_timeout_is_closed(server, monkeypatch):
+    monkeypatch.setattr(transport, "READ_TIMEOUT", 0.3)
+    connection = answered(server)
+    try:
+        parked = time.monotonic()
+        assert receive_all(connection.sock) == b""
+        assert 0.3 <= time.monotonic() - parked < 2.0
+        assert not server.server._parked
+    finally:
+        connection.close()
+
+
+def test_a_port_parks_at_most_max_parked_connections_and_closes_the_oldest(server, monkeypatch):
+    assert transport.MAX_PARKED == 512
+    monkeypatch.setattr(transport, "MAX_PARKED", 2)
+    idle = []
+    try:
+        for n in (1, 2, 2):
+            idle.append(answered(server))
+            assert wait_for(lambda: len(server.server._parked) == n)
+        assert receive_all(idle[0].sock) == b""  # parking the third closed the first
+        assert all(answered_again(connection) for connection in idle[1:])
+    finally:
+        for connection in idle:
+            connection.close()
+
+
+def test_close_closes_the_parked_connections(server):
+    connection = answered(server)
+    try:
+        assert wait_for(lambda: len(server.server._parked) == 1)
+        server.server.close()
+        closing = time.monotonic()
+        assert receive_all(connection.sock) == b""
+        assert time.monotonic() - closing < 1.0
+        assert not server.server._parked
+    finally:
+        connection.close()
+
+
+def test_a_connection_is_answered_at_most_max_requests_times(server):
+    assert transport.MAX_REQUESTS == 100
+    with server.connect() as connection:
+        connection.sendall(b"".join(post(b"/echo", b"%d" % n) for n in range(100)))
+        received = receive_all(connection)  # the server closes after the 100th answer
+    responses = received.split(b"HTTP/1.1 200 OK\r\n")[1:]
+    assert len(responses) == 100
+    assert [b"Connection: close" in r for r in responses] == [False] * 99 + [True]
+    assert responses[-1].endswith(b"\r\n\r\n99")
+
+
+def test_the_client_dials_again_after_the_last_answer_a_connection_gives(server, monkeypatch):
+    dials = []
+
+    class CountingConnection(transport.HTTPConnection):
+        def connect(self):
+            dials.append(self.port)
+            super().connect()
+
+    monkeypatch.setattr(transport, "HTTPConnection", CountingConnection)
+    connections = transport.ConnectionPool()
+    try:
+        for n in range(transport.MAX_REQUESTS + 1):
+            assert transport.http_invoke_rr(connections, server.location, "echo", ValueTree(Long(n)), 5) == ValueTree(
+                Long(n)
+            )
+    finally:
+        connections.close()
+    assert dials == [server.port] * 2
 
 
 def test_close_ends_the_workers_of_idle_connections(server):
@@ -245,13 +361,22 @@ def test_close_ends_a_worker_waiting_to_accept_and_frees_the_port(server):
 
 
 class _LateListener:
-    """A listener whose accept returns its one connection only once the server closed it."""
+    """A listener whose accept returns its one connection only once the server closed it.
+
+    The selector watches the connection itself, which is readable as soon as
+    the client has sent its post.
+    """
 
     def __init__(self, connection):
         self.connection = connection
+        self.accepting = threading.Event()
         self.closed = threading.Event()
 
+    def fileno(self):
+        return self.connection.fileno()
+
     def accept(self):
+        self.accepting.set()
         self.closed.wait(5)
         return self.connection, None
 
@@ -269,16 +394,73 @@ def test_a_connection_accepted_as_the_port_closes_is_closed_unanswered():
     [port] = free_ports(1)
     server = transport.HttpPortServer(port, stub_offer, 5.0)
     server._listener.close()
-    server._listener = _LateListener(accepted)
+    server._listener = late = _LateListener(accepted)
     workers = lambda: [t for t in threading.enumerate() if t.name == f"http-port-{port}-worker"]
     with client:
         client.sendall(post(b"/echo", b"1"))
         server.start()
-        assert wait_for(lambda: len(workers()) == 1)
+        assert late.accepting.wait(5)
         server.close()
         assert receive_all(client) == b""
     assert wait_for(lambda: not workers(), seconds=1)
     assert not server._open
+
+
+class _FailingListener:
+    """A listener whose first `times` accepts raise error(), counting the failures."""
+
+    def __init__(self, listener, error, times):
+        self.listener = listener
+        self.error = error
+        self.times = times
+        self.failures = 0
+
+    def fileno(self):
+        return self.listener.fileno()
+
+    def accept(self):
+        if self.failures < self.times:
+            self.failures += 1
+            raise self.error()
+        return self.listener.accept()
+
+    def shutdown(self, how):
+        self.listener.shutdown(how)
+
+    def close(self):
+        self.listener.close()
+
+
+def test_a_failed_accept_leaves_the_port_serving():
+    [port] = free_ports(1)
+    server = transport.HttpPortServer(port, stub_offer, 5.0)
+    # as when the client gave up before the accept
+    server._listener = aborting = _FailingListener(server._listener, lambda: ConnectionAbortedError("gave up"), 1)
+    server.start()
+    try:
+        location = Location.parse(f"socket://127.0.0.1:{port}")
+        assert http_call(location, "echo", ValueTree(Long(4)), 5) == ValueTree(Long(4))
+        assert aborting.failures == 1
+    finally:
+        server.close()
+
+
+def test_a_port_out_of_descriptors_pauses_between_accepts_and_serves_once_one_is_free():
+    [port] = free_ports(1)
+    server = transport.HttpPortServer(port, stub_offer, 5.0)
+    exhausted = _FailingListener(server._listener, lambda: OSError(errno.EMFILE, "Too many open files"), math.inf)
+    server._listener = exhausted
+    server.start()
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as client:
+            client.sendall(post(b"/echo", b"5", b"Connection: close"))
+            time.sleep(0.5)  # the waiting connection keeps the listener readable
+            # one accept each _POLL_SECONDS, not a spin of thousands
+            assert 1 <= exhausted.failures <= 0.5 / transport._POLL_SECONDS + 3
+            exhausted.times = exhausted.failures  # a descriptor is free
+            assert parse_response(receive_all(client)) == (200, b"5")
+    finally:
+        server.close()
 
 
 LONG =b"a" * transport.MAX_LINE_BYTES
@@ -397,5 +579,5 @@ def test_fuzzed_requests_get_a_status_and_the_server_keeps_serving(
     assert status in STATUSES, received
     if status == 500:
         assert "fault" in json.loads(answer)
-    reply = http_invoke_rr(shared_server.location, "echo", ValueTree(Long(7)), 5)
+    reply = http_call(shared_server.location, "echo", ValueTree(Long(7)), 5)
     assert reply == ValueTree(Long(7))

@@ -5,6 +5,7 @@ import socket
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -1205,7 +1206,7 @@ def test_a_message_crossing_a_local_port_is_not_changed_for_its_sender():
         # plain int to a long in a copy of the path to it, not in the sender's tree
         message = ValueTree.make(count=5, big=ValueTree.make(deep="sent"))
         keeper = system.instances["Keeper"].input_locations[0]
-        assert system_module.call(system._local, keeper, "keep", message, "rr", 10) == ValueTree()
+        assert system_module.call(system._local, system._connections, keeper, "keep", message, "rr", 10) == ValueTree()
         assert type(message.child("count").root) is int
         kept = system.invoke_rr("Keeper", "give", ValueTree())
         assert kept == ValueTree.make(count=Long(5), big=ValueTree.make(deep="sent"))
@@ -1657,6 +1658,21 @@ def test_a_stopped_system_is_freed_by_reference_counting(transport):
         finally:
             system.shutdown()
         del system
+
+
+def test_shutdown_closes_every_pooled_and_parked_connection():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        system = _start_on("socket", TALLY, ["Counter", "Once", "Starter"])
+        try:
+            assert system.wait_executables(timeout=10) == {"Starter": None}
+            # the Starter's calls and these leave idle connections in the pool and parked at the ports
+            assert system.invoke_rr("Once", "add", ValueTree(Long(2))) == ValueTree.make(total=Long(3))
+            assert system.invoke_rr("Counter", "add", ValueTree(Long(4))) == ValueTree.make(total=Long(7))
+        finally:
+            system.shutdown()
+        del system  # a socket dropped unclosed warns here
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_no_port_worker_is_alive_once_shutdown_returns():

@@ -23,6 +23,18 @@ def test_long_literal_tags_kind():
     assert kind_of(None) == "nothing"
 
 
+def test_an_int_too_wide_for_decimal_text_prints_as_its_width():
+    wide = 10**4300  # one digit over Python's default limit on int-to-text conversion
+    with pytest.raises(ValueError):
+        str(wide)
+    assert repr(ValueTree(wide)) == "ValueTree(<int of 14285 bits>)"
+    assert repr(Long(wide)) == "<int of 14285 bits>L"
+    assert repr(ValueTree(Long(wide), {"n": [ValueTree(wide), ValueTree(7)]})) == (
+        "ValueTree(<int of 14285 bits>L, n=[ValueTree(<int of 14285 bits>), ValueTree(7)])"
+    )
+    assert (repr(ValueTree(7)), repr(Long(7)), repr(ValueTree(True))) == ("ValueTree(7)", "7L", "ValueTree(True)")
+
+
 def test_scalar_round_trip():
     assert encode_json(ValueTree(Long(123))) == b"123"
     assert decode_json(b"123") == ValueTree(Long(123))
