@@ -18,11 +18,12 @@ get the TypeMismatch envelope, and a service that has stopped answers
 
 The workers of each port's pool, at most MAX_WORKERS threads, take
 turns to wait on the port's selector, which holds the listener and the
-parked connections. The worker holding the turn takes one new
-connection, or one parked connection with bytes waiting, passes the
-turn on to an idle worker or a new one, and serves the connection
-itself. So the server serves at most MAX_WORKERS connections at once,
-and new connections wait in the listen backlog of 2 * MAX_WORKERS.
+parked connections. The worker holding the turn takes one new or
+parked connection with bytes waiting, passes the turn on to an idle
+worker or a new one, and serves the connection itself; a new
+connection that has sent nothing yet is parked at once. So the server
+serves at most MAX_WORKERS connections at once, and new connections
+wait in the listen backlog of 2 * MAX_WORKERS.
 A worker reads the requests of its connection one after another,
 parsing the request line and headers by hand within MAX_LINE_BYTES and
 MAX_HEADERS, and writes each response with one send. A connection stays
@@ -34,11 +35,11 @@ its window). A balancer that routes per connection could then spread
 that caller's traffic over a slice's replicas, but every deployment
 here runs one replica. Once a connection has been answered and no byte
 of a next request waits, its worker parks it in the selector and is
-free: an idle connection costs a descriptor, not a worker. A port
-keeps at most MAX_PARKED connections parked, and parking one more
-closes the oldest. The turn holder closes a connection parked for
-READ_TIMEOUT seconds; a connection that sends nothing, or stalls in a
-request, while a worker reads it is closed after READ_TIMEOUT too. An
+free: an idle connection, new or answered, costs a descriptor, not a
+worker. A port keeps at most MAX_PARKED connections parked, and parking
+one more closes the oldest. The turn holder closes a connection parked
+for READ_TIMEOUT seconds; a connection that stalls in a request while a
+worker reads it is closed after READ_TIMEOUT too. An
 accept that fails for want of a descriptor or of memory makes the turn
 holder pause _POLL_SECONDS before it looks again, rather than spin on
 a listener that stays readable.
@@ -86,7 +87,7 @@ from urllib.parse import quote, unquote
 
 from ..config import Location
 from ..errors import MonosliceError
-from ..values import JsonError, ValueTree, decode_json, encode_json, from_json_value, load_json
+from ..values import JsonError, ValueTree, decode_json, encode_json
 from .interpreter import Fault
 from .pool import MAX_WORKERS, WorkerPool
 
@@ -126,14 +127,25 @@ def encode_fault(fault: Fault) -> bytes:
 
 
 def decode_fault(body: bytes) -> Fault:
+    """The fault an envelope names, read by decode_json as any message is.
+
+    The envelope's fault is one childless node whose root is a non-empty
+    string, and it has at most one data node; an empty one (null or {})
+    is no data. Anything else is a TransportError.
+    """
     try:
-        envelope = load_json(body.decode("utf-8"))
-        name, data = envelope["fault"], envelope.get("data")
-        if not isinstance(name, str):
-            raise TypeError(f"fault name {name!r} is not a string")
-        return Fault(name, from_json_value(data) if data is not None else None)
-    except (ValueError, LookupError, TypeError, RecursionError, JsonError) as exc:
+        envelope = decode_json(body).children
+    except JsonError as exc:
         raise TransportError(f"malformed fault envelope: {exc}") from exc
+    names, data = envelope.get("fault", ()), envelope.get("data", ())
+    name = names[0].root if len(names) == 1 and not names[0].children else None
+    if type(name) is not str or not name:
+        raise TransportError("malformed fault envelope: its fault is not one name")
+    if len(data) > 1:
+        raise TransportError("malformed fault envelope: it holds more than one data")
+    if not data or data[0].root is None and not data[0].children:
+        return Fault(name)
+    return Fault(name, data[0])
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +240,14 @@ class HttpPortServer:
         connection.close()
 
     def _accept(self) -> "_Reader | None":
-        """The connection the listener has waiting, or None when there is none or the port closed.
+        """The connection the listener has waiting, once a byte of it has arrived too.
 
-        An accept that fails for want of a descriptor or of memory leaves
-        the listener readable, so it pauses _POLL_SECONDS before the turn
-        holder looks again, rather than spin.
+        A new connection that has sent nothing yet is parked, as an
+        answered one is, so that it holds no worker while it is silent.
+        None when there is no connection, it was parked, or the port
+        closed. An accept that fails for want of a descriptor or of
+        memory leaves the listener readable, so it pauses _POLL_SECONDS
+        before the turn holder looks again, rather than spin.
         """
         try:
             connection, _ = self._listener.accept()
@@ -243,25 +258,35 @@ class HttpPortServer:
                 time.sleep(_POLL_SECONDS)
             return None
         connection.settimeout(READ_TIMEOUT)
+        reader = _Reader(connection)
         with self._lock:
             if self._closed:  # accepted as the port closed: no answer
                 connection.close()
                 return None
+            if not _readable(connection):
+                self._add_parked(reader)
+                return None
             self._open.add(connection)
-        return _Reader(connection)
+        return reader
 
     def _park(self, reader: "_Reader") -> bool:
         """Leave an answered connection to the selector until it sends again; False once the port closed."""
-        connection = reader.connection
         with self._lock:
             if self._closed:
                 return False
-            self._open.discard(connection)
-            if len(self._parked) >= MAX_PARKED:
-                self._drop(next(iter(self._parked)))  # the oldest
-            self._parked[connection] = time.monotonic() + READ_TIMEOUT
-            self._selector.register(connection, selectors.EVENT_READ, reader)
+            self._open.discard(reader.connection)
+            self._add_parked(reader)
         return True
+
+    def _add_parked(self, reader: "_Reader") -> None:
+        """Park a connection until it sends or READ_TIMEOUT passes; the caller holds _lock.
+
+        Parking one more than MAX_PARKED closes the oldest.
+        """
+        if len(self._parked) >= MAX_PARKED:
+            self._drop(next(iter(self._parked)))
+        self._parked[reader.connection] = time.monotonic() + READ_TIMEOUT
+        self._selector.register(reader.connection, selectors.EVENT_READ, reader)
 
     def _serve(self, reader: "_Reader") -> None:
         """Answer a connection's requests until it is idle, and park it, or until it ends."""

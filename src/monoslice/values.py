@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, NoReturn
+from functools import partial
+from typing import Any, Callable, NoReturn
 
 from .errors import MonosliceError
 
@@ -94,7 +95,7 @@ class ValueTree:
     shared even before a clone marks it.
 
     admitted is None on every node made here: by the constructor, copy(),
-    writable() and from_json_value. A port sets it on the nodes of a
+    writable() and decode_json. A port sets it on the nodes of a
     message it has taken to its JSON image, and any other value means
     that the node is shared, that it and every node below it are their
     own JSON image, and that the node passed the conformance predicate
@@ -206,59 +207,6 @@ class ValueTree:
         return f"ValueTree({', '.join(parts)})"
 
 
-def _to_json_value(tree: ValueTree) -> Any:
-    """Convert a tree into a json-serializable object per the wire mapping."""
-    if not tree.children:
-        return tree.root
-    obj: dict[str, Any] = {}
-    if tree.root is not None:
-        obj["$"] = tree.root
-    for name, seq in tree.children.items():
-        if len(seq) == 1:
-            obj[name] = _to_json_value(seq[0])
-        else:
-            obj[name] = [_to_json_value(t) for t in seq]
-    return obj
-
-
-def _scalar(value: Any) -> Basic | None:
-    if value is None or isinstance(value, (bool, float, str)):
-        return value
-    return Long(value)  # the one other scalar json.loads makes: an int
-
-
-def from_json_value(obj: Any) -> ValueTree:
-    """Convert a decoded JSON object into a value tree.
-
-    Scalars become roots (integral numbers as long), objects become
-    children with "$" reserved for a root coexisting with children,
-    arrays become multiple occurrences of one child name. Arrays may not
-    nest directly and may not appear at the root.
-    """
-    if isinstance(obj, list):
-        raise JsonError("a JSON array cannot stand on its own; it must be an object value")
-    if not isinstance(obj, dict):
-        return ValueTree(_scalar(obj))
-    tree = ValueTree()
-    for key, value in obj.items():
-        if key == "$":
-            if isinstance(value, (dict, list)):
-                raise JsonError('reserved key "$" must hold a scalar root value')
-            tree.root = _scalar(value)
-            continue
-        if isinstance(value, list):
-            seq = []
-            for element in value:
-                if isinstance(element, list):
-                    raise JsonError(f"nested array under key {key!r} is not representable")
-                seq.append(from_json_value(element))
-            if seq:
-                tree.children[key] = seq
-        else:
-            tree.children[key] = [from_json_value(value)]
-    return tree
-
-
 # what a port says of a message JSON cannot carry, on either transport
 TOO_DEEP = "payload nests too deeply"
 TOO_MANY_DIGITS = "integer has too many digits for JSON"
@@ -267,15 +215,86 @@ LONE_SURROGATE = "text holds a lone surrogate, which UTF-8 cannot encode"
 ROOT_KEY = 'a child is named "$", which JSON keeps for the root'
 
 
-def encode_json(tree: ValueTree) -> bytes:
-    """Encode a tree as compact UTF-8 JSON bytes.
+# how json.dumps(separators=(",", ":"), ensure_ascii=False, allow_nan=False) writes a value
+_dumps = partial(json.dumps, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+# the C function json.dumps(ensure_ascii=False) writes a string with
+_string = json.encoder.encode_basestring
 
-    Raises ValueError on a double that is not finite, and on an integer
-    with more digits than int-to-text conversion allows.
+
+def _double(value: float) -> str:
+    # a double that is not finite gets json's own ValueError, worded as this Python words it
+    return float.__repr__(value) if math.isfinite(value) else _dumps(value)
+
+
+# a root's JSON text by its type, as json's encoder writes it: int.__repr__
+# writes a Long without its L, and raises ValueError past the digit limit
+_ROOT_TEXT: dict[type, Callable[[Any], str]] = {
+    str: _string,
+    Long: int.__repr__,
+    int: int.__repr__,
+    float: _double,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _write(tree: ValueTree, append: Callable[[str], None]) -> None:
+    """Append the JSON text of a tree that has children, one piece at a time.
+
+    Its object holds "$" with the root, if there is one, then each child
+    name in order, with its one node or an array of its nodes. A child
+    named "$", which no port lets through, takes the root's place.
     """
-    return json.dumps(
-        _to_json_value(tree), separators=(",", ":"), ensure_ascii=False, allow_nan=False
-    ).encode("utf-8")
+    children = tree.children
+    items = children.items()
+    root = tree.root
+    separator = "{"
+    if root is not None:
+        if "$" in children:
+            items = [("$", children["$"]), *((name, seq) for name, seq in items if name != "$")]
+        else:
+            append('{"$":')
+            append(_ROOT_TEXT.get(type(root), _dumps)(root))
+            separator = ","
+    for name, seq in items:
+        append(separator)
+        append(_string(name))
+        separator = ","
+        if len(seq) == 1:
+            append(":")
+            node = seq[0]
+            if node.children:
+                _write(node, append)
+            else:
+                root = node.root
+                append(_ROOT_TEXT.get(type(root), _dumps)(root))
+            continue
+        comma = ":["
+        for node in seq:
+            append(comma)
+            comma = ","
+            if node.children:
+                _write(node, append)
+            else:
+                root = node.root
+                append(_ROOT_TEXT.get(type(root), _dumps)(root))
+        append("]" if seq else ":[]")
+    append("}")
+
+
+def encode_json(tree: ValueTree) -> bytes:
+    """Encode a tree as compact UTF-8 JSON bytes, in one walk.
+
+    The text is what json.dumps writes, byte for byte. Raises ValueError
+    on a double that is not finite, and on an integer with more digits
+    than int-to-text conversion allows.
+    """
+    if not tree.children:
+        root = tree.root
+        return _ROOT_TEXT.get(type(root), _dumps)(root).encode("utf-8")
+    pieces: list[str] = []
+    _write(tree, pieces.append)
+    return "".join(pieces).encode("utf-8")
 
 
 def _not_json(constant: str) -> NoReturn:
@@ -289,34 +308,106 @@ def _finite(text: str) -> float:
     return value
 
 
-def load_json(text: str) -> Any:
-    """Parse JSON text, refusing NaN, Infinity, -Infinity and a number that overflows a double.
+_new = ValueTree.__new__
 
-    Raises JsonError on those, json.JSONDecodeError on malformed text, and
-    ValueError on an integer with more digits than int() converts.
+
+def _leaf(root: Basic | None) -> ValueTree:
+    node = _new(ValueTree)
+    node.root = root
+    node.shared = False
+    node.admitted = None
+    node.children = {}
+    return node
+
+
+def _tree(obj: dict[str, Any]) -> "ValueTree | JsonError":
+    """json's object_hook: the value tree of one JSON object, or the first JsonError in it.
+
+    json's scanner calls it as it closes each object, so every object
+    inside was made a tree, or refused, before. It raises nothing: a
+    refused object becomes its JsonError, which the object holding it
+    returns in turn, so decode_json raises the error a walk down from the
+    root meets first. A key "$" holds the root; any other key holds one
+    child, or an array of them. Arrays may not nest.
     """
-    return json.loads(text, parse_constant=_not_json, parse_float=_finite)
+    tree = _new(ValueTree)
+    tree.root = None
+    tree.shared = False
+    tree.admitted = None
+    tree.children = children = {}
+    for key, value in obj.items():
+        kind = type(value)
+        if key == "$":
+            if kind is ValueTree or kind is list or kind is JsonError:
+                return JsonError('reserved key "$" must hold a scalar root value')
+            tree.root = value
+        elif kind is ValueTree:
+            children[key] = [value]
+        elif kind is list:
+            seq = []
+            for element in value:
+                kind = type(element)
+                if kind is ValueTree:
+                    seq.append(element)
+                elif kind is list:
+                    return JsonError(f"nested array under key {key!r} is not representable")
+                elif kind is JsonError:
+                    return element
+                else:
+                    seq.append(_leaf(element))
+            if seq:
+                children[key] = seq
+        elif kind is JsonError:
+            return value
+        else:  # _leaf(value), written out: most values are leaves under a key
+            node = _new(ValueTree)
+            node.root = value
+            node.shared = False
+            node.admitted = None
+            node.children = {}
+            children[key] = [node]
+    return tree
+
+
+# Scalars become roots (integral numbers as long), objects become trees
+# as the scanner closes them, and arrays stay lists until the object
+# holding them takes them as the occurrences of one child name.
+_DECODER = json.JSONDecoder(
+    object_hook=_tree, parse_int=Long, parse_float=_finite, parse_constant=_not_json
+)
 
 
 def decode_json(data: bytes | str) -> ValueTree:
-    """Decode JSON bytes or text into a value tree.
+    """Decode JSON bytes or text into a value tree, in json's one scan.
 
-    Raises JsonError with line/column on malformed input, and without
-    them on input nested deeper than the interpreter can recurse, on
-    NaN, Infinity and -Infinity, which are not JSON, on a number that
-    overflows a double, and on an integer with more digits than int()
-    converts.
+    A repeated key holds its last value, in its first place. Raises
+    JsonError with line/column on malformed input, and without them on a
+    value the mapping refuses (an array at the root or nested in one, or
+    "$" holding an object or an array), on input nested deeper than json
+    recurses, on NaN, Infinity and -Infinity, which are not JSON, on a
+    number that overflows a double, and on an integer with more digits
+    than int() converts.
     """
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise JsonError(f"payload is not valid UTF-8: {exc}") from exc
+    if data.startswith("\ufeff"):  # json.loads refuses it so
+        raise JsonError("Unexpected UTF-8 BOM (decode using utf-8-sig)", 1, 1)
     try:
-        return from_json_value(load_json(data))
+        value = _DECODER.decode(data)
     except json.JSONDecodeError as exc:
         raise JsonError(exc.msg, exc.lineno, exc.colno) from exc
     except ValueError:  # a number with more digits than int() converts
         raise JsonError("number has too many digits") from None
     except RecursionError:
         raise JsonError(TOO_DEEP) from None
+    kind = type(value)
+    if kind is ValueTree:
+        return value
+    if kind is list:
+        raise JsonError("a JSON array cannot stand on its own; it must be an object value")
+    if kind is JsonError:
+        raise value
+    return _leaf(value)

@@ -192,7 +192,7 @@ HOSTILE = {
     "undecodable-body": (response(200, b"[1]"), OPEN),
     "malformed-fault-envelope": (response(500, b'["fault"]'), OPEN),
     "fault-name-not-a-string": (response(500, b'{"fault":1}'), OPEN),
-    "fault-data-unrepresentable": (response(500, b'{"fault":"F","data":[1]}'), OPEN),
+    "fault-data-unrepresentable": (response(500, b'{"fault":"F","data":[[1]]}'), OPEN),
     "fault-data-too-deep": (response(500, b'{"fault":"F","data":' + DEEP + b"}"), OPEN),
     "unexpected-status": (response(404, b""), OPEN),
     # no line end within the longest read: refused before the rest arrives
@@ -212,6 +212,39 @@ def test_a_hostile_reply_is_a_transport_error_and_the_socket_closes(fake, reply,
 def test_a_fault_envelope_holding_a_number_json_refuses_is_malformed(fake, data):
     reply = call(fake, response(500, b'{"fault":"F","data":' + data + b"}"), OPEN)
     assert isinstance(reply, TransportError) and "malformed fault envelope" in str(reply)
+
+
+@pytest.mark.parametrize(
+    "envelope, fault",
+    [
+        (b'{"fault":"X"}', Fault("X")),
+        (b'{"fault":"X","data":null}', Fault("X")),
+        (b'{"fault":"X","data":{}}', Fault("X")),
+        (b'{"fault":"X","data":[]}', Fault("X")),
+        (b'{"data":"d","fault":"X"}', Fault("X", ValueTree("d"))),
+        (
+            b'{"fault":"X","data":{"$":"why","at":[1,2],"by":{"who":"me"}}}',
+            Fault("X", ValueTree.make("why", at=[Long(1), Long(2)], by=ValueTree.make(who="me"))),
+        ),
+        # read by the rules of a message: a one-element array is one node
+        (b'{"fault":["X"],"data":[{"a":1}]}', Fault("X", ValueTree.make(a=Long(1)))),
+        (b'{"fault":1}', "its fault is not one name"),
+        (b'{"fault":["X","Y"]}', "its fault is not one name"),
+        (b'{"fault":{"$":"X","why":1}}', "its fault is not one name"),
+        (b'{"fault":null}', "its fault is not one name"),
+        (b"{}", "its fault is not one name"),
+        (b'"X"', "its fault is not one name"),
+        (b'{"fault":"X","data":[1,2]}', "it holds more than one data"),
+        (b'{"fault":"X","data":{"$":[]}}', 'reserved key "$" must hold a scalar root value'),
+    ],
+)
+def test_a_fault_envelope_is_read_as_a_message(envelope, fault):
+    if isinstance(fault, Fault):
+        assert transport.decode_fault(envelope) == fault
+    else:
+        with pytest.raises(TransportError, match="^malformed fault envelope: ") as exc:
+            transport.decode_fault(envelope)
+        assert fault in str(exc.value)
 
 
 def test_a_fault_envelope_is_written_as_json():

@@ -171,25 +171,33 @@ def test_forty_callers_are_served_by_at_most_32_connection_threads(server):
     assert 0 < most <= 32
 
 
-def test_idle_connections_hold_the_workers_no_longer_than_the_read_timeout(server, monkeypatch):
+def test_new_connections_that_send_nothing_hold_no_worker_and_close_after_the_read_timeout(server, monkeypatch):
+    threads = threading.active_count()
+    silent = []
+    try:
+        for count in (32, 200):  # as many as the port has workers, then many more
+            silent += [server.connect() for _ in range(count - len(silent))]
+            assert wait_for(lambda: len(server.server._parked) == count)
+            assert threading.active_count() <= threads
+            started = time.monotonic()
+            assert http_call(server.location, "echo", ValueTree(Long(1)), 5) == ValueTree(Long(1))
+            assert time.monotonic() - started < 0.5
+            # one more worker may start when a hand-off finds the last one not yet idle
+            assert threading.active_count() <= threads + 1
+            threads = threading.active_count()
+    finally:
+        for connection in silent:
+            connection.close()
+    assert wait_for(lambda: not server.server._parked)
     monkeypatch.setattr(transport, "READ_TIMEOUT", 0.5)
     opened = time.monotonic()
-    idle = [server.connect() for _ in range(32)]
+    silent = [server.connect() for _ in range(32)]
     try:
-        deadline = time.monotonic() + 5
-        while len(server.workers()) < 32 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert len(server.workers()) == 32
-        started = time.monotonic()
-        assert http_call(server.location, "echo", ValueTree(Long(1)), 5) == ValueTree(Long(1))
-        # the call waited for an idle connection to time out, and not much longer
+        assert all(receive_all(connection) == b"" for connection in silent)  # closed unanswered
         assert time.monotonic() - opened >= 0.5
-        assert time.monotonic() - started < 0.5 + 2.0
-        assert len(server.workers()) <= 32
-        # the timed-out connections were closed without an answer
-        assert all(receive_all(connection) == b"" for connection in idle)
+        assert wait_for(lambda: not server.server._parked)
     finally:
-        for connection in idle:
+        for connection in silent:
             connection.close()
 
 
@@ -331,9 +339,12 @@ def wait_for(condition, seconds=5):
 
 
 def test_connections_no_worker_is_free_to_accept_wait_in_the_backlog(server):
+    # each of 32 connections stalls in its request, holding the worker that reads it
     idle = [server.connect() for _ in range(32)]
     flood = []
     try:
+        for connection in idle:
+            connection.sendall(b"POST /echo HTTP/1.1\r\nContent-Length: 5\r\n\r\n12")
         assert wait_for(lambda: len(server.server._open) == 32)
         for n in range(60):
             flood.append(server.connect())

@@ -1859,6 +1859,19 @@ def test_a_body_too_deep_to_check_gets_the_type_mismatch_envelope():
         system.shutdown()
 
 
+@pytest.mark.parametrize("depth", [1000, 1100, 1500])
+def test_a_body_nested_past_max_nesting_gets_too_deep_whichever_step_refuses_it(depth):
+    # Python 3.12's json decodes 1000 and 1100 levels and the port's imaging
+    # refuses them; before 3.12, and at 1500 on 3.12, json refuses them itself
+    system, ports = start_source(COLLECTOR)
+    try:
+        status, _, body = _post_raw(ports["Collector"], "drain", b'{"a":' * depth + b"1" + b"}" * depth)
+        assert (status, json.loads(body)) == (500, {"fault": "TypeMismatch", "data": TOO_DEEP})
+        assert system.invoke_rr("Collector", "drain", ValueTree()) == ValueTree()
+    finally:
+        system.shutdown()
+
+
 @pytest.mark.parametrize(
     "operation, body", [("text", b'"\\ud800"'), ("anything", b'{"\\udfff":1}')], ids=["root", "child-name"]
 )

@@ -1,10 +1,15 @@
+import json
+import math
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_json
 from monoslice.values import (
+    TOO_DEEP,
     JsonError,
     Long,
     ValueTree,
@@ -228,3 +233,177 @@ trees = st.recursive(st.builds(ValueTree, _roots), _tree_nodes, max_leaves=18)
 @settings(max_examples=300, deadline=None)
 def test_decode_encode_is_identity(tree):
     assert decode_json(encode_json(tree)) == tree
+
+
+# ---------------------------------------------------------------------------
+# the codec against the one it replaced (tests/reference_json.py)
+
+
+def _shape(tree):
+    """A tree as nested tuples: each root's type and repr, and the children in their order."""
+    return (
+        type(tree.root).__name__,
+        repr(tree.root),
+        [(name, [_shape(t) for t in seq]) for name, seq in tree.children.items()],
+    )
+
+
+def _decoded(decode, data):
+    try:
+        return ("tree", _shape(decode(data)))
+    except JsonError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+
+
+def _encoded(encode, tree):
+    try:
+        return ("bytes", encode(tree))
+    except ValueError as exc:  # UnicodeEncodeError included
+        return ("error", type(exc).__name__, str(exc))
+
+
+# JSON text, drawn as text: keys that repeat, "$" anywhere, arrays empty,
+# nested or at the root, lone surrogates written as escapes, numbers past
+# the digit limit or a double's range, and constants that are not JSON
+_json_keys = st.sampled_from(['"$"', '"a"', '"b"', '"é"', '"\\ud800"', '"\\u0000x"'])
+_json_scalars = st.one_of(
+    st.sampled_from(
+        ["null", "true", "false", "0", "-0", "-0.0", "1.5", "2E3", "5e-324", "1e308", "1e999", "-1e400"]
+        + ["NaN", "Infinity", "-Infinity", '"\\ud800"', '"\\udfff\\ud800"', '"\\n\\t\\u001f"', '""', "1" * 4301]
+    ),
+    st.integers().map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.text(max_size=6).map(lambda s: json.dumps(s, ensure_ascii=False)),
+)
+_json_space = st.sampled_from(["", " ", "\n  "])
+
+
+def _json_containers(values):
+    pairs = st.lists(st.tuples(_json_keys, _json_space, values), max_size=4)
+    return st.one_of(
+        pairs.map(lambda items: "{" + ",".join(f"{key}:{space}{value}" for key, space, value in items) + "}"),
+        st.lists(st.tuples(_json_space, values), max_size=3).map(
+            lambda items: "[" + ",".join(space + value for space, value in items) + "]"
+        ),
+    )
+
+
+_json_values = st.recursive(_json_scalars, _json_containers, max_leaves=12)
+json_texts = st.one_of(
+    _json_values,
+    _json_values.flatmap(lambda text: st.integers(0, len(text)).map(lambda cut: text[:cut])),  # truncated
+    st.tuples(_json_values, _json_space, _json_values).map("".join),  # extra data
+)
+
+
+@given(json_texts, st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_decode_json_agrees_with_the_reference_codec(text, as_bytes):
+    data = text.encode("utf-8", "surrogatepass") if as_bytes else text
+    assert _decoded(decode_json, data) == _decoded(reference_json.decode_json, data)
+
+
+_edge_roots = st.one_of(
+    _roots,
+    st.floats(),  # NaN and the infinities too
+    st.sampled_from([-0.0, 5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf, True, False]),
+    st.sampled_from([4299, 4300]).map(lambda digits: 10**digits),  # 4301 digits is past the limit
+    st.sampled_from([4299, 4300]).map(lambda digits: Long(-(10**digits))),
+    st.integers().map(Long),
+    st.text(st.characters(codec=None, exclude_categories=()), max_size=6),  # control characters and surrogates
+)
+_edge_names = st.one_of(_names, st.sampled_from(["$", "\x00", " ", "é", "\ud800"]))
+edge_trees = st.recursive(
+    st.builds(ValueTree, _edge_roots),
+    lambda children: st.builds(
+        ValueTree,
+        _edge_roots,
+        st.dictionaries(_edge_names, st.lists(children, min_size=1, max_size=3), max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+@given(edge_trees)
+@settings(max_examples=500, deadline=None)
+def test_encode_json_agrees_with_the_reference_codec(tree):
+    assert _encoded(encode_json, tree) == _encoded(reference_json.encode_json, tree)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"a":{"$":{}},"a":1}',  # a refused value hidden by a repeated key
+        '{"a":1,"b":2,"a":[]}',  # the last value in the first key's place, here no child
+        '{"a":[1,[2]],"b":{"$":[]}}',  # the first error a walk from the root meets
+        '{"b":{"$":[]},"a":[1,[2]]}',
+        '{"$":{"$":[]}}',
+        '{"$":{"a":[[1]]}}',  # "$" holding an object is refused before what the object holds
+        '{"a":[{"b":[[1]]}]}',
+        '[{"$":{}}]',  # a root array is refused first
+        '{"$":{}} x',  # malformed text before any refusal
+        '{"$":[],"a":NaN}',
+        '﻿{}',
+        '{"a":' + "7" * 5000 + "}",
+    ],
+)
+def test_decode_json_reports_what_the_reference_codec_reports(text):
+    assert _decoded(decode_json, text) == _decoded(reference_json.decode_json, text)
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [ValueTree(math.nan), ValueTree.make(x=-math.inf), ValueTree(Long(10**4300)), ValueTree("\ud800")],
+    ids=["nan", "minus-infinity", "4301-digits", "lone-surrogate"],
+)
+def test_a_tree_json_cannot_carry_raises_as_in_the_reference_codec(tree):
+    assert _encoded(encode_json, tree)[0] == "error"
+    assert _encoded(encode_json, tree) == _encoded(reference_json.encode_json, tree)
+
+
+def test_trees_the_constructor_does_not_make_encode_as_in_the_reference_codec():
+    empty = ValueTree.make(a=1)
+    empty.children["b"] = []
+    for tree in [
+        ValueTree("r", {"a": [ValueTree(1)], "$": [ValueTree("c")]}),  # "$" takes the root's place
+        ValueTree(None, {"a": [ValueTree(1)], "$": [ValueTree("c"), ValueTree(2)]}),
+        ValueTree(float("nan"), {"$": [ValueTree(3)]}),
+        empty,
+    ]:
+        assert _encoded(encode_json, tree) == _encoded(reference_json.encode_json, tree)
+
+
+def _decodes_on_a_fresh_stack(decode, depth):
+    """Whether decode takes a body nesting depth objects, called on a new thread's stack, as a port's worker calls it."""
+    outcome = []
+
+    def run():
+        sys.settrace(None)  # a line tracer's calls, such as tests/line_audit.py's, take frames of their own
+        try:
+            decode(b'{"a":' * depth + b"1" + b"}" * depth)
+            outcome.append(True)
+        except JsonError as exc:
+            outcome.append(str(exc))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert outcome[0] in (True, TOO_DEEP)
+    return outcome[0] is True
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12), reason="json's scanner counts Python's recursion limit before 3.12")
+def test_both_codecs_decode_990_levels_and_refuse_995():
+    for decode in (decode_json, reference_json.decode_json):
+        assert _decodes_on_a_fresh_stack(decode, 990)
+        assert not _decodes_on_a_fresh_stack(decode, 995)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 12), reason="json's scanner has a limit of its own from 3.12")
+def test_decode_json_decodes_1100_levels_and_refuses_1500():
+    # only json's scanner recurses now; the port refuses such a body as too deep
+    assert _decodes_on_a_fresh_stack(decode_json, 1000)
+    assert _decodes_on_a_fresh_stack(decode_json, 1100)
+    assert not _decodes_on_a_fresh_stack(decode_json, 1500)
+    assert not _decodes_on_a_fresh_stack(reference_json.decode_json, 1000)
