@@ -1,30 +1,36 @@
 """Code-generating interpreter for service behaviors.
 
 compile_block turns a statement list into a Block once: one generated
-Python function per statement, and a while or an if holds the functions
-of its body. The interpreter's dispatch is spent while the source is
-written, the first Futamura projection done by hand for each statement
-shape (Futamura, "Partial evaluation of computation process", 1971):
-inside a statement's function, path walks,
-variable and constant indices, tests with {}, equality of two roots of
-one kind, and + - * of two ints are inline bytecode. Everything else
-calls the helpers of this module: mixed-kind equality, the other
-operators, index and kind faults, padding and its undo, and the
-context's messages. So every fault has the name and message it had
-before the shape was inlined. Program text is data: identifiers and
-literals reach the generated code only as constants bound to names the
-generator makes, never as source. So the source of a statement depends
-on its shape alone, and _BUILDERS keeps what one compile() made of it
-for every statement of that shape. Each function has a compile() of its
-own: the parser's transient memory grows with the source it is given,
-and malloc keeps it per thread.
+Python function per statement, with the bodies of its ifs and whiles
+written inline in it, at any depth up to _MAX_DEPTH. The interpreter's
+dispatch is spent while the source is written, the first Futamura
+projection done by hand for each statement shape (Futamura, "Partial
+evaluation of computation process", 1971): inside a statement's
+function, nested statements, path walks, variable and constant indices,
+tests with {}, equality of two roots of one kind, and + - * of two ints
+are inline bytecode. Everything else calls the helpers of this module:
+mixed-kind equality, the other operators, index and kind faults, padding
+and its undo, and the context's messages. So every fault has the name
+and message it had before the shape was inlined. Program text is data:
+identifiers and literals reach the generated code only as constants
+bound to names the generator makes, never as source. So the source of a
+statement depends on its shape alone, and _BUILDERS keeps what one
+compile() made of it for every statement of that shape. Each function
+has a compile() of its own: the parser's transient memory grows with the
+source it is given, and malloc keeps it per thread.
 
 exec_statements runs a Block against an ExecutionContext, one
-exec_statement per statement executed, nested ones included: a while or
-an if calls the functions of its body through exec_statement, which the
-generated code looks up in this module at each call. A while tests its
-condition inline and reads ctx.aborted on each iteration. The runtime
-compiles each branch once per checked program, on first use.
+exec_statement per top-level statement. A statement nested deeper than
+_MAX_DEPTH is a function of its own, which its block calls through
+exec_statement, looked up in this module at each call, as an expression
+nested that deep is spilled. A while tests its condition inline, leaves
+with break, and reads ctx.aborted on each iteration. Before the loop it
+reads once the scope's sequence of each variable the loop reads and never
+stores to (inlining and loop-invariant code motion: Allen and Cocke, "A
+Catalogue of Optimizing Transformations", 1971): only a store rooted at
+a variable makes or replaces its sequence, and no shared node is changed
+in place. The runtime compiles each branch once per checked program, on
+first use.
 
 A variable scope is itself a value tree whose children are the
 variables. Reads of missing paths yield an empty tree without mutating
@@ -181,8 +187,9 @@ def exec_statement(statement: Step, ctx: ExecutionContext) -> None:
 # the Python operator of each comparison, and of each arithmetic operator that
 # takes two ints inline
 _INLINE = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "+": "+", "-": "-", "*": "*"}
-# how deep a generated function's blocks may nest before an expression is
-# written as a function of its own: Python refuses more than 20 nested try blocks
+# how deep a generated function's blocks may nest before a statement or an
+# expression is written as a function of its own: Python refuses more than 20
+# nested loops and try blocks
 _MAX_DEPTH = 12
 # (file name, source) -> the function that source defines, which takes the
 # constants and returns the statement's function. The source names no program
@@ -213,6 +220,8 @@ class _Function:
         self.depth = 1
         self.constants: list[object] = []
         self._temps = 0
+        # variable -> the local that holds its sequence, bound before the loops being written
+        self.hoisted: dict[str, str] = {}
 
     def line(self, text: str) -> None:
         self.lines.append("    " * self.depth + text)
@@ -285,35 +294,43 @@ class _Function:
             self.bind(statement.target, f"ctx.receive({self.const(statement.operation)})")
         elif isinstance(statement, If):
             condition = self.root(statement.condition)
-            then = [self.step(s) for s in statement.then]
-            orelse = [self.step(s) for s in statement.orelse]
             with self.block(f"if {condition} is True:"):
-                self.steps(then)
+                self.body(statement.then)
             with self.block(f"elif {condition} is not False:"):
                 self.line(f'_not_a_bool({condition}, "if condition")')
-            if orelse:
+            if statement.orelse:
                 with self.block("else:"):
-                    self.steps(orelse)
+                    self.body(statement.orelse)
         elif isinstance(statement, While):
-            body = [self.step(s) for s in statement.body]
+            outer = self.hoisted
+            self.hoisted = dict(outer)
+            # the sequence of each variable the loop reads and never stores to is the
+            # same on every iteration: only a store rooted at a variable makes or replaces it
+            reads: dict[str, None] = {}
+            stores: set[str] = set()
+            _variables(statement, reads, stores)
+            for name in [name for name in reads if name not in stores and name not in outer]:
+                seq = self.hoisted[name] = self.temp()
+                self.line(f"{seq} = scope.children.get({self.const(name)})")
             with self.block("while True:"):
                 condition = self.root(statement.condition)
                 with self.block(f"if {condition} is not True:"):
                     self.line(f'if {condition} is not False: _not_a_bool({condition}, "while condition")')
-                    self.line("return")
+                    self.line("break")
                 # a plain attribute: this loop is the interpreter's hot path
                 self.line("if ctx.aborted: raise aborted_fault()")
-                self.steps(body)
+                self.body(statement.body)
+            self.hoisted = outer
         else:  # a Throw, the last kind of statement
             self.line(f"raise FaultSignal(Fault({self.const(statement.fault)}))")
 
-    def step(self, statement: Statement) -> str:
-        """The constant that holds a nested statement's own function."""
-        return self.const(_statement(statement, self.ports, self.filename))
-
-    def steps(self, names: list[str]) -> None:
-        for name in names:
-            self.line(f"exec_statement({name}, ctx)")
+    def body(self, statements: list[Statement]) -> None:
+        """Write a block's statements inline, each past _MAX_DEPTH as a function of its own."""
+        for statement in statements:
+            if self.depth > _MAX_DEPTH:
+                self.line(f"exec_statement({self.const(_statement(statement, self.ports, self.filename))}, ctx)")
+            else:
+                self.statement(statement)
 
     def bind(self, target: Path, call: str) -> None:
         """Store the message a call returns at target, replacing what is there."""
@@ -418,12 +435,12 @@ class _Function:
         """
         node, seq = self.temp(), self.temp()
         for number, step in enumerate(path.steps):
-            name = self.const(step.name)
             if not number:
                 index = self.index(step.index)
-                self.line(f"{seq} = scope.children.get({name})")
-                self.take(node, seq, index)
-            elif _fixed(step.index) is not None:
+                self.take(node, self.variable(step.name), index)
+                continue
+            name = self.const(step.name)
+            if _fixed(step.index) is not None:
                 index = self.index(step.index)
                 self.line(f"{seq} = {node}.children.get({name}) if {node} is not None else None")
                 self.take(node, seq, index)
@@ -433,6 +450,14 @@ class _Function:
                     self.line(f"{seq} = {node}.children.get({name})")
                     self.take(node, seq, index)
         return node
+
+    def variable(self, name: str) -> str:
+        """The local that holds a variable's sequence, or None if it is absent."""
+        seq = self.hoisted.get(name)
+        if seq is None:
+            seq = self.temp()
+            self.line(f"{seq} = scope.children.get({self.const(name)})")
+        return seq
 
     def take(self, node: str, seq: str, index: str) -> None:
         if index == "0":  # a sequence is never empty
@@ -468,8 +493,8 @@ class _Function:
             self.line(f"{root} = {self.tree(expr)}.root")
         elif isinstance(expr, PathExpr):
             if _is_variable(expr.path):
-                self.line(f"{root} = scope.children.get({self.const(expr.path.root)})")
-                self.line(f"{root} = {root}[0].root if {root} else None")
+                seq = self.variable(expr.path.root)
+                self.line(f"{root} = {seq}[0].root if {seq} else None")
             else:
                 node = self.locate(expr.path)
                 self.line(f"{root} = None if {node} is None else {node}.root")
@@ -517,6 +542,39 @@ class _Function:
         # a literal's kind is known now
         ints = " and ".join(f"type({name}) is int" for e, name in sides if not isinstance(e, Literal)) or "True"
         self.line(f"{result} = {left} {_INLINE[op]} {right} if {ints} else {cold}")
+
+
+def _variables(node: Statement | Expr | Path, reads: dict[str, None], stores: set[str]) -> None:
+    """Add to reads the variables node reads at any depth, in the order it reads them, and to stores the roots of its stores."""
+    if isinstance(node, PathExpr):
+        reads[node.path.root] = None
+        _variables(node.path, reads, stores)
+    elif isinstance(node, Path):
+        for step in node.steps:
+            if step.index is not None:
+                _variables(step.index, reads, stores)
+    elif isinstance(node, Unary):
+        _variables(node.operand, reads, stores)
+    elif isinstance(node, Binary):
+        _variables(node.left, reads, stores)
+        _variables(node.right, reads, stores)
+    elif isinstance(node, TreeLiteral):
+        for key, value in node.entries:
+            _variables(key, reads, stores)
+            _variables(value, reads, stores)
+    elif isinstance(node, If):
+        _variables(node.condition, reads, stores)
+        for statement in node.then + node.orelse:
+            _variables(statement, reads, stores)
+    elif isinstance(node, While):
+        _variables(node.condition, reads, stores)
+        for statement in node.body:
+            _variables(statement, reads, stores)
+    elif isinstance(node, (Assign, SolicitResponse, OneWaySend)):
+        _variables(node.value if isinstance(node, Assign) else node.argument, reads, stores)
+    if isinstance(node, (Assign, SolicitResponse, Receive)) and node.target is not None:
+        stores.add(node.target.root)
+        _variables(node.target, reads, stores)
 
 
 def _is_variable(path: Path) -> bool:

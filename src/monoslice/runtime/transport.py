@@ -20,10 +20,14 @@ The workers of each port's pool, at most MAX_WORKERS threads, take
 turns to wait on the port's selector, which holds the listener and the
 parked connections. The worker holding the turn takes one new or
 parked connection with bytes waiting, passes the turn on to an idle
-worker or a new one, and serves the connection itself; a new
-connection that has sent nothing yet is parked at once. So the server
-serves at most MAX_WORKERS connections at once, and new connections
-wait in the listen backlog of 2 * MAX_WORKERS.
+worker or a new one, and serves the connection itself. When the
+listener wakes it, it accepts new connections without blocking until
+one has bytes waiting or none is left, and parks each one that has sent
+nothing yet, so a burst of connections leaves the listen backlog in one
+wake. So the server serves at most MAX_WORKERS connections at once, and
+new connections wait in a listen backlog of MAX_PARKED, which holds a
+burst as large as the port may park even while a client in the same
+process keeps the turn holder from running for a switch interval.
 A worker reads the requests of its connection one after another,
 parsing the request line and headers by hand within MAX_LINE_BYTES and
 MAX_HEADERS, and writes each response with one send. A connection stays
@@ -168,8 +172,8 @@ class HttpPortServer:
         self._parked: dict[socket.socket, float] = {}
         self._lock = threading.Lock()
         self._closed = False
-        self._listener = socket.create_server(("", port), backlog=2 * MAX_WORKERS)
-        self._listener.settimeout(_POLL_SECONDS)
+        self._listener = socket.create_server(("", port), backlog=MAX_PARKED)
+        self._listener.setblocking(False)  # an accept with nothing waiting returns at once
         # made by start and closed by the last turn; workers register and unregister
         # connections under _lock while the turn holder waits in select, as epoll
         # and kqueue, the selectors of Linux and the BSDs, allow
@@ -240,34 +244,38 @@ class HttpPortServer:
         connection.close()
 
     def _accept(self) -> "_Reader | None":
-        """The connection the listener has waiting, once a byte of it has arrived too.
+        """The first connection waiting on the listener that has sent a byte.
 
-        A new connection that has sent nothing yet is parked, as an
+        Accepts until a connection has bytes to read or none waits, so
+        that a burst of new connections leaves the listen backlog in one
+        wake. A new connection that has sent nothing yet is parked, as an
         answered one is, so that it holds no worker while it is silent.
-        None when there is no connection, it was parked, or the port
+        None when no waiting connection has sent anything, or the port
         closed. An accept that fails for want of a descriptor or of
         memory leaves the listener readable, so it pauses _POLL_SECONDS
         before the turn holder looks again, rather than spin.
         """
-        try:
-            connection, _ = self._listener.accept()
-        except (ConnectionAbortedError, socket.timeout):  # the client gave up, or nothing waits
-            return None
-        except OSError:  # the port closed, or EMFILE, ENFILE, ENOBUFS or ENOMEM
-            if not self._closed:
-                time.sleep(_POLL_SECONDS)
-            return None
-        connection.settimeout(READ_TIMEOUT)
-        reader = _Reader(connection)
-        with self._lock:
-            if self._closed:  # accepted as the port closed: no answer
-                connection.close()
+        while True:
+            try:
+                connection, _ = self._listener.accept()
+            except ConnectionAbortedError:  # the client gave up
+                continue
+            except BlockingIOError:  # nothing waits
                 return None
-            if not _readable(connection):
+            except OSError:  # the port closed, or EMFILE, ENFILE, ENOBUFS or ENOMEM
+                if not self._closed:
+                    time.sleep(_POLL_SECONDS)
+                return None
+            connection.settimeout(READ_TIMEOUT)
+            reader = _Reader(connection)
+            with self._lock:
+                if self._closed:  # accepted as the port closed: no answer
+                    connection.close()
+                    return None
+                if _readable(connection):
+                    self._open.add(connection)
+                    return reader
                 self._add_parked(reader)
-                return None
-            self._open.add(connection)
-        return reader
 
     def _park(self, reader: "_Reader") -> bool:
         """Leave an answered connection to the selector until it sends again; False once the port closed."""
@@ -326,7 +334,8 @@ class HttpPortServer:
                 status, body = 500, encode_fault(result)
             else:
                 status, body = 200, encode_json(result)
-        except ValueError as exc:  # say, an integer with more digits than JSON converts
+        # say, an integer with more digits than JSON converts, or a tree nested past the stack
+        except (ValueError, RecursionError) as exc:
             status, body = 500, _mismatch(f"the reply cannot be encoded: {exc}")
         return _send(reader.connection, status, body, keep)
 

@@ -60,10 +60,6 @@ ALLOWED = {
         "a client that vanishes mid-request, which loopback tests cannot time",
     ("runtime/transport.py", "pass"):
         "the two handlers above",
-    ("runtime/transport.py", "except ValueError as exc:  # say, an integer with more digits than JSON converts"):
-        "a reply the port admitted yet JSON cannot encode; every reply is taken to its image first",
-    ("runtime/transport.py", 'status, body = 500, _mismatch(f"the reply cannot be encoded: {exc}")'):
-        "the same handler",
     # interface declarations: the runtime and the tests supply their own contexts
     ("runtime/interpreter.py", "raise NotImplementedError"):
         "ExecutionContext's solicit, send_oneway, receive and rebind",

@@ -5,6 +5,7 @@ import http.client
 import io
 import json
 import math
+import selectors
 import socket
 import threading
 import time
@@ -269,6 +270,78 @@ def test_a_port_parks_at_most_max_parked_connections_and_closes_the_oldest(serve
     finally:
         for connection in idle:
             connection.close()
+
+
+def test_a_burst_of_new_connections_from_one_thread_all_connect_at_once(server):
+    threads = threading.active_count()
+    silent = []
+    try:
+        started = time.monotonic()
+        for _ in range(200):
+            silent.append(server.connect())
+        # a connect the full backlog refused would wait 1 s for its SYN to be sent again
+        assert time.monotonic() - started < 0.5
+        assert wait_for(lambda: len(server.server._parked) == 200)
+        assert threading.active_count() <= threads
+    finally:
+        for connection in silent:
+            connection.close()
+
+
+def test_one_wake_of_the_turn_holder_accepts_every_connection_waiting(monkeypatch):
+    wakes = []
+
+    class CountingSelector(selectors.DefaultSelector):
+        def select(self, timeout=None):
+            ready = super().select(timeout)
+            wakes.extend(ready)
+            return ready
+
+    monkeypatch.setattr(transport.selectors, "DefaultSelector", CountingSelector)
+    [port] = free_ports(1)
+    server = transport.HttpPortServer(port, stub_offer, 5.0)
+    waiting = []
+    try:
+        # they wait in the listen backlog until the turn holder starts
+        waiting += [socket.create_connection(("127.0.0.1", port), timeout=5) for _ in range(100)]
+        server.start()
+        assert wait_for(lambda: len(server._parked) == 100)
+        assert len(wakes) == 1
+    finally:
+        server.close()
+        for connection in waiting:
+            connection.close()
+
+
+def test_a_reply_nested_past_the_stack_gets_the_type_mismatch_envelope(server, monkeypatch, caplog):
+    # Encoding raises here at once: a line tracer, such as tests/line_audit.py's,
+    # stops when the recursion limit is reached.
+    deep = ValueTree("deep")
+    encode = transport.encode_json
+
+    def overflowing(tree):
+        if tree is deep or any(node is deep for node in tree.children.get("data", ())):
+            raise RecursionError
+        return encode(tree)
+
+    monkeypatch.setattr(transport, "encode_json", overflowing)
+    replies = {"reply": deep, "fault": Fault("Deep", deep)}
+    server.server.offer = lambda operation, tree, kind, timeout: replies.get(operation, tree)
+    dials = []
+    dial = transport._dial
+    monkeypatch.setattr(transport, "_dial", lambda *args: dials.append(args) or dial(*args))
+    connections = transport.ConnectionPool()
+    try:
+        with caplog.at_level("ERROR", logger="monoslice"):
+            for operation in ("reply", "fault"):
+                fault = transport.http_invoke_rr(connections, server.location, operation, ValueTree(Long(1)), 5)
+                assert fault.name == "TypeMismatch" and "cannot be encoded" in fault.data.root
+            echoed = transport.http_invoke_rr(connections, server.location, "echo", ValueTree(Long(2)), 5)
+        assert echoed == ValueTree(Long(2))
+    finally:
+        connections.close()
+    assert len(dials) == 1  # every call went over the one connection
+    assert not [record for record in caplog.records if record.levelname == "ERROR"]
 
 
 def test_close_closes_the_parked_connections(server):

@@ -3,7 +3,7 @@ import reference_interpreter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoslice.ast import Binary, Literal, Path, PathExpr, PathStep, TreeLiteral, Unary
+from monoslice.ast import Binary, If, Literal, Path, PathExpr, PathStep, TreeLiteral, Unary, While
 from monoslice.parser import parse_source
 from monoslice.runtime.interpreter import (
     MAX_PAD,
@@ -17,10 +17,25 @@ from monoslice.values import Long, ValueTree, kind_of
 
 
 class Context(ExecutionContext):
-    """A context with no ports, enough to run pure behaviors."""
+    """A context with no ports: a solicit's reply and a received message are roots counting the messages so far.
+
+    A solicit's reply also holds a copy of its request; a one-way message is only counted.
+    """
 
     def __init__(self, scope: ValueTree | None = None):
         self.scope = scope if scope is not None else ValueTree()
+        self.messages = 0
+
+    def solicit(self, port, operation, request):
+        self.messages += 1
+        return ValueTree.make(self.messages, request=request.copy())
+
+    def send_oneway(self, port, operation, message):
+        self.messages += 1
+
+    def receive(self, operation):
+        self.messages += 1
+        return ValueTree(self.messages)
 
 
 def main_statements(statements: str):
@@ -290,7 +305,7 @@ def test_solicit_sees_the_request_as_stored_and_the_reply_is_kept_apart():
     assert scope.children["r"][0] == ValueTree.make(v=9)
 
 
-def test_each_executed_statement_goes_through_exec_statement(monkeypatch):
+def test_top_level_statements_go_through_exec_statement_and_nested_ones_run_inline(monkeypatch):
     from monoslice.runtime import interpreter
 
     seen = []
@@ -301,9 +316,14 @@ def test_each_executed_statement_goes_through_exec_statement(monkeypatch):
         original(statement, ctx)
 
     monkeypatch.setattr(interpreter, "exec_statement", counting)
-    run_main("i = 0 while( i < 3 ) { if( i == 1 ) { x = i } i = i + 1 }")
+    text = "i = 0 while( i < 3 ) { if( i == 1 ) { x = i } i = i + 1 }"
+    scope = run_main(text)
+    assert len(seen) == 2  # i = 0 and the while
+    monkeypatch.undo()
+    woven, _, counted = _run_counted(interpreter, main_statements(text), ValueTree())
     # i = 0, the while, three ifs and three increments, and the one x = i
-    assert len(seen) == 9
+    assert counted == 9
+    assert woven == _kinds(scope)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +611,9 @@ def _paths(indices, roots=("a", "b", "x", "y")):
 # over numbers, and their conditions are bools. One in _DIFF_RISK is drawn from
 # a grammar that faults often: indices that are not integers, negative or too
 # far past the end to pad, any operator over roots of any kind, and throw.
-# Loops count c0 and c1, which nothing else writes.
+# Loops count c0 and c1, which nothing else writes but to add 1, so every loop
+# ends; any block may store to what an enclosing loop's condition reads. y is
+# absent when a program starts, so a loop may make what it reads.
 _DIFF_RISK = 8
 _DIFF_INDICES = st.sampled_from(["0", "1", "3", "c0", "c1", "2L"])
 _DIFF_PATHS = _paths(_DIFF_INDICES)
@@ -623,6 +645,10 @@ _DIFF_STORES = _pick(
     # y = x shares x's tree, and a write through either must not show through the other
     st.builds("{} = {} {} = {}".format, _DIFF_ROOT_NAMES, _DIFF_ROOT_NAMES, _DIFF_PATHS, _DIFF_NUMERIC | _DIFF_PATHS),
     st.builds("{} = {} {} = {}".format, _DIFF_ROOT_NAMES, _DIFF_ROOT_NAMES, _DIFF_ROOT_NAMES, _DIFF_NUMERIC),
+    st.sampled_from(["c0 = c0 + 1", "c1 = c1 + 1"]),
+    # messages bound by a receive and by a solicit's reply (Context)
+    st.builds("note( {} )".format, _DIFF_PATHS),
+    st.builds("op@Out( {} )( {} )".format, _DIFF_NUMERIC | _DIFF_PATHS, _DIFF_PATHS),
 )
 _RISKY_INDICES = st.sampled_from(["0", "c0", "a", "b", '"s"', "(0 - 1)", "100000", "2.5"])
 _RISKY_PATHS = _paths(_RISKY_INDICES)
@@ -689,25 +715,33 @@ def _kinds(tree):
     )
 
 
+# counts the statements a program runs, woven in front of each of them
+_COUNT = main_statements("n_ = n_ + 1")[0]
+
+
+def _woven(statements):
+    """The statements with _COUNT in front of each one, at every depth."""
+    woven = []
+    for statement in statements:
+        if isinstance(statement, If):
+            statement = If(statement.condition, _woven(statement.then), _woven(statement.orelse))
+        elif isinstance(statement, While):
+            statement = While(statement.condition, _woven(statement.body))
+        woven += [_COUNT, statement]
+    return woven
+
+
 def _run_counted(module, statements, scope):
-    """Compile and run statements with module; returns the scope's kinds, the fault, and the statements run."""
-    counted = []
-    original = module.exec_statement
-
-    def counting(statement, ctx):
-        counted.append(statement)
-        original(statement, ctx)
-
-    module.exec_statement = counting
+    """Run statements woven with _COUNT, compiled by module; returns the scope's kinds, the fault, and the statements run."""
+    scope.children["n_"] = [ValueTree(0)]
     ctx = Context(scope)
     try:
-        module.exec_statements(module.compile_block(statements), ctx)
+        module.exec_statements(module.compile_block(_woven(statements)), ctx)
         outcome = None
     except FaultSignal as exc:
         outcome = exc.fault.name, None if exc.fault.data is None else exc.fault.data.root
-    finally:
-        module.exec_statement = original
-    return _kinds(ctx.scope), outcome, len(counted)
+    [counted] = ctx.scope.children.pop("n_")
+    return _kinds(ctx.scope), outcome, counted.root
 
 
 def assert_same_as_reference(text, scope=None):
@@ -738,10 +772,58 @@ def test_generated_statements_agree_with_the_reference_interpreter(text, a, b, s
         # a loop whose condition walks a variable index, and breaks on a fault
         'i = 0 while( x.f[i] != {} ) { x.f[i].seen = i i = i + 1 } k = x.f[i].g',
         "i = 0 while( i < 3 ) { if( i == 1 ) { y = x } else { x.f[i] = i * 2L } i = i + 1 } throw( Done )",
+        # a loop that stores to what its condition reads only inside a nested if, or a nested loop
+        "d = 0 i = 0 while( d == 0 ) { if( i == 2 ) { d = 1 } else { x.f[i] = d } i = i + 1 } k = d",
+        "i = 0 while( i < 3 ) { if( true ) { while( a < 3 ) { a = a + 1 } } x.f[i] = a i = i + 1 }",
+        "i = 0 while( i < 5 ) { j = 0 while( j < 2 ) { i = i + 1 j = j + 1 } x.f[i] = i }",
+        # a loop that reads a variable absent when it starts, which it leaves absent or makes
+        "i = 0 while( i < 2 ) { x.f[i] = ghost x.f[i].g = ghost.k i = i + 1 } k = ghost",
+        "i = 0 while( i < 3 ) { if( i == 1 ) { late.k = 7 } x.f[i] = late i = i + 1 }",
+        # a loop that binds what it reads to a received message, or to a reply, made in the loop or before
+        "i = 0 while( i < 3 ) { x.f[i] = r note( r ) i = i + 1 }",
+        "i = 0 while( i < 3 ) { x.f[i] = r.request if( true ) { op@Out( i )( r ) } i = i + 1 }",
+        "c = 0 while( c < 3 ) { note( c ) }",
+        "c = 0 while( c < 3 ) { if( c >= 0 ) { op@Out( x.f[c] )( c ) } x.f[c] = c }",
+        "c = 0 while( c < 3 ) { op@Out( c )() send@Out( x ) note( c ) y = c }",
+        # y = x in a loop that never stores to x, then writes through y
+        "i = 0 while( i < 3 ) { y = x y.f[i] = i y.f[0].g = x.f[i] k = x.f[i] i = i + 1 }",
+        "i = 0 while( i < 2 ) { y = x while( i < 2 ) { y.f = i i = i + 1 } k = x }",
     ],
 )
 def test_statement_shapes_agree_with_the_reference_interpreter(text):
     assert_same_as_reference(text, _diff_scope(Long(1), "s", True))
+
+
+def _nested(depth, innermost):
+    """A statement nested depth deep, each level an if or a while that runs its body once."""
+    if depth == 0:
+        return innermost
+    inner = _nested(depth - 1, innermost)
+    if depth % 2:
+        return f"if( w{depth} == {{}} ) {{ {inner} }}"
+    return f"w{depth} = 0 while( w{depth} < 1 ) {{ {inner} w{depth} = w{depth} + 1 }}"
+
+
+def test_a_statement_nested_past_max_depth_runs_its_deepest_statements_through_exec_statement(monkeypatch):
+    from monoslice.runtime import interpreter
+
+    text = _nested(30, "x.f[2].g = x.f[0].g + 1 k = x")
+    scope, outcome, counted = assert_same_as_reference(text, _diff_scope(Long(1), "s", True))
+    assert outcome is None and counted > 30
+    assert scope[2]["x"][0][2]["f"][2][2]["g"][0][1] == "2"  # the innermost statements ran
+    seen = []
+    original = interpreter.exec_statement
+
+    def counting(statement, ctx):
+        seen.append(statement)
+        original(statement, ctx)
+
+    monkeypatch.setattr(interpreter, "exec_statement", counting)
+    ctx = Context(_diff_scope(Long(1), "s", True))
+    exec_statements(compile_block(main_statements(text)), ctx)
+    # the two top-level statements, then the two nested 12 levels deep, which run
+    # as functions of their own, and the two nested 12 levels deeper in those
+    assert len(seen) == 6
 
 
 # ---------------------------------------------------------------------------
