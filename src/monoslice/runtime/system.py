@@ -10,11 +10,12 @@ transports are observationally equivalent: a message crossing a
 local:// port is marked shared (ValueTree.writable) rather than copied,
 so neither side's writes reach the other and in-process execution
 cannot share state that serialization would have severed. A message
-that differs from its JSON image is path-copied into it; one that is
-its image crosses as it is. Each node a port admits is marked admitted
-as well (ValueTree.admitted): a later crossing does not walk it again
-and reuses its conformance verdict, so a crossing costs the nodes a
-sender added or wrote along, not the size of the message. The sender
+that differs from its JSON image (values._wire_image, by the rule of
+what JSON can carry that values.py holds) is path-copied into it; one
+that is its image crosses as it is. Each node a port admits is marked
+admitted as well (ValueTree.admitted): a later crossing does not walk
+it again and reuses its conformance verdict, so a crossing costs the
+nodes a sender added or wrote along, not the size of the message. The sender
 images, the receiver checks: call takes every message to
 its image before it picks a transport, and the receiving port checks
 it against its type. Python callers do not honour the marks, so
@@ -49,11 +50,9 @@ from __future__ import annotations
 
 import logging
 import queue
-import re
 import threading
 import time
 from collections import Counter
-from math import isfinite
 from typing import Callable
 
 from ..ast import (
@@ -72,7 +71,7 @@ from ..config import (
 from ..errors import MonosliceError, NoServices
 from ..records import field, record
 from ..semantics import CheckedProgram, OpInfo, check_value
-from ..values import LONE_SURROGATE, NOT_FINITE, ROOT_KEY, TOO_DEEP, TOO_MANY_DIGITS, Long, ValueTree
+from ..values import _SURROGATE, ValueTree, _image
 from .interpreter import (
     Block,
     ExecutionContext,
@@ -90,15 +89,6 @@ log = logging.getLogger("monoslice.runtime")
 
 DEFAULT_INVOKE_TIMEOUT = 30.0
 DEFAULT_SHUTDOWN_TIMEOUT = 5.0
-# an int no wider than this has fewer decimal digits than the smallest limit
-# Python may set on int-to-text conversion (640), so only wider ones are converted
-_SAFE_INT_BITS = 640 * 3
-# the most JSON objects and arrays a message a port admits may nest: JSON
-# decoding and the port's walks recurse once per level, against Python's
-# recursion limit of 1000, so this leaves the calling thread 100 frames
-MAX_NESTING = 900
-# a surrogate code point: UTF-8 cannot encode one in a str, alone or paired
-_SURROGATE = re.compile("[\ud800-\udfff]")
 # held while a behavior compiles
 _COMPILING = threading.Lock()
 
@@ -187,93 +177,12 @@ def _violation_fault(violations) -> Fault:
     return Fault("TypeMismatch", ValueTree(message))
 
 
-class _Unencodable(Exception):
-    """A message JSON cannot carry, named by the violation a port reports."""
-
-
-def _image(tree: ValueTree) -> tuple[ValueTree, str | None]:
-    """A message's JSON image, shared, or the tree and why JSON cannot carry it.
-
-    Nesting past MAX_NESTING, or too deep for the walk, gets the violation
-    decode_json gives a payload nested deeper still.
-    """
-    try:
-        return _wire_image(tree), None
-    except RecursionError:
-        return tree, TOO_DEEP
-    except _Unencodable as exc:
-        return tree, str(exc)
-
-
 def _admit(tree: ValueTree, type_: TypeRef, types: dict) -> tuple[ValueTree, list]:
     """Take a message crossing a port to its JSON image and check it against its type."""
     tree, violation = _image(tree)
     if violation is not None:
         return tree, [violation]
     return tree, check_value(tree, type_, types)
-
-
-def _wire_image(tree: ValueTree) -> ValueTree:
-    """The tree as a JSON round trip would shape it: every int becomes a long.
-
-    The in-process transport must be indistinguishable from the wire, so
-    every message crossing a boundary is taken to its wire image. A tree
-    that already is its image is returned itself; otherwise the nodes on
-    the path down to each plain int are copied and all others are shared.
-    An integer or a double the wire cannot carry, a string or child name
-    UTF-8 cannot encode, a child named "$", or nesting past MAX_NESTING
-    raises _Unencodable.
-
-    Every node of the image is marked shared and admitted (the sender may
-    hold it still, and the receiver keeps it), with its nesting, and an
-    admitted node is returned at once: it and all below it are their image
-    already, and its nesting says how deep. So a crossing walks only the
-    nodes no port admitted before, which are the ones a sender built or the
-    paths it wrote along (ValueTree.admitted), and still refuses a message
-    nested too deeply however many crossings built it.
-    """
-    if tree.admitted is not None:
-        return tree
-    image = tree
-    root = tree.root
-    if isinstance(root, int) and not isinstance(root, bool):
-        if root.bit_length() > _SAFE_INT_BITS:
-            try:
-                int.__repr__(root)  # as JSON writes it: str() of a Long is its repr, which prints any width
-            except ValueError:
-                raise _Unencodable(TOO_MANY_DIGITS) from None
-        if type(root) is not Long:
-            tree.shared = True  # its image shares its children
-            image = tree.writable()
-            image.root = Long(root)
-    elif type(root) is float and not isfinite(root):
-        raise _Unencodable(NOT_FINITE)
-    elif type(root) is str and not root.isascii() and _SURROGATE.search(root):
-        raise _Unencodable(LONE_SURROGATE)
-    nesting = 0
-    children = tree.children
-    if children:  # most nodes are leaves; enumerate cost a third of the walk
-        for name, seq in children.items():
-            if name == "$" or not name.isascii() and _SURROGATE.search(name):
-                raise _Unencodable(ROOT_KEY if name == "$" else LONE_SURROGATE)
-            level = 1 if len(seq) == 1 else 2  # this node's object, and an array of the name's
-            i = 0
-            for child in seq:
-                sub = _wire_image(child)
-                if sub.nesting + level > nesting:
-                    nesting = sub.nesting + level  # how deep the image is, admitted parts included
-                if sub is not child:
-                    if image is tree:
-                        tree.shared = True
-                        image = tree.writable()
-                    image.children[name][i] = sub
-                i += 1
-        if nesting > MAX_NESTING:
-            raise _Unencodable(TOO_DEEP)
-    image.nesting = nesting
-    image.shared = True
-    image.admitted = True
-    return image
 
 
 def call(

@@ -3,7 +3,9 @@
 Everything is POST. A request-response call posts the encoded request
 tree to /<operation> and gets 200 with the encoded response, or 500
 with a fault envelope {"fault": name, "data": encoded-or-null}, which
-encode_json itself writes as the value tree {fault, data}. A one-way
+encode_json itself writes as the value tree {fault, data}, and which
+decode_fault reads by the rule values.py holds for what JSON can carry,
+the one every message is held to. A one-way
 posts the same way and gets 202 with an empty body once the
 message is accepted. The clients mark each post with the kind of call
 they make in the Monoslice-Kind header, "rr" or "ow". The server hands
@@ -91,7 +93,7 @@ from urllib.parse import quote, unquote
 
 from ..config import Location
 from ..errors import MonosliceError
-from ..values import JsonError, ValueTree, decode_json, encode_json
+from ..values import JsonError, ValueTree, _image, decode_json, encode_json
 from .interpreter import Fault
 from .pool import MAX_WORKERS, WorkerPool
 
@@ -131,11 +133,16 @@ def encode_fault(fault: Fault) -> bytes:
 
 
 def decode_fault(body: bytes) -> Fault:
-    """The fault an envelope names, read by decode_json as any message is.
+    """The fault an envelope names, read by the wire rule of a message.
 
-    The envelope's fault is one childless node whose root is a non-empty
-    string, and it has at most one data node; an empty one (null or {})
-    is no data. Anything else is a TransportError.
+    decode_json reads the envelope, nested at most MAX_NESTING deep, and
+    its data is taken to its JSON image as a message a port admits
+    (values._image), so data JSON cannot carry, such as a string with a
+    lone surrogate, is refused here on whichever transport relays the
+    fault on. The envelope's fault is one childless node whose root is a
+    non-empty string, and it has at most one data node; an empty one
+    (null or {}) is no data. Anything else is a TransportError
+    "malformed fault envelope: ...".
     """
     try:
         envelope = decode_json(body).children
@@ -149,7 +156,10 @@ def decode_fault(body: bytes) -> Fault:
         raise TransportError("malformed fault envelope: it holds more than one data")
     if not data or data[0].root is None and not data[0].children:
         return Fault(name)
-    return Fault(name, data[0])
+    image, violation = _image(data[0])
+    if violation is not None:
+        raise TransportError(f"malformed fault envelope: {violation}")
+    return Fault(name, image)
 
 
 # ---------------------------------------------------------------------------

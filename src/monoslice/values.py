@@ -1,15 +1,24 @@
-"""Runtime value trees and their JSON wire mapping.
+"""Runtime value trees, their JSON wire mapping, and the one rule of what JSON can carry.
 
 Every message a service sends or receives is a value tree: an optional
 basic root value plus named, ordered sequences of child trees. JSON is
-the only wire encoding; the mapping is bijective on the representable
-subset (no child named "$", no non-finite doubles).
+the only wire encoding, and this module alone decides, on every
+transport and every Python, which trees it carries: none with a child
+named "$", a double that is not finite, an integer with more digits than
+int-to-text conversion allows, a string or child name with a lone
+surrogate, or more than MAX_NESTING nested objects and arrays. On those
+the mapping is bijective. A port takes each message to its image by that
+rule (_image), decode_json refuses a text nested past MAX_NESTING as it
+scans, and transport.decode_fault holds a fault's data to the same rule.
+JsonError is the one error for what JSON cannot carry, in both
+directions.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from functools import partial
 from typing import Any, Callable, NoReturn
 
@@ -17,7 +26,7 @@ from .errors import MonosliceError
 
 
 class JsonError(MonosliceError):
-    """A JSON document that cannot be decoded into a value tree."""
+    """What JSON cannot carry: a document that decodes into no value tree, or a tree with no JSON image."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.line = line
@@ -101,10 +110,13 @@ class ValueTree:
     own JSON image, and that the node passed the conformance predicate
     the value holds (True if none yet). Since an admitted node is never
     changed, a port skips it, and a write re-opens only its path: every
-    clone it makes is unadmitted. nesting is set along with admitted, and
-    only read where admitted is set: it counts the JSON objects and arrays
-    nested in the node's image (0 for a leaf), so a port can refuse a
-    message too deep for the wire without walking what it admitted before.
+    clone it makes is unadmitted. nesting counts the JSON objects and
+    arrays nested in the node's image (0 for a leaf), as _wire_image counts
+    them: a port sets it along with admitted, and reads it only where
+    admitted is set, so it can refuse a message too deep for the wire
+    without walking what it admitted before. decode_json sets it on each
+    node it makes from a JSON object, to refuse a text nested past
+    MAX_NESTING as it scans.
     """
 
     __slots__ = ("root", "children", "shared", "admitted", "nesting")
@@ -213,6 +225,94 @@ TOO_MANY_DIGITS = "integer has too many digits for JSON"
 NOT_FINITE = "double is not finite, which JSON cannot carry"
 LONE_SURROGATE = "text holds a lone surrogate, which UTF-8 cannot encode"
 ROOT_KEY = 'a child is named "$", which JSON keeps for the root'
+
+# the most JSON objects and arrays a message or a fault envelope may nest:
+# decode_json refuses a deeper text as it scans, and a port refuses a deeper
+# message. The port's walks recurse once per level, against Python's
+# recursion limit of 1000, so this leaves the calling thread 100 frames
+MAX_NESTING = 900
+# an int no wider than this has fewer decimal digits than the smallest limit
+# Python may set on int-to-text conversion (640), so only wider ones are converted
+_SAFE_INT_BITS = 640 * 3
+# a surrogate code point: UTF-8 cannot encode one in a str, alone or paired
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _image(tree: ValueTree) -> tuple[ValueTree, str | None]:
+    """A message's JSON image, shared, or the tree and why JSON cannot carry it.
+
+    Nesting past MAX_NESTING, or too deep for the walk, gets the violation
+    decode_json gives a payload nested as deeply.
+    """
+    try:
+        return _wire_image(tree), None
+    except RecursionError:
+        return tree, TOO_DEEP
+    except JsonError as exc:
+        return tree, str(exc)
+
+
+def _wire_image(tree: ValueTree) -> ValueTree:
+    """The tree as a JSON round trip would shape it: every int becomes a long.
+
+    The in-process transport must be indistinguishable from the wire, so
+    every message crossing a boundary is taken to its wire image. A tree
+    that already is its image is returned itself; otherwise the nodes on
+    the path down to each plain int are copied and all others are shared.
+    An integer or a double the wire cannot carry, a string or child name
+    UTF-8 cannot encode, a child named "$", or nesting past MAX_NESTING
+    raises JsonError.
+
+    Every node of the image is marked shared and admitted (the sender may
+    hold it still, and the receiver keeps it), with its nesting, and an
+    admitted node is returned at once: it and all below it are their image
+    already, and its nesting says how deep. So a crossing walks only the
+    nodes no port admitted before, which are the ones a sender built or the
+    paths it wrote along (ValueTree.admitted), and still refuses a message
+    nested too deeply however many crossings built it.
+    """
+    if tree.admitted is not None:
+        return tree
+    image = tree
+    root = tree.root
+    if isinstance(root, int) and not isinstance(root, bool):
+        if root.bit_length() > _SAFE_INT_BITS:
+            try:
+                int.__repr__(root)  # as JSON writes it: str() of a Long is its repr, which prints any width
+            except ValueError:
+                raise JsonError(TOO_MANY_DIGITS) from None
+        if type(root) is not Long:
+            tree.shared = True  # its image shares its children
+            image = tree.writable()
+            image.root = Long(root)
+    elif type(root) is float and not math.isfinite(root):
+        raise JsonError(NOT_FINITE)
+    elif type(root) is str and not root.isascii() and _SURROGATE.search(root):
+        raise JsonError(LONE_SURROGATE)
+    nesting = 0
+    children = tree.children
+    if children:  # most nodes are leaves; enumerate cost a third of the walk
+        for name, seq in children.items():
+            if name == "$" or not name.isascii() and _SURROGATE.search(name):
+                raise JsonError(ROOT_KEY if name == "$" else LONE_SURROGATE)
+            level = 1 if len(seq) == 1 else 2  # this node's object, and an array of the name's
+            i = 0
+            for child in seq:
+                sub = _wire_image(child)
+                if sub.nesting + level > nesting:
+                    nesting = sub.nesting + level  # how deep the image is, admitted parts included
+                if sub is not child:
+                    if image is tree:
+                        tree.shared = True
+                        image = tree.writable()
+                    image.children[name][i] = sub
+                i += 1
+        if nesting > MAX_NESTING:
+            raise JsonError(TOO_DEEP)
+    image.nesting = nesting
+    image.shared = True
+    image.admitted = True
+    return image
 
 
 # how json.dumps(separators=(",", ":"), ensure_ascii=False, allow_nan=False) writes a value
@@ -328,13 +428,16 @@ def _tree(obj: dict[str, Any]) -> "ValueTree | JsonError":
     refused object becomes its JsonError, which the object holding it
     returns in turn, so decode_json raises the error a walk down from the
     root meets first. A key "$" holds the root; any other key holds one
-    child, or an array of them. Arrays may not nest.
+    child, or an array of them. Arrays may not nest. The tree's nesting
+    is counted as _wire_image counts it, from its children's, and past
+    MAX_NESTING the object is refused as TOO_DEEP.
     """
     tree = _new(ValueTree)
     tree.root = None
     tree.shared = False
     tree.admitted = None
     tree.children = children = {}
+    nesting = 1  # a leaf child's level: this object
     for key, value in obj.items():
         kind = type(value)
         if key == "$":
@@ -343,12 +446,18 @@ def _tree(obj: dict[str, Any]) -> "ValueTree | JsonError":
             tree.root = value
         elif kind is ValueTree:
             children[key] = [value]
+            level = value.nesting + 1
+            if level > nesting:
+                nesting = level
         elif kind is list:
             seq = []
+            deepest = 0
             for element in value:
                 kind = type(element)
                 if kind is ValueTree:
                     seq.append(element)
+                    if element.nesting > deepest:
+                        deepest = element.nesting
                 elif kind is list:
                     return JsonError(f"nested array under key {key!r} is not representable")
                 elif kind is JsonError:
@@ -357,6 +466,9 @@ def _tree(obj: dict[str, Any]) -> "ValueTree | JsonError":
                     seq.append(_leaf(element))
             if seq:
                 children[key] = seq
+                level = deepest + (1 if len(seq) == 1 else 2)  # this object, and the array
+                if level > nesting:
+                    nesting = level
         elif kind is JsonError:
             return value
         else:  # _leaf(value), written out: most values are leaves under a key
@@ -366,6 +478,9 @@ def _tree(obj: dict[str, Any]) -> "ValueTree | JsonError":
             node.admitted = None
             node.children = {}
             children[key] = [node]
+    if nesting > MAX_NESTING:
+        return JsonError(TOO_DEEP)
+    tree.nesting = nesting if children else 0
     return tree
 
 
@@ -383,10 +498,11 @@ def decode_json(data: bytes | str) -> ValueTree:
     A repeated key holds its last value, in its first place. Raises
     JsonError with line/column on malformed input, and without them on a
     value the mapping refuses (an array at the root or nested in one, or
-    "$" holding an object or an array), on input nested deeper than json
-    recurses, on NaN, Infinity and -Infinity, which are not JSON, on a
-    number that overflows a double, and on an integer with more digits
-    than int() converts.
+    "$" holding an object or an array), on a tree nested past MAX_NESTING
+    (TOO_DEEP, on every Python: json's own recursion limit, which differs
+    from one version to the next, is only a backstop), on NaN, Infinity
+    and -Infinity, which are not JSON, on a number that overflows a
+    double, and on an integer with more digits than int() converts.
     """
     if isinstance(data, bytes):
         try:
@@ -401,7 +517,7 @@ def decode_json(data: bytes | str) -> ValueTree:
         raise JsonError(exc.msg, exc.lineno, exc.colno) from exc
     except ValueError:  # a number with more digits than int() converts
         raise JsonError("number has too many digits") from None
-    except RecursionError:
+    except RecursionError:  # deeper than this Python's scanner recurses, before any object closed
         raise JsonError(TOO_DEEP) from None
     kind = type(value)
     if kind is ValueTree:

@@ -1,3 +1,4 @@
+import contextlib
 import http.client
 import json
 import random
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoslice import runtime, semantics
+from monoslice import runtime, semantics, values
 from monoslice.config import LocationCollision
 from monoslice.errors import MonosliceError, NoServices
 from monoslice.parser import parse_source
@@ -32,7 +33,7 @@ from monoslice.values import (
     encode_json,
 )
 
-from conftest import loopback_config, no_cyclic_garbage
+from conftest import free_ports, loopback_config, no_cyclic_garbage
 from script import (
     CAFE,
     COLLECTOR,
@@ -975,7 +976,7 @@ def _levels(tree):
 @pytest.mark.parametrize("transport", ["local", "socket"])
 def test_a_chain_grown_across_crossings_is_refused_where_one_sent_whole_is(transport):
     system = _start_on(transport, CHAIN, ["Chainer"])
-    limit = system_module.MAX_NESTING
+    limit = values.MAX_NESTING
     too_deep = Fault("TypeMismatch", ValueTree("payload nests too deeply"))
     try:
         for _ in range(limit // 100):  # each reply walks its 100 new levels, not those admitted before
@@ -1010,7 +1011,7 @@ def test_a_walk_that_runs_out_of_stack_refuses_its_message_as_too_deep(monkeypat
     monkeypatch.setattr(semantics, "_conformance", lambda type_, types: overflow)
     assert system_module._admit(tree, types["Chain"], types) == (tree, [])
     assert system_module._admit(bad, types["Chain"], types) == (bad, violations)
-    monkeypatch.setattr(system_module, "_wire_image", overflow)
+    monkeypatch.setattr(values, "_wire_image", overflow)
     assert system_module._admit(tree, types["Chain"], types) == (tree, [TOO_DEEP])
 
 
@@ -1030,7 +1031,7 @@ def test_a_message_within_max_nesting_is_admitted_however_deep_its_caller_is():
     # over local:// the receiving port checks a message on its caller's stack;
     # this caller leaves it 100 frames, less than the message's 900 levels
     types = resolve(parse_source(CHAIN)).type_table
-    chain, violation = system_module._image(_chain(system_module.MAX_NESTING))
+    chain, violation = values._image(_chain(values.MAX_NESTING))
     assert violation is None
     admitted, violations = _at_depth(
         sys.getrecursionlimit() - 100, lambda: system_module._admit(chain, types["Chain"], types)
@@ -1082,7 +1083,7 @@ def test_the_wire_image_agrees_with_the_json_codec(tree):
         carried = decode_json(encoded) == tree
     except (ValueError, JsonError):
         encoded, carried = None, False
-    image, violation = system_module._image(tree)
+    image, violation = values._image(tree)
     assert (violation is None) == carried, violation
     if violation is None:
         assert encode_json(image) == encoded
@@ -1329,6 +1330,103 @@ def test_a_write_under_an_admitted_reply_is_checked_again(transport):
         system.shutdown()
 
 
+FAULT_RELAY = """
+interface AskInterface {
+RequestResponse:
+    ask( void )( void )
+}
+
+service Relay( config ) {
+    execution: concurrent
+    inputPort In {
+        location: config.Relay.location
+        protocol: http { format = "json" }
+        interfaces: AskInterface
+    }
+    outputPort Callee {
+        location: config.Callee.location
+        protocol: http { format = "json" }
+        interfaces: AskInterface
+    }
+    main {
+        ask( req )( res ) {
+            ask@Callee( req )( res )
+        }
+    }
+}
+"""
+
+
+@contextlib.contextmanager
+def _raw_callee(envelope):
+    """A loopback port, the Relay's callee, that answers every post with 500 and envelope."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                connection, _ = listener.accept()
+            except socket.timeout:
+                continue
+            with connection, connection.makefile("rb") as request:
+                connection.settimeout(5)
+                length = 0
+                while (line := request.readline()) not in (b"\r\n", b""):
+                    name, _, value = line.partition(b":")
+                    if name.lower() == b"content-length":
+                        length = int(value)
+                request.read(length)
+                connection.sendall(
+                    b"HTTP/1.1 500 Fault\r\nConnection: close\r\nContent-Length: %d\r\n\r\n" % len(envelope)
+                    + envelope
+                )
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[1]
+    finally:
+        stop.set()
+        thread.join(timeout=15)
+        listener.close()
+    assert not thread.is_alive()
+
+
+def _nested_text(depth):
+    return b'{"a":' * depth + b"1" + b"}" * depth
+
+
+@pytest.mark.parametrize("transport", ["local", "socket"])
+@pytest.mark.parametrize(
+    "data, violation",
+    [
+        (_nested_text(950), TOO_DEEP),  # past MAX_NESTING, within what json's scanner recurses
+        (_nested_text(1100), TOO_DEEP),  # past what json's scanner recurses before 3.12
+        (b'"\\ud800"', LONE_SURROGATE),
+    ],
+    ids=["950-deep", "1100-deep", "lone-surrogate"],
+)
+def test_a_relayed_fault_envelope_json_cannot_carry_is_the_same_transport_error_on_both_transports(
+    transport, data, violation
+):
+    # the Relay reads the callee's envelope by the wire rule of a message, so
+    # its caller gets the same fault over either transport, on every Python;
+    # the autouse no_runtime_error fixture fails the test on an ERROR record
+    with _raw_callee(b'{"fault":"F","data":' + data + b"}") as callee:
+        relay = "local://relay" if transport == "local" else f"socket://127.0.0.1:{free_ports(1)[0]}"
+        config = decode_json(
+            json.dumps({"Relay": {"location": relay}, "Callee": {"location": f"socket://127.0.0.1:{callee}"}})
+        )
+        system = runtime.start(resolve(parse_source(FAULT_RELAY)), config, ["Relay"])
+        try:
+            reply = system.invoke_rr("Relay", "ask", ValueTree())
+        finally:
+            system.shutdown()
+    assert reply == Fault("TransportError", ValueTree(f"malformed fault envelope: {violation}"))
+
+
 def test_concurrent_relays_and_reads_of_one_admitted_item_keep_their_verdicts():
     system = _start_on("local", RELAY, ["Store", "Relay"])
     switch = sys.getswitchinterval()
@@ -1359,14 +1457,14 @@ def _area_of(periods):
 
 
 def test_a_crossing_walks_only_the_nodes_no_port_admitted(fixture_checked, local_config, monkeypatch):
-    original = system_module._wire_image
+    original = values._wire_image
     visits = []
 
     def counted(tree):
         visits.append(tree)
         return original(tree)
 
-    monkeypatch.setattr(system_module, "_wire_image", counted)
+    monkeypatch.setattr(values, "_wire_image", counted)
     with runtime.start(fixture_checked, local_config, ["QuerySide", "CommandSide", "EventStore"]) as system:
         counts = {}
         for periods in (1, 48):
@@ -1861,8 +1959,8 @@ def test_a_body_too_deep_to_check_gets_the_type_mismatch_envelope():
 
 @pytest.mark.parametrize("depth", [1000, 1100, 1500])
 def test_a_body_nested_past_max_nesting_gets_too_deep_whichever_step_refuses_it(depth):
-    # Python 3.12's json decodes 1000 and 1100 levels and the port's imaging
-    # refuses them; before 3.12, and at 1500 on 3.12, json refuses them itself
+    # decode_json refuses each on every Python: past MAX_NESTING as it scans,
+    # or, where json's scanner runs out of recursion first, by that backstop
     system, ports = start_source(COLLECTOR)
     try:
         status, _, body = _post_raw(ports["Collector"], "drain", b'{"a":' * depth + b"1" + b"}" * depth)

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 import reference_json
 from monoslice.values import (
+    MAX_NESTING,
     TOO_DEEP,
     JsonError,
     Long,
     ValueTree,
+    _wire_image,
     decode_json,
     encode_json,
     kind_of,
@@ -90,7 +92,7 @@ def test_fractional_and_integral_numbers_decode_to_distinct_kinds():
         b'{"a":[[1]]}',
         b'{"$":{"x":1}}',
         b'{"A":',
-        b'{"a":' * 5000 + b"1" + b"}" * 5000,  # deeper than the interpreter recurses
+        b'{"a":' * 5000 + b"1" + b"}" * 5000,  # past MAX_NESTING
         pytest.param(
             b'{"a":' + b"7" * 5000 + b"}",  # more digits than int() converts
             marks=pytest.mark.skipif(
@@ -235,6 +237,22 @@ def test_decode_encode_is_identity(tree):
     assert decode_json(encode_json(tree)) == tree
 
 
+def _depth(value):
+    """How many JSON objects and arrays nest in a value json.loads made."""
+    if isinstance(value, (dict, list)):
+        return 1 + max(map(_depth, value.values() if isinstance(value, dict) else value), default=0)
+    return 0
+
+
+@given(trees)
+@settings(max_examples=300, deadline=None)
+def test_decode_json_counts_the_nesting_of_a_text_encode_json_wrote_as_the_text_and_the_image_do(tree):
+    text = encode_json(tree)
+    decoded = decode_json(text)
+    if decoded.children:  # decode_json sets nesting on each node it makes from a JSON object
+        assert decoded.nesting == _depth(json.loads(text)) == _wire_image(tree).nesting
+
+
 # ---------------------------------------------------------------------------
 # the codec against the one it replaced (tests/reference_json.py)
 
@@ -373,14 +391,14 @@ def test_trees_the_constructor_does_not_make_encode_as_in_the_reference_codec():
         assert _encoded(encode_json, tree) == _encoded(reference_json.encode_json, tree)
 
 
-def _decodes_on_a_fresh_stack(decode, depth):
-    """Whether decode takes a body nesting depth objects, called on a new thread's stack, as a port's worker calls it."""
+def _decodes_on_a_fresh_stack(depth):
+    """Whether decode_json takes a body nesting depth objects, called on a new thread's stack, as a port's worker calls it."""
     outcome = []
 
     def run():
         sys.settrace(None)  # a line tracer's calls, such as tests/line_audit.py's, take frames of their own
         try:
-            decode(b'{"a":' * depth + b"1" + b"}" * depth)
+            decode_json(b'{"a":' * depth + b"1" + b"}" * depth)
             outcome.append(True)
         except JsonError as exc:
             outcome.append(str(exc))
@@ -393,17 +411,7 @@ def _decodes_on_a_fresh_stack(decode, depth):
     return outcome[0] is True
 
 
-@pytest.mark.skipif(sys.version_info >= (3, 12), reason="json's scanner counts Python's recursion limit before 3.12")
-def test_both_codecs_decode_990_levels_and_refuse_995():
-    for decode in (decode_json, reference_json.decode_json):
-        assert _decodes_on_a_fresh_stack(decode, 990)
-        assert not _decodes_on_a_fresh_stack(decode, 995)
-
-
-@pytest.mark.skipif(sys.version_info < (3, 12), reason="json's scanner has a limit of its own from 3.12")
-def test_decode_json_decodes_1100_levels_and_refuses_1500():
-    # only json's scanner recurses now; the port refuses such a body as too deep
-    assert _decodes_on_a_fresh_stack(decode_json, 1000)
-    assert _decodes_on_a_fresh_stack(decode_json, 1100)
-    assert not _decodes_on_a_fresh_stack(decode_json, 1500)
-    assert not _decodes_on_a_fresh_stack(reference_json.decode_json, 1000)
+def test_decode_json_decodes_max_nesting_levels_and_refuses_deeper_on_every_python():
+    assert _decodes_on_a_fresh_stack(MAX_NESTING)
+    assert not _decodes_on_a_fresh_stack(MAX_NESTING + 1)
+    assert not _decodes_on_a_fresh_stack(5000)  # json's scanner may give up first
