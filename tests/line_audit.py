@@ -5,8 +5,9 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/line_audit.py
 
-It runs pytest in-process over `tests/` with a line tracer on every thread,
-and follows the `python -m monoslice` children that tests start through a
+It needs Python 3.12 or later. It runs pytest in-process over `tests/`
+with a `sys.monitoring` LINE callback, which sees every thread, and
+follows the `python -m monoslice` children that tests start through a
 `sitecustomize.py` put first on their PYTHONPATH. It then prints each line
 below module level that no test ran, and exits 1 if any of them is not in
 ALLOWED, if an ALLOWED entry's text is on no line of its file (the line was
@@ -23,12 +24,6 @@ gives the same verdict each time.
 ALLOWED holds only safety handlers that no in-process test can trigger and
 the interface declarations of `ExecutionContext`. An entry names a file and
 a line's stripped source text, so it survives edits elsewhere in the file.
-
-A thread's tracer is called one frame deeper than the code it traces, so it
-is what reaches the recursion limit, and Python unsets a tracer that raises:
-the lines a thread runs after a RecursionError from deep recursion are not
-seen until the next test re-arms it. Tests reach such handlers with a stub
-that raises RecursionError at once.
 
 A line only tests call counts as reached, so the audit also reads the
 package's source and prints each function, class or method that nothing in
@@ -48,7 +43,6 @@ import os
 import re
 import sys
 import tempfile
-import threading
 from pathlib import Path
 
 # (file under the package, stripped source line) -> why no test reaches it
@@ -79,53 +73,48 @@ ENTRY_POINTS = {
 }
 
 # a child's sitecustomize.py, which Python imports at startup from the first
-# PYTHONPATH entry: it loads this file and arms a Tracer until the child exits
+# PYTHONPATH entry: it loads this file and arms a Collector until the child exits
 CHILD_TRACER = """\
 import atexit, importlib.util
 spec = importlib.util.spec_from_file_location("line_audit", {script!r})
 audit = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(audit)
-tracer = audit.Tracer({root!r})
-tracer.arm()
-atexit.register(tracer.write, {out!r})
+collector = audit.Collector({root!r})
+collector.arm()
+atexit.register(collector.write, {out!r})
 """
 
 
-class Tracer:
-    """Records (file, line) for every line run in files under `root`."""
+class Collector:
+    """Records (file, line) for every line run in files under `root`, on every thread.
+
+    The callback disables the code location it is called from, so each
+    location costs one call.
+    """
 
     def __init__(self, root: str):
         self.root = root
         self.hits: set[tuple[str, int]] = set()
 
-    def _line(self, frame, event, arg):
-        if event == "line":
-            self.hits.add((frame.f_code.co_filename, frame.f_lineno))
-        return self._line
-
-    def _call(self, frame, event, arg):
-        if frame.f_code.co_filename.startswith(self.root):
-            self.hits.add((frame.f_code.co_filename, frame.f_lineno))
-            return self._line
-        return None
+    def _line(self, code, line):
+        if code.co_filename.startswith(self.root):
+            self.hits.add((code.co_filename, line))
+        return sys.monitoring.DISABLE
 
     def arm(self) -> None:
-        # other tracers (Hypothesis's among them) replace this one; tests
-        # re-arm it at setup and call, and threads started later inherit it
-        sys.settrace(self._call)
-        threading.settrace(self._call)
+        monitoring = sys.monitoring
+        monitoring.use_tool_id(monitoring.COVERAGE_ID, "line_audit")
+        monitoring.register_callback(monitoring.COVERAGE_ID, monitoring.events.LINE, self._line)
+        monitoring.set_events(monitoring.COVERAGE_ID, monitoring.events.LINE)
+
+    def disarm(self) -> None:
+        sys.monitoring.set_events(sys.monitoring.COVERAGE_ID, 0)
+        sys.monitoring.free_tool_id(sys.monitoring.COVERAGE_ID)
 
     def write(self, directory: str) -> None:
         """Write the hits to a file of this process's own in directory."""
         with open(Path(directory, f"hits-{os.getpid()}.txt"), "w", encoding="utf-8") as out:
             out.writelines(f"{name}\t{line}\n" for name, line in self.hits)
-
-    # pytest hooks: the plugin is this object
-    def pytest_runtest_setup(self, item):
-        self.arm()
-
-    def pytest_runtest_call(self, item):
-        self.arm()
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -202,6 +191,9 @@ def read_child_hits(directory: str) -> set[tuple[str, int]]:
 
 
 def main() -> int:
+    if not hasattr(sys, "monitoring"):
+        print("line audit needs Python 3.12 or later: sys.monitoring", file=sys.stderr)
+        return 2
     # imported here, not at the top: every traced child loads this file too
     from unittest import mock
 
@@ -214,7 +206,11 @@ def main() -> int:
         return 2
     package = Path(spec.origin).resolve().parent
     tests = Path(__file__).resolve().parent
-    tracer = Tracer(str(package))
+    tool = sys.monitoring.get_tool(sys.monitoring.COVERAGE_ID)
+    if tool is not None:  # coverage.py's sys.monitoring core, say
+        print(f"line audit needs sys.monitoring's coverage tool id, which {tool} holds", file=sys.stderr)
+        return 2
+    collector = Collector(str(package))
 
     with tempfile.TemporaryDirectory(prefix="line-audit-") as child_dir:
         Path(child_dir, "sitecustomize.py").write_text(
@@ -222,15 +218,14 @@ def main() -> int:
             encoding="utf-8",
         )
         child_path = os.pathsep.join(filter(None, [child_dir, os.environ.get("PYTHONPATH")]))
-        tracer.arm()
+        collector.arm()
         try:
             # tests/conftest.py loads the profile
             with mock.patch.dict(os.environ, PYTHONPATH=child_path, HYPOTHESIS_PROFILE="line-audit"):
-                status = pytest.main(["-q", "-p", "no:cacheprovider", str(tests)], plugins=[tracer])
+                status = pytest.main(["-q", "-p", "no:cacheprovider", str(tests)])
         finally:
-            sys.settrace(None)
-            threading.settrace(None)
-        hits = tracer.hits | read_child_hits(child_dir)
+            collector.disarm()
+        hits = collector.hits | read_child_hits(child_dir)
 
     reached: dict[Path, set[int]] = {}
     for name, line in hits:

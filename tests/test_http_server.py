@@ -314,8 +314,9 @@ def test_one_wake_of_the_turn_holder_accepts_every_connection_waiting(monkeypatc
 
 
 def test_a_reply_nested_past_the_stack_gets_the_type_mismatch_envelope(server, monkeypatch, caplog):
-    # Encoding raises here at once: a line tracer, such as tests/line_audit.py's,
-    # stops when the recursion limit is reached.
+    # Encoding raises here at once: a port admits a reply nested at most
+    # MAX_NESTING levels, which the encoder writes on any worker's stack, so
+    # no real reply reaches the server's RecursionError handler.
     deep = ValueTree("deep")
     encode = transport.encode_json
 

@@ -155,6 +155,7 @@ def test_slicing_imports_neither_dataclasses_nor_inspect_nor_the_runtime():
         "from monoslice import config, deploy, parser, semantics, slicer\n"
         "print([m for m in ('dataclasses', 'inspect', 'monoslice.runtime') if m in sys.modules])\n"
     )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    # -S: no site-packages .pth file runs, so only what monoslice imports is counted
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"

@@ -8,12 +8,13 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoslice import runtime, semantics, values
+from monoslice import runtime, values
 from monoslice.config import LocationCollision
 from monoslice.errors import MonosliceError, NoServices
 from monoslice.parser import parse_source
@@ -991,28 +992,24 @@ def test_a_chain_grown_across_crossings_is_refused_where_one_sent_whole_is(trans
         system.shutdown()
 
 
-def test_a_walk_that_runs_out_of_stack_refuses_its_message_as_too_deep(monkeypatch):
-    # A caller already deep in its own stack leaves the imaging walk or the
-    # check too little room. The walks raise here at once: a line tracer, such
-    # as tests/line_audit.py's, stops when the recursion limit is reached.
+def test_a_walk_that_runs_out_of_stack_refuses_its_message_as_too_deep():
+    # A caller already deep in its own stack, here with 100 frames left, leaves
+    # the imaging walk or the check too little room for MAX_NESTING levels.
     # The imaging walk is the sender's, and its overflow means too deep on both
     # transports; the check's predicate hands over to the naming walk, which
     # does not recurse, so the verdict is the one a shallow caller gets.
     types = resolve(parse_source(CHAIN)).type_table
-    tree = _chain(3)
-    bad = _chain(3)
-    bad.children["b"] = [ValueTree(Long(1))]
+    bad = ValueTree(children={"b": [ValueTree(Long(1))]})  # a Chain has no b
+    for _ in range(values.MAX_NESTING - 1):
+        bad = ValueTree(children={"a": [bad]})
+    bad, violation = values._image(bad)
+    assert violation is None
     violations = check_value(bad, types["Chain"], types)
     assert violations
-
-    def overflow(*args):
-        raise RecursionError
-
-    monkeypatch.setattr(semantics, "_conformance", lambda type_, types: overflow)
-    assert system_module._admit(tree, types["Chain"], types) == (tree, [])
-    assert system_module._admit(bad, types["Chain"], types) == (bad, violations)
-    monkeypatch.setattr(values, "_wire_image", overflow)
-    assert system_module._admit(tree, types["Chain"], types) == (tree, [TOO_DEEP])
+    tree = _chain(values.MAX_NESTING)
+    for message, verdict in ((tree, [TOO_DEEP]), (bad, violations)):
+        admit = partial(system_module._admit, message, types["Chain"], types)
+        assert _at_depth(sys.getrecursionlimit() - 100, admit) == (message, verdict)
 
 
 def _at_depth(depth, call):
