@@ -222,6 +222,9 @@ class _Function:
         self._temps = 0
         # variable -> the local that holds its sequence, bound before the loops being written
         self.hoisted: dict[str, str] = {}
+        # variable -> the local that holds its sequence and the depth it was bound at, for
+        # each variable read while the value of a store is written
+        self.reads: dict[str, tuple[str, int]] = {}
 
     def line(self, text: str) -> None:
         self.lines.append("    " * self.depth + text)
@@ -344,12 +347,19 @@ class _Function:
     def store(self, node: str, target: Path, value: Expr) -> None:
         """Assign an expression to a path under a node, sharing a borrowed tree."""
         if isinstance(value, (Literal, Unary, Binary)):  # always childless
+            outer, self.reads = self.reads, {}
             root = self.root(value)
+            reads, self.reads = self.reads, outer
             if not _is_variable(target):
                 self.set_root(*self.slot(node, target), root)
                 return
-            seq, name = self.temp(), self.const(target.root)
-            self.line(f"{seq} = {node}.children.get({name})")
+            name = self.const(target.root)
+            # a childless value changes no sequence, so a variable it read outside the
+            # blocks it opened still has the sequence it read
+            seq, depth = reads.get(target.root, ("", 0))
+            if node != "scope" or depth != self.depth:
+                seq = self.temp()
+                self.line(f"{seq} = {node}.children.get({name})")
             self.line(f"if {seq} and not {seq}[0].shared: {seq}[0].root = {root}")
             self.line(f"else: _set_variable({node}, {name}, {root})")
             return
@@ -457,6 +467,7 @@ class _Function:
         if seq is None:
             seq = self.temp()
             self.line(f"{seq} = scope.children.get({self.const(name)})")
+            self.reads[name] = (seq, self.depth)
         return seq
 
     def take(self, node: str, seq: str, index: str) -> None:

@@ -40,19 +40,24 @@ then (a traced perfbench query-socket run expects to count a connect in
 its window). A balancer that routes per connection could then spread
 that caller's traffic over a slice's replicas, but every deployment
 here runs one replica. Once a connection has been answered and no byte
-of a next request waits, its worker parks it in the selector and is
-free: an idle connection, new or answered, costs a descriptor, not a
-worker. A port keeps at most MAX_PARKED connections parked, and parking
-one more closes the oldest. The turn holder closes a connection parked
-for READ_TIMEOUT seconds; a connection that stalls in a request while a
-worker reads it is closed after READ_TIMEOUT too. An
-accept that fails for want of a descriptor or of memory makes the turn
-holder pause _POLL_SECONDS before it looks again, rather than spin on
-a listener that stays readable.
-close() closes the parked connections and shuts the listener down,
-which ends the turn holder's wait at once where the platform allows it;
-elsewhere it sees the port closed within _POLL_SECONDS. Servers bind
-all interfaces on the port; the host part of a location is for dialing.
+of a next request waits, its worker waits on it for up to LINGER
+seconds, if no other worker of the port is lingering, and serves the
+next request itself if one comes, with no selector and no hand-off.
+Otherwise it parks the connection in the selector and is free: an idle
+connection, new or answered, costs a descriptor, not a worker, and at
+most one worker per port lingers. A port keeps at most MAX_PARKED
+connections parked, and parking one more closes the oldest. The turn
+holder closes a connection parked for READ_TIMEOUT seconds; a
+connection that stalls in a request while a worker reads it is closed
+after READ_TIMEOUT too. An accept that fails for want of a descriptor
+or of memory makes the turn holder pause _POLL_SECONDS before it looks
+again, rather than spin on a listener that stays readable.
+close() shuts the connections workers serve down for reading, which
+ends a linger at once, closes the parked connections and shuts the
+listener down, which ends the turn holder's wait at once where the
+platform allows it; elsewhere it sees the port closed within
+_POLL_SECONDS. Servers bind all interfaces on the port; the host part
+of a location is for dialing.
 
 The clients take their connections from a ConnectionPool, which the
 caller owns and closes: a RunningSystem has one, which shutdown closes.
@@ -109,6 +114,10 @@ MAX_LINE_BYTES = 8192  # the request line and each header line
 MAX_HEADERS = 100
 MAX_BODY_BYTES = 4 * 1024 * 1024
 READ_TIMEOUT = 10.0  # seconds a connection may wait for its client's next bytes
+# seconds one worker of a port waits on a connection it answered for the next request
+# before it parks the connection: a caller that sends again at once is then served
+# with no selector and no hand-off
+LINGER = 0.005
 # requests one connection is answered, as Apache's MaxKeepAliveRequests and
 # nginx's keepalive_requests (before 1.19.10) default to, so that a busy
 # caller still dials now and then
@@ -182,6 +191,7 @@ class HttpPortServer:
         self._parked: dict[socket.socket, float] = {}
         self._lock = threading.Lock()
         self._closed = False
+        self._lingering = False  # whether a worker waits on its answered connection
         self._listener = socket.create_server(("", port), backlog=MAX_PARKED)
         self._listener.setblocking(False)  # an accept with nothing waiting returns at once
         # made by start and closed by the last turn; workers register and unregister
@@ -306,12 +316,29 @@ class HttpPortServer:
         self._parked[reader.connection] = time.monotonic() + READ_TIMEOUT
         self._selector.register(reader.connection, selectors.EVENT_READ, reader)
 
+    def _linger(self, reader: "_Reader") -> bool:
+        """Whether a next request, or the end, arrives on an answered connection within LINGER.
+
+        At most one worker of a port lingers at a time, and none once the
+        port closed, so every other answered connection parks at once and
+        an idle connection costs a descriptor, not a worker. The lingering
+        connection stays open, so close() ends the wait at once.
+        """
+        with self._lock:
+            if self._lingering or self._closed:
+                return False
+            self._lingering = True
+        try:
+            return _readable(reader.connection, LINGER)
+        finally:
+            self._lingering = False  # only the lingering worker clears it, so no lock is needed
+
     def _serve(self, reader: "_Reader") -> None:
         """Answer a connection's requests until it is idle, and park it, or until it ends."""
         parked = False
         try:
             while not parked and self._answer(reader):
-                parked = not reader.buffer and self._park(reader)
+                parked = not reader.buffer and not self._linger(reader) and self._park(reader)
         except OSError:  # the client went away, or stopped reading its response
             pass
         finally:
@@ -547,11 +574,11 @@ class ConnectionPool:
                 sock.close()
 
 
-def _readable(sock: socket.socket) -> bool:
-    """Whether bytes, or the end of the stream, wait to be read from sock."""
+def _readable(sock: socket.socket, timeout: float = 0.0) -> bool:
+    """Whether bytes, or the end of the stream, wait to be read from sock or arrive within timeout seconds."""
     poller = select.poll()
     poller.register(sock, select.POLLIN)
-    return bool(poller.poll(0))
+    return bool(poller.poll(timeout * 1000))
 
 
 def http_invoke_rr(

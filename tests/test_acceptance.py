@@ -206,8 +206,18 @@ def test_criterion_4_transport_transparency(fixture_checked, tmp_path):
         finally:
             for server in servers:
                 server.terminate()
-            for server in servers:
-                server.wait(timeout=10)
+            # a child that outlives its terminate() is killed, so the with block's
+            # exit, which waits without a limit, cannot hang the run
+            hung = []
+            for name, server in zip(names, servers):
+                try:
+                    server.wait(timeout=10)
+                except subprocess.TimeoutExpired:
+                    server.kill()
+                    server.wait(timeout=10)
+                    hung.append(name)
+            if hung:
+                raise AssertionError(f"{', '.join(hung)} did not end within 10 s of terminate()")
 
     assert len(outcomes_a) >= 10
     assert outcomes_a == outcomes_b  # exact tree equality, identical fault names

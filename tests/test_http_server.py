@@ -7,6 +7,7 @@ import json
 import math
 import selectors
 import socket
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -243,6 +244,108 @@ def answered_again(connection):
     connection.request("POST", "/echo", body=b"2")
     response = connection.getresponse()
     return (response.status, response.read()) == (200, b"2")
+
+
+def test_a_request_sent_within_the_linger_is_answered_on_the_worker_that_answered_the_last(server, monkeypatch):
+    monkeypatch.setattr(transport, "LINGER", 5.0)  # every next request comes within it
+    workers = []
+
+    def offer(operation, tree, kind, timeout):
+        workers.append(threading.get_ident())
+        return tree
+
+    server.server.offer = offer
+    connection = answered(server)
+    try:
+        assert all(answered_again(connection) for _ in range(3))
+        # a parked connection is taken up by the turn holder, which is another worker
+        assert len(workers) == 4 and len(set(workers)) == 1
+        assert not server.server._parked
+    finally:
+        connection.close()
+
+
+def test_of_two_connections_answered_at_once_one_lingers_and_the_other_is_parked(server, monkeypatch):
+    monkeypatch.setattr(transport, "LINGER", 1.0)
+    start = threading.Barrier(2)
+
+    def answer_at_once(_):
+        start.wait(timeout=5)
+        return answered(server)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        idle = list(pool.map(answer_at_once, range(2)))
+    try:
+        lingered = time.monotonic()
+        assert wait_for(lambda: len(server.server._parked) == 1)
+        assert time.monotonic() - lingered < 1.0  # parked at once, not once LINGER passed
+        assert server.server._lingering
+        # the lingering one parks too once LINGER has passed, and both are still served
+        assert wait_for(lambda: len(server.server._parked) == 2)
+        assert time.monotonic() - lingered < 5
+        assert not server.server._lingering
+        assert all(answered_again(connection) for connection in idle)
+    finally:
+        for connection in idle:
+            connection.close()
+
+
+def test_many_callers_at_once_never_have_two_workers_of_a_port_lingering(server, monkeypatch):
+    lingering = most = 0
+    count = threading.Lock()
+    readable = transport._readable
+
+    def watched(sock, timeout=0.0):
+        nonlocal lingering, most
+        if not timeout:  # a client's look at an idle connection
+            return readable(sock)
+        with count:
+            lingering += 1
+            most = max(most, lingering)
+        try:
+            return readable(sock, timeout)
+        finally:
+            with count:
+                lingering -= 1
+
+    def calls(caller):
+        connections = transport.ConnectionPool()
+        try:
+            return [
+                transport.http_invoke_rr(connections, server.location, "echo", ValueTree(Long(100 * caller + n)), 5)
+                for n in range(20)
+            ]
+        finally:
+            connections.close()
+
+    monkeypatch.setattr(transport, "_readable", watched)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            replies = list(pool.map(calls, range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert replies == [[ValueTree(Long(100 * caller + n)) for n in range(20)] for caller in range(8)]
+    assert most == 1
+    # each caller closed its connection, which the worker or the turn holder then closes
+    assert wait_for(lambda: not (server.server._open or server.server._parked or server.server._lingering))
+
+
+def test_close_ends_a_linger_at_once(server, monkeypatch):
+    monkeypatch.setattr(transport, "LINGER", 5.0)
+    connection = answered(server)
+    try:
+        assert wait_for(lambda: server.server._lingering)
+        closing = time.monotonic()
+        server.server.close()
+        assert time.monotonic() - closing < 0.1
+        assert receive_all(connection.sock) == b""
+        assert time.monotonic() - closing < 1.0  # long before LINGER
+        assert wait_for(lambda: not server.workers(), seconds=1)
+        assert not server.server._open and not server.server._parked
+    finally:
+        connection.close()
 
 
 def test_a_parked_connection_silent_past_the_read_timeout_is_closed(server, monkeypatch):

@@ -788,10 +788,36 @@ def test_generated_statements_agree_with_the_reference_interpreter(text, a, b, s
         # y = x in a loop that never stores to x, then writes through y
         "i = 0 while( i < 3 ) { y = x y.f[i] = i y.f[0].g = x.f[i] k = x.f[i] i = i + 1 }",
         "i = 0 while( i < 2 ) { y = x while( i < 2 ) { y.f = i i = i + 1 } k = x }",
+        # a store to a variable its value reads: absent, shared, through a path, or only in a block
+        "g = g + 1 h = -h k = !( k == {} )",
+        "y = x y = y + 1 x = x.f[0] * 2 + x",
+        "b = true v = b && ( v == {} ) w = false w = w || ( w == false ) u = b || ( u == 1 )",
+        "i = 0 while( i < 3 ) { if( i == 1 ) { i = i + 1 } i = i + 1 x.f[i] = i }",
+        # a tree literal's entry named as a variable its value reads
+        "a = 5 t = { a = a + 1, b = -b } k = a",
     ],
 )
 def test_statement_shapes_agree_with_the_reference_interpreter(text):
     assert_same_as_reference(text, _diff_scope(Long(1), "s", True))
+
+
+@pytest.mark.parametrize(
+    "text, lookups",
+    [
+        ("i = i + 1", 1),
+        ("i = j + i * i", 3),
+        ("i = i.f[0] + 1", 1),
+        # a read inside a block the value opens may not have run when the store does
+        ("i = b && ( i == 1 )", 3),
+    ],
+)
+def test_a_store_to_a_variable_its_value_reads_outside_a_block_looks_it_up_once(monkeypatch, text, lookups):
+    from monoslice.runtime import interpreter
+
+    monkeypatch.setattr(interpreter, "_BUILDERS", {})
+    compile_block(main_statements(text))
+    [(_, source)] = interpreter._BUILDERS
+    assert source.count("scope.children.get(") == lookups
 
 
 def _nested(depth, innermost):
