@@ -14,8 +14,9 @@ and its undo, and the context's messages. So every fault has the name
 and message it had before the shape was inlined. Program text is data:
 identifiers and literals reach the generated code only as constants
 bound to names the generator makes, never as source. So the source of a
-statement depends on its shape alone, and _BUILDERS keeps what one
-compile() made of it for every statement of that shape. Each function
+statement depends on its shape alone (which of its paths are the same
+included), and _BUILDERS keeps what one compile() made of it for every
+statement of that shape. Each function
 has a compile() of its own: the parser's transient memory grows with the
 source it is given, and malloc keeps it per thread.
 
@@ -24,13 +25,30 @@ exec_statement per top-level statement. A statement nested deeper than
 _MAX_DEPTH is a function of its own, which its block calls through
 exec_statement, looked up in this module at each call, as an expression
 nested that deep is spilled. A while tests its condition inline, leaves
-with break, and reads ctx.aborted on each iteration. Before the loop it
-reads once the scope's sequence of each variable the loop reads and never
-stores to (inlining and loop-invariant code motion: Allen and Cocke, "A
-Catalogue of Optimizing Transformations", 1971): only a store rooted at
-a variable makes or replaces its sequence, and no shared node is changed
-in place. The runtime compiles each branch once per checked program, on
-first use.
+with break, and reads ctx.aborted on each iteration. A condition that
+can only be a bool (a comparison, a logical operator or a bool literal)
+is tested without checking its kind.
+
+A function locates each path once: it keeps a table of the reads
+available, from each prefix of a path it located (a variable, then each
+step's name and index, an index being a constant or a variable) to the
+local that holds its sequence, node or root, and a later read of the
+prefix takes that local (local common subexpression elimination: Cocke,
+"Global common subexpression elimination", 1970). Only a store rooted at
+a variable changes a node reachable from it, since no shared node is
+changed in place, so a store rooted at v, an assignment or the message a
+solicit or a receive binds, drops every entry that reads v, as its root
+or in an index. Each branch of an if starts from the table as it was
+before the if, and after it an entry stays only if neither branch
+dropped it; a while drops before its condition every entry that reads a
+variable the loop stores to, and what its body made is gone after it; a
+statement written out of line drops all. (A spilled expression stores
+nothing, so it drops nothing.)
+Before a loop, each path it reads through a variable it never stores to
+is located as far as its indices are constants, or its prefixes already
+available, which cannot fault (loop-invariant code motion: Allen and
+Cocke, "A Catalogue of Optimizing Transformations", 1971). The runtime
+compiles each branch once per checked program, on first use.
 
 A variable scope is itself a value tree whose children are the
 variables. Reads of missing paths yield an empty tree without mutating
@@ -187,6 +205,8 @@ def exec_statement(statement: Step, ctx: ExecutionContext) -> None:
 # the Python operator of each comparison, and of each arithmetic operator that
 # takes two ints inline
 _INLINE = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "+": "+", "-": "-", "*": "*"}
+# the binary operators whose result is a bool, whatever their operands
+_BOOLEAN = frozenset(["==", "!=", "<", "<=", ">", ">=", "&&", "||"])
 # how deep a generated function's blocks may nest before a statement or an
 # expression is written as a function of its own: Python refuses more than 20
 # nested loops and try blocks
@@ -220,11 +240,12 @@ class _Function:
         self.depth = 1
         self.constants: list[object] = []
         self._temps = 0
-        # variable -> the local that holds its sequence, bound before the loops being written
-        self.hoisted: dict[str, str] = {}
-        # variable -> the local that holds its sequence and the depth it was bound at, for
-        # each variable read while the value of a store is written
-        self.reads: dict[str, tuple[str, int]] = {}
+        # the available reads: each path prefix that the lines written so far located, and
+        # that no store changed since, -> the local that holds it. (v,) is the variable v's
+        # sequence, (v, i) the node at index i in it, (v, i, n) the sequence n under that
+        # node, and so on; an index is an int constant or the name of the variable it
+        # reads. A node's key followed by "$", which names no child, is its root.
+        self.available: dict[tuple, str] = {}
 
     def line(self, text: str) -> None:
         self.lines.append("    " * self.depth + text)
@@ -240,13 +261,25 @@ class _Function:
 
     @contextmanager
     def block(self, header: str) -> Iterator[None]:
+        """Write a block: past it, a read stays available only if it was before and the block left it."""
         self.line(header)
         self.depth += 1
         start = len(self.lines)
+        outer = self.available
+        self.available = dict(outer)
         yield
         if len(self.lines) == start:
             self.line("pass")
         self.depth -= 1
+        self.available = _kept(outer, self.available)
+
+    def drop(self, variables: set[str]) -> None:
+        """Forget each available read that reads one of variables, as its root or in an index."""
+        self.available = {
+            key: local
+            for key, local in self.available.items()
+            if key[0] not in variables and variables.isdisjoint(key[1::2])
+        }
 
     def close(self) -> Callable:
         """Compile the function, with its constants bound, and return it."""
@@ -297,33 +330,45 @@ class _Function:
             self.bind(statement.target, f"ctx.receive({self.const(statement.operation)})")
         elif isinstance(statement, If):
             condition = self.root(statement.condition)
-            with self.block(f"if {condition} is True:"):
+            before, test = self.available, _is_bool(statement.condition)
+            with self.block(f"if {condition}:" if test else f"if {condition} is True:"):
                 self.body(statement.then)
-            with self.block(f"elif {condition} is not False:"):
-                self.line(f'_not_a_bool({condition}, "if condition")')
+            then, self.available = self.available, before
+            if not test:
+                with self.block(f"elif {condition} is not False:"):
+                    self.line(f'_not_a_bool({condition}, "if condition")')
             if statement.orelse:
                 with self.block("else:"):
                     self.body(statement.orelse)
+            self.available = _kept(then, self.available)
         elif isinstance(statement, While):
-            outer = self.hoisted
-            self.hoisted = dict(outer)
-            # the sequence of each variable the loop reads and never stores to is the
-            # same on every iteration: only a store rooted at a variable makes or replaces it
-            reads: dict[str, None] = {}
+            # what the loop reads through variables it never stores to is the same on
+            # every iteration: only a store rooted at a variable changes a node reachable
+            # from it. So each such path is located once, before the loop, as far as that
+            # cannot fault: to its root if its indices are all constants, else up to the
+            # first index not yet available.
+            reads: list[Path] = []
             stores: set[str] = set()
-            _variables(statement, reads, stores)
-            for name in [name for name in reads if name not in stores and name not in outer]:
-                seq = self.hoisted[name] = self.temp()
-                self.line(f"{seq} = scope.children.get({self.const(name)})")
+            _reads(statement, reads, stores)
+            self.drop(stores)
+            for path in reads:
+                if path.root in stores:
+                    continue
+                if all(_fixed(step.index) is not None for step in path.steps):
+                    self.read(path)
+                else:
+                    self.locate(path, hoist=True)
             with self.block("while True:"):
                 condition = self.root(statement.condition)
-                with self.block(f"if {condition} is not True:"):
-                    self.line(f'if {condition} is not False: _not_a_bool({condition}, "while condition")')
-                    self.line("break")
+                if _is_bool(statement.condition):
+                    self.line(f"if not {condition}: break")
+                else:
+                    with self.block(f"if {condition} is not True:"):
+                        self.line(f'if {condition} is not False: _not_a_bool({condition}, "while condition")')
+                        self.line("break")
                 # a plain attribute: this loop is the interpreter's hot path
                 self.line("if ctx.aborted: raise aborted_fault()")
                 self.body(statement.body)
-            self.hoisted = outer
         else:  # a Throw, the last kind of statement
             self.line(f"raise FaultSignal(Fault({self.const(statement.fault)}))")
 
@@ -332,6 +377,7 @@ class _Function:
         for statement in statements:
             if self.depth > _MAX_DEPTH:
                 self.line(f"exec_statement({self.const(_statement(statement, self.ports, self.filename))}, ctx)")
+                self.available = {}
             else:
                 self.statement(statement)
 
@@ -347,21 +393,21 @@ class _Function:
     def store(self, node: str, target: Path, value: Expr) -> None:
         """Assign an expression to a path under a node, sharing a borrowed tree."""
         if isinstance(value, (Literal, Unary, Binary)):  # always childless
-            outer, self.reads = self.reads, {}
             root = self.root(value)
-            reads, self.reads = self.reads, outer
             if not _is_variable(target):
                 self.set_root(*self.slot(node, target), root)
                 return
             name = self.const(target.root)
-            # a childless value changes no sequence, so a variable it read outside the
-            # blocks it opened still has the sequence it read
-            seq, depth = reads.get(target.root, ("", 0))
-            if node != "scope" or depth != self.depth:
+            # a childless value changes no sequence, so an available read of the variable
+            # still holds its sequence
+            seq = self.available.get((target.root,)) if node == "scope" else None
+            if seq is None:
                 seq = self.temp()
                 self.line(f"{seq} = {node}.children.get({name})")
             self.line(f"if {seq} and not {seq}[0].shared: {seq}[0].root = {root}")
             self.line(f"else: _set_variable({node}, {name}, {root})")
+            if node == "scope":
+                self.drop({target.root})
             return
         tree = self.tree(value)
         # decide before the slot is made: making it may add children to a borrowed
@@ -390,37 +436,44 @@ class _Function:
         """
         *parents, last = path.steps
         seq = self.temp()
+        # the walk starts from the variable's sequence if a local holds it, and its
+        # indices may read what was available before it: up to its last step, it only
+        # pads sequences with empty nodes, read as absent ones, and swaps nodes for clones
+        first = self.available.get((path.root,), "") if node == "scope" else ""
         if not parents:
-            return seq, self.pad(node, seq, last)
-        walk = self.temp()
-        fixed = [_fixed(step.index) for step in path.steps]
-        if all(index is not None and index <= MAX_PAD for index in fixed):
+            index = self.pad(node, seq, last, first)
+        elif all(index is not None and index <= MAX_PAD for index in (_fixed(step.index) for step in path.steps)):
             # no step can fault: each pads to a constant index at most MAX_PAD out
-            return seq, self.descend(node, walk, seq, parents, last, "")
-        undo = self.temp()
-        self.line(f"{undo} = []")  # the first sequence padded, with its node and length before
-        with self.block("try:"):
-            index = self.descend(node, walk, seq, parents, last, f", {undo}")
-        with self.block("except FaultSignal:"):
-            self.line(f"_unpad({undo})")
-            self.line("raise")
+            index = self.descend(node, self.temp(), seq, parents, last, first, "")
+        else:
+            walk, undo = self.temp(), self.temp()
+            self.line(f"{undo} = []")  # the first sequence padded, with its node and length before
+            with self.block("try:"):
+                index = self.descend(node, walk, seq, parents, last, first, f", {undo}")
+            with self.block("except FaultSignal:"):
+                self.line(f"_unpad({undo})")
+                self.line("raise")
+        if node == "scope":  # what was read through the variable may have changed
+            self.drop({path.root})
         return seq, index
 
-    def descend(self, node: str, walk: str, seq: str, parents: list[PathStep], last: PathStep, undo: str) -> str:
+    def descend(
+        self, node: str, walk: str, seq: str, parents: list[PathStep], last: PathStep, first: str, undo: str
+    ) -> str:
         """Walk a slot's steps down from node, padding and cloning; returns the last index."""
         for step in parents:
             index, name = self.index(step.index), self.const(step.name)
-            self.line(f"{seq} = {node}.children.get({name})")
+            self.line(f"{seq} = {first or f'{node}.children.get({name})'}")
             self.line(f"if {seq} is None or len({seq}) <= {index}: {seq} = _pad({node}, {name}, {index}{undo})")
             self.line(f"{walk} = {seq}[{index}]")
             self.line(f"if {walk}.shared: {walk} = {seq}[{index}] = {walk}.writable()")
-            node = walk
-        return self.pad(walk, seq, last)
+            node, first = walk, ""
+        return self.pad(walk, seq, last, "")
 
-    def pad(self, node: str, seq: str, step: PathStep) -> str:
-        """A slot's last step: its sequence, padded up to its index, which this returns."""
+    def pad(self, node: str, seq: str, step: PathStep, first: str) -> str:
+        """A slot's last step: its sequence (first, if a local holds it), padded up to its index, which this returns."""
         index, name = self.index(step.index), self.const(step.name)
-        self.line(f"{seq} = {node}.children.get({name})")
+        self.line(f"{seq} = {first or f'{node}.children.get({name})'}")
         # _pad refuses before it changes the node
         self.line(f"if {seq} is None or len({seq}) <= {index}: {seq} = _pad({node}, {name}, {index})")
         return index
@@ -437,37 +490,80 @@ class _Function:
         self.line(f"{checked} = {root} if type({root}) is int and {root} >= 0 else _checked_index({root})")
         return checked
 
-    def locate(self, path: Path) -> str:
-        """The scope node a path names, itself and not a copy, or None if absent.
+    def locate(self, path: Path, hoist: bool = False) -> tuple[str, tuple | None]:
+        """The local holding the scope node a path names, itself and not a copy, or None if absent, and its key.
 
-        An index is computed only once the steps before it were found, and
-        before its own step is looked up, so its faults propagate.
+        Each prefix is taken from the available reads if it is there, and is
+        made available once located, unless a computed index that is no
+        variable comes before it (the key is then None). An index is
+        computed only once the steps before it were found, and before its
+        own step is looked up, so its faults propagate; the root of a
+        variable it reads is read before that test, which cannot fault, so
+        it stays available. hoist stops at the first index it would have to
+        compute, and then returns no node.
         """
-        node, seq = self.temp(), self.temp()
-        for number, step in enumerate(path.steps):
-            if not number:
-                index = self.index(step.index)
-                self.take(node, self.variable(step.name), index)
-                continue
-            name = self.const(step.name)
-            if _fixed(step.index) is not None:
-                index = self.index(step.index)
-                self.line(f"{seq} = {node}.children.get({name}) if {node} is not None else None")
-                self.take(node, seq, index)
+        node = ""
+        key: tuple | None = ()
+        for step in path.steps:
+            # the step's sequence
+            if not node:
+                key, seq = (step.name,), self.variable(step.name)
             else:
-                with self.block(f"if {node} is not None:"):
-                    index = self.index(step.index)
-                    self.line(f"{seq} = {node}.children.get({name})")
-                    self.take(node, seq, index)
-        return node
+                key = None if key is None else key + (step.name,)
+                seq = self.available.get(key)  # no read is kept under None
+                if seq is None:
+                    seq = self.temp()
+                    self.line(f"{seq} = {node}.children.get({self.const(step.name)}) if {node} is not None else None")
+                    if key is not None:
+                        self.available[key] = seq
+            # the node at the step's index in it
+            fixed = _fixed(step.index)
+            index = fixed if fixed is not None else _variable_index(step.index)
+            key = None if key is None or index is None else key + (index,)
+            found = self.available.get(key)
+            if found is None and hoist and fixed is None:
+                return "", None
+            if found is None:
+                found = self.temp()
+                if fixed is not None or not node:
+                    self.take(found, seq, self.index(step.index))
+                else:
+                    if index is not None:
+                        self.read(step.index.path)
+                    with self.block(f"if {node} is not None:"):
+                        self.take(found, seq, self.index(step.index))
+                    self.line(f"else: {found} = None")
+                if key is not None:
+                    self.available[key] = found
+            node = found
+        return node, key
+
+    def read(self, path: Path) -> str:
+        """The local that holds the root a path names, or None if it is absent."""
+        if _is_variable(path):  # read from its sequence, with no node between
+            key: tuple | None = (path.root, 0, "$")
+            root = self.available.get(key)
+            if root is None:
+                seq = self.variable(path.root)
+                root = self.available[key] = self.temp()
+                self.line(f"{root} = {seq}[0].root if {seq} else None")
+            return root
+        node, key = self.locate(path)
+        key = None if key is None else key + ("$",)
+        root = self.available.get(key)
+        if root is None:
+            root = self.temp()
+            self.line(f"{root} = None if {node} is None else {node}.root")
+            if key is not None:
+                self.available[key] = root
+        return root
 
     def variable(self, name: str) -> str:
         """The local that holds a variable's sequence, or None if it is absent."""
-        seq = self.hoisted.get(name)
+        seq = self.available.get((name,))
         if seq is None:
-            seq = self.temp()
+            seq = self.available[(name,)] = self.temp()
             self.line(f"{seq} = scope.children.get({self.const(name)})")
-            self.reads[name] = (seq, self.depth)
         return seq
 
     def take(self, node: str, seq: str, index: str) -> None:
@@ -481,7 +577,7 @@ class _Function:
     def tree(self, expr: Expr) -> str:
         tree = self.temp()
         if isinstance(expr, PathExpr):
-            node = self.locate(expr.path)
+            node, _ = self.locate(expr.path)
             self.line(f"{tree} = ValueTree() if {node} is None else {node}")
         elif isinstance(expr, TreeLiteral):
             self.line(f"{tree} = ValueTree()")
@@ -499,16 +595,11 @@ class _Function:
             return "None"
         if self.depth > _MAX_DEPTH:  # every block opens while a root is written
             return self.spill(expr)
+        if isinstance(expr, PathExpr):
+            return self.read(expr.path)
         root = self.temp()
         if isinstance(expr, TreeLiteral):
             self.line(f"{root} = {self.tree(expr)}.root")
-        elif isinstance(expr, PathExpr):
-            if _is_variable(expr.path):
-                seq = self.variable(expr.path.root)
-                self.line(f"{root} = {seq}[0].root if {seq} else None")
-            else:
-                node = self.locate(expr.path)
-                self.line(f"{root} = None if {node} is None else {node}.root")
         elif isinstance(expr, Unary):
             operand = self.root(expr.operand)
             if expr.op == "!":
@@ -555,41 +646,60 @@ class _Function:
         self.line(f"{result} = {left} {_INLINE[op]} {right} if {ints} else {cold}")
 
 
-def _variables(node: Statement | Expr | Path, reads: dict[str, None], stores: set[str]) -> None:
-    """Add to reads the variables node reads at any depth, in the order it reads them, and to stores the roots of its stores."""
+def _reads(node: Statement | Expr | Path, paths: list[Path], stores: set[str]) -> None:
+    """Add to paths the paths node reads at any depth, in the order it reads them, and to stores the roots of its stores."""
     if isinstance(node, PathExpr):
-        reads[node.path.root] = None
-        _variables(node.path, reads, stores)
+        paths.append(node.path)
+        _reads(node.path, paths, stores)
     elif isinstance(node, Path):
         for step in node.steps:
             if step.index is not None:
-                _variables(step.index, reads, stores)
+                _reads(step.index, paths, stores)
     elif isinstance(node, Unary):
-        _variables(node.operand, reads, stores)
+        _reads(node.operand, paths, stores)
     elif isinstance(node, Binary):
-        _variables(node.left, reads, stores)
-        _variables(node.right, reads, stores)
+        _reads(node.left, paths, stores)
+        _reads(node.right, paths, stores)
     elif isinstance(node, TreeLiteral):
         for key, value in node.entries:
-            _variables(key, reads, stores)
-            _variables(value, reads, stores)
+            _reads(key, paths, stores)
+            _reads(value, paths, stores)
     elif isinstance(node, If):
-        _variables(node.condition, reads, stores)
+        _reads(node.condition, paths, stores)
         for statement in node.then + node.orelse:
-            _variables(statement, reads, stores)
+            _reads(statement, paths, stores)
     elif isinstance(node, While):
-        _variables(node.condition, reads, stores)
+        _reads(node.condition, paths, stores)
         for statement in node.body:
-            _variables(statement, reads, stores)
+            _reads(statement, paths, stores)
     elif isinstance(node, (Assign, SolicitResponse, OneWaySend)):
-        _variables(node.value if isinstance(node, Assign) else node.argument, reads, stores)
+        _reads(node.value if isinstance(node, Assign) else node.argument, paths, stores)
     if isinstance(node, (Assign, SolicitResponse, Receive)) and node.target is not None:
         stores.add(node.target.root)
-        _variables(node.target, reads, stores)
+        _reads(node.target, paths, stores)
+
+
+def _kept(before: dict[tuple, str], after: dict[tuple, str]) -> dict[tuple, str]:
+    """The available reads of before that after still has."""
+    return {key: local for key, local in before.items() if after.get(key) == local}
+
+
+def _variable_index(index: Expr | None) -> str | None:
+    """The variable a step's index reads, when the index is that variable alone."""
+    if isinstance(index, PathExpr) and _is_variable(index.path):
+        return index.path.root
+    return None
 
 
 def _is_variable(path: Path) -> bool:
     return len(path.steps) == 1 and path.steps[0].index is None
+
+
+def _is_bool(expr: Expr) -> bool:
+    """Whether expr's root is a bool whatever it reads: a comparison, a logical operator or a bool literal."""
+    if isinstance(expr, Literal):
+        return type(expr.value) is bool
+    return isinstance(expr, Binary) and expr.op in _BOOLEAN or isinstance(expr, Unary) and expr.op == "!"
 
 
 def _is_nothing(expr: Expr) -> bool:

@@ -4,9 +4,9 @@ Every message a service sends or receives is a value tree: an optional
 basic root value plus named, ordered sequences of child trees. JSON is
 the only wire encoding, and this module alone decides, on every
 transport and every Python, which trees it carries: none with a child
-named "$", a double that is not finite, an integer with more digits than
-int-to-text conversion allows, a string or child name with a lone
-surrogate, or more than MAX_NESTING nested objects and arrays. On those
+named "$", a double that is not finite, an integer with more than
+MAX_DIGITS decimal digits, a string or child name with a lone surrogate,
+or more than MAX_NESTING nested objects and arrays. On those
 the mapping is bijective. A port takes each message to its image by that
 rule (_image), decode_json refuses a text nested past MAX_NESTING as it
 scans, and transport.decode_fault holds a fault's data to the same rule.
@@ -231,9 +231,17 @@ ROOT_KEY = 'a child is named "$", which JSON keeps for the root'
 # message. The port's walks recurse once per level, against Python's
 # recursion limit of 1000, so this leaves the calling thread 100 frames
 MAX_NESTING = 900
+# the most decimal digits an integer on the wire may have, whatever limit the
+# process sets on int-to-text conversion (sys.set_int_max_str_digits): the
+# default limit, so a slice started with another setting draws the same line
+MAX_DIGITS = 4300
+_DIGIT_BOUND = 10**MAX_DIGITS
 # an int no wider than this has fewer decimal digits than the smallest limit
-# Python may set on int-to-text conversion (640), so only wider ones are converted
+# Python may set on int-to-text conversion (640), so only wider ones are
+# compared with _DIGIT_BOUND, and converted in chunks of _CHUNK_DIGITS digits
 _SAFE_INT_BITS = 640 * 3
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
 # a surrogate code point: UTF-8 cannot encode one in a str, alone or paired
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
@@ -276,11 +284,8 @@ def _wire_image(tree: ValueTree) -> ValueTree:
     image = tree
     root = tree.root
     if isinstance(root, int) and not isinstance(root, bool):
-        if root.bit_length() > _SAFE_INT_BITS:
-            try:
-                int.__repr__(root)  # as JSON writes it: str() of a Long is its repr, which prints any width
-            except ValueError:
-                raise JsonError(TOO_MANY_DIGITS) from None
+        if root.bit_length() > _SAFE_INT_BITS and not -_DIGIT_BOUND < root < _DIGIT_BOUND:
+            raise JsonError(TOO_MANY_DIGITS)
         if type(root) is not Long:
             tree.shared = True  # its image shares its children
             image = tree.writable()
@@ -321,17 +326,44 @@ _dumps = partial(json.dumps, separators=(",", ":"), ensure_ascii=False, allow_na
 _string = json.encoder.encode_basestring
 
 
+def _integer(value: int) -> str:
+    """An int's JSON text, a Long's without its L; ValueError past MAX_DIGITS digits."""
+    if value.bit_length() <= _SAFE_INT_BITS:
+        return int.__repr__(value)
+    if not -_DIGIT_BOUND < value < _DIGIT_BOUND:
+        raise ValueError(TOO_MANY_DIGITS)
+    magnitude, chunks = abs(value), []
+    while magnitude >= _CHUNK:  # each chunk converts under any limit the process sets
+        magnitude, chunk = divmod(magnitude, _CHUNK)
+        chunks.append(f"{chunk:0{_CHUNK_DIGITS}d}")
+    chunks.append(int.__repr__(magnitude))
+    return "-" * (value < 0) + "".join(reversed(chunks))
+
+
+def _long(text: str) -> Long:
+    """json's parse_int: an integral number as a Long; ValueError past MAX_DIGITS digits."""
+    if len(text) <= _CHUNK_DIGITS:
+        return Long(text)
+    digits = text.lstrip("-")
+    if len(digits) > MAX_DIGITS:
+        raise ValueError(TOO_MANY_DIGITS)
+    value = 0
+    for start in range(0, len(digits), _CHUNK_DIGITS):  # each chunk converts under any limit
+        chunk = digits[start : start + _CHUNK_DIGITS]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return Long(-value if text[0] == "-" else value)
+
+
 def _double(value: float) -> str:
     # a double that is not finite gets json's own ValueError, worded as this Python words it
     return float.__repr__(value) if math.isfinite(value) else _dumps(value)
 
 
-# a root's JSON text by its type, as json's encoder writes it: int.__repr__
-# writes a Long without its L, and raises ValueError past the digit limit
+# a root's JSON text by its type, as json's encoder writes it
 _ROOT_TEXT: dict[type, Callable[[Any], str]] = {
     str: _string,
-    Long: int.__repr__,
-    int: int.__repr__,
+    Long: _integer,
+    int: _integer,
     float: _double,
     bool: {False: "false", True: "true"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
@@ -386,8 +418,8 @@ def encode_json(tree: ValueTree) -> bytes:
     """Encode a tree as compact UTF-8 JSON bytes, in one walk.
 
     The text is what json.dumps writes, byte for byte. Raises ValueError
-    on a double that is not finite, and on an integer with more digits
-    than int-to-text conversion allows.
+    on a double that is not finite, and on an integer with more than
+    MAX_DIGITS digits.
     """
     if not tree.children:
         root = tree.root
@@ -488,7 +520,7 @@ def _tree(obj: dict[str, Any]) -> "ValueTree | JsonError":
 # as the scanner closes them, and arrays stay lists until the object
 # holding them takes them as the occurrences of one child name.
 _DECODER = json.JSONDecoder(
-    object_hook=_tree, parse_int=Long, parse_float=_finite, parse_constant=_not_json
+    object_hook=_tree, parse_int=_long, parse_float=_finite, parse_constant=_not_json
 )
 
 
@@ -502,7 +534,7 @@ def decode_json(data: bytes | str) -> ValueTree:
     (TOO_DEEP, on every Python: json's own recursion limit, which differs
     from one version to the next, is only a backstop), on NaN, Infinity
     and -Infinity, which are not JSON, on a number that overflows a
-    double, and on an integer with more digits than int() converts.
+    double, and on an integer with more than MAX_DIGITS digits.
     """
     if isinstance(data, bytes):
         try:
@@ -515,7 +547,7 @@ def decode_json(data: bytes | str) -> ValueTree:
         value = _DECODER.decode(data)
     except json.JSONDecodeError as exc:
         raise JsonError(exc.msg, exc.lineno, exc.colno) from exc
-    except ValueError:  # a number with more digits than int() converts
+    except ValueError:  # an integer with more than MAX_DIGITS digits
         raise JsonError("number has too many digits") from None
     except RecursionError:  # deeper than this Python's scanner recurses, before any object closed
         raise JsonError(TOO_DEEP) from None

@@ -15,16 +15,36 @@ import json
 import math
 from typing import Any, NoReturn
 
-from monoslice.values import TOO_DEEP, Basic, JsonError, Long, ValueTree
+from monoslice.values import MAX_DIGITS, TOO_DEEP, TOO_MANY_DIGITS, Basic, JsonError, Long, ValueTree
+
+
+class _TooWide:
+    """Stands for an integer past MAX_DIGITS digits, which json.dumps refuses where it meets it."""
+
+
+def _too_wide(value: Any) -> NoReturn:
+    if isinstance(value, _TooWide):
+        raise ValueError(TOO_MANY_DIGITS)
+    json.JSONEncoder().default(value)  # json's own TypeError
+
+
+_BOUND = 10**MAX_DIGITS
+
+
+def _scalar_out(root: Basic | None) -> Any:
+    """A root as json.dumps takes it; an integer past MAX_DIGITS digits, whatever Python's own limit, as _TooWide."""
+    if type(root) in (int, Long) and not -_BOUND < root < _BOUND:
+        return _TooWide()
+    return root
 
 
 def _to_json_value(tree: ValueTree) -> Any:
     """Convert a tree into a json-serializable object per the wire mapping."""
     if not tree.children:
-        return tree.root
+        return _scalar_out(tree.root)
     obj: dict[str, Any] = {}
     if tree.root is not None:
-        obj["$"] = tree.root
+        obj["$"] = _scalar_out(tree.root)
     for name, seq in tree.children.items():
         if len(seq) == 1:
             obj[name] = _to_json_value(seq[0])
@@ -75,10 +95,10 @@ def encode_json(tree: ValueTree) -> bytes:
     """Encode a tree as compact UTF-8 JSON bytes.
 
     Raises ValueError on a double that is not finite, and on an integer
-    with more digits than int-to-text conversion allows.
+    with more than MAX_DIGITS digits.
     """
     return json.dumps(
-        _to_json_value(tree), separators=(",", ":"), ensure_ascii=False, allow_nan=False
+        _to_json_value(tree), separators=(",", ":"), ensure_ascii=False, allow_nan=False, default=_too_wide
     ).encode("utf-8")
 
 

@@ -1,3 +1,6 @@
+import re
+from collections import Counter
+
 import pytest
 import reference_interpreter
 from hypothesis import given, settings
@@ -744,11 +747,18 @@ def _run_counted(module, statements, scope):
     return _kinds(ctx.scope), outcome, counted.root
 
 
+def _copied(tree):
+    """A deep copy of tree that keeps each node's shared mark, which ValueTree.copy clears."""
+    out = ValueTree(tree.root, {name: [_copied(child) for child in seq] for name, seq in tree.children.items()})
+    out.shared = tree.shared
+    return out
+
+
 def assert_same_as_reference(text, scope=None):
     from monoslice.runtime import interpreter
 
     statements = main_statements(text)
-    fresh = (lambda: scope.copy()) if scope is not None else ValueTree
+    fresh = (lambda: _copied(scope)) if scope is not None else ValueTree
     generated = _run_counted(interpreter, statements, fresh())
     assert generated == _run_counted(reference_interpreter, statements, fresh())
     return generated
@@ -759,6 +769,66 @@ def assert_same_as_reference(text, scope=None):
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 def test_generated_statements_agree_with_the_reference_interpreter(text, a, b, shared):
     assert_same_as_reference("c0 = 0 c1 = 0 " + text, _diff_scope(a, b, shared))
+
+
+def _reread(path):
+    """Programs that read path, run a store drawn to hit what it reads more often than not, and read path again.
+
+    The reads are in one generated function: at the top of a loop or inside
+    a branch, so that the first read's locals may serve the second.
+    """
+    root = re.match(r"\w+", path).group()
+    read = st.sampled_from([f"r = {path}", f"k = ( {path} == {{}} )", f"k = ( {path} != 1 ) u = {path}.g"])
+    aimed = _pick(
+        st.builds(f"{path} = {{}}".format, _DIFF_NUMERIC | _DIFF_PATHS | _DIFF_TREES),
+        st.builds(f"{root} = {{}}".format, _DIFF_NUMERIC | _DIFF_PATHS | _DIFF_TREES),
+        st.builds(f"{{}} = {root} {{}}.f[1].g = 7".format, _DIFF_ROOT_NAMES, _DIFF_ROOT_NAMES),
+        st.sampled_from(["c0 = c0 + 1", "c1 = c1 + 1", f"note( {root} )", f"op@Out( {path} )( {root} )"]),
+    )
+    store = _pick(aimed, aimed, aimed, _DIFF_SIMPLE)
+    shapes = [
+        "if( true ) {{ {0} {1} {2} }}",
+        "if( true ) {{ {0} if( c1 == 0 ) {{ {1} }} {2} }}",
+        "if( true ) {{ {0} if( c1 != 0 ) {{ r = 0 }} else {{ {1} }} {2} }}",
+        "c1 = 0 while( c1 < 3 ) {{ {0} if( c1 == 1 ) {{ {1} }} {2} c1 = c1 + 1 }}",
+        "c1 = 0 while( c1 < 2 && {3} != 5 ) {{ {0} {1} {2} c1 = c1 + 1 }}",
+    ]
+    return st.builds(lambda shape, *parts: shape.format(*parts, path), st.sampled_from(shapes), read, store, read)
+
+
+@given(_DIFF_PATHS.flatmap(_reread), _DIFF_VALUES, _DIFF_VALUES, st.booleans())
+# the example count comes from the loaded profile when it asks for more (tests/conftest.py)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+def test_a_path_read_again_after_a_store_agrees_with_the_reference_interpreter(text, a, b, shared):
+    assert_same_as_reference("c0 = 0 c1 = 0 " + text, _diff_scope(a, b, shared))
+
+
+class _CountingChildren(dict):
+    """A node's children, counting the lookups of each name."""
+
+    def __init__(self, **children):
+        super().__init__(children)
+        self.gets = Counter()
+
+    def get(self, name, default=None):
+        self.gets[name] += 1
+        return super().get(name, default)
+
+
+def test_the_lookup_loop_reads_its_index_once_per_iteration_and_its_log_once():
+    # EventStore.lookup's loop, in the fixture, over a log of 24 events
+    text = "while( state.log[i].type != {} ) { if( state.log[i].id == id ) result.event = state.log[i] i = i + 1 }"
+    [loop] = compile_block(main_statements(text))
+    events = [ValueTree.make(type="created", id=Long(1000 + n)) for n in range(24)]
+    state = ValueTree()
+    state.children = _CountingChildren(log=events)
+    scope = ValueTree()
+    scope.children = _CountingChildren(state=[state], id=[ValueTree(Long(1010))], i=[ValueTree(0)], result=[ValueTree()])
+    exec_statements((loop,), Context(scope))
+    assert scope.children["result"] == [ValueTree.make(event=events[10])]
+    # i once for each test of the condition; the rest once for the whole loop
+    assert scope.children.gets == {"i": 25, "state": 1, "id": 1, "result": 1}
+    assert state.children.gets == {"log": 1}
 
 
 @pytest.mark.parametrize(
@@ -795,6 +865,34 @@ def test_generated_statements_agree_with_the_reference_interpreter(text, a, b, s
         "i = 0 while( i < 3 ) { if( i == 1 ) { i = i + 1 } i = i + 1 x.f[i] = i }",
         # a tree literal's entry named as a variable its value reads
         "a = 5 t = { a = a + 1, b = -b } k = a",
+        # a path read twice in one statement, around what must end the reuse of the first read,
+        # the second time as a root, which a stale read would give: a store to its root, or to
+        # its index variable
+        "if( true ) { k = x.f[0].g + 0 x = { f = 3 } m = x.f[0].g == {} n = x.f + 0 }",
+        "i = 0 while( i < 2 ) { k = x.f[i].g == {} i = i + 1 m = x.f[i].g == {} n = x.f[i] }",
+        "i = 0 while( i < 3 ) { k = x.f[i].g x.f[i].g = k + i i = i + 1 m = x.f[i].g }",
+        "if( true ) { x = 0 x[x] = 5 m = x + 0 x[x] = 6 n = x[5] }",
+        # y = x, then a write through y, and through x
+        "if( true ) { k = x.f[0].g + 0 y = x y.f[0].g = 9 m = y.f[0].g + 0 n = x.f[0].g + 0 x.f[0].g = 4 o = y.f[0].g + 0 p = x.f[0].g + 0 }",
+        # a reply or a received message bound to the root
+        "if( true ) { k = x.f[0].g + 0 op@Out( x.f[0] )( x ) m = x.f[0].g == {} n = x.request.g + 0 }",
+        "if( true ) { k = x + 0 note( x ) m = x + 0 n = x.f[1] note( x.f[1] ) o = x.f[1] + 0 }",
+        # a store to the path itself, at a constant and at a variable index, and below it
+        "if( true ) { k = x.f[1] + 0 x.f[1] = k + 1 m = x.f[1] + 0 x.f[1] = { g = 5 } n = x.f[1].g + 0 o = x.f[1] == {} }",
+        "i = 1 while( i < 2 ) { k = x.f[i] + 0 x.f[i] = 5 m = x.f[i] + 0 x.f[i].g.h = 6 n = x.f[i].g.h + 0 i = i + 1 }",
+        # a store in one branch of an if only, then or else, and one in each
+        "if( true ) { k = x.f[0].g + 0 if( k == 1 ) { x = { h = 1 } } m = x.f[0].g == {} }",
+        "if( true ) { k = x.f[0].g + 0 if( k == 2 ) { n = 1 } else { x.f[0].g = 4 } m = x.f[0].g + 0 }",
+        "if( true ) { k = x.f[0].g + 0 if( a == 1L ) { x.f[0].g = 2 } else { y = x } m = x.f[0].g + 0 n = y }",
+        # a loop whose nested if stores to the root of what its condition reads on some iterations only
+        "if( true ) { k = x.f[0].g + 0 i = 0 while( x.f[0].g != {} && i < 4 ) { if( i == 2 ) { x = { h = i } } i = i + 1 } m = i }",
+        "i = 0 while( i < 4 && x.f[1] == 2 ) { if( i == 1 ) { x.f[1] = i } i = i + 1 } m = i",
+        # a loop reading a prefix at constant indices that it never stores to, and one that
+        # a nested loop stores to
+        "i = 0 while( x.f[i] != {} ) { k.f[i] = x.f[0].g + i i = i + 1 } m = x.f[0].g",
+        "i = 0 while( i < 2 ) { j = 0 while( j < 2 ) { x.f[j].g = i j = j + 1 } k.f[i] = x.f[0].g + 0 i = i + 1 }",
+        # a statement nested past _MAX_DEPTH, run out of line, between two reads of one path
+        "if( true ) { k = x.f[0].g + 0 " + "if( true ) { " * 14 + "x = { f = 6 }" + " }" * 14 + " m = x.f[0].g == {} n = x.f + 0 }",
     ],
 )
 def test_statement_shapes_agree_with_the_reference_interpreter(text):
@@ -805,7 +903,7 @@ def test_statement_shapes_agree_with_the_reference_interpreter(text):
     "text, lookups",
     [
         ("i = i + 1", 1),
-        ("i = j + i * i", 3),
+        ("i = j + i * i", 2),
         ("i = i.f[0] + 1", 1),
         # a read inside a block the value opens may not have run when the store does
         ("i = b && ( i == 1 )", 3),

@@ -2005,9 +2005,6 @@ def test_an_operation_name_utf8_cannot_encode_is_refused_as_unknown(transport):
     assert (report.services[0].served, report.services[0].refused) == (1, 0)
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int-to-text conversion"
-)
 @pytest.mark.parametrize("transport", ["local", "socket"])
 def test_a_reply_too_long_for_json_is_a_type_mismatch(transport):
     system = _start_on(transport, GROWER, ["Grower"])
@@ -2023,15 +2020,7 @@ def test_a_reply_too_long_for_json_is_a_type_mismatch(transport):
 @pytest.mark.parametrize(
     "message, violation",
     [
-        pytest.param(
-            ValueTree(Long(10**5000)),
-            "integer has too many digits for JSON",
-            id="digits",
-            marks=pytest.mark.skipif(
-                not hasattr(sys, "get_int_max_str_digits"),
-                reason="no limit on int-to-text conversion",
-            ),
-        ),
+        pytest.param(ValueTree(Long(10**5000)), "integer has too many digits for JSON", id="digits"),
         pytest.param(_nested(2000), "payload nests too deeply", id="depth"),
         pytest.param(
             ValueTree.make(x=float("nan")), "double is not finite, which JSON cannot carry", id="nan"

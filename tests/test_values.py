@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 
@@ -9,8 +11,10 @@ from hypothesis import strategies as st
 
 import reference_json
 from monoslice.values import (
+    MAX_DIGITS,
     MAX_NESTING,
     TOO_DEEP,
+    TOO_MANY_DIGITS,
     JsonError,
     Long,
     ValueTree,
@@ -93,19 +97,56 @@ def test_fractional_and_integral_numbers_decode_to_distinct_kinds():
         b'{"$":{"x":1}}',
         b'{"A":',
         b'{"a":' * 5000 + b"1" + b"}" * 5000,  # past MAX_NESTING
-        pytest.param(
-            b'{"a":' + b"7" * 5000 + b"}",  # more digits than int() converts
-            marks=pytest.mark.skipif(
-                not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit"
-            ),
-            id="5000-digit-number",
-        ),
+        pytest.param(b'{"a":' + b"7" * 5000 + b"}", id="5000-digit-number"),  # past MAX_DIGITS
         pytest.param(b'"\xff"', id="not-utf-8"),
     ],
 )
 def test_unrepresentable_payloads_raise(payload):
     with pytest.raises(JsonError):
         decode_json(payload)
+
+
+# what the codec and a port make of an integer of MAX_DIGITS digits and of one
+# digit more, run in a child so that the child's digit limit can be set
+_DIGITS_PROBE = """
+import json
+from monoslice.values import MAX_DIGITS, JsonError, Long, ValueTree, _image, decode_json, encode_json
+
+outcomes = []
+for digits in (MAX_DIGITS, MAX_DIGITS + 1):
+    text = "-" + "7" * digits
+    value = Long(-7 * (10**digits - 1) // 9)
+    try:
+        outcomes.append(["decoded", decode_json(text).root == value])
+    except JsonError as exc:
+        outcomes.append(["refused", str(exc)])
+    try:
+        outcomes.append(["encoded", encode_json(ValueTree(value)) == text.encode()])
+    except ValueError as exc:
+        outcomes.append(["refused", str(exc)])
+    outcomes.append(["admitted", _image(ValueTree.make(n=value))[1]])
+print(json.dumps(outcomes))
+"""
+
+
+@pytest.mark.parametrize("limit", [None, "0", "640"], ids=["default", "no-limit", "640"])
+def test_the_digit_limit_is_the_programs_whatever_the_process_sets(limit):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONINTMAXSTRDIGITS"}
+    if limit is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = limit
+    result = subprocess.run(
+        [sys.executable, "-c", _DIGITS_PROBE], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert MAX_DIGITS == 4300
+    assert json.loads(result.stdout) == [
+        ["decoded", True],
+        ["encoded", True],
+        ["admitted", None],
+        ["refused", "number has too many digits"],
+        ["refused", TOO_MANY_DIGITS],
+        ["admitted", TOO_MANY_DIGITS],
+    ]
 
 
 @pytest.mark.parametrize(
