@@ -25,6 +25,8 @@ ConfigTree = ValueTree
 
 # whitespace and control characters, which no host name holds and HTTP clients refuse
 _BAD_HOST_CHARACTER = re.compile(r"[\s\x00-\x1f\x7f-\x9f]")
+# a port as str() prints an int: ASCII digits, no leading zero, no sign but a minus
+_PLAIN_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
 
 
 class BadLocationSyntax(MonosliceError):
@@ -78,17 +80,14 @@ class Location:
                 host.encode("idna")  # as the client sends it
             except UnicodeError as exc:
                 raise BadLocationSyntax(text, f"the host is no IDNA name: {exc}") from None
-            try:
-                port = int(port_text)
-            except ValueError:
-                port = None
-            # int() also takes a sign, spaces, underscores, leading zeros and
-            # non-ASCII digits, which would print back as another text
-            if port is None or str(port) != port_text:
+            # int() would also take a sign, spaces, underscores, leading zeros and
+            # non-ASCII digits, which print back as another text
+            if not _PLAIN_DECIMAL.fullmatch(port_text):
                 raise BadLocationSyntax(text, f"port {port_text!r} is not written in plain decimal")
-            if not 1 <= port <= 65535:
-                raise BadLocationSyntax(text, f"port {port} out of range 1-65535")
-            return cls.socket(host, port)
+            # no port has more than five digits, so int() never meets the host's digit limit
+            if len(port_text) > 5 or not 1 <= int(port_text) <= 65535:
+                raise BadLocationSyntax(text, f"port {port_text} out of range 1-65535")
+            return cls.socket(host, int(port_text))
         if text.startswith("local://"):
             name = text[len("local://"):]
             if not name or "/" in name:

@@ -25,11 +25,13 @@ from .values import ValueTree
 
 DEFAULT_BASE_IMAGE = "monoslice-runtime"
 DEFAULT_RUNNER_CMD = "monoslice"
+# the name of the configuration file's copy in each service's folder
+CONFIG_FILE_NAME = "deploy.json"
 
 DOCKERFILE_TEMPLATE = """FROM {base_image}
 COPY {service}.ol .
-COPY deploy.json .
-CMD ["{runner}", "--config", "deploy.json", "--service", "{service}", "{service}.ol"]
+COPY {config} .
+CMD ["{runner}", "--config", "{config}", "--service", "{service}", "{service}.ol"]
 """
 
 # the service names the compose file format accepts (compose-spec's schema)
@@ -90,7 +92,6 @@ class DeploymentPlan:
     output_root: Path
     entries: list[PlanEntry]
     compose_text: str
-    config_file_name: str
     config_bytes: bytes
 
 
@@ -145,7 +146,7 @@ def plan_deployment(
                 program_file_name=f"{name}.ol",
                 program_text=render(program),
                 dockerfile_text=DOCKERFILE_TEMPLATE.format(
-                    base_image=options.base_image, service=name, runner=options.runner_cmd
+                    base_image=options.base_image, service=name, runner=options.runner_cmd, config=CONFIG_FILE_NAME
                 ),
                 exposed_port=exposed,
             )
@@ -155,7 +156,6 @@ def plan_deployment(
         output_root=options.output_root,
         entries=entries,
         compose_text=_compose_text(entries, options.expose_ports),
-        config_file_name="deploy.json",
         config_bytes=options.config_bytes,
     )
 
@@ -198,7 +198,7 @@ def write_deployment(plan: DeploymentPlan, force: bool = False) -> list[tuple[st
         write("docker-compose.yml", plan.compose_text.encode("utf-8"))
         for entry in plan.entries:
             write(f"{entry.folder_name}/{entry.program_file_name}", entry.program_text.encode("utf-8"))
-            write(f"{entry.folder_name}/{plan.config_file_name}", plan.config_bytes)
+            write(f"{entry.folder_name}/{CONFIG_FILE_NAME}", plan.config_bytes)
             write(f"{entry.folder_name}/Dockerfile", entry.dockerfile_text.encode("utf-8"))
         return manifest
     except Exception:

@@ -11,10 +11,12 @@ the parser's and resolver's errors.
 Keywords, identifiers written in ASCII and punctuation take their kind
 from one dict lookup. Numbers, strings, other words and every character
 no token starts with go to one cold function each, which does the checks
-and raises the `LexError`. A block comment ends at the next `*/`; one
-never closed is reported where it opens. A string literal is decoded a
-character at a time only when its body has a backslash; a string the
-pattern refuses takes the same slow path, which reports its first error.
+and raises the `LexError`: an integer literal of more than 4300 digits
+(`values.MAX_DIGITS`) is one, whatever the host's int-to-text limit. A
+block comment ends at the next `*/`; one never closed is reported where
+it opens. A string literal is decoded a character at a time only when
+its body has a backslash; a string the pattern refuses takes the same
+slow path, which reports its first error.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import NamedTuple, NoReturn
 
 from .ast import line_starts, position
 from .errors import MonosliceError
-from .values import Basic, Long
+from .values import Basic, Long, parse_integer
 
 
 class LexError(MonosliceError):
@@ -140,8 +142,8 @@ def _number(source: str, offset: int, text: str) -> Token:
             _error(source, offset, "double literal out of range")
         return Token(TokenKind.DOUBLE, text, offset, value)
     try:
-        value = int(digits)
-    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        value = parse_integer(digits)
+    except ValueError:  # more than MAX_DIGITS digits, whatever limit the process sets
         _error(source, offset, "integer literal has too many digits")
     if digits is text:
         return Token(TokenKind.INT, text, offset, value)
@@ -210,8 +212,8 @@ def tokenize(source: str) -> list[Token]:
     """Tokenize source text. Comments and whitespace are dropped.
 
     Raises LexError with position on illegal characters, unterminated
-    strings/comments, integer literals too long for int(), and double
-    literals too large for a finite float.
+    strings/comments, integer literals of more than 4300 digits
+    (values.MAX_DIGITS), and double literals too large for a finite float.
     """
     tokens: list[Token] = []
     append = tokens.append

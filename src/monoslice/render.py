@@ -49,7 +49,7 @@ from .ast import (
     Unary,
     While,
 )
-from .values import Long
+from .values import Long, integer_text
 
 _INDENT = "    "
 
@@ -238,9 +238,9 @@ def _literal(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, Long):
-        return f"{int(value)}L"
+        return f"{integer_text(value)}L"
     if isinstance(value, int):
-        return str(value)
+        return integer_text(value)
     if isinstance(value, float):
         return repr(value)
     return json.dumps(value, ensure_ascii=False)  # a string: the lexer reads exactly JSON's escapes

@@ -100,7 +100,7 @@ from ..ast import (
     While,
 )
 from ..records import record
-from ..values import Basic, Long, ValueTree, kind_of
+from ..values import Basic, Long, ValueTree, integer_repr, kind_of
 
 # the most empty nodes a store may add past the end of one sequence, so that one
 # index taken from a message cannot allocate without bound
@@ -724,7 +724,7 @@ def _checked_index(root: Basic | None) -> int:
     if isinstance(root, bool) or not isinstance(root, int):
         raise fault("TypeMismatch", f"index must be an integer, found {kind_of(root)}")
     if root < 0:
-        raise fault("TypeMismatch", f"index must be non-negative, found {root}")
+        raise fault("TypeMismatch", f"index must be non-negative, found {integer_repr(root)}")
     return int(root)
 
 
@@ -735,7 +735,7 @@ def _pad(node: ValueTree, name: str, index: int, undo: list | None = None) -> li
     """
     seq = node.children.get(name, [])
     if index - len(seq) > MAX_PAD:  # refused before the scope changes
-        raise fault("TypeMismatch", f"index {index} is more than {MAX_PAD} past the end of its sequence")
+        raise fault("TypeMismatch", f"index {integer_repr(index)} is more than {MAX_PAD} past the end of its sequence")
     if undo is not None and not undo:
         undo.append((node, name, len(seq)))
     seq.extend([ValueTree() for _ in range(index + 1 - len(seq))])

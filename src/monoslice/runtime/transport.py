@@ -113,6 +113,7 @@ _POLL_SECONDS = 0.05
 MAX_LINE_BYTES = 8192  # the request line and each header line
 MAX_HEADERS = 100
 MAX_BODY_BYTES = 4 * 1024 * 1024
+_BODY_DIGITS = len(str(MAX_BODY_BYTES))  # no wider Content-Length is within it
 READ_TIMEOUT = 10.0  # seconds a connection may wait for its client's next bytes
 # seconds one worker of a port waits on a connection it answered for the next request
 # before it parks the connection: a caller that sends again at once is then served
@@ -417,10 +418,10 @@ def _content_length(value: bytes) -> int:
     """A Content-Length header's value; ValueError unless it is digits within MAX_BODY_BYTES."""
     if not value.isdigit():
         raise ValueError(f"Content-Length {value.decode('latin-1')!r} is not a number")
-    length = int(value)
-    if length > MAX_BODY_BYTES:
-        raise ValueError(f"Content-Length {length} is over the limit of {MAX_BODY_BYTES}")
-    return length
+    digits = value.lstrip(b"0") or b"0"  # its width is judged first, so int() takes at most _BODY_DIGITS
+    if len(digits) > _BODY_DIGITS or int(digits) > MAX_BODY_BYTES:
+        raise ValueError(f"Content-Length {digits.decode()} is over the limit of {MAX_BODY_BYTES}")
+    return int(digits)
 
 
 class _Refused(Exception):

@@ -12,6 +12,12 @@ rule (_image), decode_json refuses a text nested past MAX_NESTING as it
 scans, and transport.decode_fault holds a fault's data to the same rule.
 JsonError is the one error for what JSON cannot carry, in both
 directions.
+
+The module owns integer text everywhere, literals and faults included: an
+integer of at most MAX_DIGITS digits converts exactly both ways
+(integer_text, parse_integer), and a wider one is refused, or shown to
+people as its width in bits (integer_repr), whatever limit the process
+sets on int-to-text conversion.
 """
 
 from __future__ import annotations
@@ -46,15 +52,16 @@ class Long(int):
     __slots__ = ()
 
     def __repr__(self) -> str:
-        return f"{_int_repr(self)}L"
+        return integer_repr(self)
 
 
-def _int_repr(value: int) -> str:
-    """An int's decimal text, or, for one wider than Python converts to text, its width in bits."""
+def integer_repr(value: int) -> str:
+    """An int's decimal text for people, a Long's with its L; past MAX_DIGITS digits, its width in bits."""
     try:
-        return int.__repr__(value)
+        text = integer_text(value)
     except ValueError:
-        return f"<int of {value.bit_length()} bits>"
+        text = f"<int of {value.bit_length()} bits>"
+    return f"{text}L" if isinstance(value, Long) else text
 
 
 Basic = bool | int | float | str
@@ -211,7 +218,7 @@ class ValueTree:
         parts: list[str] = []
         root = self.root
         if type(root) is int:
-            parts.append(_int_repr(root))
+            parts.append(integer_repr(root))
         elif root is not None:
             parts.append(repr(root))
         for name, seq in self.children.items():
@@ -231,9 +238,9 @@ ROOT_KEY = 'a child is named "$", which JSON keeps for the root'
 # message. The port's walks recurse once per level, against Python's
 # recursion limit of 1000, so this leaves the calling thread 100 frames
 MAX_NESTING = 900
-# the most decimal digits an integer on the wire may have, whatever limit the
-# process sets on int-to-text conversion (sys.set_int_max_str_digits): the
-# default limit, so a slice started with another setting draws the same line
+# the most decimal digits an integer may have, in source and on the wire, whatever
+# limit the process sets on int-to-text conversion (sys.set_int_max_str_digits):
+# the default limit, so a slice started with another setting draws the same line
 MAX_DIGITS = 4300
 _DIGIT_BOUND = 10**MAX_DIGITS
 # an int no wider than this has fewer decimal digits than the smallest limit
@@ -326,8 +333,8 @@ _dumps = partial(json.dumps, separators=(",", ":"), ensure_ascii=False, allow_na
 _string = json.encoder.encode_basestring
 
 
-def _integer(value: int) -> str:
-    """An int's JSON text, a Long's without its L; ValueError past MAX_DIGITS digits."""
+def integer_text(value: int) -> str:
+    """An int's decimal text, a Long's without its L, under any limit; ValueError past MAX_DIGITS digits."""
     if value.bit_length() <= _SAFE_INT_BITS:
         return int.__repr__(value)
     if not -_DIGIT_BOUND < value < _DIGIT_BOUND:
@@ -342,8 +349,13 @@ def _integer(value: int) -> str:
 
 def _long(text: str) -> Long:
     """json's parse_int: an integral number as a Long; ValueError past MAX_DIGITS digits."""
+    return Long(text if len(text) <= _CHUNK_DIGITS else parse_integer(text))  # the common case in one call
+
+
+def parse_integer(text: str) -> int:
+    """The int a decimal text writes, under any limit; ValueError past MAX_DIGITS digits, by its length."""
     if len(text) <= _CHUNK_DIGITS:
-        return Long(text)
+        return int(text)
     digits = text.lstrip("-")
     if len(digits) > MAX_DIGITS:
         raise ValueError(TOO_MANY_DIGITS)
@@ -351,7 +363,7 @@ def _long(text: str) -> Long:
     for start in range(0, len(digits), _CHUNK_DIGITS):  # each chunk converts under any limit
         chunk = digits[start : start + _CHUNK_DIGITS]
         value = value * 10 ** len(chunk) + int(chunk)
-    return Long(-value if text[0] == "-" else value)
+    return -value if text[0] == "-" else value
 
 
 def _double(value: float) -> str:
@@ -362,8 +374,8 @@ def _double(value: float) -> str:
 # a root's JSON text by its type, as json's encoder writes it
 _ROOT_TEXT: dict[type, Callable[[Any], str]] = {
     str: _string,
-    Long: _integer,
-    int: _integer,
+    Long: integer_text,
+    int: integer_text,
     float: _double,
     bool: {False: "false", True: "true"}.__getitem__,
     type(None): {None: "null"}.__getitem__,

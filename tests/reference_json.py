@@ -6,14 +6,18 @@ back from a tree and has json.dumps write them. `tests/test_values.py`
 checks `monoslice.values` against it tree by tree, byte by byte and
 error by error. It shares the package's `ValueTree`, `Long`, `JsonError`
 and `TOO_DEEP`, so the two are compared on the same types; nothing in
-`src/` imports it.
+`src/` imports it. json converts integers under the process's digit limit,
+so both functions run it under the program's, `MAX_DIGITS`, whatever limit
+the process sets.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, NoReturn
+import sys
+from contextlib import contextmanager
+from typing import Any, Iterator, NoReturn
 
 from monoslice.values import MAX_DIGITS, TOO_DEEP, TOO_MANY_DIGITS, Basic, JsonError, Long, ValueTree
 
@@ -29,6 +33,17 @@ def _too_wide(value: Any) -> NoReturn:
 
 
 _BOUND = 10**MAX_DIGITS
+
+
+@contextmanager
+def _digit_limit_of_the_program() -> Iterator[None]:
+    """Set the process's limit on int-to-text conversion to MAX_DIGITS, and back after."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_DIGITS)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _scalar_out(root: Basic | None) -> Any:
@@ -97,9 +112,10 @@ def encode_json(tree: ValueTree) -> bytes:
     Raises ValueError on a double that is not finite, and on an integer
     with more than MAX_DIGITS digits.
     """
-    return json.dumps(
-        _to_json_value(tree), separators=(",", ":"), ensure_ascii=False, allow_nan=False, default=_too_wide
-    ).encode("utf-8")
+    with _digit_limit_of_the_program():
+        return json.dumps(
+            _to_json_value(tree), separators=(",", ":"), ensure_ascii=False, allow_nan=False, default=_too_wide
+        ).encode("utf-8")
 
 
 def _not_json(constant: str) -> NoReturn:
@@ -117,9 +133,10 @@ def load_json(text: str) -> Any:
     """Parse JSON text, refusing NaN, Infinity, -Infinity and a number that overflows a double.
 
     Raises JsonError on those, json.JSONDecodeError on malformed text, and
-    ValueError on an integer with more digits than int() converts.
+    ValueError on an integer with more than MAX_DIGITS digits.
     """
-    return json.loads(text, parse_constant=_not_json, parse_float=_finite)
+    with _digit_limit_of_the_program():
+        return json.loads(text, parse_constant=_not_json, parse_float=_finite)
 
 
 def decode_json(data: bytes | str) -> ValueTree:
@@ -128,8 +145,7 @@ def decode_json(data: bytes | str) -> ValueTree:
     Raises JsonError with line/column on malformed input, and without
     them on input nested deeper than the interpreter can recurse, on
     NaN, Infinity and -Infinity, which are not JSON, on a number that
-    overflows a double, and on an integer with more digits than int()
-    converts.
+    overflows a double, and on an integer with more than MAX_DIGITS digits.
     """
     if isinstance(data, bytes):
         try:
@@ -140,7 +156,7 @@ def decode_json(data: bytes | str) -> ValueTree:
         return from_json_value(load_json(data))
     except json.JSONDecodeError as exc:
         raise JsonError(exc.msg, exc.lineno, exc.colno) from exc
-    except ValueError:  # a number with more digits than int() converts
+    except ValueError:  # a number with more than MAX_DIGITS digits
         raise JsonError("number has too many digits") from None
     except RecursionError:
         raise JsonError(TOO_DEEP) from None

@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from itertools import accumulate
 
 from monoslice.lexer import KEYWORDS, LexError, TokenKind
-from monoslice.values import Basic, Long
+from monoslice.values import MAX_DIGITS, Basic, Long
 
 _PUNCT = {kind.value: kind for kind in TokenKind if not kind.value[0].isalpha()}
 _WORD_VALUES = {"true": True, "false": False}
@@ -86,6 +87,16 @@ def _decode_string(source: str, i: int, line: int, column: int) -> str:
 _TOO_MANY_DIGITS = "integer literal has too many digits"
 
 
+def _integer(digits: str) -> int:
+    """A literal's value; ValueError past MAX_DIGITS digits, by its length, whatever Python's own limit.
+
+    Decimal converts to int without that limit, so this shares nothing with values.parse_integer.
+    """
+    if len(digits) > MAX_DIGITS:
+        raise ValueError(_TOO_MANY_DIGITS)
+    return int(Decimal(digits))
+
+
 def tokenize(source: str) -> list[Token]:
     """Tokenize source text. Comments and whitespace are dropped.
 
@@ -126,12 +137,12 @@ def tokenize(source: str) -> list[Token]:
             append(Token(TokenKind.STRING, text, line, column, value))
         elif group == "int":
             try:
-                append(Token(TokenKind.INT, text, line, column, int(text)))
-            except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+                append(Token(TokenKind.INT, text, line, column, _integer(text)))
+            except ValueError:
                 raise LexError(line, column, _TOO_MANY_DIGITS) from None
         elif group == "long":
             try:
-                append(Token(TokenKind.LONG, text, line, column, Long(int(text[:-1]))))
+                append(Token(TokenKind.LONG, text, line, column, Long(_integer(text[:-1]))))
             except ValueError:
                 raise LexError(line, column, _TOO_MANY_DIGITS) from None
         elif group == "double":

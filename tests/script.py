@@ -243,3 +243,28 @@ service Cafe( config ) {
     }
 }
 """
+
+# squares the long it is asked with and stores at that index: asked with a
+# 3000-digit long, the index has more digits than values.MAX_DIGITS
+WIDE_INDEX = """
+interface Wide {
+    RequestResponse:
+        index( long )( int )
+}
+
+service Wide( config ) {
+    execution: sequential
+    inputPort In {
+        location: config.Wide.location
+        protocol: http { format = "json" }
+        interfaces: Wide
+    }
+    main {
+        index( n )( y ) {
+            m = n * n
+            a[m] = 1
+            y = 0
+        }
+    }
+}
+"""

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ import pytest
 
 from monoslice.cli import main
 from monoslice.config import Location
-from monoslice.values import Long, ValueTree
+from monoslice.values import MAX_DIGITS, Long, ValueTree
 
 from conftest import call_once_serving, free_ports
 from script import corrupted_fixture_source, nested_source
@@ -122,12 +123,26 @@ def test_check_non_ascii_digit_is_a_diagnostic(tmp_path, capsys):
     assert capsys.readouterr().err == f"{bad}:2:14: error: illegal character '²'\n"
 
 
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit")
 def test_check_over_long_integer_is_a_diagnostic(tmp_path, capsys):
     bad = tmp_path / "bad.ol"
     bad.write_text("service S {\n  main { x = " + "7" * 5000 + " }\n}\n", encoding="utf-8")
     assert main(["check", str(bad)]) == 2
     assert capsys.readouterr().err == f"{bad}:2:14: error: integer literal has too many digits\n"
+
+
+@pytest.mark.parametrize("limit", ["0", "640"])
+def test_check_draws_the_digit_line_of_the_program_whatever_the_process_sets(limit, tmp_path):
+    verdicts = []
+    for digits in (MAX_DIGITS, MAX_DIGITS + 1):
+        program = tmp_path / f"{digits}.ol"
+        program.write_text("service S {\n  main { x = " + "7" * digits + " }\n}\n", encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "monoslice", "check", str(program)],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONINTMAXSTRDIGITS": limit},
+        )
+        verdicts.append((result.returncode, result.stderr))
+    error = f"{tmp_path / '4301.ol'}:2:14: error: integer literal has too many digits\n"
+    assert verdicts == [(0, ""), (2, error)]
 
 
 def test_check_overflowing_double_is_a_diagnostic(tmp_path, capsys):

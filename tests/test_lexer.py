@@ -1,5 +1,4 @@
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -118,12 +117,6 @@ def test_illegal_character():
     assert exc.value.column == 3
 
 
-# Python 3.10 converts integers of any length, so it has no over-long literal.
-DIGIT_LIMIT = pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit"
-)
-
-
 # Every LexError path, with its position and message pinned byte for byte.
 @pytest.mark.parametrize(
     "source, line, column, message",
@@ -147,11 +140,11 @@ DIGIT_LIMIT = pytest.mark.skipif(
         ("y = -1.0e400", 1, 6, "double literal out of range"),
         pytest.param(
             "x = " + "7" * 5000, 1, 5, "integer literal has too many digits",
-            marks=DIGIT_LIMIT, id="5000-digit-int",
+            id="5000-digit-int",
         ),
         pytest.param(
             "a\n  " + "7" * 5000 + "L", 2, 3, "integer literal has too many digits",
-            marks=DIGIT_LIMIT, id="5000-digit-long",
+            id="5000-digit-long",
         ),
     ],
 )

@@ -20,7 +20,7 @@ from monoslice.errors import MonosliceError, NoServices
 from monoslice.parser import parse_source
 from monoslice.runtime import BindError, Fault, TransportError
 from monoslice.runtime import system as system_module
-from monoslice.runtime.interpreter import FaultSignal
+from monoslice.runtime.interpreter import MAX_PAD, FaultSignal
 from monoslice.runtime.pool import WorkerPool
 from monoslice.semantics import check_value, resolve
 from monoslice.values import (
@@ -41,6 +41,7 @@ from script import (
     GROWER,
     ONE_SHOT,
     SPINNER,
+    WIDE_INDEX,
     area,
     corrupted_fixture_source,
     run_script,
@@ -375,6 +376,21 @@ def test_an_activation_that_raises_past_the_interpreter_is_an_internal_error(tra
     [record] = [r for r in caplog.records if r.levelname == "ERROR"]
     assert record.getMessage() == "internal error in Counted.echo"
     assert record.exc_info[0] is RuntimeError
+
+
+@pytest.mark.parametrize("transport", ["local", "socket"])
+def test_an_index_past_max_digits_is_a_type_mismatch_on_both_transports(transport):
+    # the fault text shows the index by its width in bits, whatever the host's
+    # int-to-text limit; the autouse no_runtime_error fixture fails the test on
+    # an ERROR record, which an InternalError would log
+    system = _start_on(transport, WIDE_INDEX, ["Wide"])
+    try:
+        reply = system.invoke_rr("Wide", "index", ValueTree(Long(10**2999)))
+    finally:
+        system.shutdown()
+    width = (10**5998).bit_length()
+    message = f"index <int of {width} bits> is more than {MAX_PAD} past the end of its sequence"
+    assert reply == Fault("TypeMismatch", ValueTree(message))
 
 
 def test_a_pool_job_that_raises_is_logged_and_its_thread_runs_the_next_job(caplog):

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_json
+from monoslice.runtime.interpreter import MAX_PAD
+from monoslice.runtime.transport import MAX_BODY_BYTES
 from monoslice.values import (
     MAX_DIGITS,
     MAX_NESTING,
@@ -21,8 +23,11 @@ from monoslice.values import (
     _wire_image,
     decode_json,
     encode_json,
+    integer_text,
     kind_of,
 )
+
+from script import WIDE_INDEX
 
 
 def test_long_literal_tags_kind():
@@ -35,9 +40,9 @@ def test_long_literal_tags_kind():
 
 
 def test_an_int_too_wide_for_decimal_text_prints_as_its_width():
-    wide = 10**4300  # one digit over Python's default limit on int-to-text conversion
+    wide = 10**4300  # one digit over MAX_DIGITS, whatever limit the process sets on int-to-text conversion
     with pytest.raises(ValueError):
-        str(wide)
+        integer_text(wide)
     assert repr(ValueTree(wide)) == "ValueTree(<int of 14285 bits>)"
     assert repr(Long(wide)) == "<int of 14285 bits>L"
     assert repr(ValueTree(Long(wide), {"n": [ValueTree(wide), ValueTree(7)]})) == (
@@ -106,10 +111,20 @@ def test_unrepresentable_payloads_raise(payload):
         decode_json(payload)
 
 
-# what the codec and a port make of an integer of MAX_DIGITS digits and of one
-# digit more, run in a child so that the child's digit limit can be set
+# what the codec, a port, the lexer, render, a repr, an activation's fault,
+# an HTTP head and a port location make of an integer of MAX_DIGITS digits and
+# of one digit more (or of a far wider one), run in a child so that the
+# child's digit limit can be set
 _DIGITS_PROBE = """
-import json
+import json, sys
+from monoslice.config import Location
+from monoslice.errors import MonosliceError
+from monoslice.lexer import tokenize
+from monoslice.parser import parse_source
+from monoslice.render import render
+from monoslice.runtime import start
+from monoslice.runtime.transport import _content_length
+from monoslice.semantics import resolve
 from monoslice.values import MAX_DIGITS, JsonError, Long, ValueTree, _image, decode_json, encode_json
 
 outcomes = []
@@ -125,6 +140,31 @@ for digits in (MAX_DIGITS, MAX_DIGITS + 1):
     except ValueError as exc:
         outcomes.append(["refused", str(exc)])
     outcomes.append(["admitted", _image(ValueTree.make(n=value))[1]])
+    outcomes.append(["repr", repr(value) == text + "L" or repr(value)])
+    for literal in (text[1:], text[1:] + "L"):
+        try:
+            outcomes.append([[token.kind.name, token.value == -value] for token in tokenize(literal)])
+        except MonosliceError as exc:
+            outcomes.append(["refused", str(exc)])
+literal = "7" * MAX_DIGITS
+program = parse_source("service S { main { x = " + literal + " y = " + literal + "L } }")
+rendered = render(program)
+outcomes.append(["rendered", rendered.count(literal), parse_source(rendered) == program])
+system = start(resolve(parse_source(sys.argv[1])), decode_json('{"Wide":{"location":"local://wide"}}'))
+try:
+    reply = system.invoke_rr("Wide", "index", ValueTree(Long(10**2999)))
+finally:
+    system.shutdown()
+outcomes.append(["faulted", reply.name, reply.data.root])
+for length in (b"9" * 5000, b"0" * 5000 + b"5"):
+    try:
+        outcomes.append(["length", _content_length(length)])
+    except ValueError as exc:
+        outcomes.append(["refused", str(exc)])
+try:
+    outcomes.append(["located", str(Location.parse("socket://h:" + "9" * 5000))])
+except MonosliceError as exc:
+    outcomes.append(["refused", str(exc)])
 print(json.dumps(outcomes))
 """
 
@@ -135,17 +175,29 @@ def test_the_digit_limit_is_the_programs_whatever_the_process_sets(limit):
     if limit is not None:
         env["PYTHONINTMAXSTRDIGITS"] = limit
     result = subprocess.run(
-        [sys.executable, "-c", _DIGITS_PROBE], capture_output=True, text=True, timeout=60, env=env
+        [sys.executable, "-c", _DIGITS_PROBE, WIDE_INDEX], capture_output=True, text=True, timeout=60, env=env
     )
     assert result.returncode == 0, result.stderr
     assert MAX_DIGITS == 4300
+    nines = "9" * 5000
     assert json.loads(result.stdout) == [
         ["decoded", True],
         ["encoded", True],
         ["admitted", None],
+        ["repr", True],
+        [["INT", True]],
+        [["LONG", True]],
         ["refused", "number has too many digits"],
         ["refused", TOO_MANY_DIGITS],
         ["admitted", TOO_MANY_DIGITS],
+        ["repr", f"<int of {(7 * (10 ** (MAX_DIGITS + 1) - 1) // 9).bit_length()} bits>L"],
+        ["refused", "1:1: integer literal has too many digits"],
+        ["refused", "1:1: integer literal has too many digits"],
+        ["rendered", 2, True],
+        ["faulted", "TypeMismatch", f"index <int of {(10**5998).bit_length()} bits> is more than {MAX_PAD} past the end of its sequence"],
+        ["refused", f"Content-Length {nines} is over the limit of {MAX_BODY_BYTES}"],
+        ["length", 5],
+        ["refused", f"bad location 'socket://h:{nines}': port {nines} out of range 1-65535"],
     ]
 
 
