@@ -2,21 +2,26 @@
 
 One compiled pattern, run by `finditer`, matches each token together with
 the whitespace and comments after it, so its matches tile the source from
-the first token to the end. Each token carries its start offset, not a
-line and column: `position` (from `ast`, beside `Pos`) works those out,
-from the source's table of line starts (`line_starts`) and a binary
+the first token to the end. `tokenize` returns a `Tokens`: four parallel
+lists (each token's kind, lexeme, start offset and value) with an
+end-of-input entry at the end of each. So tokenizing builds no tuple
+per token, and a parse's tokens set off no garbage collection. A `Token`
+is built only where one is asked for by index, as the parser does to
+describe the token an error stands at. A token carries its start offset,
+not a line and column: `position` (from `ast`, beside `Pos`) works those
+out, from the source's table of line starts (`line_starts`) and a binary
 search, only where a position is reported, in a `LexError` here and in
 the parser's and resolver's errors.
 
 Keywords, identifiers written in ASCII and punctuation take their kind
 from one dict lookup. Numbers, strings, other words and every character
-no token starts with go to one cold function each, which does the checks
-and raises the `LexError`: an integer literal of more than 4300 digits
-(`values.MAX_DIGITS`) is one, whatever the host's int-to-text limit. A
-block comment ends at the next `*/`; one never closed is reported where
-it opens. A string literal is decoded a character at a time only when
-its body has a backslash; a string the pattern refuses takes the same
-slow path, which reports its first error.
+no token starts with go to one cold function each, which does the checks,
+returns the token's kind and value, and raises the `LexError`: an integer
+literal of more than 4300 digits (`values.MAX_DIGITS`) is one, whatever
+the host's int-to-text limit. A block comment ends at the next `*/`; one
+never closed is reported where it opens. A string literal is decoded a
+character at a time only when its body has a backslash; a string the
+pattern refuses takes the same slow path, which reports its first error.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import math
 import re
 from enum import Enum, unique
-from typing import NamedTuple, NoReturn
+from typing import Iterator, NamedTuple, NoReturn
 
 from .ast import line_starts, position
 from .errors import MonosliceError
@@ -96,6 +101,33 @@ class Token(NamedTuple):
     value: Basic | None = None
 
 
+class Tokens:
+    """A source's tokens as four parallel lists, each ending in the end-of-input entry.
+
+    `values` holds None except for literals, `true` and `false`. `len()` is
+    the number of tokens in the source, the end-of-input entry not counted.
+    """
+
+    __slots__ = ("kinds", "lexemes", "offsets", "values")
+
+    def __init__(self, kinds: list[TokenKind], lexemes: list[str], offsets: list[int], values: list[Basic | None]):
+        self.kinds = kinds
+        self.lexemes = lexemes
+        self.offsets = offsets
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.kinds) - 1
+
+    def __getitem__(self, index: int) -> Token:
+        """The token at index, built anew; index len(self) is the end-of-input entry."""
+        return Token(self.kinds[index], self.lexemes[index], self.offsets[index], self.values[index])
+
+    def __iter__(self) -> Iterator[Token]:
+        """The source's tokens, the end-of-input entry left out."""
+        return map(self.__getitem__, range(len(self)))
+
+
 # the kind of every keyword and punctuation lexeme; any other plain word is an identifier
 _KINDS = {
     **dict.fromkeys(KEYWORDS, TokenKind.KEYWORD),
@@ -125,14 +157,13 @@ _TOKEN = re.compile(
     re.VERBOSE,
 )
 _LEADING = re.compile(_SKIP)
-_new = tuple.__new__  # builds a Token without a Python-level __new__
 
 
 def _error(source: str, offset: int, message: str) -> NoReturn:
     raise LexError(*position(line_starts(source), offset), message)
 
 
-def _number(source: str, offset: int, text: str) -> Token:
+def _number(source: str, offset: int, text: str) -> tuple[TokenKind, Basic]:
     digits = text[:-1] if text[-1] == "L" else text
     if not digits.isdigit():
         if digits is not text:
@@ -140,25 +171,24 @@ def _number(source: str, offset: int, text: str) -> Token:
         value = float(text)
         if not math.isfinite(value):  # rendered as `inf`, it would read back as a variable
             _error(source, offset, "double literal out of range")
-        return Token(TokenKind.DOUBLE, text, offset, value)
+        return TokenKind.DOUBLE, value
     try:
         value = parse_integer(digits)
     except ValueError:  # more than MAX_DIGITS digits, whatever limit the process sets
         _error(source, offset, "integer literal has too many digits")
     if digits is text:
-        return Token(TokenKind.INT, text, offset, value)
-    return Token(TokenKind.LONG, text, offset, Long(value))
+        return TokenKind.INT, value
+    return TokenKind.LONG, Long(value)
 
 
-def _string(source: str, offset: int, text: str) -> Token:
-    value = _decode_string(source, offset) if "\\" in text else text[1:-1]
-    return Token(TokenKind.STRING, text, offset, value)
+def _string(source: str, offset: int, text: str) -> tuple[TokenKind, str]:
+    return TokenKind.STRING, _decode_string(source, offset) if "\\" in text else text[1:-1]
 
 
-def _word(source: str, offset: int, text: str) -> Token:
+def _word(source: str, offset: int, text: str) -> tuple[TokenKind, None]:
     if not text[0].isalpha():
         _error(source, offset, f"illegal character {text[0]!r}")
-    return Token(TokenKind.IDENT, text, offset)
+    return TokenKind.IDENT, None
 
 
 def _other(source: str, offset: int, text: str) -> NoReturn:
@@ -208,22 +238,36 @@ def _decode_string(source: str, offset: int) -> str:
             _error(source, offset, f"unknown escape \\{esc}")
 
 
-def tokenize(source: str) -> list[Token]:
+def tokenize(source: str) -> Tokens:
     """Tokenize source text. Comments and whitespace are dropped.
 
-    Raises LexError with position on illegal characters, unterminated
-    strings/comments, integer literals of more than 4300 digits
-    (values.MAX_DIGITS), and double literals too large for a finite float.
+    The end-of-input entry sits just past the last token, at offset 0 when
+    there is none. Raises LexError with position on illegal characters,
+    unterminated strings/comments, integer literals of more than 4300
+    digits (values.MAX_DIGITS), and double literals too large for a finite
+    float.
     """
-    tokens: list[Token] = []
-    append = tokens.append
-    new = _new
-    kinds, values, ident = _KINDS, _WORD_VALUES, TokenKind.IDENT
+    kinds: list[TokenKind] = []
+    lexemes: list[str] = []
+    offsets: list[int] = []
+    values: list[Basic | None] = []
+    add_kind, add_lexeme, add_offset, add_value = kinds.append, lexemes.append, offsets.append, values.append
+    kind_of, value_of, ident = _KINDS, _WORD_VALUES, TokenKind.IDENT
     for m in _TOKEN.finditer(source, _LEADING.match(source).end()):
         text = m[1]
         if text is None:
             group = m.lastindex
-            append(_COLD[group](source, m.start(), m[group]))
+            text = m[group]
+            kind, value = _COLD[group](source, m.start(), text)
+            add_kind(kind)
+            add_value(value)
         else:
-            append(new(Token, (kinds.get(text, ident), text, m.start(), values.get(text))))
-    return tokens
+            add_kind(kind_of.get(text, ident))
+            add_value(value_of.get(text))
+        add_lexeme(text)
+        add_offset(m.start())
+    add_offset(offsets[-1] + len(lexemes[-1]) if offsets else 0)
+    add_kind(TokenKind.EOF)
+    add_lexeme("")
+    add_value(None)
+    return Tokens(kinds, lexemes, offsets, values)

@@ -1,11 +1,14 @@
-"""Recursive descent parser building syntax trees from token streams.
+"""Recursive descent parser building syntax trees from a source's tokens.
 
-Tokens carry their source offsets, and each syntax node keeps the offset
-of the token it starts at. The parser computes the source's table of line
-starts once and hands it to the program it builds; it turns an offset
-into a line and column (`position`) only for a `ParseError`. The
-end-of-input token sits just past the last token, so an error there is
-reported on that token's line.
+The parser reads the lexer's parallel lists of kinds, lexemes, offsets
+and values by token index, so it builds no object per token: taking a
+token returns its index, and a `Token` is built only to describe the one
+a `ParseError` stands at. Each syntax node keeps the offset of the token
+it starts at. The parser computes the source's table of line starts once
+and hands it to the program it builds; it turns an offset into a line
+and column (`position`) only for a `ParseError`. The end-of-input entry
+sits just past the last token, so an error there is reported on that
+token's line.
 
 The first error aborts parsing; there is no recovery. Keywords double as
 identifiers where that is unambiguous (path steps after a dot, field
@@ -60,7 +63,7 @@ from .ast import (
     While,
 )
 from .errors import MonosliceError
-from .lexer import Token, TokenKind, line_starts, position, tokenize
+from .lexer import Token, TokenKind, Tokens, line_starts, position, tokenize
 from .values import Long
 
 _BASIC_NAMES = {t.value: t for t in BasicType}
@@ -84,68 +87,71 @@ def _describe(token: Token) -> str:
 
 
 class Parser:
-    def __init__(self, tokens: list[Token], starts: list[int], source_name: str = "program"):
-        end = tokens[-1].offset + len(tokens[-1].lexeme) if tokens else 0
+    def __init__(self, tokens: Tokens, starts: list[int], source_name: str = "program"):
         # Every token is taken only once its kind is known not to be EOF, and
-        # lookahead stops at the first EOF, so one EOF ends the list.
-        self.tokens = [*tokens, Token(TokenKind.EOF, "", end)]
+        # lookahead stops at the first EOF, so the one EOF entry ends the lists.
+        self.tokens = tokens
+        self.kinds = tokens.kinds
+        self.lexemes = tokens.lexemes
+        self.offsets = tokens.offsets
+        self.values = tokens.values
         self.starts = starts
         self.source_name = source_name
         self.pos = 0
 
     # ------------------------------------------------------------------
-    # token plumbing
+    # token plumbing: a token is its index into the lists
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[self.pos + ahead]
-
-    def advance(self) -> Token:
+    def advance(self) -> int:
         """Take the next token, which the caller has seen is not EOF."""
-        token = self.tokens[self.pos]
         self.pos += 1
-        return token
+        return self.pos - 1
 
-    def accept(self, kind: TokenKind) -> Token | None:
+    def accept(self, kind: TokenKind) -> bool:
         """Take the next token if it is of this kind, which is never EOF."""
-        token = self.tokens[self.pos]
-        if token.kind is kind:
+        if self.kinds[self.pos] is kind:
             self.pos += 1
-            return token
-        return None
+            return True
+        return False
 
-    def expect(self, kind: TokenKind, expected: str | None = None) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind is not kind:
+    def expect(self, kind: TokenKind, expected: str | None = None) -> int:
+        pos = self.pos
+        if self.kinds[pos] is not kind:
             raise self.error(expected or f"'{kind.value}'")
-        self.pos += 1
-        return token
+        self.pos = pos + 1
+        return pos
 
-    def expect_name(self, expected: str, keyword_ok: bool = False) -> Token:
+    def expect_name(self, expected: str, keyword_ok: bool = False) -> int:
         """An identifier, or with keyword_ok a keyword too."""
-        token = self.tokens[self.pos]
-        if token.kind is TokenKind.IDENT or keyword_ok and token.kind is TokenKind.KEYWORD:
-            self.pos += 1
-            return token
+        pos = self.pos
+        kind = self.kinds[pos]
+        if kind is TokenKind.IDENT or keyword_ok and kind is TokenKind.KEYWORD:
+            self.pos = pos + 1
+            return pos
         raise self.error(expected)
 
+    def name(self, expected: str, keyword_ok: bool = False) -> str:
+        """The lexeme of expect_name's token."""
+        return self.lexemes[self.expect_name(expected, keyword_ok)]
+
     def at(self, kind: TokenKind) -> bool:
-        return self.tokens[self.pos].kind is kind
+        return self.kinds[self.pos] is kind
 
     def at_word(self, word: str) -> bool:
         """Whether the next token is this keyword or contextual word, the one token with that lexeme."""
-        return self.tokens[self.pos].lexeme == word
+        return self.lexemes[self.pos] == word
 
-    def error(self, expected: str, token: Token | None = None) -> ParseError:
-        if token is None:
-            token = self.tokens[self.pos]
+    def error(self, expected: str, index: int | None = None) -> ParseError:
+        """The error at the token at index, the next one by default."""
+        token = self.tokens[self.pos if index is None else index]
         return ParseError(*position(self.starts, token.offset), expected, _describe(token))
 
     def braced(self, item: Callable[[], _T]) -> list[_T]:
         """`{ item* }`: the items read up to the closing brace."""
         self.expect(TokenKind.LBRACE)
         items: list[_T] = []
-        tokens = self.tokens
-        while tokens[self.pos].kind is not TokenKind.RBRACE:  # an item raises at EOF
+        kinds = self.kinds
+        while kinds[self.pos] is not TokenKind.RBRACE:  # an item raises at EOF
             items.append(item())
         self.pos += 1
         return items
@@ -157,13 +163,13 @@ class Parser:
         self.expect(TokenKind.RPAREN)
         return value
 
-    def _once(self, seen: set[str], expected: str) -> Token:
+    def _once(self, seen: set[str], expected: str) -> None:
         """Take a clause keyword, refusing it at its second occurrence in a block."""
-        token = self.advance()
-        if token.lexeme in seen:
-            raise self.error(expected, token)
-        seen.add(token.lexeme)
-        return token
+        word = self.lexemes[self.pos]
+        if word in seen:
+            raise self.error(expected)
+        seen.add(word)
+        self.pos += 1
 
     def _entries(self, key: Callable[[], _T]) -> list[tuple[_T, Expr]]:
         """`{ key = expr [,] ... }`"""
@@ -194,18 +200,19 @@ class Parser:
         return SourceProgram(declarations, self.source_name, self.starts)
 
     def parse_type_decl(self) -> TypeDecl:
-        start = self.advance()  # 'type', which parse_program saw
-        name = self.expect_name("type name")
+        offset = self.offsets[self.advance()]  # 'type', which parse_program saw
+        name = self.name("type name")
         root = BasicType.VOID
         if self.accept(TokenKind.COLON):
-            token = self.peek()
-            if token.kind is not TokenKind.KEYWORD or token.lexeme not in _BASIC_NAMES:
+            word = self.lexemes[self.pos]
+            if self.kinds[self.pos] is not TokenKind.KEYWORD or word not in _BASIC_NAMES:
                 raise self.error("a basic type (void, bool, int, long, double, string, any)")
-            root = _BASIC_NAMES[self.advance().lexeme]
+            self.advance()
+            root = _BASIC_NAMES[word]
         fields: list[FieldDecl] = []
         if self.at(TokenKind.LBRACE):
             fields = self.parse_field_block()
-        return TypeDecl(name.lexeme, root, fields, offset=start.offset)
+        return TypeDecl(name, root, fields, offset=offset)
 
     def parse_field_block(self, inline: bool = False) -> list[FieldDecl]:
         return self.braced(lambda: self.parse_field_decl(inline))
@@ -219,26 +226,27 @@ class Parser:
             cardinality = Cardinality.MANY
         self.expect(TokenKind.COLON)
         ref = self.parse_type_ref(inline_forbidden=inline)
-        return FieldDecl(name.lexeme, cardinality, ref, offset=name.offset)
+        return FieldDecl(self.lexemes[name], cardinality, ref, offset=self.offsets[name])
 
     def parse_type_ref(self, inline_forbidden: bool = False) -> TypeRef:
-        token = self.peek()
-        if token.kind is TokenKind.KEYWORD and token.lexeme in _BASIC_NAMES:
+        pos = self.pos
+        kind, word, offset = self.kinds[pos], self.lexemes[pos], self.offsets[pos]
+        if kind is TokenKind.KEYWORD and word in _BASIC_NAMES:
             self.advance()
-            return BasicRef(_BASIC_NAMES[token.lexeme], offset=token.offset)
-        if token.kind is TokenKind.IDENT:
+            return BasicRef(_BASIC_NAMES[word], offset=offset)
+        if kind is TokenKind.IDENT:
             self.advance()
-            return NamedRef(token.lexeme, offset=token.offset)
-        if token.kind is TokenKind.LBRACE:
+            return NamedRef(word, offset=offset)
+        if kind is TokenKind.LBRACE:
             if inline_forbidden:
                 raise self.error("a basic or named type (inline trees do not nest)")
             fields = self.parse_field_block(inline=True)
-            return InlineTreeRef(fields, offset=token.offset)
+            return InlineTreeRef(fields, offset=offset)
         raise self.error("a type reference")
 
     def parse_interface_decl(self) -> InterfaceDecl:
-        start = self.advance()  # 'interface', which parse_program saw
-        name = self.expect_name("interface name")
+        offset = self.offsets[self.advance()]  # 'interface', which parse_program saw
+        name = self.name("interface name")
         request_responses: list[RequestResponseOp] = []
         one_ways: list[OneWayOp] = []
 
@@ -254,19 +262,19 @@ class Parser:
                 if with_response:
                     response = self.parenthesized(self.parse_type_ref)
                     request_responses.append(
-                        RequestResponseOp(op.lexeme, request, response, offset=op.offset)
+                        RequestResponseOp(self.lexemes[op], request, response, offset=self.offsets[op])
                     )
                 else:
-                    one_ways.append(OneWayOp(op.lexeme, request, offset=op.offset))
+                    one_ways.append(OneWayOp(self.lexemes[op], request, offset=self.offsets[op]))
                 if not self.accept(TokenKind.COMMA):
                     return
 
         self.braced(section)
-        return InterfaceDecl(name.lexeme, request_responses, one_ways, offset=start.offset)
+        return InterfaceDecl(name, request_responses, one_ways, offset=offset)
 
     def parse_service_decl(self) -> ServiceDecl:
-        start = self.advance()  # 'service', which parse_program saw
-        name = self.expect_name("service name")
+        offset = self.offsets[self.advance()]  # 'service', which parse_program saw
+        name = self.name("service name")
         config = self.parenthesized(self._config_param) if self.at(TokenKind.LPAREN) else None
         seen: set[str] = set()
         execution = ExecutionMode.SINGLE
@@ -281,11 +289,11 @@ class Parser:
             elif self.at_word("execution"):
                 self._once(seen, "at most one execution clause")
                 self.expect(TokenKind.COLON)
-                mode = self.peek()
-                if mode.kind is not TokenKind.IDENT or mode.lexeme not in _EXECUTION_MODES:
+                mode = self.lexemes[self.pos]
+                if self.kinds[self.pos] is not TokenKind.IDENT or mode not in _EXECUTION_MODES:
                     raise self.error("an execution mode (concurrent, sequential, single)")
                 self.advance()
-                execution = _EXECUTION_MODES[mode.lexeme]
+                execution = _EXECUTION_MODES[mode]
             elif self.at_word("inputPort"):
                 input_ports.append(self.parse_port_decl(PortKind.INPUT))
             elif self.at_word("outputPort"):
@@ -298,13 +306,13 @@ class Parser:
 
         self.braced(clause)
         return ServiceDecl(
-            name.lexeme,
+            name,
             config=config,
             execution=execution,
             input_ports=input_ports,
             output_ports=output_ports,
             behavior=behavior,
-            offset=start.offset,
+            offset=offset,
         )
 
     def _config_param(self) -> ConfigParam | None:
@@ -313,19 +321,19 @@ class Parser:
         param = self.expect_name("configuration parameter name")
         type_name: str | None = None
         if self.accept(TokenKind.COLON):
-            type_name = self.expect_name("configuration type name").lexeme
-        return ConfigParam(param.lexeme, type_name, offset=param.offset)
+            type_name = self.name("configuration type name")
+        return ConfigParam(self.lexemes[param], type_name, offset=self.offsets[param])
 
     def parse_port_decl(self, kind: PortKind) -> PortDecl:
         start = self.advance()  # inputPort / outputPort keyword
-        name = self.expect_name("port name")
+        name = self.name("port name")
         seen: set[str] = set()
         location: Expr | None = None
         protocol: tuple[str, list[tuple[str, Expr]]] | None = None
-        interfaces: list[Token] = []
+        interfaces: list[int] = []
 
         def protocol_parameter() -> str:
-            return self.expect_name("protocol parameter name", keyword_ok=True).lexeme
+            return self.name("protocol parameter name", keyword_ok=True)
 
         def clause() -> None:
             nonlocal location, protocol
@@ -336,7 +344,7 @@ class Parser:
             elif self.at_word("protocol"):
                 self._once(seen, "at most one protocol clause")
                 self.expect(TokenKind.COLON)
-                proto_name = self.expect_name("protocol name").lexeme
+                proto_name = self.name("protocol name")
                 params = self._entries(protocol_parameter) if self.at(TokenKind.LBRACE) else []
                 protocol = (proto_name, params)
             elif self.at_word("interfaces"):
@@ -350,27 +358,27 @@ class Parser:
 
         self.braced(clause)
         if location is None:
-            raise self.error(f"a location clause in port {name.lexeme}", start)
+            raise self.error(f"a location clause in port {name}", start)
         if protocol is None:
-            raise self.error(f"a protocol clause in port {name.lexeme}", start)
+            raise self.error(f"a protocol clause in port {name}", start)
         if not interfaces:
-            raise self.error(f"an interfaces clause in port {name.lexeme}", start)
+            raise self.error(f"an interfaces clause in port {name}", start)
         return PortDecl(
             kind,
-            name.lexeme,
+            name,
             location,
             protocol[0],
             protocol[1],
-            [token.lexeme for token in interfaces],
-            interface_offsets=[token.offset for token in interfaces],
-            offset=start.offset,
+            [self.lexemes[i] for i in interfaces],
+            interface_offsets=[self.offsets[i] for i in interfaces],
+            offset=self.offsets[start],
         )
 
     # ------------------------------------------------------------------
     # behaviors
 
     def parse_behavior(self) -> Behavior:
-        offset = self.peek().offset
+        offset = self.offsets[self.pos]
         if self._behavior_is_choice():
             return InputChoice(self.braced(self.parse_branch), offset=offset)
         return StatementSequence(self.parse_block(), offset=offset)
@@ -378,36 +386,39 @@ class Parser:
     def _behavior_is_choice(self) -> bool:
         # Past the `{`, a branch looks like `op( v )( v ) {` or `op( v ) {`; a
         # statement starting `op(` is an inline receive, never followed by ( or {.
+        kinds = self.kinds
+        i = self.pos
         if not (
-            self.peek().kind is TokenKind.LBRACE
-            and self.peek(1).kind is TokenKind.IDENT
-            and self.peek(2).kind is TokenKind.LPAREN
+            kinds[i] is TokenKind.LBRACE
+            and kinds[i + 1] is TokenKind.IDENT
+            and kinds[i + 2] is TokenKind.LPAREN
         ):
             return False
         depth = 0
-        i = self.pos + 2
+        i += 2
         while True:
-            token = self.tokens[i]
-            if token.kind is TokenKind.EOF:
+            kind = kinds[i]
+            if kind is TokenKind.EOF:
                 return False
-            if token.kind is TokenKind.LPAREN:
+            if kind is TokenKind.LPAREN:
                 depth += 1
-            elif token.kind is TokenKind.RPAREN:
+            elif kind is TokenKind.RPAREN:
                 depth -= 1
                 if depth == 0:
                     break
             i += 1
-        return self.tokens[i + 1].kind in (TokenKind.LPAREN, TokenKind.LBRACE)
+        return kinds[i + 1] in (TokenKind.LPAREN, TokenKind.LBRACE)
 
     def parse_branch(self) -> Branch:
         name = self.expect_name("operation name")
-        request_var = self.parenthesized(lambda: self.expect_name("request variable").lexeme)
+        operation, offset = self.lexemes[name], self.offsets[name]
+        request_var = self.parenthesized(lambda: self.name("request variable"))
         if self.at(TokenKind.LPAREN):
-            response_var = self.parenthesized(lambda: self.expect_name("response variable").lexeme)
+            response_var = self.parenthesized(lambda: self.name("response variable"))
             body = self.parse_block()
-            return RequestResponseBranch(name.lexeme, request_var, response_var, body, offset=name.offset)
+            return RequestResponseBranch(operation, request_var, response_var, body, offset=offset)
         body = self.parse_block()
-        return OneWayBranch(name.lexeme, request_var, body, offset=name.offset)
+        return OneWayBranch(operation, request_var, body, offset=offset)
 
     # ------------------------------------------------------------------
     # statements
@@ -422,8 +433,8 @@ class Parser:
         return [self.parse_statement()]
 
     def parse_statement(self) -> Statement:
-        token = self.peek()
-        word = token.lexeme
+        pos = self.pos
+        word, offset = self.lexemes[pos], self.offsets[pos]
         if word == "if":
             self.advance()
             condition = self.parenthesized(self.parse_expr)
@@ -432,48 +443,49 @@ class Parser:
             if self.at_word("else"):
                 self.advance()
                 orelse = self.parse_body()
-            return If(condition, then, orelse, offset=token.offset)
+            return If(condition, then, orelse, offset=offset)
         if word == "while":
             self.advance()
             condition = self.parenthesized(self.parse_expr)
-            return While(condition, self.parse_body(), offset=token.offset)
+            return While(condition, self.parse_body(), offset=offset)
         if word == "throw":
             self.advance()
-            fault = self.parenthesized(lambda: self.expect_name("fault name").lexeme)
-            return Throw(fault, offset=token.offset)
-        if token.kind is TokenKind.IDENT:
-            after = self.peek(1)
-            if after.kind is TokenKind.AT:
+            fault = self.parenthesized(lambda: self.name("fault name"))
+            return Throw(fault, offset=offset)
+        if self.kinds[pos] is TokenKind.IDENT:
+            after = self.kinds[pos + 1]
+            if after is TokenKind.AT:
                 return self.parse_invocation()
-            if after.kind is TokenKind.LPAREN:
+            if after is TokenKind.LPAREN:
                 self.advance()
-                return Receive(token.lexeme, self.parenthesized(self.parse_path), offset=token.offset)
+                return Receive(word, self.parenthesized(self.parse_path), offset=offset)
             target = self.parse_path()
             self.expect(TokenKind.ASSIGN)
             value = self.parse_expr()
-            return Assign(target, value, offset=token.offset)
+            return Assign(target, value, offset=offset)
         raise self.error("a statement")
 
     def parse_invocation(self) -> Statement:
         name = self.expect_name("operation name")
+        operation, offset = self.lexemes[name], self.offsets[name]
         self.expect(TokenKind.AT)
-        port = self.expect_name("port name").lexeme
+        port = self.name("port name")
         argument = self.parenthesized(self.parse_expr)
         if self.at(TokenKind.LPAREN):
             target = self.parenthesized(lambda: None if self.at(TokenKind.RPAREN) else self.parse_path())
-            return SolicitResponse(name.lexeme, port, argument, target, offset=name.offset)
-        return OneWaySend(name.lexeme, port, argument, offset=name.offset)
+            return SolicitResponse(operation, port, argument, target, offset=offset)
+        return OneWaySend(operation, port, argument, offset=offset)
 
     # ------------------------------------------------------------------
     # expressions
 
     def parse_path(self, keyword_root: bool = False) -> Path:
         first = self.expect_name("a variable path", keyword_ok=keyword_root)
-        steps = [PathStep(first.lexeme, self._maybe_index())]
+        steps = [PathStep(self.lexemes[first], self._maybe_index())]
         while self.accept(TokenKind.DOT):
-            name = self.expect_name("a path segment", keyword_ok=True)
-            steps.append(PathStep(name.lexeme, self._maybe_index()))
-        return Path(steps, offset=first.offset)
+            name = self.name("a path segment", keyword_ok=True)
+            steps.append(PathStep(name, self._maybe_index()))
+        return Path(steps, offset=self.offsets[first])
 
     def _maybe_index(self) -> Expr | None:
         if not self.accept(TokenKind.LBRACKET):
@@ -489,42 +501,46 @@ class Parser:
         tighter than its own, so each level nests to the left.
         """
         left = self._parse_unary()
+        lexemes = self.lexemes
         # only an operator token has an operator as its lexeme
-        while (precedence := PRECEDENCE.get(self.peek().lexeme, 0)) >= least:
-            token = self.advance()
-            left = Binary(token.lexeme, left, self.parse_expr(precedence + 1), offset=token.offset)
+        while (precedence := PRECEDENCE.get(lexemes[self.pos], 0)) >= least:
+            op = self.advance()
+            left = Binary(lexemes[op], left, self.parse_expr(precedence + 1), offset=self.offsets[op])
         return left
 
     def _parse_unary(self) -> Expr:
-        token = self.peek()
-        if token.kind is TokenKind.MINUS:
+        pos = self.pos
+        kind = self.kinds[pos]
+        if kind is TokenKind.MINUS:
             self.advance()
             operand = self._parse_unary()
             folded = _fold_negation(operand)
             if folded is not None:
                 return folded
-            return Unary("-", operand, offset=token.offset)
-        if token.kind is TokenKind.BANG:
+            return Unary("-", operand, offset=self.offsets[pos])
+        if kind is TokenKind.BANG:
             self.advance()
-            return Unary("!", self._parse_unary(), offset=token.offset)
+            return Unary("!", self._parse_unary(), offset=self.offsets[pos])
         return self._parse_primary()
 
     def _parse_primary(self) -> Expr:
-        token = self.peek()
-        if token.value is not None:  # a number, a string, true or false
+        pos = self.pos
+        value = self.values[pos]
+        if value is not None:  # a number, a string, true or false
             self.advance()
-            return Literal(token.value, offset=token.offset)
-        if token.kind is TokenKind.LPAREN:
+            return Literal(value, offset=self.offsets[pos])
+        kind = self.kinds[pos]
+        if kind is TokenKind.LPAREN:
             return self.parenthesized(self.parse_expr)
-        if token.kind is TokenKind.LBRACE:
+        if kind is TokenKind.LBRACE:
             return self.parse_tree_literal()
-        if token.kind is TokenKind.IDENT:
+        if kind is TokenKind.IDENT:
             path = self.parse_path()
             return PathExpr(path, offset=path.offset)
         raise self.error("an expression")
 
     def parse_tree_literal(self) -> TreeLiteral:
-        offset = self.peek().offset
+        offset = self.offsets[self.pos]
         return TreeLiteral(self._entries(lambda: self.parse_path(keyword_root=True)), offset=offset)
 
 

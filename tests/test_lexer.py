@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -26,8 +27,25 @@ def test_type_declaration_tokens_drop_the_comment():
 
 
 def test_empty_input_yields_no_tokens():
-    assert tokenize("") == []
-    assert tokenize("   \n\t // just a comment\n/* and another */") == []
+    for source in ("", "   \n\t // just a comment\n/* and another */"):
+        tokens = tokenize(source)
+        assert len(tokens) == 0 and list(tokens) == []
+        assert tokens[0] == (TokenKind.EOF, "", 0, None)  # only the end-of-input entry, at offset 0
+
+
+def test_tokenizing_builds_no_container_per_token(fixture_source):
+    """The tokens are four lists, not a tuple each, so a parse's tokens set off no garbage collection."""
+    tokenize(fixture_source)  # a first call leaves one-time objects, such as 3.10's cached frames
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        tokens = tokenize(fixture_source)
+        grown = gc.get_count()[0] - before
+    finally:
+        gc.enable()
+    assert len(tokens) > 1000
+    assert grown < 16
 
 
 def test_long_literal():

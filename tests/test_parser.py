@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import monoslice.parser
+import reference_lexer
 from monoslice.ast import (
     BasicRef,
     Binary,
@@ -441,7 +443,7 @@ def test_deleting_a_token_of_the_fixture_fails_cleanly_or_round_trips(fixture_so
     """Each fourth token deleted in turn: a positioned error, or a program that
     renders, reparses equal and either resolves or fails to resolve cleanly."""
     tokens = tokenize(fixture_source)
-    for token in tokens[::4]:
+    for token in (tokens[i] for i in range(0, len(tokens), 4)):
         variant = fixture_source[: token.offset] + fixture_source[token.offset + len(token.lexeme) :]
         try:
             program = parse_source(variant)
@@ -453,3 +455,18 @@ def test_deleting_a_token_of_the_fixture_fails_cleanly_or_round_trips(fixture_so
             assert isinstance(resolve(program), CheckedProgram)
         except ResolveFailure as failure:
             assert failure.errors
+
+
+def test_parse_source_tokenizes_once_through_the_module_global(fixture_source, monkeypatch):
+    """A tracer that wraps `monoslice.parser.tokenize` sees each parse tokenize
+    once, and len() of what it returns is the source's token count."""
+    results = []
+
+    def counting(source):
+        results.append(tokenize(source))
+        return results[-1]
+
+    monkeypatch.setattr(monoslice.parser, "tokenize", counting)
+    parse_source(fixture_source)
+    assert len(results) == 1
+    assert len(results[0]) == len(reference_lexer.tokenize(fixture_source))
